@@ -121,6 +121,45 @@ struct ConvSpec {
   std::int64_t hw, c_in, c_out, k, stride, pad;
 };
 
+/// Times the engine's own first layer, InputConv2d (8-bit image in, both
+/// kernels: the dense bit-plane im2col and the bit-plane conv), with the
+/// default options on one device thread, as perfbench's yolo416 runs it:
+/// the full forward's host time (min over reps) and its modeled device
+/// time. The split_bit_planes records above time a reference function the
+/// engine never calls.
+void bench_input_conv(const ConvSpec& spec,
+                      std::vector<bench::BenchRecord>& out) {
+  Rng rng(103);
+  FloatTensor w(Shape{spec.c_out, spec.k, spec.k, spec.c_in}, Layout::kNHWC);
+  for (std::int64_t i = 0; i < w.elems(); ++i) w.data()[i] = rng.sign();
+  std::vector<core::BatchNormParams> bn;
+  for (std::int64_t c = 0; c < spec.c_out; ++c) {
+    bn.push_back({rng.uniform(0.3f, 1.5f) * rng.sign(), rng.normal(),
+                  rng.normal() * 300.0f, rng.uniform(0.5f, 2.0f)});
+  }
+  ConvGeometry g;
+  g.kernel_h = g.kernel_w = spec.k;
+  g.stride_h = g.stride_w = spec.stride;
+  g.pad_h = g.pad_w = spec.pad;
+
+  auto device = std::make_shared<oclsim::Device>(
+      oclsim::DeviceProfile::snapdragon855(), /*host_threads=*/1);
+  core::Engine engine(device);
+  auto session = engine.create_session();
+  auto ctx = session.context();
+  core::InputConv2d conv("bench", bitpack::pack_filter_signs(w), bn, {}, g);
+  const core::Blob input{datasets::random_image(
+      Shape{1, spec.hw, spec.hw, spec.c_in}, 7)};
+
+  double modeled = 0.0;
+  const double host = best_ms(10, [&] {
+    session.reset_profile();
+    conv.forward(ctx, input);
+    modeled = session.queue().total_modeled_ms();
+  });
+  out.push_back({"input_conv", spec.tag, host, modeled});
+}
+
 /// Times one BinaryConv2d layer: builds the engine once, then measures the
 /// per-forward host kernel time (min over reps) and the modeled device time.
 /// `redundant` overlays the filter-row redundancy trained binary nets show
@@ -540,6 +579,10 @@ int main(int argc, char** argv) {
   bench_binary_dot(records);
   bench_pack_signs(records);
   bench_bit_plane_split(records);
+  // YOLOv2-Tiny's full-size conv1 and quicknet's conv1.
+  bench_input_conv({"3x3/s1/p1/416x416/c3->16", 416, 3, 16, 3, 1, 1},
+                   records);
+  bench_input_conv({"3x3/s1/p1/32x32/c3->32", 32, 3, 32, 3, 1, 1}, records);
 
   const std::vector<ConvSpec> specs = {
       {"3x3/s1/p1/26x26/c256->256", 26, 256, 256, 3, 1, 1},

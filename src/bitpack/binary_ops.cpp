@@ -82,41 +82,16 @@ std::int64_t xor_popcount_2d_wide(const std::uint64_t* a,
   return simd::reduce_add(acc) + tail;
 }
 
-/// AND-flavoured whole-window kernel (the bit-plane first layer's fused
-/// inner loop): identical schedule to xor_popcount_2d_wide.
-template <int Lanes>
-std::int64_t and_popcount_2d_wide(const std::uint64_t* a,
-                                  std::int64_t a_stride,
-                                  const std::uint64_t* b,
-                                  std::int64_t b_stride,
-                                  std::int64_t row_words, std::int64_t rows) {
-  using V = simd::vec<std::uint64_t, Lanes>;
-  V acc{};
-  std::int64_t tail = 0;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::uint64_t* pa = a + r * a_stride;
-    const std::uint64_t* pb = b + r * b_stride;
-    std::int64_t i = 0;
-    for (; i + Lanes <= row_words; i += Lanes) {
-      const V va = simd::vload<std::uint64_t, Lanes>(0, pa + i);
-      const V vb = simd::vload<std::uint64_t, Lanes>(0, pb + i);
-      simd::popcount_accumulate(acc, va & vb);
-    }
-    for (; i < row_words; ++i) tail += popcount(pa[i] & pb[i]);
-  }
-  return simd::reduce_add(acc) + tail;
-}
-
 // Shared-window kernels: one pass over the input window spans scores the 8
 // filters of a workload group. The input vector is loaded once per chunk
 // and reused across the 8 weight streams (the compiler keeps it in a
 // register), so the group pays 9 loads per chunk instead of 16 and one loop
 // prologue per row instead of 8.
-template <int Lanes, bool And>
-void popcount_2d_x8_wide(const std::uint64_t* a, std::int64_t a_stride,
-                         const std::uint64_t* b, std::int64_t b_pitch,
-                         std::int64_t b_stride, std::int64_t row_words,
-                         std::int64_t rows, std::int64_t out[8]) {
+template <int Lanes>
+void xor_popcount_2d_x8_wide(const std::uint64_t* a, std::int64_t a_stride,
+                             const std::uint64_t* b, std::int64_t b_pitch,
+                             std::int64_t b_stride, std::int64_t row_words,
+                             std::int64_t rows, std::int64_t out[8]) {
   using V = simd::vec<std::uint64_t, Lanes>;
   V acc[8]{};
   std::int64_t tail[8] = {};
@@ -128,14 +103,14 @@ void popcount_2d_x8_wide(const std::uint64_t* a, std::int64_t a_stride,
       const V va = simd::vload<std::uint64_t, Lanes>(0, pa + i);
       for (int f = 0; f < 8; ++f) {
         const V vb = simd::vload<std::uint64_t, Lanes>(0, pb + f * b_pitch + i);
-        simd::popcount_accumulate(acc[f], And ? va & vb : va ^ vb);
+        simd::popcount_accumulate(acc[f], va ^ vb);
       }
     }
     for (; i < row_words; ++i) {
       const std::uint64_t wa = pa[i];
       for (int f = 0; f < 8; ++f) {
         const std::uint64_t wb = pb[f * b_pitch + i];
-        tail[f] += popcount(And ? wa & wb : wa ^ wb);
+        tail[f] += popcount(wa ^ wb);
       }
     }
   }
@@ -144,11 +119,10 @@ void popcount_2d_x8_wide(const std::uint64_t* a, std::int64_t a_stride,
 
 // Word-granularity shared-window loop for the narrow widths (no lane
 // accumulator to carry; the sharing of the input load is the whole point).
-template <bool And>
-void popcount_2d_x8_words(const std::uint64_t* a, std::int64_t a_stride,
-                          const std::uint64_t* b, std::int64_t b_pitch,
-                          std::int64_t b_stride, std::int64_t row_words,
-                          std::int64_t rows, std::int64_t out[8]) {
+void xor_popcount_2d_x8_words(const std::uint64_t* a, std::int64_t a_stride,
+                              const std::uint64_t* b, std::int64_t b_pitch,
+                              std::int64_t b_stride, std::int64_t row_words,
+                              std::int64_t rows, std::int64_t out[8]) {
   std::int64_t acc[8] = {};
   for (std::int64_t r = 0; r < rows; ++r) {
     const std::uint64_t* pa = a + r * a_stride;
@@ -157,36 +131,11 @@ void popcount_2d_x8_words(const std::uint64_t* a, std::int64_t a_stride,
       const std::uint64_t wa = pa[i];
       for (int f = 0; f < 8; ++f) {
         const std::uint64_t wb = pb[f * b_pitch + i];
-        acc[f] += popcount(And ? wa & wb : wa ^ wb);
+        acc[f] += popcount(wa ^ wb);
       }
     }
   }
   for (int f = 0; f < 8; ++f) out[f] = acc[f];
-}
-
-template <bool And>
-void popcount_2d_x8(const std::uint64_t* a, std::int64_t a_stride,
-                    const std::uint64_t* b, std::int64_t b_pitch,
-                    std::int64_t b_stride, std::int64_t row_words,
-                    std::int64_t rows, PackWidth w, std::int64_t out[8]) {
-  PB_CHECK(row_words >= 0 && rows >= 0, "negative span geometry");
-  switch (w) {
-    case PackWidth::k128:
-      return popcount_2d_x8_wide<2, And>(a, a_stride, b, b_pitch, b_stride,
-                                         row_words, rows, out);
-    case PackWidth::k256:
-      return popcount_2d_x8_wide<4, And>(a, a_stride, b, b_pitch, b_stride,
-                                         row_words, rows, out);
-    case PackWidth::k512:
-      return popcount_2d_x8_wide<8, And>(a, a_stride, b, b_pitch, b_stride,
-                                         row_words, rows, out);
-    case PackWidth::k1024:
-      return popcount_2d_x8_wide<16, And>(a, a_stride, b, b_pitch, b_stride,
-                                          row_words, rows, out);
-    default:
-      return popcount_2d_x8_words<And>(a, a_stride, b, b_pitch, b_stride,
-                                       row_words, rows, out);
-  }
 }
 
 template <int Lanes>
@@ -334,51 +283,28 @@ std::int64_t xor_popcount_2d(const std::uint64_t* a, std::int64_t a_stride,
   }
 }
 
-std::int64_t and_popcount_2d(const std::uint64_t* a, std::int64_t a_stride,
-                             const std::uint64_t* b, std::int64_t b_stride,
-                             std::int64_t row_words, std::int64_t rows,
-                             PackWidth w) {
-  PB_CHECK(row_words >= 0 && rows >= 0, "negative span geometry");
-  switch (w) {
-    case PackWidth::k128:
-      return and_popcount_2d_wide<2>(a, a_stride, b, b_stride, row_words,
-                                     rows);
-    case PackWidth::k256:
-      return and_popcount_2d_wide<4>(a, a_stride, b, b_stride, row_words,
-                                     rows);
-    case PackWidth::k512:
-      return and_popcount_2d_wide<8>(a, a_stride, b, b_stride, row_words,
-                                     rows);
-    case PackWidth::k1024:
-      return and_popcount_2d_wide<16>(a, a_stride, b, b_stride, row_words,
-                                      rows);
-    default: {
-      // Narrow granularities have no cross-row accumulator to carry; reuse
-      // the per-span kernels row by row.
-      std::int64_t total = 0;
-      for (std::int64_t r = 0; r < rows; ++r) {
-        total += and_popcount(a + r * a_stride, b + r * b_stride, row_words,
-                              w);
-      }
-      return total;
-    }
-  }
-}
-
 void xor_popcount_2d_x8(const std::uint64_t* a, std::int64_t a_stride,
                         const std::uint64_t* b, std::int64_t b_pitch,
                         std::int64_t b_stride, std::int64_t row_words,
                         std::int64_t rows, PackWidth w, std::int64_t out[8]) {
-  popcount_2d_x8<false>(a, a_stride, b, b_pitch, b_stride, row_words, rows, w,
-                        out);
-}
-
-void and_popcount_2d_x8(const std::uint64_t* a, std::int64_t a_stride,
-                        const std::uint64_t* b, std::int64_t b_pitch,
-                        std::int64_t b_stride, std::int64_t row_words,
-                        std::int64_t rows, PackWidth w, std::int64_t out[8]) {
-  popcount_2d_x8<true>(a, a_stride, b, b_pitch, b_stride, row_words, rows, w,
-                       out);
+  PB_CHECK(row_words >= 0 && rows >= 0, "negative span geometry");
+  switch (w) {
+    case PackWidth::k128:
+      return xor_popcount_2d_x8_wide<2>(a, a_stride, b, b_pitch, b_stride,
+                                        row_words, rows, out);
+    case PackWidth::k256:
+      return xor_popcount_2d_x8_wide<4>(a, a_stride, b, b_pitch, b_stride,
+                                        row_words, rows, out);
+    case PackWidth::k512:
+      return xor_popcount_2d_x8_wide<8>(a, a_stride, b, b_pitch, b_stride,
+                                        row_words, rows, out);
+    case PackWidth::k1024:
+      return xor_popcount_2d_x8_wide<16>(a, a_stride, b, b_pitch, b_stride,
+                                         row_words, rows, out);
+    default:
+      return xor_popcount_2d_x8_words(a, a_stride, b, b_pitch, b_stride,
+                                      row_words, rows, out);
+  }
 }
 
 namespace {
@@ -421,6 +347,72 @@ void xor_popcount_gemm_x8(const std::uint64_t* a, std::int64_t a_stride,
     case 3: return gemm_tile<3>(a, a_stride, b, b_pitch, k_words, out);
     default: return gemm_tile<4>(a, a_stride, b, b_pitch, k_words, out);
   }
+}
+
+namespace {
+
+/// The bit-plane tile with the K-word count as a template parameter when
+/// it is known (KWords > 0): YOLO-style input layers (K <= 64 bits) then
+/// keep a row's 8 plane words in registers with no k-word loop at all.
+template <int KWords>
+void planes_x8_tile(const std::uint64_t* a, std::int64_t a_stride,
+                    const std::uint64_t* b, std::int64_t k_words,
+                    std::int64_t rows, std::int64_t* out) {
+  if constexpr (KWords > 0) k_words = KWords;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::uint64_t* row = a + r * a_stride;
+    std::int64_t acc[8] = {};
+    for (std::int64_t j = 0; j < k_words; ++j) {
+      std::uint64_t p[8];
+      for (int k = 0; k < 8; ++k) p[k] = row[k * k_words + j];
+      for (int f = 0; f < 8; ++f) {
+        const std::uint64_t w = b[f * k_words + j];
+        std::int64_t s = 0;
+        for (int k = 0; k < 8; ++k) {
+          s += static_cast<std::int64_t>(popcount(p[k] & w)) << k;
+        }
+        acc[f] += s;
+      }
+    }
+    for (int f = 0; f < 8; ++f) out[r * 8 + f] = acc[f];
+  }
+}
+
+template <int KWords>
+void window_sums_tile(const std::uint64_t* a, std::int64_t a_stride,
+                      std::int64_t k_words, std::int64_t rows,
+                      std::int64_t* sums) {
+  if constexpr (KWords > 0) k_words = KWords;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::uint64_t* row = a + r * a_stride;
+    std::int64_t s = 0;
+    for (int k = 0; k < 8; ++k) {
+      std::int64_t bits = 0;
+      for (std::int64_t j = 0; j < k_words; ++j) {
+        bits += popcount(row[k * k_words + j]);
+      }
+      s += bits << k;
+    }
+    sums[r] = s;
+  }
+}
+
+}  // namespace
+
+void and_popcount_planes_x8(const std::uint64_t* a, std::int64_t a_stride,
+                            const std::uint64_t* b, std::int64_t k_words,
+                            std::int64_t rows, std::int64_t* out) {
+  PB_CHECK(k_words >= 1 && rows >= 0, "bad bit-plane tile geometry");
+  if (k_words == 1) return planes_x8_tile<1>(a, a_stride, b, 1, rows, out);
+  planes_x8_tile<0>(a, a_stride, b, k_words, rows, out);
+}
+
+void plane_window_sums(const std::uint64_t* a, std::int64_t a_stride,
+                       std::int64_t k_words, std::int64_t rows,
+                       std::int64_t* sums) {
+  PB_CHECK(k_words >= 1 && rows >= 0, "bad bit-plane tile geometry");
+  if (k_words == 1) return window_sums_tile<1>(a, a_stride, 1, rows, sums);
+  window_sums_tile<0>(a, a_stride, k_words, rows, sums);
 }
 
 std::int64_t popcount_words(const std::uint64_t* a, std::int64_t nwords) {

@@ -75,15 +75,6 @@ std::int64_t xor_popcount_2d(const std::uint64_t* a, std::int64_t a_stride,
                              std::int64_t row_words, std::int64_t rows,
                              PackWidth w);
 
-/// AND-flavoured strided multi-span accumulate — the same whole-window
-/// reduction for the 0/1 bit-plane first layer (Eqn 2): one call covers all
-/// kh rows of a plane window against the contiguous filter rows, lane
-/// accumulator carried across rows.
-std::int64_t and_popcount_2d(const std::uint64_t* a, std::int64_t a_stride,
-                             const std::uint64_t* b, std::int64_t b_stride,
-                             std::int64_t row_words, std::int64_t rows,
-                             PackWidth w);
-
 /// Shared-window schedule: xor_popcount_2d of ONE input window against the
 /// 8 filters of a workload group in a single pass. Each input span is
 /// loaded once per row and scored against all 8 weight streams (filter f's
@@ -94,13 +85,6 @@ std::int64_t and_popcount_2d(const std::uint64_t* a, std::int64_t a_stride,
 /// Narrow granularities (< 128 bits) have no cross-row lane accumulator
 /// and run the shared loop at word granularity.
 void xor_popcount_2d_x8(const std::uint64_t* a, std::int64_t a_stride,
-                        const std::uint64_t* b, std::int64_t b_pitch,
-                        std::int64_t b_stride, std::int64_t row_words,
-                        std::int64_t rows, PackWidth w, std::int64_t out[8]);
-
-/// AND-flavoured shared-window schedule for the bit-plane first layer: one
-/// pass over a 0/1 plane window scores the 8 filters of the group.
-void and_popcount_2d_x8(const std::uint64_t* a, std::int64_t a_stride,
                         const std::uint64_t* b, std::int64_t b_pitch,
                         std::int64_t b_stride, std::int64_t row_words,
                         std::int64_t rows, PackWidth w, std::int64_t out[8]);
@@ -122,6 +106,24 @@ void xor_popcount_gemm_x8(const std::uint64_t* a, std::int64_t a_stride,
                           const std::uint64_t* b, std::int64_t b_pitch,
                           std::int64_t k_words, std::int64_t rows,
                           std::int64_t* out);
+
+/// Bit-plane microkernel (the input conv's dense schedule, Eqn 2): each
+/// im2col panel row holds a window's 8 bit planes back to back, plane k at
+/// `row + k * k_words` with the window's K bits packed densely. Scores
+/// `rows` panel rows (`a_stride` words apart) against the 8 dense filter
+/// rows of one group (filter f at `b + f * k_words`); a row's 8 plane words
+/// are loaded once per k-word for all 8 filters. `out[r * 8 + f]` receives
+/// sum_k 2^k popcount(a_rk AND b_f), the weighted half of Eqn 2.
+void and_popcount_planes_x8(const std::uint64_t* a, std::int64_t a_stride,
+                            const std::uint64_t* b, std::int64_t k_words,
+                            std::int64_t rows, std::int64_t* out);
+
+/// The weight-independent half of Eqn 2 for `rows` panel rows laid out as
+/// in and_popcount_planes_x8: `sums[r]` = sum_k 2^k popcount(a_rk), which
+/// is the integer pixel sum of row r's window.
+void plane_window_sums(const std::uint64_t* a, std::int64_t a_stride,
+                       std::int64_t k_words, std::int64_t rows,
+                       std::int64_t* sums);
 
 /// popcount(a) over `nwords` words.
 std::int64_t popcount_words(const std::uint64_t* a, std::int64_t nwords);

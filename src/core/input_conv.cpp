@@ -16,10 +16,80 @@ using oclsim::KernelCost;
 using oclsim::NDRange;
 using oclsim::WorkItem;
 
+namespace {
+
+/// Panel rows scored per bit-plane microkernel call.
+constexpr std::int64_t kPanelTile = 16;
+
+/// Bit k of each of the 8 bytes of `x`, gathered into the low byte (byte
+/// i's bit lands at bit i): the multiply places every masked bit at a
+/// distinct position, so no partial product carries into the top byte.
+inline std::uint64_t plane_byte(std::uint64_t x, int k) {
+  return (((x >> k) & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
+}
+
+/// Streams one window's K bytes, in (ky, kx, c) order, into an im2col
+/// panel row of 8 dense bit planes (plane k at `row + k * k_words`). Bytes
+/// are staged 64 at a time (one K word per plane) and split 8 at a time.
+class PanelRowWriter {
+ public:
+  PanelRowWriter(std::uint64_t* row, std::int64_t k_words)
+      : row_(row), k_words_(k_words) {}
+
+  /// Appends `n` window bytes from `src`, or `n` zero (padding) bytes when
+  /// `src` is null.
+  void append(const std::uint8_t* src, std::int64_t n) {
+    while (n > 0) {
+      const std::int64_t take = std::min<std::int64_t>(n, 64 - fill_);
+      auto* dst = block_.data() + fill_;
+      if (src != nullptr) {
+        std::memcpy(dst, src, static_cast<std::size_t>(take));
+        src += take;
+      } else {
+        std::memset(dst, 0, static_cast<std::size_t>(take));
+      }
+      fill_ += take;
+      n -= take;
+      if (fill_ == 64) flush();
+    }
+  }
+
+  /// Writes the last, partial K word of every plane.
+  void finish() {
+    if (fill_ > 0) flush();
+  }
+
+ private:
+  void flush() {
+    const std::int64_t chunks = ceil_div(fill_, 8);
+    std::memset(block_.data() + fill_, 0,
+                static_cast<std::size_t>(chunks * 8 - fill_));
+    std::uint64_t plane[8] = {};
+    for (std::int64_t i = 0; i < chunks; ++i) {
+      std::uint64_t x;
+      std::memcpy(&x, block_.data() + i * 8, 8);
+      for (int k = 0; k < 8; ++k) plane[k] |= plane_byte(x, k) << (8 * i);
+    }
+    for (int k = 0; k < 8; ++k) row_[k * k_words_ + word_] = plane[k];
+    ++word_;
+    fill_ = 0;
+  }
+
+  std::uint64_t* row_;
+  std::int64_t k_words_;
+  std::int64_t word_ = 0;
+  std::int64_t fill_ = 0;
+  std::array<std::uint8_t, 64> block_;
+};
+
+}  // namespace
+
 InputConv2d::InputConv2d(std::string name, PackedTensor weights,
                          std::vector<BatchNormParams> bn,
                          std::vector<float> bias, ConvGeometry geom)
-    : name_(std::move(name)), weights_(std::move(weights)), bn_(std::move(bn)),
+    : name_(std::move(name)), split_name_(name_ + ".bitplane_split"),
+      conv_name_(name_ + ".bitplane_conv_fused"),
+      weights_(std::move(weights)), bn_(std::move(bn)),
       bias_(std::move(bias)), geom_(geom) {
   PB_CHECK(static_cast<std::int64_t>(bn_.size()) == weights_.shape().n,
            name_ << ": BN channel count mismatch");
@@ -27,6 +97,24 @@ InputConv2d::InputConv2d(std::string name, PackedTensor weights,
                weights_.shape().w == geom_.kernel_w,
            name_ << ": filter bank spatial dims disagree with geometry");
   folded_ = fold_batch_norm(bn_, bias_);
+  // Dense K-order filter rows: bit (ky*kw + kx)*C + c of filter f, matching
+  // the panel rows kernel 1 writes.
+  const Shape& ws = weights_.shape();
+  k_words_ = ceil_div(ws.h * ws.w * ws.c, bitpack::kWordBits);
+  dense_weights_.assign(static_cast<std::size_t>(ws.n * k_words_), 0);
+  for (std::int64_t f = 0; f < ws.n; ++f) {
+    std::uint64_t* dst = dense_weights_.data() + f * k_words_;
+    std::int64_t q = 0;
+    for (std::int64_t ky = 0; ky < ws.h; ++ky) {
+      for (std::int64_t kx = 0; kx < ws.w; ++kx) {
+        const std::uint64_t* src = weights_.pixel(f, ky, kx);
+        for (std::int64_t c = 0; c < ws.c; ++c, ++q) {
+          const std::uint64_t bit = (src[c / 64] >> (c % 64)) & 1;
+          dst[q / 64] |= bit << (q % 64);
+        }
+      }
+    }
+  }
 }
 
 std::int64_t InputConv2d::param_bytes() const {
@@ -57,15 +145,25 @@ KernelVariant InputConv2d::select_variant(const Shape& in_shape,
   return v;
 }
 
+std::int64_t InputConv2d::plane_words(const Shape& in_shape) const {
+  return in_shape.n * in_shape.h * in_shape.w *
+         ceil_div(in_shape.c, bitpack::kWordBits);
+}
+
+std::int64_t InputConv2d::panel_words(const Shape& in_shape) const {
+  return in_shape.n * geom_.out_h(in_shape.h) * geom_.out_w(in_shape.w) * 8 *
+         k_words_;
+}
+
 std::int64_t InputConv2d::scratch_words(const Shape& in_shape,
                                         bool split) const {
-  const std::int64_t words = ceil_div(in_shape.c, bitpack::kWordBits);
-  const std::int64_t plane_words =
-      in_shape.n * in_shape.h * in_shape.w * words;
-  // 8 bit planes, plus the legacy per-tap path's all-zero padding span
-  // (the row-fused border path never reads padding: AND against a zero
-  // plane contributes nothing, so out-of-bounds taps are simply skipped).
-  return plane_words * 8 + (split ? 0 : words);
+  // Per-tap ablation arm: 8 per-pixel bit planes plus its all-zero padding
+  // span. Dense arm: the im2col panel, reserved at no less than the 8-plane
+  // size the plan has always recorded, so artifacts and arena sizes stay
+  // byte-identical wherever the panel fits in it (every zoo input layer).
+  const std::int64_t planes = plane_words(in_shape) * 8;
+  if (!split) return planes + ceil_div(in_shape.c, bitpack::kWordBits);
+  return std::max(planes, panel_words(in_shape));
 }
 
 void InputConv2d::plan(PlanContext& pc) const {
@@ -96,115 +194,38 @@ Blob InputConv2d::run(ExecContext& ctx, const Blob& in,
   return execute(ctx, checked_input(in), step.variant);
 }
 
-PackedTensor InputConv2d::execute(ExecContext& ctx, const U8Tensor& image,
-                                  const KernelVariant& v) const {
-  const Shape& is = image.shape();
+KernelCost InputConv2d::split_cost(const ExecContext& ctx,
+                                   const Shape& is) const {
+  KernelCost cost;
+  cost.scalar_ops = static_cast<double>(is.elems()) * 8.0;
+  cost.bytes_read = static_cast<double>(is.elems());
+  cost.bytes_written = static_cast<double>(plane_words(is)) * 8.0 * 8.0;
+  cost.coalescing = costs::coalescing(ctx.opts);
+  cost.alu_efficiency = costs::kAuxKernelEff;
+  return cost;
+}
+
+KernelCost InputConv2d::conv_cost(const ExecContext& ctx, const Shape& is,
+                                  const KernelVariant& v,
+                                  const PackedTensor& out) const {
   const std::int64_t oh = geom_.out_h(is.h);
   const std::int64_t ow = geom_.out_w(is.w);
   const std::int64_t c_out = out_channels();
   const std::int64_t kh = geom_.kernel_h, kw = geom_.kernel_w;
-  const std::int64_t sh = geom_.stride_h, sw = geom_.stride_w;
-  const std::int64_t ph = geom_.pad_h, pw_pad = geom_.pad_w;
   const std::int64_t words = ceil_div(is.c, bitpack::kWordBits);
-  const bool split = v.interior_split;
-  const auto pw = v.pack_width;
-
-  // The 8 bit planes live in the session arena (one contiguous words-pool
-  // span — a single request, honouring the one-live-span-per-kind
-  // contract), with the legacy zeros span appended when the per-tap
-  // ablation path needs it.
-  const std::int64_t plane_words = is.n * is.h * is.w * words;
-  // Cascade reuse seam: a caller-attached plane cache replaces the arena
-  // span. A filled cache over the same geometry short-circuits the split
-  // kernel entirely (deterministically cheaper modeled time); an empty or
-  // stale one is (re)filled by the split kernel at the normal cost. Only
-  // the split (row-fused) path participates — the per-tap ablation path
-  // needs its zeros span contiguous with the planes in the arena.
-  InputPlaneCache* cache = split ? ctx.planes : nullptr;
-  const bool cache_hit =
-      cache != nullptr && cache->filled && cache->shape == is;
-  std::uint64_t* planes = nullptr;
-  std::uint64_t* zeros = nullptr;
-  if (cache != nullptr) {
-    if (!cache_hit) {
-      cache->words.resize(static_cast<std::size_t>(plane_words) * 8);
-      cache->shape = is;
-      cache->filled = false;
-    }
-    planes = cache->words.data();
-  } else {
-    planes = ctx.arena.words(scratch_words(is, split));
-    zeros = split ? nullptr : planes + plane_words * 8;
-    if (!split) {
-      std::memset(zeros, 0, static_cast<std::size_t>(words) * 8);
-    }
-  }
-  const std::int64_t row_pitch = is.w * words;  // plane words per image row
-  const auto plane_span = [planes, plane_words, row_pitch, words,
-                           &is](int k, std::int64_t n, std::int64_t iy,
-                                std::int64_t ix) -> const std::uint64_t* {
-    return planes + k * plane_words + (n * is.h + iy) * row_pitch + ix * words;
-  };
-
-  // Kernel 1: bit-plane split (one work item per pixel owns all its words,
-  // so plane words are written race-free). Skipped outright on a plane-cache
-  // hit — the planes are a pure function of the input bytes.
-  if (!cache_hit) {
-    KernelCost split_cost;
-    split_cost.scalar_ops = static_cast<double>(is.elems()) * 8.0;
-    split_cost.bytes_read = static_cast<double>(is.elems());
-    split_cost.bytes_written = static_cast<double>(plane_words) * 8.0 * 8.0;
-    split_cost.coalescing = costs::coalescing(ctx.opts);
-    split_cost.alu_efficiency = costs::kAuxKernelEff;
-    ctx.queue.enqueue(
-        name_ + ".bitplane_split", NDRange{is.w, is.h, is.n}, split_cost,
-        [&, words](const WorkItem& it) {
-          for (std::int64_t j = 0; j < words; ++j) {
-            std::array<std::uint64_t, 8> acc{};
-            const std::int64_t c0 = j * bitpack::kWordBits;
-            const std::int64_t limit =
-                std::min<std::int64_t>(bitpack::kWordBits, is.c - c0);
-            for (std::int64_t b = 0; b < limit; ++b) {
-              const std::uint8_t px = image(it.z, it.y, it.x, c0 + b);
-              for (int k = 0; k < 8; ++k) {
-                if ((px >> k) & 1) {
-                  acc[static_cast<std::size_t>(k)] |= (std::uint64_t{1} << b);
-                }
-              }
-            }
-            std::uint64_t* base =
-                planes + (it.z * is.h + it.y) * row_pitch + it.x * words + j;
-            for (int k = 0; k < 8; ++k) {
-              base[k * plane_words] = acc[static_cast<std::size_t>(k)];
-            }
-          }
-        });
-    if (cache != nullptr) cache->filled = true;
-  }
-
-  // Kernel 2: fused plane conv + BN + binarize + pack (Fig. 4 workload:
-  // 8 filters per item when C_out allows).
-  PB_CHECK(c_out % 8 == 0, name_ << ": C_out must be a multiple of 8");
-  PackedTensor out = ctx.make_packed(Shape{is.n, oh, ow, c_out});
-  const std::int64_t groups = c_out / 8;
-  const bool branch_free = ctx.opts.branch_free_binarize;
-  const FoldedBatchNorm& fb = folded_;
-
-  // Interior output box: same shared geometry as the binary conv's split.
-  const InteriorBox box = interior_box(geom_, is.h, is.w, oh, ow);
-  const std::int64_t y0 = box.y0, y1 = box.y1, x0 = box.x0, x1 = box.x1;
-
   KernelCost cost;
   const double outputs = static_cast<double>(is.n) * oh * ow * c_out;
   const double opixels = static_cast<double>(is.n) * oh * ow;
-  if (split) {
+  // Both arms are charged the OpenCL schedules the SD855 reproduction was
+  // calibrated on, not the host's dense schedule (input_conv.hpp).
+  if (v.interior_split) {
     // Row-fused schedule: per plane, an interior window is kh spans of
     // kw*words words (one strided and_popcount with a scalar tail, so the
     // exact word bits are charged); the hoisted window sum adds kh popcount
     // spans per plane per output pixel. The filter-side spans run the
-    // shared-window schedule (and_popcount_2d_x8): each plane span is
-    // loaded once per group and scored against all 8 filters, so its setup
-    // amortizes 8x (costs::shared_window_spans).
+    // shared-window schedule: each plane span is loaded once per group and
+    // scored against all 8 filters, so its setup amortizes 8x
+    // (costs::shared_window_spans).
     const double row_bits =
         static_cast<double>(kw * words * bitpack::kWordBits);
     cost.bitop_bits = outputs * 8.0 * 2.0 * static_cast<double>(kh) * row_bits;
@@ -214,8 +235,8 @@ PackedTensor InputConv2d::execute(ExecContext& ctx, const U8Tensor& image,
         opixels * 8.0 * static_cast<double>(kh);
     cost.span_setup_cycles = costs::kSpanSetupCycles;
     cost.instr_overhead_cycles = costs::instr_overhead_fused(ctx.opts);
-    cost.pack_width_bits =
-        bitpack::bits(bitpack::cap_pack_width_to_span(pw, kw * words));
+    cost.pack_width_bits = bitpack::bits(
+        bitpack::cap_pack_width_to_span(v.pack_width, kw * words));
   } else {
     // Per-tap ablation arm, costed as the window-packed schedule: the whole
     // KxKxC window's bits processed contiguously at the vector width chosen
@@ -229,129 +250,253 @@ PackedTensor InputConv2d::execute(ExecContext& ctx, const U8Tensor& image,
     cost.pack_width_bits = bitpack::bits(window_pw);
   }
   cost.scalar_ops = outputs * (8.0 + 4.0);
-  cost.bytes_read = static_cast<double>(plane_words) * 8.0 * 8.0 +
+  cost.bytes_read = static_cast<double>(plane_words(is)) * 8.0 * 8.0 +
                     static_cast<double>(weights_.bytes());
   cost.bytes_written = static_cast<double>(out.bytes());
   cost.coalescing = costs::coalescing(ctx.opts);
   cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
+  return cost;
+}
 
+PackedTensor InputConv2d::execute(ExecContext& ctx, const U8Tensor& image,
+                                  const KernelVariant& v) const {
+  PB_CHECK(out_channels() % 8 == 0,
+           name_ << ": C_out must be a multiple of 8");
+  return v.interior_split ? execute_dense(ctx, image, v)
+                          : execute_per_tap(ctx, image, v);
+}
+
+PackedTensor InputConv2d::execute_dense(ExecContext& ctx,
+                                        const U8Tensor& image,
+                                        const KernelVariant& v) const {
+  const Shape& is = image.shape();
+  const std::int64_t oh = geom_.out_h(is.h);
+  const std::int64_t ow = geom_.out_w(is.w);
+  const std::int64_t kh = geom_.kernel_h, kw = geom_.kernel_w;
+  const std::int64_t sh = geom_.stride_h, sw = geom_.stride_w;
+  const std::int64_t ph = geom_.pad_h, pw = geom_.pad_w;
+  const std::int64_t k_words = k_words_;
+  const std::int64_t row_words = 8 * k_words;  // one panel row per pixel
+
+  // The panel lives in the session arena, or in a caller-attached plane
+  // cache (cascade reuse seam). A cache filled from the same input shape
+  // and conv geometry short-circuits kernel 1 entirely (deterministically
+  // cheaper modeled time); an empty or mismatched one is (re)filled by
+  // kernel 1 at the normal cost.
+  InputPlaneCache* cache = ctx.planes;
+  const bool cache_hit = cache != nullptr && cache->holds(is, geom_);
+  std::uint64_t* panel = nullptr;
+  if (cache != nullptr) {
+    if (!cache_hit) {
+      cache->words.resize(static_cast<std::size_t>(panel_words(is)));
+      cache->shape = is;
+      cache->geom = geom_;
+      cache->filled = false;
+    }
+    panel = cache->words.data();
+  } else {
+    panel = ctx.arena.words(scratch_words(is, /*split=*/true));
+  }
+
+  // Kernel 1: dense bit-plane im2col, one work item per output row. Each
+  // pixel's window bytes (out-of-bounds taps zero) become 8 panel plane
+  // rows of k_words words with the K bits back to back.
+  if (!cache_hit) {
+    ctx.queue.enqueue(
+        split_name_, NDRange{1, oh, is.n}, split_cost(ctx, is),
+        [&, oh, ow, kh, kw, sh, sw, ph, pw, k_words,
+         row_words](const WorkItem& it) {
+          const std::int64_t n = it.z;
+          const std::int64_t c = is.c;
+          const std::int64_t iy0 = it.y * sh - ph;
+          std::uint64_t* row = panel + (n * oh + it.y) * ow * row_words;
+          for (std::int64_t ox = 0; ox < ow; ++ox, row += row_words) {
+            const std::int64_t ix0 = ox * sw - pw;
+            const std::int64_t lo = std::clamp<std::int64_t>(-ix0, 0, kw);
+            const std::int64_t hi =
+                std::clamp<std::int64_t>(is.w - ix0, 0, kw);
+            PanelRowWriter writer(row, k_words);
+            for (std::int64_t ky = 0; ky < kh; ++ky) {
+              const std::int64_t iy = iy0 + ky;
+              if (iy < 0 || iy >= is.h || hi <= lo) {
+                writer.append(nullptr, kw * c);
+                continue;
+              }
+              writer.append(nullptr, lo * c);
+              writer.append(&image(n, iy, ix0 + lo, 0), (hi - lo) * c);
+              writer.append(nullptr, (kw - hi) * c);
+            }
+            writer.finish();
+          }
+        });
+    if (cache != nullptr) cache->filled = true;
+  }
+
+  // Kernel 2: bit-plane GEMM + BN + binarize + pack, one work item per
+  // output row. Each tile of panel rows gets its window sums once, then
+  // the 8-filter microkernel per group (Fig. 4 workload: 8 filters per
+  // output byte).
+  PackedTensor out = ctx.make_packed(Shape{is.n, oh, ow, out_channels()});
+  const std::int64_t groups = out_channels() / 8;
+  const bool branch_free = ctx.opts.branch_free_binarize;
+  const FoldedBatchNorm& fb = folded_;
+  const std::int64_t out_pitch = out.words_per_pixel() * 8;  // bytes/pixel
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
   ctx.queue.enqueue(
-      name_ + ".bitplane_conv_fused", NDRange{ow, oh, is.n * groups}, cost,
-      [&, oh, ow, kh, kw, sh, sw, ph, pw_pad, words, groups, branch_free, pw,
-       split, y0, y1, x0, x1, row_pitch, zeros](const WorkItem& it) {
+      conv_name_, NDRange{1, oh, is.n}, conv_cost(ctx, is, v, out),
+      [&, oh, ow, k_words, row_words, groups, branch_free,
+       out_pitch](const WorkItem& it) {
+        const std::int64_t p0 = (it.z * oh + it.y) * ow;
+        for (std::int64_t x0 = 0; x0 < ow; x0 += kPanelTile) {
+          const std::int64_t rows = std::min(kPanelTile, ow - x0);
+          const std::uint64_t* tile = panel + (p0 + x0) * row_words;
+          std::int64_t sums[kPanelTile];
+          bitpack::plane_window_sums(tile, row_words, k_words, rows, sums);
+          for (std::int64_t g = 0; g < groups; ++g) {
+            std::int64_t weighted[kPanelTile * 8];
+            bitpack::and_popcount_planes_x8(
+                tile, row_words, dense_weights_.data() + g * 8 * k_words,
+                k_words, rows, weighted);
+            float xi[8];
+            bool gamma_pos[8];
+            for (int f = 0; f < 8; ++f) {
+              xi[f] = fb.xi[static_cast<std::size_t>(g * 8 + f)];
+              gamma_pos[f] = fb.gamma_pos[static_cast<std::size_t>(g * 8 + f)];
+            }
+            // Staged locally: a store through the byte output may alias
+            // anything, which would force reloads inside the loop.
+            std::uint8_t bytes[kPanelTile];
+            for (std::int64_t r = 0; r < rows; ++r) {
+              unsigned byte = 0;
+              for (int f = 0; f < 8; ++f) {
+                // s = sum_k 2^k (2*popcount(p&w) - popcount(p))  (Eqn 2)
+                const float x1 =
+                    static_cast<float>(2 * weighted[r * 8 + f] - sums[r]);
+                const bool bit = branch_free
+                                     ? binarize_eqn9(x1, xi[f], gamma_pos[f])
+                                     : binarize_eqn8(x1, xi[f], gamma_pos[f]);
+                byte |= static_cast<unsigned>(bit) << f;
+              }
+              bytes[r] = static_cast<std::uint8_t>(byte);
+            }
+            for (std::int64_t r = 0; r < rows; ++r) {
+              out_bytes[(p0 + x0 + r) * out_pitch + g] = bytes[r];
+            }
+          }
+        }
+      });
+  return out;
+}
+
+PackedTensor InputConv2d::execute_per_tap(ExecContext& ctx,
+                                          const U8Tensor& image,
+                                          const KernelVariant& v) const {
+  const Shape& is = image.shape();
+  const std::int64_t oh = geom_.out_h(is.h);
+  const std::int64_t ow = geom_.out_w(is.w);
+  const std::int64_t kh = geom_.kernel_h, kw = geom_.kernel_w;
+  const std::int64_t sh = geom_.stride_h, sw = geom_.stride_w;
+  const std::int64_t ph = geom_.pad_h, pw_pad = geom_.pad_w;
+  const std::int64_t words = ceil_div(is.c, bitpack::kWordBits);
+  const auto pw = v.pack_width;
+
+  // The 8 per-pixel bit planes and the all-zero padding span share one
+  // arena words span (one live span per kind).
+  const std::int64_t plane_stride = plane_words(is);
+  std::uint64_t* planes = ctx.arena.words(scratch_words(is, /*split=*/false));
+  std::uint64_t* zeros = planes + plane_stride * 8;
+  std::memset(zeros, 0, static_cast<std::size_t>(words) * 8);
+  const std::int64_t row_pitch = is.w * words;  // plane words per image row
+  const auto plane_span = [planes, plane_stride, row_pitch, words,
+                           &is](int k, std::int64_t n, std::int64_t iy,
+                                std::int64_t ix) -> const std::uint64_t* {
+    return planes + k * plane_stride + (n * is.h + iy) * row_pitch +
+           ix * words;
+  };
+
+  // Kernel 1: bit-plane split (one work item per pixel owns all its words,
+  // so plane words are written race-free).
+  ctx.queue.enqueue(
+      split_name_, NDRange{is.w, is.h, is.n}, split_cost(ctx, is),
+      [&, words](const WorkItem& it) {
+        for (std::int64_t j = 0; j < words; ++j) {
+          std::array<std::uint64_t, 8> acc{};
+          const std::int64_t c0 = j * bitpack::kWordBits;
+          const std::int64_t limit =
+              std::min<std::int64_t>(bitpack::kWordBits, is.c - c0);
+          for (std::int64_t b = 0; b < limit; ++b) {
+            const std::uint8_t px = image(it.z, it.y, it.x, c0 + b);
+            for (int k = 0; k < 8; ++k) {
+              if ((px >> k) & 1) {
+                acc[static_cast<std::size_t>(k)] |= (std::uint64_t{1} << b);
+              }
+            }
+          }
+          std::uint64_t* base =
+              planes + (it.z * is.h + it.y) * row_pitch + it.x * words + j;
+          for (int k = 0; k < 8; ++k) {
+            base[k * plane_stride] = acc[static_cast<std::size_t>(k)];
+          }
+        }
+      });
+
+  // Kernel 2: per-tap plane conv + BN + binarize + pack, with a padding
+  // branch on every tap.
+  PackedTensor out = ctx.make_packed(Shape{is.n, oh, ow, out_channels()});
+  const std::int64_t groups = out_channels() / 8;
+  const bool branch_free = ctx.opts.branch_free_binarize;
+  const FoldedBatchNorm& fb = folded_;
+  auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
+  ctx.queue.enqueue(
+      conv_name_, NDRange{ow, oh, is.n * groups}, conv_cost(ctx, is, v, out),
+      [&, kh, kw, sh, sw, ph, pw_pad, words, groups, branch_free,
+       pw](const WorkItem& it) {
         const std::int64_t n = it.z / groups;
         const std::int64_t g = it.z % groups;
         const std::int64_t iy0 = it.y * sh - ph;
         const std::int64_t ix0 = it.x * sw - pw_pad;
-        const bool interior = split && it.y >= y0 && it.y < y1 &&
-                              it.x >= x0 && it.x < x1;
-        // Border rows clamp each filter row to its in-bounds tap run; the
-        // 0/1 planes make padding free (AND against zero contributes 0).
-        const std::int64_t lo = std::clamp<std::int64_t>(-ix0, 0, kw);
-        const std::int64_t hi = std::clamp<std::int64_t>(is.w - ix0, 0, kw);
 
         // Hoisted weight-independent term: integer pixel sum of the window.
         std::int64_t window_sum = 0;
-        if (interior) {
-          for (int k = 0; k < 8; ++k) {
-            std::int64_t bits_set = 0;
-            for (std::int64_t ky = 0; ky < kh; ++ky) {
-              bits_set += bitpack::popcount_words(
-                  plane_span(k, n, iy0 + ky, ix0), kw * words);
-            }
-            window_sum += (std::int64_t{1} << k) * bits_set;
-          }
-        } else if (split) {
-          for (std::int64_t ky = 0; ky < kh; ++ky) {
-            const std::int64_t iy = iy0 + ky;
-            if (iy < 0 || iy >= is.h || hi <= lo) continue;
+        for (std::int64_t ky = 0; ky < kh; ++ky) {
+          const std::int64_t iy = iy0 + ky;
+          if (iy < 0 || iy >= is.h) continue;  // zero padding: planes are 0
+          for (std::int64_t kx = 0; kx < kw; ++kx) {
+            const std::int64_t ix = ix0 + kx;
+            if (ix < 0 || ix >= is.w) continue;
             for (int k = 0; k < 8; ++k) {
               window_sum += (std::int64_t{1} << k) *
-                            bitpack::popcount_words(
-                                plane_span(k, n, iy, ix0 + lo),
-                                (hi - lo) * words);
-            }
-          }
-        } else {
-          for (std::int64_t ky = 0; ky < kh; ++ky) {
-            const std::int64_t iy = iy0 + ky;
-            if (iy < 0 || iy >= is.h) continue;  // zero padding: planes are 0
-            for (std::int64_t kx = 0; kx < kw; ++kx) {
-              const std::int64_t ix = ix0 + kx;
-              if (ix < 0 || ix >= is.w) continue;
-              for (int k = 0; k < 8; ++k) {
-                window_sum += (std::int64_t{1} << k) *
-                              bitpack::popcount_words(plane_span(k, n, iy, ix),
-                                                      words);
-              }
+                            bitpack::popcount_words(plane_span(k, n, iy, ix),
+                                                    words);
             }
           }
         }
 
-        std::int64_t weighted[8] = {};
-        if (interior) {
-          // Shared-window schedule: each plane's whole-window span set is
-          // streamed ONCE and scored against the 8 contiguous filters of
-          // the group (and_popcount_2d_x8) — kh plane rows (pitch
-          // row_pitch) against kh contiguous filter rows, instead of the 8
-          // filters each re-reading the same plane spans.
-          for (int k = 0; k < 8; ++k) {
-            std::int64_t adds[8];
-            bitpack::and_popcount_2d_x8(
-                plane_span(k, n, iy0, ix0), row_pitch,
-                weights_.pixel(g * 8, 0, 0), kh * kw * words, kw * words,
-                kw * words, kh, pw, adds);
-            for (int f = 0; f < 8; ++f) {
-              weighted[f] += (std::int64_t{1} << k) * adds[f];
-            }
-          }
-        } else if (split) {
-          for (int f = 0; f < 8; ++f) {
-            const std::int64_t co = g * 8 + f;
-            for (std::int64_t ky = 0; ky < kh; ++ky) {
-              const std::int64_t iy = iy0 + ky;
-              if (iy < 0 || iy >= is.h || hi <= lo) continue;
-              const std::uint64_t* wrow = weights_.pixel(co, ky, 0);
-              for (int k = 0; k < 8; ++k) {
-                weighted[f] +=
-                    (std::int64_t{1} << k) *
-                    bitpack::and_popcount(plane_span(k, n, iy, ix0 + lo),
-                                          wrow + lo * words, (hi - lo) * words,
-                                          pw);
-              }
-            }
-          }
-        } else {
-          for (int f = 0; f < 8; ++f) {
-            const std::int64_t co = g * 8 + f;
-            for (std::int64_t ky = 0; ky < kh; ++ky) {
-              const std::int64_t iy = iy0 + ky;
-              for (std::int64_t kx = 0; kx < kw; ++kx) {
-                const std::int64_t ix = ix0 + kx;
-                const bool inside =
-                    iy >= 0 && iy < is.h && ix >= 0 && ix < is.w;
-                const std::uint64_t* wspan = weights_.pixel(co, ky, kx);
-                for (int k = 0; k < 8; ++k) {
-                  const std::uint64_t* pspan =
-                      inside ? plane_span(k, n, iy, ix) : zeros;
-                  weighted[f] += (std::int64_t{1} << k) *
-                                 bitpack::and_popcount(pspan, wspan, words,
-                                                       pw);
-                }
-              }
-            }
-          }
-        }
         std::uint8_t byte = 0;
         for (int f = 0; f < 8; ++f) {
+          const std::int64_t co = g * 8 + f;
+          std::int64_t weighted = 0;
+          for (std::int64_t ky = 0; ky < kh; ++ky) {
+            const std::int64_t iy = iy0 + ky;
+            for (std::int64_t kx = 0; kx < kw; ++kx) {
+              const std::int64_t ix = ix0 + kx;
+              const bool inside = iy >= 0 && iy < is.h && ix >= 0 && ix < is.w;
+              const std::uint64_t* wspan = weights_.pixel(co, ky, kx);
+              for (int k = 0; k < 8; ++k) {
+                const std::uint64_t* pspan =
+                    inside ? plane_span(k, n, iy, ix) : zeros;
+                weighted += (std::int64_t{1} << k) *
+                            bitpack::and_popcount(pspan, wspan, words, pw);
+              }
+            }
+          }
           // s = sum_k 2^k (2*popcount(p&w) - popcount(p))  (Eqn 2)
-          const float x1v = static_cast<float>(2 * weighted[f] - window_sum);
-          const std::size_t ci = static_cast<std::size_t>(g * 8 + f);
+          const float x1 = static_cast<float>(2 * weighted - window_sum);
+          const std::size_t ci = static_cast<std::size_t>(co);
           const bool bit =
               branch_free
-                  ? binarize_eqn9(x1v, fb.xi[ci], fb.gamma_pos[ci] != 0)
-                  : binarize_eqn8(x1v, fb.xi[ci], fb.gamma_pos[ci] != 0);
+                  ? binarize_eqn9(x1, fb.xi[ci], fb.gamma_pos[ci] != 0)
+                  : binarize_eqn8(x1, fb.xi[ci], fb.gamma_pos[ci] != 0);
           if (bit) byte = static_cast<std::uint8_t>(byte | (1u << f));
         }
         out_bytes[out.word_offset(n, it.y, it.x, 0) * 8 + g] = byte;

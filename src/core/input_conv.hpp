@@ -5,19 +5,32 @@
 // is a binary convolution of the 0/1 plane against ±1 weights:
 //   sum_i p_i w_i = 2*popcount(p AND w) - popcount(p).
 // The weight-independent popcount term equals the window's integer pixel
-// sum, so it is hoisted out of the per-filter loop. BN + binarization fuse
-// at the end exactly as in BinaryConv2d. This 8x plane overhead is why the
+// sum, so it is computed once per output pixel. BN + binarization fuse at
+// the end exactly as in BinaryConv2d. This 8x plane overhead is why the
 // paper's Fig. 5 shows conv1 gaining only ~23x vs ~45x for middle layers.
 //
-// Row fusion applies per plane exactly as in BinaryConv2d (DESIGN.md §4):
-// the kw taps of one filter row are contiguous in both the 0/1 plane and
-// the weights, so an interior window is ONE strided and_popcount per plane
-// and border windows clamp each filter row to its in-bounds run — a padded
-// tap ANDs against an all-zero plane and contributes nothing, so the border
-// path needs no zeros span at all. `interior_split` off restores the
-// per-tap loop with its per-tap padding branch as the ablation baseline.
-// The 8 bit planes live in the session arena (planned scratch), not in
-// per-forward heap allocations.
+// Dense schedule (`interior_split` on, the default; DESIGN.md §4): kernel
+// 1 (`.bitplane_split`) is a bit-plane im2col. For each output pixel it
+// writes 8 plane rows of ceil(KH*KW*C/64) words with the window's K bits
+// back to back; out-of-bounds taps are zero, and a 0 plane bit contributes
+// nothing to either popcount, so padding needs no special case. The
+// filters are repacked once at construction in the same K order (derived
+// state, like the folded BN; never serialized). Kernel 2
+// (`.bitplane_conv_fused`) then reduces each pixel over a handful of dense
+// words with the bit-plane microkernel (bitpack::and_popcount_planes_x8):
+// a pixel's 8 plane words are loaded once for all 8 filters of a group.
+// YOLO conv1 (27 bits) is one word per plane.
+//
+// `interior_split` off keeps the per-tap ablation arm: per-pixel planes
+// (C bits per word) and a per-tap loop with a padding branch on every tap.
+//
+// KernelCost deliberately charges the OpenCL schedules the paper's SD855
+// numbers were reproduced with (row-fused per plane; the window-packed
+// per-tap arm), not the host's dense schedule: modeled_ms stays that
+// reproduction, and the dense schedule moves host time only.
+//
+// The panel lives in the session arena (planned scratch), or in a
+// caller-attached InputPlaneCache keyed on input shape and conv geometry.
 #pragma once
 
 #include <string>
@@ -60,17 +73,38 @@ class InputConv2d final : public Layer {
   KernelVariant select_variant(const Shape& in_shape,
                                const EngineOptions& opts) const;
   const U8Tensor& checked_input(const Blob& in) const;
-  /// Arena words needed for the 8 bit planes (+ legacy zeros span).
+  /// Words of one per-pixel bit plane (C bits per pixel word): the unit the
+  /// cost model and the per-tap ablation arm use.
+  std::int64_t plane_words(const Shape& in_shape) const;
+  /// Words of the dense im2col panel (8 plane rows per output pixel).
+  std::int64_t panel_words(const Shape& in_shape) const;
+  /// Arena words the schedule needs (dense panel, or planes + zeros span).
   std::int64_t scratch_words(const Shape& in_shape, bool split) const;
+  oclsim::KernelCost split_cost(const ExecContext& ctx,
+                                const Shape& is) const;
+  oclsim::KernelCost conv_cost(const ExecContext& ctx, const Shape& is,
+                               const KernelVariant& v,
+                               const bitpack::PackedTensor& out) const;
   bitpack::PackedTensor execute(ExecContext& ctx, const U8Tensor& image,
                                 const KernelVariant& v) const;
+  bitpack::PackedTensor execute_dense(ExecContext& ctx, const U8Tensor& image,
+                                      const KernelVariant& v) const;
+  bitpack::PackedTensor execute_per_tap(ExecContext& ctx,
+                                        const U8Tensor& image,
+                                        const KernelVariant& v) const;
 
   std::string name_;
+  std::string split_name_;  ///< kernel names, built once
+  std::string conv_name_;
   bitpack::PackedTensor weights_;
   std::vector<BatchNormParams> bn_;
   std::vector<float> bias_;
   FoldedBatchNorm folded_;
   ConvGeometry geom_;
+  /// Filters repacked in the panel's dense K order: filter f's K bits at
+  /// dense_weights_[f * k_words_]. Derived from weights_, not serialized.
+  std::int64_t k_words_ = 0;
+  std::vector<std::uint64_t> dense_weights_;
 };
 
 }  // namespace phonebit::core

@@ -45,20 +45,28 @@ struct SessionStats {
   std::int64_t planned_runs = 0;
 };
 
-/// Caller-owned cache for InputConv2d's bitplane split of ONE input blob.
-/// Serving cascades attach it through RunOptions::planes: the first stage
-/// that consumes the input fills the cache (the split kernel writes its
-/// planes here instead of session scratch, same modeled cost), and every
-/// later stage over the SAME geometry reads the planes back and skips the
-/// split kernel entirely — the modeled saving is deterministic, so cascade
-/// placement can price it. A cache is only valid for one input value; the
-/// caller resets `filled` (or uses a fresh cache) per request.
+/// Caller-owned cache for InputConv2d's kernel-1 output for ONE input blob:
+/// the dense bit-plane im2col panel. Serving cascades attach it through
+/// RunOptions::planes: the first stage that consumes the input fills the
+/// cache (kernel 1 writes its panel here instead of session scratch, same
+/// modeled cost), and every later stage with the same input shape AND conv1
+/// geometry reads the panel back and skips kernel 1 entirely — the modeled
+/// saving is deterministic, so cascade placement can price it. A stage with
+/// a different geometry refills the cache under its own key. A cache is
+/// only valid for one input value; the caller resets `filled` (or uses a
+/// fresh cache) per request.
 struct InputPlaneCache {
-  Shape shape{};                     ///< input shape the planes were split from
-  std::vector<std::uint64_t> words;  ///< 8 bit-planes, plane_words each
+  Shape shape{};                     ///< input shape the panel was built from
+  ConvGeometry geom{};               ///< conv geometry the panel was built for
+  std::vector<std::uint64_t> words;  ///< the panel
   bool filled = false;
 
-  /// Forget the cached planes (buffer capacity is kept for reuse).
+  /// True when the cache holds the panel of an input of `s` under `g`.
+  bool holds(const Shape& s, const ConvGeometry& g) const noexcept {
+    return filled && shape == s && geom == g;
+  }
+
+  /// Forget the cached panel (buffer capacity is kept for reuse).
   void reset() noexcept { filled = false; }
 };
 

@@ -209,11 +209,12 @@ struct RunOptions {
   /// zero-allocation serving mode. The view is valid until the next run on
   /// the same session; callers that keep outputs must copy them out.
   bool borrow_output = false;
-  /// Optional bitplane cache for the plan's input (layer.hpp). When set and
-  /// the cache is empty, InputConv2d's split kernel fills it (same modeled
-  /// cost as the uncached run); when set and already filled for this input
-  /// geometry, the split kernel is SKIPPED and the planes are read back —
-  /// the cascade packed-input reuse seam. Null = no caching.
+  /// Optional plane cache for the plan's input (layer.hpp). When set and
+  /// the cache is empty or keyed to another input shape or conv geometry,
+  /// InputConv2d's split kernel (re)fills it (same modeled cost as the
+  /// uncached run); when set and already filled under the same key, the
+  /// split kernel is SKIPPED and the panel is read back — the cascade
+  /// packed-input reuse seam. Null = no caching.
   InputPlaneCache* planes = nullptr;
 };
 

@@ -25,9 +25,10 @@
 //     model mid-trace never drains (or corrupts) the cascade.
 //   - PACKED-INPUT REUSE (new): every stage consumes the request's
 //     original input, so the input bitplane split (InputConv2d kernel 1)
-//     is a pure function shared by all stages. The first executed stage
-//     fills a per-request core::InputPlaneCache; later stages on the same
-//     device skip the split kernel entirely. The saving is part of the
+//     is a pure function of the input and the stage's conv1 geometry. The
+//     first executed stage fills a per-request core::InputPlaneCache;
+//     later stages on the same device with the same conv1 geometry skip
+//     the split kernel entirely. The saving is part of the
 //     modeled cost, so fleet placement prices it — a stage is cheaper on
 //     the shard that already holds the request's planes (reuse affinity).
 #pragma once

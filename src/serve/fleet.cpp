@@ -518,6 +518,7 @@ CascadeSummary FleetServer::run_cascade(const CascadeSpec& spec,
     double arrive = 0.0;
     bool active = true;
     int cache_shard = -1;
+    ConvGeometry planes_geom{};  ///< key of the filled planes
     core::InputPlaneCache planes;
   };
   std::vector<Walk> walks(workload.size());
@@ -631,6 +632,7 @@ CascadeSummary FleetServer::run_cascade(const CascadeSpec& spec,
         ps.probe->reset_profile();
         (void)probe_snap.artifact->plan.run(*ps.probe, rq.input, ro);
         entry.cache_active = cache.filled;
+        entry.planes_geom = cache.geom;
         entry.plain_ms.reserve(static_cast<std::size_t>(nshards));
         for (int si = 0; si < nshards; ++si) {
           entry.plain_ms.push_back(oclsim::replay_modeled_ms(
@@ -652,18 +654,21 @@ CascadeSummary FleetServer::run_cascade(const CascadeSpec& spec,
       }
 
       // Placement: plain cost everywhere except the shard holding this
-      // request's filled planes, which prices the split-skipped path.
+      // request's filled planes under this plan's conv geometry, which
+      // prices the split-skipped path.
       struct Scored {
         double score;
         int shard;
       };
       std::vector<Scored> scored;
       scored.reserve(candidates.size());
+      auto reuses = [&](int si) {
+        return probe->cache_active && wk.cache_shard == si &&
+               wk.planes_geom == probe->planes_geom;
+      };
       auto stage_cost = [&](int si) {
         const auto u = static_cast<std::size_t>(si);
-        return (probe->cache_active && wk.cache_shard == si)
-                   ? probe->reuse_ms[u]
-                   : probe->plain_ms[u];
+        return reuses(si) ? probe->reuse_ms[u] : probe->plain_ms[u];
       };
       for (const int si : candidates) {
         const double wait =
@@ -719,7 +724,7 @@ CascadeSummary FleetServer::run_cascade(const CascadeSpec& spec,
         continue;
       }
 
-      const bool reuse = probe->cache_active && wk.cache_shard == placed;
+      const bool reuse = reuses(placed);
       const AttemptOutcome at = simulate_attempts(
           faults_, cascade_fault_key(idx, s), stage_cost(placed),
           config_.max_retries, config_.retry_backoff_ms, start, t0, deadline);
@@ -746,9 +751,10 @@ CascadeSummary FleetServer::run_cascade(const CascadeSpec& spec,
       // An Ok run through a cache-active plan fills the request's planes
       // ON THIS SHARD (decision-time knowledge: the probe already said the
       // plan fills the cache). The cache is attached for execution only on
-      // its home shard.
+      // its home shard, where a plan of another conv geometry refills it.
       if (probe->cache_active && wk.cache_shard < 0) wk.cache_shard = placed;
       const bool attach = probe->cache_active && wk.cache_shard == placed;
+      if (attach) wk.planes_geom = probe->planes_geom;
       pinned.push_back(snap.artifact);
       ExecGroup* g = nullptr;
       for (ExecGroup& cand : groups) {

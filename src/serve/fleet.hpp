@@ -280,6 +280,7 @@ class FleetServer {
     std::vector<double> plain_ms;  ///< per shard
     std::vector<double> reuse_ms;  ///< per shard
     bool cache_active = false;
+    ConvGeometry planes_geom{};  ///< key the filled cache holds
   };
   std::vector<CascadeProbeEntry> cascade_probe_cache_;
 

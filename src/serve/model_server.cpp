@@ -410,6 +410,7 @@ const ModelServer::CascadeProbeEntry& ModelServer::cascade_probe(
   e.desc = desc;
   e.plain_ms = fill.modeled_ms;
   e.cache_active = cache.filled;
+  e.planes_geom = cache.geom;
   e.reuse_ms = e.plain_ms;
   if (e.cache_active) {
     probe_->reset_profile();
@@ -507,6 +508,7 @@ CascadeSummary ModelServer::run_cascade(const CascadeSpec& spec,
     double arrive = 0.0;
     bool active = true;
     bool planes_on = false;
+    ConvGeometry planes_geom{};  ///< key of the filled planes
     core::InputPlaneCache planes;
   };
   std::vector<Walk> walks(workload.size());
@@ -619,7 +621,8 @@ CascadeSummary ModelServer::run_cascade(const CascadeSpec& spec,
       }
 
       const CascadeProbeEntry& probe = cascade_probe(snap, rq.input);
-      const bool reuse = wk.planes_on && probe.cache_active;
+      const bool reuse = wk.planes_on && probe.cache_active &&
+                         wk.planes_geom == probe.planes_geom;
       const double modeled = reuse ? probe.reuse_ms : probe.plain_ms;
       const AttemptOutcome at = simulate_attempts(
           faults_, cascade_fault_key(idx, s), modeled, config_.max_retries,
@@ -655,8 +658,12 @@ CascadeSummary ModelServer::run_cascade(const CascadeSpec& spec,
       }
       g->reqs.push_back(ExecReq{idx, probe.cache_active});
       // Decision-time knowledge: an Ok run through a cache-active plan
-      // leaves the request's planes filled for its later stages.
-      wk.planes_on = wk.planes_on || probe.cache_active;
+      // leaves the request's planes filled, under its own geometry, for
+      // its later stages.
+      if (probe.cache_active) {
+        wk.planes_on = true;
+        wk.planes_geom = probe.planes_geom;
+      }
     }
 
     // Stage-s phase 2: real forwards of this stage's admitted requests.

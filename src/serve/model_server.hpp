@@ -245,16 +245,20 @@ class ModelServer {
 
   /// Cascade pricing (DESIGN.md §13): a stage costs `plain_ms` on a cold
   /// request and `reuse_ms` when the request already carries filled input
-  /// planes (the split kernel is skipped). `cache_active` records whether
-  /// this plan participates in plane caching at all (interior-split input
-  /// conv) — measured once per (plan, desc) by probing twice: a fill run
-  /// against an empty cache, then a reuse run against the filled one.
+  /// planes under this plan's conv1 geometry (the split kernel is
+  /// skipped). `cache_active` records whether this plan participates in
+  /// plane caching at all (interior-split input conv) — measured once per
+  /// (plan, desc) by probing twice: a fill run against an empty cache,
+  /// then a reuse run against the filled one.
   struct CascadeProbeEntry {
     const void* plan = nullptr;
     core::BlobDesc desc{};
     double plain_ms = 0.0;
     double reuse_ms = 0.0;
     bool cache_active = false;
+    /// Conv geometry the plan's filled cache is keyed on; a request's
+    /// planes price at reuse_ms only when they were filled under it.
+    ConvGeometry planes_geom{};
   };
   std::vector<CascadeProbeEntry> cascade_probe_cache_;
   const CascadeProbeEntry& cascade_probe(const Snapshot& snap,

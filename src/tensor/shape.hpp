@@ -66,6 +66,8 @@ struct ConvGeometry {
   std::int64_t out_w(std::int64_t in_w) const {
     return out_dim(in_w, kernel_w, stride_w, pad_w);
   }
+
+  friend bool operator==(const ConvGeometry&, const ConvGeometry&) = default;
 };
 
 /// The interior output rectangle [x0,x1) x [y0,y1): output positions whose

@@ -115,8 +115,7 @@ class CascadeTest : public ::testing::Test {
                          const EngineOptions& opts = {},
                          const std::string& profile = {},
                          bool redundant = false) {
-    const std::string path =
-        std::string(::testing::TempDir()) + "cascade_" + tag + ".pba";
+    const std::string path = testing::temp_path("cascade_" + tag + ".pba");
     const FloatModel model = redundant ? FloatModel::random_redundant(spec, seed)
                                        : FloatModel::random(spec, seed);
     auto net = core::convert_to_phonebit(model);
@@ -305,6 +304,79 @@ TEST_F(CascadeTest, LaterStageReusesInputPlanesAndPricesCheaper) {
       << "the split-skipped stage must price strictly cheaper";
   EXPECT_EQ(s.stages[1].reused_planes, 1);
   EXPECT_TRUE(testing::expect_bitexact(rr.result.output, ref_cls.output));
+}
+
+// The plane cache holds kernel 1's dense im2col panel, which depends on the
+// conv1 geometry as well as on the input, so it is keyed on both. Three
+// stages over the same 32x32x3 input: a 3x3 conv1, then a 5x5 conv1 (same
+// output extent) that must REFILL the cache rather than read the 3x3 panel,
+// then another 5x5 model that reuses the refilled panel. Each cascade
+// prefix must bit-match the manually chained forward of its last stage, on
+// ModelServer and on a one-shard fleet, and only the third stage prices
+// and flags as a reuse run.
+TEST_F(CascadeTest, StagesWithDifferentConv1GeometryRekeyThePlaneCache) {
+  const auto spec3 = models::quicknet(10);
+  auto spec5 = spec3;
+  ConvGeometry& g5 = std::get<core::ConvLayerSpec>(spec5.layers[0]).geom;
+  g5.kernel_h = g5.kernel_w = 5;
+  g5.pad_h = g5.pad_w = 2;
+  const EngineOptions opts;
+  const std::string a = save_model("geom_a", spec3, 950, opts, "sd855");
+  const std::string b = save_model("geom_b", spec5, 951, opts, "sd855");
+  const std::string c = save_model("geom_c", spec5, 952, opts, "sd855");
+  const core::Blob input = cifar(13);
+  const core::ForwardResult ref_a = reference(a, input);
+  const core::ForwardResult ref_b = reference(b, input);
+  const core::ForwardResult ref_c = reference(c, input);
+
+  CascadeSpec two;
+  two.name = "a-b";
+  two.stages.push_back(
+      CascadeStageSpec{"a", gate_max_at_least(max_logit(ref_a) - 1.0f)});
+  two.stages.push_back(CascadeStageSpec{"b", StageGate{}});
+  CascadeSpec three = two;
+  three.name = "a-b-c";
+  three.stages[1].gate = gate_max_at_least(max_logit(ref_b) - 1.0f);
+  three.stages.push_back(CascadeStageSpec{"c", StageGate{}});
+
+  const auto check = [&](const CascadeSummary& s, const core::Blob& want,
+                         const std::vector<bool>& reused) {
+    expect_nothing_lost(s);
+    ASSERT_EQ(s.full_runs, 1);
+    const CascadeRequestResult& rr = s.results[0];
+    ASSERT_EQ(rr.stages.size(), reused.size());
+    for (std::size_t i = 0; i < reused.size(); ++i) {
+      EXPECT_EQ(rr.stages[i].reused_planes, reused[i]) << "stage " << i;
+    }
+    EXPECT_TRUE(testing::expect_bitexact(rr.result.output, want))
+        << "cascade diverged from the chained forward of its last stage";
+  };
+  const auto one = [&] {
+    std::vector<Request> w;
+    w.push_back(Request{"", core::Blob{input}, 0.0, 0.0});
+    return w;
+  };
+
+  ModelServer server(*engine_);
+  server.load_model("a", a);
+  server.load_model("b", b);
+  server.load_model("c", c);
+  check(server.run_cascade(two, one()), ref_b.output, {false, false});
+  const CascadeSummary s3 = server.run_cascade(three, one());
+  check(s3, ref_c.output, {false, false, true});
+  EXPECT_LT(s3.results[0].stages[2].latency_ms,
+            s3.results[0].stages[1].latency_ms)
+      << "the same-geometry stage must price below the refilling one";
+
+  FleetConfig cfg;
+  cfg.shards.push_back(ShardSpec{"flag", "sd855", 2});
+  cfg.exec_workers = 2;
+  FleetServer fleet(cfg);
+  fleet.load_model("a", {a});
+  fleet.load_model("b", {b});
+  fleet.load_model("c", {c});
+  check(fleet.run_cascade(two, one()), ref_b.output, {false, false});
+  check(fleet.run_cascade(three, one()), ref_c.output, {false, false, true});
 }
 
 // ---------------------------------------------------------------------------

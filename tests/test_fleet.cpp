@@ -96,8 +96,7 @@ class FleetTest : public ::testing::Test {
   /// `profile` (empty = untargeted) and returns the path.
   std::string save_quicknet(const std::string& tag, std::uint64_t seed,
                             const std::string& profile = {}) {
-    const std::string path =
-        std::string(::testing::TempDir()) + "fleet_" + tag + ".pba";
+    const std::string path = testing::temp_path("fleet_" + tag + ".pba");
     const FloatModel model = FloatModel::random(models::quicknet(10), seed);
     auto net = core::convert_to_phonebit(model);
     const core::BlobDesc desc{core::BlobKind::kU8, Shape{1, 32, 32, 3}};
@@ -291,9 +290,8 @@ TEST_F(FleetTest, SameInputBitExactAcrossProfilesZooWide) {
     // One artifact per profile, pbc-compile-fleet style.
     std::vector<std::string> paths;
     for (const std::string key : {"sd855", "sd660", "sd625"}) {
-      const std::string path = std::string(::testing::TempDir()) +
-                               "fleet_zoo_" + std::string(c.name) + "." +
-                               key + ".pba";
+      const std::string path = testing::temp_path(
+          "fleet_zoo_" + std::string(c.name) + "." + key + ".pba");
       artifact::compile_for_profile(*net, engine_->options(), desc, key,
                                     path);
       temp_paths_.push_back(path);
@@ -344,8 +342,7 @@ TEST_F(FleetTest, OverBudgetArtifactRejectedAndOldVersionKeepsServing) {
   const auto spec = models::spec_by_name("yolov2-tiny", zoo, std::nullopt);
   auto net = core::convert_to_phonebit(FloatModel::random(spec, 301));
   const core::BlobDesc desc{core::BlobKind::kU8, spec.input};
-  const std::string big_path =
-      std::string(::testing::TempDir()) + "fleet_big.sd855.pba";
+  const std::string big_path = testing::temp_path("fleet_big.sd855.pba");
   const ExecutionPlan plan = artifact::compile_for_profile(
       *net, engine_->options(), desc, "sd855", big_path);
   temp_paths_.push_back(big_path);

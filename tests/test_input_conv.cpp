@@ -1,8 +1,13 @@
 // First-layer bit-plane convolution (Eqn 2) vs the integer-domain reference.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+#include <sstream>
+
 #include "baselines/float_ops.hpp"
 #include "bitpack/pack.hpp"
+#include "common/rng.hpp"
 #include "core/phonebit.hpp"
 #include "datasets/synthetic.hpp"
 #include "test_util.hpp"
@@ -127,6 +132,167 @@ TEST(InputConv, EightBitEdgeValues) {
     EXPECT_TRUE(testing::packed_equals_signs(
         std::get<bitpack::PackedTensor>(out),
         reference_input_conv(img, w, bn, {}, g)));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded differential oracle: random geometry x options x entry point vs the
+// integer-domain reference. The perfbench bit-exact gate cannot see a conv1
+// bug (its reference plan runs this same layer), so this is the check.
+// ---------------------------------------------------------------------------
+
+enum class Fill { kRandom, kZeros, kOnes };
+
+struct OracleCase {
+  std::int64_t c_in, c_out, n, h, w, k, sh, sw, ph, pw;
+  bool split, branch_free;
+  Fill fill;
+  std::uint64_t seed;
+
+  /// One pasteable line: the call that re-runs exactly this case.
+  std::string repro() const {
+    std::ostringstream os;
+    os << std::boolalpha << "repro: check_oracle_case({" << c_in << ", "
+       << c_out << ", " << n << ", " << h << ", " << w << ", " << k << ", "
+       << sh << ", " << sw << ", " << ph << ", " << pw << ", " << split
+       << ", " << branch_free << ", Fill::"
+       << (fill == Fill::kRandom  ? "kRandom"
+           : fill == Fill::kZeros ? "kZeros"
+                                  : "kOnes")
+       << ", " << seed << "});  // K = " << k * k * c_in << " bits";
+    return os.str();
+  }
+};
+
+/// BN whose thresholds fall inside the range of x1 = sum_k 2^k <I_k * W>
+/// (|x1| grows like 128 * sqrt(K) on random pixels), so the output bits
+/// depend on the conv sums, not just on their sign.
+std::vector<core::BatchNormParams> oracle_bn(std::int64_t c_out,
+                                             std::int64_t k_bits,
+                                             std::uint64_t seed) {
+  Rng rng(seed);
+  const float scale = 128.0f * std::sqrt(static_cast<float>(k_bits));
+  std::vector<core::BatchNormParams> bn;
+  for (std::int64_t c = 0; c < c_out; ++c) {
+    core::BatchNormParams p;
+    p.gamma = rng.uniform(0.3f, 1.5f) * (rng.uniform() < 0.3f ? -1.0f : 1.0f);
+    p.beta = rng.normal() * 0.5f;
+    p.mu = rng.normal() * scale;
+    p.sigma = rng.uniform(0.5f, 2.0f);
+    bn.push_back(p);
+  }
+  return bn;
+}
+
+/// Runs one case through forward, a compiled run, and a compiled run that
+/// fills and then reuses a plane cache; every output must equal the
+/// reference bit for bit.
+void check_oracle_case(const OracleCase& c) {
+  SCOPED_TRACE(c.repro());
+  const Shape in_shape{c.n, c.h, c.w, c.c_in};
+  U8Tensor img = datasets::random_image(in_shape, c.seed);
+  if (c.fill != Fill::kRandom) img.fill(c.fill == Fill::kZeros ? 0 : 255);
+  const FloatTensor w = testing::random_float_tensor(
+      Shape{c.c_out, c.k, c.k, c.c_in}, c.seed + 1);
+  const auto bn = oracle_bn(c.c_out, c.k * c.k * c.c_in, c.seed + 2);
+  const auto bias = testing::random_bias(c.c_out, c.seed + 3);
+  ConvGeometry g;
+  g.kernel_h = g.kernel_w = c.k;
+  g.stride_h = c.sh;
+  g.stride_w = c.sw;
+  g.pad_h = c.ph;
+  g.pad_w = c.pw;
+  const FloatTensor ref = reference_input_conv(img, w, bn, bias, g);
+
+  core::EngineOptions opts;
+  opts.interior_split = c.split;
+  opts.branch_free_binarize = c.branch_free;
+  core::Engine engine(testing::test_device(), opts);
+  core::Network net("oracle");
+  net.add(std::make_unique<InputConv2d>(
+      "conv1", bitpack::pack_filter_signs(w), bn, bias, g));
+  const core::Blob input{img};
+
+  auto session = engine.create_session();
+  auto ctx = session.context();
+  const core::Blob fwd = net.layers()[0]->forward(ctx, input);
+  ASSERT_TRUE(testing::packed_equals_signs(
+      std::get<bitpack::PackedTensor>(fwd), ref))
+      << "forward diverged";
+
+  const core::ExecutionPlan plan =
+      net.compile(engine, core::BlobDesc{core::BlobKind::kU8, in_shape});
+  const core::ForwardResult run = plan.run(session, input);
+  ASSERT_TRUE(testing::packed_equals_signs(
+      std::get<bitpack::PackedTensor>(run.output), ref))
+      << "compiled run diverged";
+
+  core::InputPlaneCache cache;
+  core::RunOptions ro;
+  ro.planes = &cache;
+  for (const char* pass : {"fill", "reuse"}) {
+    const core::ForwardResult cached = plan.run(session, input, ro);
+    ASSERT_TRUE(testing::packed_equals_signs(
+        std::get<bitpack::PackedTensor>(cached.output), ref))
+        << "plane-cache " << pass << " run diverged";
+  }
+}
+
+OracleCase random_case(Rng& rng, std::uint64_t seed) {
+  static constexpr std::int64_t kKernels[] = {1, 2, 3, 5, 7, 11};
+  OracleCase c{};
+  c.k = kKernels[rng.below(6)];
+  c.c_in = 1 + static_cast<std::int64_t>(rng.below(70));
+  c.c_out = 8 * (1 + static_cast<std::int64_t>(rng.below(8)));
+  c.n = 1 + static_cast<std::int64_t>(rng.below(3));
+  c.sh = 1 + static_cast<std::int64_t>(rng.below(4));
+  c.sw = 1 + static_cast<std::int64_t>(rng.below(4));
+  c.ph = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(c.k / 2 + 1)));
+  c.pw = static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(c.k / 2 + 1)));
+  // Extents from the smallest valid one (one output row/column) to a few
+  // windows past the kernel, H and W drawn independently.
+  c.h = std::max<std::int64_t>(1, c.k - 2 * c.ph) +
+        static_cast<std::int64_t>(rng.below(9));
+  c.w = std::max<std::int64_t>(1, c.k - 2 * c.pw) +
+        static_cast<std::int64_t>(rng.below(9));
+  c.split = rng.below(2) == 1;
+  c.branch_free = rng.below(2) == 1;
+  const std::uint64_t f = rng.below(10);
+  c.fill = f == 0 ? Fill::kZeros : f == 1 ? Fill::kOnes : Fill::kRandom;
+  c.seed = seed;
+  return c;
+}
+
+TEST(InputConvOracle, RandomGeometriesMatchIntegerReference) {
+  Rng rng(0x1c0de);
+  for (int i = 0; i < 160; ++i) {
+    const OracleCase c = random_case(rng, 5000 + static_cast<std::uint64_t>(i));
+    check_oracle_case(c);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(InputConvOracle, PanelWordBoundaries) {
+  // K = k*k*C just below, at and just above 64 and 128 bits, plus K words
+  // that a single tap spans (C > 64), on both schedules and both
+  // binarizers, with random, all-0 and all-255 images.
+  struct Kc {
+    std::int64_t k, c_in;
+  };
+  std::uint64_t seed = 7000;
+  for (const Kc kc : {Kc{3, 7}, Kc{2, 16}, Kc{3, 8}, Kc{1, 64}, Kc{1, 65},
+                      Kc{3, 14}, Kc{2, 32}, Kc{3, 15}, Kc{11, 1}, Kc{5, 3},
+                      Kc{7, 3}, Kc{1, 70}}) {
+    for (const Fill fill : {Fill::kRandom, Fill::kZeros, Fill::kOnes}) {
+      for (const bool split : {true, false}) {
+        for (const bool branch_free : {true, false}) {
+          OracleCase c{kc.c_in, 16, 2,  kc.k + 3, kc.k + 4, kc.k, 1, 2,
+                       kc.k / 2, kc.k / 2, split, branch_free, fill, ++seed};
+          check_oracle_case(c);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
   }
 }
 

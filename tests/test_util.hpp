@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "bitpack/pack.hpp"
 #include "common/rng.hpp"
@@ -88,6 +91,15 @@ inline ::testing::AssertionResult expect_bitexact(
            << b.modeled_ms << " ms";
   }
   return ::testing::AssertionSuccess();
+}
+
+/// A file path under the gtest temp dir that is unique to this process.
+/// ctest runs test_fleet and test_cascade twice at once (the full binary
+/// and its `*_soak` filter), so a fixed name would let one process remove
+/// or overwrite an artifact the other is about to load.
+inline std::string temp_path(const std::string& name) {
+  return std::string(::testing::TempDir()) + "phonebit_" +
+         std::to_string(::getpid()) + "_" + name;
 }
 
 /// Shared simulated device (SD855) for tests; host threads capped so unit
