@@ -613,6 +613,17 @@ int main(int argc, char** argv) {
     comp.weight_compress = core::WeightCompress::kAuto;
     bench_conv(spec, comp, "compressed", records, /*redundant=*/true);
   }
+  // YOLOv2-Tiny 416^2 conv2, the largest path-D step of a full-size
+  // forward: 16 channels fill only 16 bits of each 64-bit word.
+  {
+    const ConvSpec conv2{"3x3/s1/p1/208x208/c16->32", 208, 16, 32, 3, 1, 1};
+    core::EngineOptions fast;
+    fast.conv_path = core::ConvPathPreference::kRowFused;
+    bench_conv(conv2, fast, "fast", records);
+    core::EngineOptions gemm;
+    gemm.conv_path = core::ConvPathPreference::kGemm;
+    bench_conv(conv2, gemm, "bitgemm", records);
+  }
   // Fused-geometry record for the plan-level conv→pool rewrite (2x2/s2
   // pool folded into the conv epilogue) vs the two-step chain.
   bench_conv_pool({"3x3/s1/p1/26x26/c128->128", 26, 128, 128, 3, 1, 1},

@@ -1,6 +1,12 @@
 #include "bitpack/binary_ops.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
+
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
 
 #include "common/error.hpp"
 #include "simd/vec.hpp"
@@ -309,72 +315,278 @@ void xor_popcount_2d_x8(const std::uint64_t* a, std::int64_t a_stride,
 
 namespace {
 
-/// One MRx8 register tile with a compile-time row count, so the accumulator
-/// block is a true register array (no variable indexing in the hot loop).
-/// 32-bit accumulators suffice: a tile's mismatch count is bounded by
-/// k_words * 64, far under 2^31 for any real layer.
-template <int Rows>
-void gemm_tile(const std::uint64_t* a, std::int64_t a_stride,
-               const std::uint64_t* b, std::int64_t b_pitch,
-               std::int64_t k_words, std::int64_t* out) {
-  std::int32_t acc[Rows][8] = {};
-  for (std::int64_t k = 0; k < k_words; ++k) {
-    std::uint64_t aw[Rows];
-    for (int r = 0; r < Rows; ++r) aw[r] = a[r * a_stride + k];
-    for (int f = 0; f < 8; ++f) {
-      const std::uint64_t bw = b[f * b_pitch + k];
-      for (int r = 0; r < Rows; ++r) {
-        acc[r][f] += static_cast<std::int32_t>(popcount(aw[r] ^ bw));
-      }
+// --- 8-lane group vectors ---------------------------------------------------
+//
+// The GEMM and bit-plane microkernels score one workload group of 8 filters
+// per instruction: a Lanes8 holds one 64-bit word per filter (lane f =
+// filter f), which is exactly one K step of a filter-interleaved panel.
+// The body is chosen at compile time from the flags CMake's popcount probe
+// selects: one zmm (AVX-512BW with VBMI's vpermb), two ymm (AVX2) or eight
+// scalar words. VPOPCNTDQ and BITALG are never used (the probe rejects
+// them on CPUs that miscount).
+//
+// Byte-counter contract: byte_popcount<S>() yields per-lane counts scaled
+// by 2^S (S <= 3), which add_counts() accumulates until lane_sums()
+// reduces them to one 64-bit count per lane. The SIMD bodies count per
+// byte with table lookups and sum each lane's 8 byte counters with
+// vpsadbw, so a byte counter must be flushed before it passes 255:
+//   - xor-popcount gains at most 8 per step: flush every kFlushSteps = 31
+//     steps (248);
+//   - the bit-plane kernel adds planes 0-3 (and, in a second counter
+//     shifted by 4 at the flush, planes 4-7) with S = plane index, at most
+//     8 * (1 + 2 + 4 + 8) = 120 per step: flush every
+//     kPlaneFlushSteps = 2 steps (240).
+// The scalar body counts whole lanes, and its lane_sums() is the identity.
+constexpr std::int64_t kFlushSteps = 31;
+constexpr std::int64_t kPlaneFlushSteps = 2;
+
+#if defined(__AVX512BW__) && defined(__AVX512VBMI__)
+
+struct Lanes8 {
+  __m512i v;
+};
+
+inline Lanes8 zero8() { return {_mm512_setzero_si512()}; }
+inline Lanes8 load8(const std::uint64_t* p) {
+  return {_mm512_loadu_si512(p)};
+}
+inline Lanes8 broadcast8(std::uint64_t x) {
+  return {_mm512_set1_epi64(static_cast<long long>(x))};
+}
+inline Lanes8 operator^(Lanes8 a, Lanes8 b) {
+  return {_mm512_xor_si512(a.v, b.v)};
+}
+inline Lanes8 operator&(Lanes8 a, Lanes8 b) {
+  return {_mm512_and_si512(a.v, b.v)};
+}
+
+/// 64-entry byte table of popcount(i & Mask) << S, for vpermb lookups.
+template <int S, int Mask>
+struct PopcountTable {
+  alignas(64) std::uint8_t v[64] = {};
+  constexpr PopcountTable() {
+    for (int i = 0; i < 64; ++i) {
+      v[i] = static_cast<std::uint8_t>(
+          std::popcount(static_cast<unsigned>(i & Mask)) << S);
     }
   }
-  for (int r = 0; r < Rows; ++r) {
-    for (int f = 0; f < 8; ++f) out[r * 8 + f] = acc[r][f];
+};
+template <int S, int Mask>
+inline constexpr PopcountTable<S, Mask> kPopcountTable{};
+
+/// vpermb looks up the low 6 bits of every byte, a second vpermb the top
+/// 2 bits (shifted down; the bits the 16-bit shift pulls in from the next
+/// byte are masked off by the table): 4 ops, against 6 for nibble lookups.
+template <int S = 0>
+inline Lanes8 byte_popcount(Lanes8 x) {
+  const __m512i low6 = _mm512_load_si512(kPopcountTable<S, 63>.v);
+  const __m512i top2 = _mm512_load_si512(kPopcountTable<S, 3>.v);
+  return {_mm512_add_epi8(
+      _mm512_permutexvar_epi8(x.v, low6),
+      _mm512_permutexvar_epi8(_mm512_srli_epi16(x.v, 6), top2))};
+}
+inline Lanes8 add_counts(Lanes8 a, Lanes8 b) {
+  return {_mm512_add_epi8(a.v, b.v)};
+}
+inline Lanes8 lane_sums(Lanes8 x) {
+  return {_mm512_sad_epu8(x.v, _mm512_setzero_si512())};
+}
+inline Lanes8 add64(Lanes8 a, Lanes8 b) {
+  return {_mm512_add_epi64(a.v, b.v)};
+}
+inline Lanes8 shl64(Lanes8 a, int k) {
+  return {_mm512_sll_epi64(a.v, _mm_cvtsi32_si128(k))};
+}
+/// Narrows the 8 lane totals to int32 (the callers bound K so they fit).
+inline void store_i32(Lanes8 x, std::int32_t* out) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      _mm512_cvtepi64_epi32(x.v));
+}
+
+#elif defined(__AVX2__)
+
+struct Lanes8 {
+  __m256i lo, hi;  // filters 0-3, 4-7
+};
+
+inline Lanes8 zero8() {
+  return {_mm256_setzero_si256(), _mm256_setzero_si256()};
+}
+inline Lanes8 load8(const std::uint64_t* p) {
+  return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)),
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 4))};
+}
+inline Lanes8 broadcast8(std::uint64_t x) {
+  const __m256i v = _mm256_set1_epi64x(static_cast<long long>(x));
+  return {v, v};
+}
+inline Lanes8 operator^(Lanes8 a, Lanes8 b) {
+  return {_mm256_xor_si256(a.lo, b.lo), _mm256_xor_si256(a.hi, b.hi)};
+}
+inline Lanes8 operator&(Lanes8 a, Lanes8 b) {
+  return {_mm256_and_si256(a.lo, b.lo), _mm256_and_si256(a.hi, b.hi)};
+}
+/// Nibble-LUT vpshufb popcount of every byte, scaled by 2^S.
+template <int S>
+inline __m256i byte_popcount256(__m256i x) {
+  const __m256i lut = _mm256_setr_epi8(
+      0 << S, 1 << S, 1 << S, 2 << S, 1 << S, 2 << S, 2 << S, 3 << S, 1 << S,
+      2 << S, 2 << S, 3 << S, 2 << S, 3 << S, 3 << S, 4 << S, 0 << S, 1 << S,
+      1 << S, 2 << S, 1 << S, 2 << S, 2 << S, 3 << S, 1 << S, 2 << S, 2 << S,
+      3 << S, 2 << S, 3 << S, 3 << S, 4 << S);
+  const __m256i nibble = _mm256_set1_epi8(0x0f);
+  const __m256i lo = _mm256_and_si256(x, nibble);
+  const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(x, 4), nibble);
+  return _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
+                         _mm256_shuffle_epi8(lut, hi));
+}
+template <int S = 0>
+inline Lanes8 byte_popcount(Lanes8 x) {
+  return {byte_popcount256<S>(x.lo), byte_popcount256<S>(x.hi)};
+}
+inline Lanes8 add_counts(Lanes8 a, Lanes8 b) {
+  return {_mm256_add_epi8(a.lo, b.lo), _mm256_add_epi8(a.hi, b.hi)};
+}
+inline Lanes8 lane_sums(Lanes8 x) {
+  const __m256i z = _mm256_setzero_si256();
+  return {_mm256_sad_epu8(x.lo, z), _mm256_sad_epu8(x.hi, z)};
+}
+inline Lanes8 add64(Lanes8 a, Lanes8 b) {
+  return {_mm256_add_epi64(a.lo, b.lo), _mm256_add_epi64(a.hi, b.hi)};
+}
+inline Lanes8 shl64(Lanes8 a, int k) {
+  const __m128i s = _mm_cvtsi32_si128(k);
+  return {_mm256_sll_epi64(a.lo, s), _mm256_sll_epi64(a.hi, s)};
+}
+inline void store_i32(Lanes8 x, std::int32_t* out) {
+  // The low dword of every 64-bit lane, in lane order.
+  const __m256i idx = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  const __m256i lo = _mm256_permutevar8x32_epi32(x.lo, idx);
+  const __m256i hi = _mm256_permutevar8x32_epi32(x.hi, idx);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      _mm256_permute2x128_si256(lo, hi, 0x20));
+}
+
+#else
+
+using Lanes8 = simd::ulong8;
+
+inline Lanes8 zero8() { return Lanes8{}; }
+inline Lanes8 load8(const std::uint64_t* p) {
+  return simd::vload<std::uint64_t, 8>(0, p);
+}
+inline Lanes8 broadcast8(std::uint64_t x) { return Lanes8(x); }
+inline Lanes8 add_counts(Lanes8 a, Lanes8 b) { return a + b; }
+inline Lanes8 lane_sums(Lanes8 x) { return x; }
+inline Lanes8 add64(Lanes8 a, Lanes8 b) { return a + b; }
+inline Lanes8 shl64(Lanes8 a, int k) {
+  for (int f = 0; f < 8; ++f) a[f] <<= k;
+  return a;
+}
+template <int S = 0>
+inline Lanes8 byte_popcount(Lanes8 x) {
+  return shl64(simd::popcount(x), S);
+}
+inline void store_i32(Lanes8 x, std::int32_t* out) {
+  for (int f = 0; f < 8; ++f) out[f] = static_cast<std::int32_t>(x[f]);
+}
+
+#endif
+
+/// One Rows x 8 register tile with a compile-time row count, so the
+/// accumulators are a true register array. Each K step loads the group's
+/// 8 filter words as one Lanes8 and scores it against every row's
+/// broadcast word; byte counters are flushed every kFlushSteps.
+template <int Rows>
+void gemm_tile(const std::uint64_t* a, std::int64_t a_stride,
+               const std::uint64_t* panel, std::int64_t k_words,
+               std::int32_t* out) {
+  Lanes8 acc[Rows];
+  for (int r = 0; r < Rows; ++r) acc[r] = zero8();
+  for (std::int64_t k0 = 0; k0 < k_words; k0 += kFlushSteps) {
+    const std::int64_t k1 = std::min(k_words, k0 + kFlushSteps);
+    Lanes8 counts[Rows];
+    for (int r = 0; r < Rows; ++r) counts[r] = zero8();
+    for (std::int64_t k = k0; k < k1; ++k) {
+      const Lanes8 w = load8(panel + k * 8);
+      for (int r = 0; r < Rows; ++r) {
+        counts[r] = add_counts(
+            counts[r], byte_popcount(broadcast8(a[r * a_stride + k]) ^ w));
+      }
+    }
+    for (int r = 0; r < Rows; ++r) acc[r] = add64(acc[r], lane_sums(counts[r]));
   }
+  for (int r = 0; r < Rows; ++r) store_i32(acc[r], out + r * 8);
 }
 
 }  // namespace
 
+std::vector<std::uint64_t> interleave_filter_panel(const std::uint64_t* w,
+                                                   std::int64_t filters,
+                                                   std::int64_t k_words) {
+  PB_CHECK(filters % 8 == 0 && k_words >= 0,
+           "filter panel needs whole groups of 8 filters");
+  std::vector<std::uint64_t> panel(static_cast<std::size_t>(filters * k_words));
+  for (std::int64_t f = 0; f < filters; ++f) {
+    std::uint64_t* dst = panel.data() + (f / 8) * k_words * 8 + f % 8;
+    for (std::int64_t k = 0; k < k_words; ++k) dst[k * 8] = w[f * k_words + k];
+  }
+  return panel;
+}
+
 void xor_popcount_gemm_x8(const std::uint64_t* a, std::int64_t a_stride,
-                          const std::uint64_t* b, std::int64_t b_pitch,
-                          std::int64_t k_words, std::int64_t rows,
-                          std::int64_t* out) {
-  PB_CHECK(k_words >= 0 && rows >= 1 && rows <= kGemmMr,
+                          const std::uint64_t* panel, std::int64_t k_words,
+                          std::int64_t rows, std::int32_t* out) {
+  // Counts are at most 64 * k_words and must fit the int32 outputs.
+  PB_CHECK(k_words >= 0 && k_words < (std::int64_t{1} << 25) && rows >= 1 &&
+               rows <= kGemmMr,
            "bad GEMM tile geometry");
   switch (rows) {
-    case 1: return gemm_tile<1>(a, a_stride, b, b_pitch, k_words, out);
-    case 2: return gemm_tile<2>(a, a_stride, b, b_pitch, k_words, out);
-    case 3: return gemm_tile<3>(a, a_stride, b, b_pitch, k_words, out);
-    default: return gemm_tile<4>(a, a_stride, b, b_pitch, k_words, out);
+    case 1: return gemm_tile<1>(a, a_stride, panel, k_words, out);
+    case 2: return gemm_tile<2>(a, a_stride, panel, k_words, out);
+    case 3: return gemm_tile<3>(a, a_stride, panel, k_words, out);
+    default: return gemm_tile<4>(a, a_stride, panel, k_words, out);
   }
 }
 
 namespace {
 
+/// Adds plane S (to `low`) and plane S + 4 (to `high`) of panel-row word
+/// j, and-ed with the group's filter words `w`, each scaled by 2^S.
+template <int S>
+inline void add_plane_pair(Lanes8& low, Lanes8& high, const std::uint64_t* row,
+                           std::int64_t k_words, std::int64_t j, Lanes8 w) {
+  low = add_counts(low, byte_popcount<S>(broadcast8(row[S * k_words + j]) & w));
+  high = add_counts(
+      high, byte_popcount<S>(broadcast8(row[(S + 4) * k_words + j]) & w));
+}
+
 /// The bit-plane tile with the K-word count as a template parameter when
 /// it is known (KWords > 0): YOLO-style input layers (K <= 64 bits) then
-/// keep a row's 8 plane words in registers with no k-word loop at all.
+/// load the group's filter words once for all rows. Planes 0-3 and 4-7
+/// accumulate in two weighted byte counters; the high one is shifted by 4
+/// when both are flushed.
 template <int KWords>
 void planes_x8_tile(const std::uint64_t* a, std::int64_t a_stride,
-                    const std::uint64_t* b, std::int64_t k_words,
-                    std::int64_t rows, std::int64_t* out) {
+                    const std::uint64_t* panel, std::int64_t k_words,
+                    std::int64_t rows, std::int32_t* out) {
   if constexpr (KWords > 0) k_words = KWords;
   for (std::int64_t r = 0; r < rows; ++r) {
     const std::uint64_t* row = a + r * a_stride;
-    std::int64_t acc[8] = {};
-    for (std::int64_t j = 0; j < k_words; ++j) {
-      std::uint64_t p[8];
-      for (int k = 0; k < 8; ++k) p[k] = row[k * k_words + j];
-      for (int f = 0; f < 8; ++f) {
-        const std::uint64_t w = b[f * k_words + j];
-        std::int64_t s = 0;
-        for (int k = 0; k < 8; ++k) {
-          s += static_cast<std::int64_t>(popcount(p[k] & w)) << k;
-        }
-        acc[f] += s;
+    Lanes8 acc = zero8();
+    for (std::int64_t j0 = 0; j0 < k_words; j0 += kPlaneFlushSteps) {
+      const std::int64_t j1 = std::min(k_words, j0 + kPlaneFlushSteps);
+      Lanes8 low = zero8(), high = zero8();
+      for (std::int64_t j = j0; j < j1; ++j) {
+        const Lanes8 w = load8(panel + j * 8);
+        add_plane_pair<0>(low, high, row, k_words, j, w);
+        add_plane_pair<1>(low, high, row, k_words, j, w);
+        add_plane_pair<2>(low, high, row, k_words, j, w);
+        add_plane_pair<3>(low, high, row, k_words, j, w);
       }
+      acc = add64(acc, add64(lane_sums(low), shl64(lane_sums(high), 4)));
     }
-    for (int f = 0; f < 8; ++f) out[r * 8 + f] = acc[f];
+    store_i32(acc, out + r * 8);
   }
 }
 
@@ -400,11 +612,13 @@ void window_sums_tile(const std::uint64_t* a, std::int64_t a_stride,
 }  // namespace
 
 void and_popcount_planes_x8(const std::uint64_t* a, std::int64_t a_stride,
-                            const std::uint64_t* b, std::int64_t k_words,
-                            std::int64_t rows, std::int64_t* out) {
-  PB_CHECK(k_words >= 1 && rows >= 0, "bad bit-plane tile geometry");
-  if (k_words == 1) return planes_x8_tile<1>(a, a_stride, b, 1, rows, out);
-  planes_x8_tile<0>(a, a_stride, b, k_words, rows, out);
+                            const std::uint64_t* panel, std::int64_t k_words,
+                            std::int64_t rows, std::int32_t* out) {
+  // Sums are at most 255 * 64 * k_words and must fit the int32 outputs.
+  PB_CHECK(k_words >= 1 && k_words < (std::int64_t{1} << 17) && rows >= 0,
+           "bad bit-plane tile geometry");
+  if (k_words == 1) return planes_x8_tile<1>(a, a_stride, panel, 1, rows, out);
+  planes_x8_tile<0>(a, a_stride, panel, k_words, rows, out);
 }
 
 void plane_window_sums(const std::uint64_t* a, std::int64_t a_stride,

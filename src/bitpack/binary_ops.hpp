@@ -6,9 +6,15 @@
 // up to ulong16 (1024-bit) and selects the kernel by channel count (§V-A.2).
 // The memory format is always 64-bit words; PackWidth selects how wide the
 // *processing* vectors are, which is what the granularity ablation measures.
+//
+// The GEMM (path D) and bit-plane (input layer) microkernels are the
+// exception: they score the 8 filters of a workload group at once from a
+// filter-interleaved panel, with a SIMD body (AVX-512BW+VBMI, AVX2 or
+// scalar) fixed at compile time by the CPU flags rather than by PackWidth.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "bitpack/packed_tensor.hpp"
 
@@ -92,31 +98,46 @@ void xor_popcount_2d_x8(const std::uint64_t* a, std::int64_t a_stride,
 /// M-rows of one bit-GEMM register tile (the conv path-D microkernel).
 inline constexpr int kGemmMr = 4;
 
+/// Filter-interleaved weight panel (DESIGN.md §11), laid out
+/// `[group][k][8 filters]`: word k of filter f lands at
+/// `panel[((f / 8) * k_words + k) * 8 + f % 8]`, so one 512-bit vector
+/// holds word k of all 8 filters of a workload group. `w` holds `filters`
+/// contiguous filter rows of `k_words` words each; `filters` must be a
+/// multiple of 8. Derived state: layers build it at construction and never
+/// serialize it.
+std::vector<std::uint64_t> interleave_filter_panel(const std::uint64_t* w,
+                                                   std::int64_t filters,
+                                                   std::int64_t k_words);
+
 /// Register-tiled bit-GEMM microkernel (DESIGN.md §11): scores up to
 /// kGemmMr im2col rows of A (row r at `a + r * a_stride`, `k_words` long)
-/// against the 8 contiguous weight panels of one filter group (filter f's
-/// panel at `b + f * b_pitch`) in one pass over the K dimension. The
-/// rows x 8 mismatch accumulators live in registers for the whole
-/// reduction, so each k-word of A is loaded once per 8 filters and each
-/// weight word once per `rows` outputs — `rows` + 8 loads feed rows*8
-/// xor+popcount+add ops per K step, versus one load per op when windows
-/// are streamed independently. `out[r * 8 + f]` receives row r's mismatch
-/// count against filter f; bit-exact with rows*8 xor_popcount calls.
+/// against one filter group of an interleave_filter_panel (`panel` points
+/// at the group's `k_words * 8` words). Each K step loads the group's 8
+/// filter words as one vector, xors it with each row's broadcast word and
+/// counts bits per byte with table lookups; the byte counters are flushed
+/// into 64-bit lanes (sum of absolute differences) every 31 steps, before
+/// any can wrap. The SIMD body (AVX-512BW+VBMI, AVX2, or scalar words) is
+/// fixed at compile time by the CPU flags. `out[r * 8 + f]` receives row
+/// r's mismatch count against filter f; bit-exact with rows*8
+/// xor_popcount calls. Requires k_words < 2^25 so counts fit int32.
 void xor_popcount_gemm_x8(const std::uint64_t* a, std::int64_t a_stride,
-                          const std::uint64_t* b, std::int64_t b_pitch,
-                          std::int64_t k_words, std::int64_t rows,
-                          std::int64_t* out);
+                          const std::uint64_t* panel, std::int64_t k_words,
+                          std::int64_t rows, std::int32_t* out);
 
 /// Bit-plane microkernel (the input conv's dense schedule, Eqn 2): each
 /// im2col panel row holds a window's 8 bit planes back to back, plane k at
 /// `row + k * k_words` with the window's K bits packed densely. Scores
-/// `rows` panel rows (`a_stride` words apart) against the 8 dense filter
-/// rows of one group (filter f at `b + f * k_words`); a row's 8 plane words
-/// are loaded once per k-word for all 8 filters. `out[r * 8 + f]` receives
-/// sum_k 2^k popcount(a_rk AND b_f), the weighted half of Eqn 2.
+/// `rows` panel rows (`a_stride` words apart) against one filter group of
+/// an interleave_filter_panel (`panel` at the group's `k_words * 8`
+/// words): each plane word is broadcast and and-ed with the group's filter
+/// vector, and its byte counts are scaled by 2^plane in the lookup table
+/// (planes 0-3 and 4-7 share two byte counters, the second shifted by 4
+/// when flushed). `out[r * 8 + f]` receives
+/// sum_k 2^k popcount(a_rk AND b_f), the weighted half of Eqn 2. Requires
+/// k_words < 2^17 so sums fit int32.
 void and_popcount_planes_x8(const std::uint64_t* a, std::int64_t a_stride,
-                            const std::uint64_t* b, std::int64_t k_words,
-                            std::int64_t rows, std::int64_t* out);
+                            const std::uint64_t* panel, std::int64_t k_words,
+                            std::int64_t rows, std::int32_t* out);
 
 /// The weight-independent half of Eqn 2 for `rows` panel rows laid out as
 /// in and_popcount_planes_x8: `sums[r]` = sum_k 2^k popcount(a_rk), which

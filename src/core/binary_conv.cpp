@@ -33,6 +33,11 @@ BinaryConv2d::BinaryConv2d(std::string name, PackedTensor weights,
                weights_.shape().w == geom_.kernel_w,
            name_ << ": filter bank spatial dims disagree with geometry");
   folded_ = fold_batch_norm(bn_, bias_);
+  if (c_out % 8 == 0) {
+    const Shape& ws = weights_.shape();
+    gemm_panel_ = bitpack::interleave_filter_panel(
+        weights_.data(), c_out, ws.h * ws.w * weights_.words_per_pixel());
+  }
 }
 
 std::int64_t BinaryConv2d::param_bytes() const {
@@ -875,6 +880,9 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
   // applies the same folded-BN group-byte epilogue as path A, so results
   // are bit-exact with the window-streaming schedule.
   const ConvDims d = make_dims(in, weights_, geom_);
+  // Selection never picks D otherwise, but an artifact's recorded variant
+  // is not re-derived on load, and gemm_panel_ only exists for whole groups.
+  PB_CHECK(d.c_out % 8 == 0, name_ << ": path D needs C_out % 8 == 0");
   PackedTensor out = ctx.make_packed(Shape{d.n, d.oh, d.ow, d.c_out});
   const std::int64_t k_words = d.kh * d.kw * d.words;
   const std::int64_t m = d.n * d.oh * d.ow;
@@ -997,21 +1005,30 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
   gemm_cost.coalescing = costs::coalescing(ctx.opts);
   gemm_cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
+  // One work item owns one m-tile across every filter group, so the tile's
+  // panel rows stay in L1 while each group's interleaved filter words
+  // stream past them.
   ctx.queue.enqueue(
-      name_ + ".bitgemm", NDRange{m_tiles, groups, 1}, gemm_cost,
-      [&, d, k_words, m, out_pitch, branch_free, len,
+      name_ + ".bitgemm", NDRange{m_tiles, 1, 1}, gemm_cost,
+      [&, k_words, m, out_pitch, branch_free, len, groups,
        panel](const WorkItem& it) {
         const std::int64_t m0 = it.x * bitpack::kGemmMr;
         const std::int64_t rows =
             std::min<std::int64_t>(bitpack::kGemmMr, m - m0);
-        const std::int64_t g = it.y;
-        std::int64_t mism[bitpack::kGemmMr * 8];
-        bitpack::xor_popcount_gemm_x8(panel + m0 * k_words, k_words,
-                                      weights_.pixel(g * 8, 0, 0), k_words,
-                                      k_words, rows, mism);
-        for (std::int64_t r = 0; r < rows; ++r) {
-          out_bytes[(m0 + r) * out_pitch + g] =
-              group_byte(&mism[r * 8], g, len, fb, branch_free);
+        const auto len32 = static_cast<std::int32_t>(len);
+        std::int32_t mism[bitpack::kGemmMr * 8];
+        for (std::int64_t g = 0; g < groups; ++g) {
+          bitpack::xor_popcount_gemm_x8(panel + m0 * k_words, k_words,
+                                        gemm_panel_.data() + g * 8 * k_words,
+                                        k_words, rows, mism);
+          const float* xi = fb.xi.data() + g * 8;
+          const std::uint8_t* gamma_pos = fb.gamma_pos.data() + g * 8;
+          for (std::int64_t r = 0; r < rows; ++r) {
+            std::int32_t x1[8];
+            for (int f = 0; f < 8; ++f) x1[f] = len32 - 2 * mism[r * 8 + f];
+            out_bytes[(m0 + r) * out_pitch + g] =
+                binarize_group(x1, xi, gamma_pos, branch_free);
+          }
         }
       });
   return out;

@@ -133,6 +133,10 @@ class BinaryConv2d final : public Layer {
   std::vector<BatchNormParams> bn_;
   std::vector<float> bias_;
   FoldedBatchNorm folded_;
+  /// Path D's filter-interleaved copy of weights_
+  /// (bitpack::interleave_filter_panel), built at construction when
+  /// C_out % 8 == 0. Derived state like folded_, never serialized.
+  std::vector<std::uint64_t> gemm_panel_;
   ConvGeometry geom_;
   // Lazily built (or loader-adopted) compression bank. Layers live behind
   // Network::emplace's unique_ptr, so the immovable once_flag is fine.

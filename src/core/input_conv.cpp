@@ -98,12 +98,14 @@ InputConv2d::InputConv2d(std::string name, PackedTensor weights,
            name_ << ": filter bank spatial dims disagree with geometry");
   folded_ = fold_batch_norm(bn_, bias_);
   // Dense K-order filter rows: bit (ky*kw + kx)*C + c of filter f, matching
-  // the panel rows kernel 1 writes.
+  // the panel rows kernel 1 writes; the microkernel reads them interleaved.
   const Shape& ws = weights_.shape();
   k_words_ = ceil_div(ws.h * ws.w * ws.c, bitpack::kWordBits);
-  dense_weights_.assign(static_cast<std::size_t>(ws.n * k_words_), 0);
+  if (ws.n % 8 != 0) return;  // execute() rejects the layer
+  std::vector<std::uint64_t> dense(static_cast<std::size_t>(ws.n * k_words_),
+                                   0);
   for (std::int64_t f = 0; f < ws.n; ++f) {
-    std::uint64_t* dst = dense_weights_.data() + f * k_words_;
+    std::uint64_t* dst = dense.data() + f * k_words_;
     std::int64_t q = 0;
     for (std::int64_t ky = 0; ky < ws.h; ++ky) {
       for (std::int64_t kx = 0; kx < ws.w; ++kx) {
@@ -115,6 +117,8 @@ InputConv2d::InputConv2d(std::string name, PackedTensor weights,
       }
     }
   }
+  dense_weights_ =
+      bitpack::interleave_filter_panel(dense.data(), ws.n, k_words_);
 }
 
 std::int64_t InputConv2d::param_bytes() const {
@@ -353,31 +357,23 @@ PackedTensor InputConv2d::execute_dense(ExecContext& ctx,
           std::int64_t sums[kPanelTile];
           bitpack::plane_window_sums(tile, row_words, k_words, rows, sums);
           for (std::int64_t g = 0; g < groups; ++g) {
-            std::int64_t weighted[kPanelTile * 8];
+            std::int32_t weighted[kPanelTile * 8];
             bitpack::and_popcount_planes_x8(
                 tile, row_words, dense_weights_.data() + g * 8 * k_words,
                 k_words, rows, weighted);
-            float xi[8];
-            bool gamma_pos[8];
-            for (int f = 0; f < 8; ++f) {
-              xi[f] = fb.xi[static_cast<std::size_t>(g * 8 + f)];
-              gamma_pos[f] = fb.gamma_pos[static_cast<std::size_t>(g * 8 + f)];
-            }
+            const float* xi = fb.xi.data() + g * 8;
+            const std::uint8_t* gamma_pos = fb.gamma_pos.data() + g * 8;
             // Staged locally: a store through the byte output may alias
             // anything, which would force reloads inside the loop.
             std::uint8_t bytes[kPanelTile];
             for (std::int64_t r = 0; r < rows; ++r) {
-              unsigned byte = 0;
+              // s = sum_k 2^k (2*popcount(p&w) - popcount(p))  (Eqn 2)
+              const auto sum = static_cast<std::int32_t>(sums[r]);
+              std::int32_t x1[8];
               for (int f = 0; f < 8; ++f) {
-                // s = sum_k 2^k (2*popcount(p&w) - popcount(p))  (Eqn 2)
-                const float x1 =
-                    static_cast<float>(2 * weighted[r * 8 + f] - sums[r]);
-                const bool bit = branch_free
-                                     ? binarize_eqn9(x1, xi[f], gamma_pos[f])
-                                     : binarize_eqn8(x1, xi[f], gamma_pos[f]);
-                byte |= static_cast<unsigned>(bit) << f;
+                x1[f] = 2 * weighted[r * 8 + f] - sum;
               }
-              bytes[r] = static_cast<std::uint8_t>(byte);
+              bytes[r] = binarize_group(x1, xi, gamma_pos, branch_free);
             }
             for (std::int64_t r = 0; r < rows; ++r) {
               out_bytes[(p0 + x0 + r) * out_pitch + g] = bytes[r];

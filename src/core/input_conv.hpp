@@ -14,12 +14,14 @@
 // writes 8 plane rows of ceil(KH*KW*C/64) words with the window's K bits
 // back to back; out-of-bounds taps are zero, and a 0 plane bit contributes
 // nothing to either popcount, so padding needs no special case. The
-// filters are repacked once at construction in the same K order (derived
-// state, like the folded BN; never serialized). Kernel 2
-// (`.bitplane_conv_fused`) then reduces each pixel over a handful of dense
-// words with the bit-plane microkernel (bitpack::and_popcount_planes_x8):
-// a pixel's 8 plane words are loaded once for all 8 filters of a group.
-// YOLO conv1 (27 bits) is one word per plane.
+// filters are repacked once at construction in the same K order and laid
+// out filter-interleaved (bitpack::interleave_filter_panel; derived state,
+// like the folded BN; never serialized). Kernel 2 (`.bitplane_conv_fused`)
+// then reduces each pixel over a handful of dense words with the bit-plane
+// microkernel (bitpack::and_popcount_planes_x8): each plane word is scored
+// against all 8 filters of a group with one vector and-popcount, and
+// core::binarize_group packs the group's output byte. YOLO conv1 (27 bits)
+// is one word per plane.
 //
 // `interior_split` off keeps the per-tap ablation arm: per-pixel planes
 // (C bits per word) and a per-tap loop with a padding branch on every tap.
@@ -101,8 +103,10 @@ class InputConv2d final : public Layer {
   std::vector<float> bias_;
   FoldedBatchNorm folded_;
   ConvGeometry geom_;
-  /// Filters repacked in the panel's dense K order: filter f's K bits at
-  /// dense_weights_[f * k_words_]. Derived from weights_, not serialized.
+  /// Filters repacked in the panel's dense K order, then filter-interleaved
+  /// (bitpack::interleave_filter_panel): word j of filter f at
+  /// dense_weights_[((f / 8) * k_words_ + j) * 8 + f % 8]. Built when
+  /// C_out % 8 == 0; derived from weights_, not serialized.
   std::int64_t k_words_ = 0;
   std::vector<std::uint64_t> dense_weights_;
 };

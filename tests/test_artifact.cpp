@@ -581,6 +581,45 @@ TEST_F(ArtifactTest, ResealedIllegalFusionRejected) {
   }
 }
 
+/// A checksum-resealed plan that records path D for a conv whose 12
+/// filters do not fill whole 8-filter groups: the GEMM microkernel scores
+/// whole groups only, so the loader must reject the variant.
+TEST_F(ArtifactTest, ResealedPathDOnPartialGroupRejected) {
+  ConvGeometry g;
+  g.pad_h = g.pad_w = 1;
+  const FloatTensor w = testing::random_sign_tensor(Shape{12, 3, 3, 64}, 670);
+  core::Network net("conv12");
+  net.emplace<core::BinaryConv2d>("conv", bitpack::pack_filter_signs(w),
+                                  testing::random_bn(12, 671),
+                                  std::vector<float>{}, g);
+  core::Engine engine(testing::test_device());
+  const core::Blob input{
+      bitpack::pack_signs(testing::random_sign_tensor(Shape{1, 8, 8, 64}, 672))};
+  const ExecutionPlan plan =
+      net.compile(engine.options(), core::describe_blob(input));
+  ASSERT_EQ(plan.steps().size(), 1u);
+  artifact::save(net, plan, path_);
+  std::vector<std::uint8_t> evil = read_bytes(path_);
+  const auto table = artifact::section_table(path_);
+
+  // Walk the plan section to the step's variant path byte.
+  std::int64_t t = table[3].body_offset;
+  std::uint32_t name_len;
+  std::memcpy(&name_len, evil.data() + t, 4);
+  t += 4 + name_len;                 // plan name
+  t += 4;                            // step count
+  t += 4 + 4;                        // layer index + fused pool index
+  t += 3 * 33;                       // in / out / fused_mid descriptors
+  ASSERT_EQ(evil[static_cast<std::size_t>(t)],
+            static_cast<std::uint8_t>(
+                core::KernelVariant::Path::kConvSeparatePack));
+  evil[static_cast<std::size_t>(t)] =
+      static_cast<std::uint8_t>(core::KernelVariant::Path::kConvGemm);
+  patch_checksum(evil);
+  write_bytes(path_, evil);
+  expect_rejected(path_, "path D");
+}
+
 /// Re-pointing a step at its predecessor's activation slot (resealed):
 /// step i+1 reads slot i while writing its own, so shared adjacent slots
 /// would alias input and output in place — the loader must re-establish

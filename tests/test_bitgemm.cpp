@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/float_ops.hpp"
 #include "core/artifact.hpp"
 #include "core/phonebit.hpp"
 #include "datasets/synthetic.hpp"
@@ -128,6 +129,42 @@ TEST(BitGemm, OddGeometriesMatchRowFused) {
                          run_conv(in, w, bn, g, fused), 0.0f))
         << "odd geometry " << t.hw << "/c" << t.c_in << "->" << t.c_out
         << "/k" << t.k << "s" << t.stride << "p" << t.pad;
+  }
+}
+
+/// Thresholds exactly on reachable sums and at +-inf, half the gammas
+/// negative (testing::tie_bn), under both binarizers: path D's vector
+/// epilogue must take the same side of every tie as path A's scalar
+/// Eqn 8 / Eqn 9. The second geometry's K = 36 words crosses the
+/// microkernel's 31-step byte-counter flush.
+TEST(BitGemm, ThresholdTiesMatchRowFused) {
+  struct Tie {
+    std::int64_t hw, c_in, c_out, k, stride, pad;
+  };
+  std::uint64_t seed = 7200;
+  for (const Tie t : {Tie{9, 40, 32, 3, 1, 1}, Tie{6, 256, 16, 3, 1, 1}}) {
+    const FloatTensor in =
+        testing::random_sign_tensor(Shape{2, t.hw, t.hw, t.c_in}, ++seed);
+    const FloatTensor w = testing::random_sign_tensor(
+        Shape{t.c_out, t.k, t.k, t.c_in}, ++seed);
+    ConvGeometry g;
+    g.kernel_h = g.kernel_w = t.k;
+    g.stride_h = g.stride_w = t.stride;
+    g.pad_h = g.pad_w = t.pad;
+    // Binary-domain padding is -1 (DESIGN.md §4).
+    const FloatTensor x1 = baselines::conv2d_ref(in, w, {}, g, -1.0f);
+    const auto bn = testing::tie_bn(x1, ++seed);
+    for (const bool branch_free : {true, false}) {
+      EngineOptions gemm;
+      gemm.conv_path = ConvPathPreference::kGemm;
+      gemm.branch_free_binarize = branch_free;
+      EngineOptions fused = gemm;
+      fused.conv_path = ConvPathPreference::kRowFused;
+      EXPECT_TRUE(allclose(run_conv(in, w, bn, g, gemm),
+                           run_conv(in, w, bn, g, fused), 0.0f))
+          << "c" << t.c_in << "->" << t.c_out << " branch_free "
+          << branch_free;
+    }
   }
 }
 

@@ -176,6 +176,9 @@ TEST(CompressBank, ReuseKernelsMatchPlainGemmBitExactly) {
       static_cast<std::size_t>(bitpack::kGemmMr * k));
   for (auto& word : a) word = rng();
 
+  // The plain GEMM reads the filter-interleaved panel path D builds.
+  const std::vector<std::uint64_t> panel =
+      bitpack::interleave_filter_panel(w.data(), bank.num_filters(), k);
   std::vector<std::int64_t> partials(
       static_cast<std::size_t>(bank.unique_rows() * bitpack::kGemmMr));
   for (const std::int64_t rows : {std::int64_t{1}, std::int64_t{3},
@@ -183,10 +186,10 @@ TEST(CompressBank, ReuseKernelsMatchPlainGemmBitExactly) {
     bitpack::xor_popcount_dict(a.data(), k, bank, rows, partials.data());
     for (std::int64_t g = 0; g < groups; ++g) {
       std::int64_t reuse[bitpack::kGemmMr * 8];
-      std::int64_t plain[bitpack::kGemmMr * 8];
+      std::int32_t plain[bitpack::kGemmMr * 8];
       bitpack::xor_popcount_gemm_reuse_x8(a.data(), k, bank, g, rows,
                                           partials.data(), reuse);
-      bitpack::xor_popcount_gemm_x8(a.data(), k, w.pixel(g * 8, 0, 0), k, k,
+      bitpack::xor_popcount_gemm_x8(a.data(), k, panel.data() + g * 8 * k, k,
                                     rows, plain);
       for (std::int64_t i = 0; i < rows * 8; ++i) {
         ASSERT_EQ(reuse[i], plain[i])

@@ -135,6 +135,47 @@ TEST(InputConv, EightBitEdgeValues) {
   }
 }
 
+/// Thresholds exactly on reachable Eqn-2 sums and at +-inf, half the
+/// gammas negative (testing::tie_bn), under both binarizers and both
+/// schedules: the dense schedule's vector epilogue must take the same side
+/// of every tie as the reference's scalar Eqn 8. The 11x11 geometry's
+/// K = 38 words crosses the microkernel's 31-step byte-counter flush.
+TEST(InputConv, ThresholdTiesMatchReference) {
+  struct Tie {
+    std::int64_t c_in, c_out, hw, k, pad;
+  };
+  std::uint64_t seed = 2600;
+  for (const Tie t : {Tie{3, 16, 12, 3, 1}, Tie{20, 8, 13, 11, 5}}) {
+    const U8Tensor img =
+        datasets::random_image(Shape{2, t.hw, t.hw, t.c_in}, ++seed);
+    const FloatTensor w = testing::random_sign_tensor(
+        Shape{t.c_out, t.k, t.k, t.c_in}, ++seed);
+    ConvGeometry g;
+    g.kernel_h = g.kernel_w = t.k;
+    g.pad_h = g.pad_w = t.pad;
+    const FloatTensor x1 =
+        baselines::conv2d_ref(baselines::u8_to_float(img), w, {}, g, 0.0f);
+    const auto bn = testing::tie_bn(x1, ++seed);
+    const FloatTensor ref = reference_input_conv(img, w, bn, {}, g);
+    for (const bool split : {true, false}) {
+      for (const bool branch_free : {true, false}) {
+        core::EngineOptions opts;
+        opts.interior_split = split;
+        opts.branch_free_binarize = branch_free;
+        core::Engine engine(testing::test_device(), opts);
+        auto session = engine.create_session();
+        auto ctx = session.context();
+        InputConv2d conv("conv1", bitpack::pack_filter_signs(w), bn, {}, g);
+        const auto out = conv.forward(ctx, core::Blob{img});
+        EXPECT_TRUE(testing::packed_equals_signs(
+            std::get<bitpack::PackedTensor>(out), ref))
+            << "k" << t.k << " c" << t.c_in << "->" << t.c_out << " split "
+            << split << " branch_free " << branch_free;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Seeded differential oracle: random geometry x options x entry point vs the
 // integer-domain reference. The perfbench bit-exact gate cannot see a conv1

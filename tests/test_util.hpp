@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -138,6 +139,40 @@ inline std::vector<core::BatchNormParams> random_bn(std::int64_t channels,
     p.beta = rng.normal() * 0.5f;
     p.mu = rng.normal() * 3.0f;
     p.sigma = rng.uniform(0.5f, 2.0f);
+    bn.push_back(p);
+  }
+  return bn;
+}
+
+/// Batch norm whose folded thresholds land exactly on values the conv sums
+/// `x1` (N, H, W, C_out, before BN) reach, plus infinite thresholds: by
+/// channel c % 8, lanes 0, 1, 6 and 7 take xi = x1 at a random pixel,
+/// lanes 2 and 3 xi = +inf, lanes 4 and 5 xi = -inf. Odd channels get a
+/// negative gamma, so every kind of threshold meets both gamma signs. beta
+/// is 0 and there is no bias, so the fold leaves xi = mu exactly.
+inline std::vector<core::BatchNormParams> tie_bn(const FloatTensor& x1,
+                                                 std::uint64_t seed) {
+  Rng rng(seed);
+  const Shape& s = x1.shape();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<core::BatchNormParams> bn;
+  for (std::int64_t c = 0; c < s.c; ++c) {
+    core::BatchNormParams p;
+    p.gamma = rng.uniform(0.5f, 1.5f) * (c % 2 == 0 ? 1.0f : -1.0f);
+    p.beta = 0.0f;
+    p.sigma = rng.uniform(0.5f, 2.0f);
+    const std::int64_t lane = c % 8;
+    if (lane == 2 || lane == 3) {
+      p.mu = inf;
+    } else if (lane == 4 || lane == 5) {
+      p.mu = -inf;
+    } else {
+      const auto pick = [&rng](std::int64_t extent) {
+        return static_cast<std::int64_t>(
+            rng.below(static_cast<std::uint64_t>(extent)));
+      };
+      p.mu = x1(pick(s.n), pick(s.h), pick(s.w), c);
+    }
     bn.push_back(p);
   }
   return bn;
