@@ -63,6 +63,27 @@ struct RequestStatus {
   bool ok() const noexcept { return code == StatusCode::kOk; }
 };
 
+/// Counts one request of status `c` into a stats record's ok / shed /
+/// deadline_exceeded / failed counters. A record without `shed` (per-shard
+/// stats only see placed requests) has nothing to count for kShed.
+template <typename Stats>
+void count_status(Stats& st, StatusCode c) {
+  switch (c) {
+    case StatusCode::kOk:
+      ++st.ok;
+      return;
+    case StatusCode::kShed:
+      if constexpr (requires { st.shed; }) ++st.shed;
+      return;
+    case StatusCode::kDeadlineExceeded:
+      ++st.deadline_exceeded;
+      return;
+    case StatusCode::kFailed:
+      ++st.failed;
+      return;
+  }
+}
+
 /// Aggregate outcome of one batch of independent requests.
 struct BatchSummary {
   /// Per-request results, in input order. A request that did not reach kOk

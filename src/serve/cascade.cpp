@@ -58,24 +58,9 @@ void finalize_cascade_summary(CascadeSummary& summary,
   }
 
   for (const CascadeRequestResult& rr : summary.results) {
-    switch (rr.status.code) {
-      case StatusCode::kOk:
-        ++summary.ok;
-        if (rr.gated_out) {
-          ++summary.gated_out;
-        } else {
-          ++summary.full_runs;
-        }
-        break;
-      case StatusCode::kShed:
-        ++summary.shed;
-        break;
-      case StatusCode::kDeadlineExceeded:
-        ++summary.deadline_exceeded;
-        break;
-      case StatusCode::kFailed:
-        ++summary.failed;
-        break;
+    count_status(summary, rr.status.code);
+    if (rr.status.ok()) {
+      ++(rr.gated_out ? summary.gated_out : summary.full_runs);
     }
     for (std::size_t s = 0; s < rr.stages.size() && s < nstages; ++s) {
       const StageOutcome& so = rr.stages[s];
@@ -83,33 +68,18 @@ void finalize_cascade_summary(CascadeSummary& summary,
       ++st.entered;
       st.retries += so.retries;
       summary.retries += so.retries;
-      switch (so.status.code) {
-        case StatusCode::kOk:
-          ++st.ok;
-          ok_latency[s].push_back(so.latency_ms);
-          st.max_ms = std::max(st.max_ms, so.latency_ms);
-          if (so.gate_passed) {
-            ++st.gate_passed;
-          } else if (rr.status.ok()) {
-            // Ok stage whose gate did not advance the request: either the
-            // gate stopped it (non-final stage) or it is the final stage of
-            // a full run — only the former counts as a gate stop.
-            if (s + 1 < nstages && rr.gated_out &&
-                s + 1 == rr.stages.size()) {
-              ++st.gate_stopped;
-            }
-          }
-          if (so.reused_planes) ++st.reused_planes;
-          break;
-        case StatusCode::kShed:
-          ++st.shed;
-          break;
-        case StatusCode::kDeadlineExceeded:
-          ++st.deadline_exceeded;
-          break;
-        case StatusCode::kFailed:
-          ++st.failed;
-          break;
+      count_status(st, so.status.code);
+      if (!so.status.ok()) continue;
+      ok_latency[s].push_back(so.latency_ms);
+      st.max_ms = std::max(st.max_ms, so.latency_ms);
+      if (so.reused_planes) ++st.reused_planes;
+      if (so.gate_passed) {
+        ++st.gate_passed;
+      } else if (s + 1 < nstages && rr.gated_out &&
+                 s + 1 == rr.stages.size()) {
+        // An Ok non-final stage whose gate did not advance the request, on
+        // a request the gate completed early: the gate stopped it here.
+        ++st.gate_stopped;
       }
     }
   }

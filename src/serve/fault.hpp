@@ -11,7 +11,7 @@
 // bit-identical shed/retry/failure counts on 1 worker or 16, run after run
 // (tests/test_model_server.cpp).
 //
-// The plan is threaded through ModelServer's seams (model_server.hpp):
+// The plan is threaded through the serving scheduler's seams (scheduler.hpp):
 //   - transient_fault(request, attempt): the attempt observes a transient
 //     device/session failure; the server retries with backoff.
 //   - latency_spike_ms(request, attempt): extra virtual milliseconds the

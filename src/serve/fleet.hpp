@@ -4,47 +4,29 @@
 // pairing an oclsim device profile (Adreno-class tiers with distinct RAM
 // budgets) with its OWN Device + Engine, its own per-profile artifact
 // repository (fed by `pbc compile-fleet`, one .pba per profile) and its own
-// ModelServer-style simulated lane set. This is the sharding leg of the
-// ROADMAP north star: the request stream of millions of users does not fit
-// one device, so requests are PLACED across a fleet of unequal devices.
-//
-// Placement is cost-model aware. For every request the fleet scores each
-// candidate shard (a shard serving the request's model at the right shape):
+// set of simulated lanes. Requests are PLACED across the fleet:
 //
 //   score(shard) = modeled_ms(plan on shard's profile)
 //                + wait_weight * max(0, shard_lane_free - now)
 //
-// i.e. how long THIS device would take, plus how long the request would
-// wait for one of the shard's lanes. Big inputs route to big devices
-// because the first term grows fastest on weak profiles; a loaded flagship
-// loses to an idle mid-tier once its queue passes the speed gap. Shards are
-// tried best-score-first; a full shard (admission queue at its watermark)
-// spills the request to the next candidate — reject-to-next-shard before
-// rejecting the user — and only when EVERY candidate is full is the request
-// shed.
+// Big inputs route to big devices because the first term grows fastest on
+// weak profiles; a loaded flagship loses to an idle mid-tier once its queue
+// passes the speed gap. Shards are tried best-score-first; a full shard
+// spills the request to the next candidate, and only when EVERY candidate
+// is full is the request shed. The modeled term comes from one probe
+// forward whose kernel event log oclsim::replay_modeled_ms re-prices for
+// every profile (exactly — a KernelCost is geometry-pure, runtime.hpp).
 //
-// The modeled-latency term needs the plan's cost on every profile WITHOUT
-// standing up a live run per shard: one probe forward on the lowest-index
-// shard holding the model records the kernel event log, and
-// oclsim::replay_modeled_ms re-prices that log for each shard's profile
-// (exactly — a KernelCost is geometry-pure, see runtime.hpp). One probe per
-// (model, shape) covers the whole fleet.
-//
-// DETERMINISM extends DESIGN.md §9 to multiple shards: placement, spill,
-// shed, deadline and retry verdicts all run in virtual time against the
-// per-shard lane heaps, so the per-shard assignment histogram and every
-// count are bit-identical across runs and real worker counts (asserted by
-// tests/test_fleet.cpp's soak and the `pbc fleet-check` smoke). Real
-// forwards then execute per shard, per model version, through the same
-// zero-compile / zero-allocation BatchRunner path as a single server —
-// outputs are bit-exact across profiles because oclsim kernels do real
-// host arithmetic; only the modeled clock differs.
+// The walk is serve::Scheduler (scheduler.hpp), the same one ModelServer
+// runs with one shard, so placement, spill, shed, deadline and retry
+// verdicts are virtual-time decisions, bit-identical across runs and real
+// worker counts (tests/test_fleet.cpp's soak, `pbc fleet-check`). Outputs
+// are bit-exact across profiles because oclsim kernels do real host
+// arithmetic; only the modeled clock differs.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -140,6 +122,9 @@ struct FleetSummary {
   std::vector<int> assignment;
 };
 
+class Repository;
+class Scheduler;
+
 /// The fleet control plane. Construction builds every shard's Device +
 /// Engine; load_model_on/swap_model_on manage the per-shard repositories
 /// (thread-safe, also against a concurrent run()); run() places and serves
@@ -148,8 +133,9 @@ class FleetServer {
  public:
   explicit FleetServer(FleetConfig config, FaultPlan faults = {},
                        std::string name = {});
+  ~FleetServer();
 
-  int shard_count() const noexcept { return static_cast<int>(shards_.size()); }
+  int shard_count() const noexcept { return static_cast<int>(specs_.size()); }
   const FleetConfig& config() const noexcept { return config_; }
   const FaultPlan& faults() const noexcept { return faults_; }
   const std::string& name() const noexcept { return name_; }
@@ -187,18 +173,17 @@ class FleetServer {
   /// Serves a workload trace: deterministic virtual-time placement across
   /// the shards, then parallel per-shard execution of the admitted
   /// requests. One run() at a time per fleet (concurrent calls throw);
-  /// swap_model_on from OTHER threads stays legal.
+  /// swap_model_on from another thread takes effect from the next run().
   FleetSummary run(std::vector<Request> workload);
 
   /// Serves a workload trace through a model CASCADE across the fleet
   /// (cascade.hpp, DESIGN.md §13): every stage of a request is placed
   /// INDEPENDENTLY — stage N+1 may land on a different shard than stage N —
-  /// by the same cost-plus-wait score as run(), with one cascade twist:
-  /// once a stage has filled the request's input plane cache on a shard,
-  /// that shard prices later stages at the split-skipped (reuse) cost, so
-  /// reuse affinity emerges from scoring instead of being hard-wired. The
-  /// deadline budget spans all stages from the original arrival, and the
-  /// per-(stage, shard) placement histogram (CascadeSummary::
+  /// by the same cost-plus-wait score as run(), except that the shard
+  /// holding the request's filled input planes prices later stages at the
+  /// split-skipped (reuse) cost, so reuse affinity emerges from scoring.
+  /// The deadline budget spans all stages from the original arrival, and
+  /// the per-(stage, shard) placement histogram (CascadeSummary::
   /// stage_assignment) is bit-identical across exec_workers. Requests'
   /// `model` fields are ignored (the spec routes).
   CascadeSummary run_cascade(const CascadeSpec& spec,
@@ -214,77 +199,13 @@ class FleetServer {
   int total_arena_growth_events() const;
 
  private:
-  /// One per-shard repository entry (ModelServer::Entry shape).
-  struct Entry {
-    std::string model;
-    std::shared_ptr<const artifact::LoadedArtifact> artifact;
-    std::shared_ptr<BatchRunner> runner;
-    std::uint64_t version = 0;
-  };
-
-  /// A shard: the simulated phone, its engine, its repository and its
-  /// probe session (lazily minted for cost probes).
-  struct Shard {
-    ShardSpec spec;
-    oclsim::DeviceProfile profile;
-    std::shared_ptr<oclsim::Device> device;
-    std::unique_ptr<core::Engine> engine;
-    std::vector<Entry> repo;
-    std::unique_ptr<core::ExecSession> probe;
-  };
-
-  /// Snapshot of one shard's entry taken under the repository lock.
-  struct Snapshot {
-    std::shared_ptr<const artifact::LoadedArtifact> artifact;
-    std::shared_ptr<BatchRunner> runner;
-    std::uint64_t version = 0;
-  };
-
-  Shard& shard_at(int shard);
-  const Shard& shard_at(int shard) const;
-  Entry* find_entry(Shard& s, const std::string& model);
-  const Entry* find_entry(const Shard& s, const std::string& model) const;
-  Snapshot snapshot(int shard, const std::string& model) const;
-
-  /// Loads + validates `path` for shard `shard` (fault seam + that shard's
-  /// profile validation). Consumes one fleet-wide load-sequence number for
-  /// FaultPlan::artifact_load_fails. Caller holds repo_mu_.
-  std::shared_ptr<const artifact::LoadedArtifact> checked_load(
-      int shard, const std::string& path);
-
   const FleetConfig config_;
   const FaultPlan faults_;
   const std::string name_;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-
-  mutable std::mutex repo_mu_;
-  std::uint64_t load_seq_ = 0;  ///< fleet-wide load attempts (fault keying)
-
-  /// Probe cache (caller-thread only; guarded by one-run-at-a-time).
-  struct ProbeEntry {
-    const void* plan = nullptr;
-    core::BlobDesc desc{};
-    std::vector<double> per_shard_ms;
-  };
-  std::vector<ProbeEntry> probe_cache_;
-
-  /// Cascade pricing across profiles: the probe shard runs a FILL forward
-  /// (empty plane cache — same cost as plain) and, when the plan is
-  /// cache-active, a REUSE forward (filled cache, split skipped); both
-  /// event logs replay per profile, giving every shard's plain and reuse
-  /// cost from one probe pair.
-  struct CascadeProbeEntry {
-    const void* plan = nullptr;
-    core::BlobDesc desc{};
-    std::vector<double> plain_ms;  ///< per shard
-    std::vector<double> reuse_ms;  ///< per shard
-    bool cache_active = false;
-    ConvGeometry planes_geom{};  ///< key the filled cache holds
-  };
-  std::vector<CascadeProbeEntry> cascade_probe_cache_;
-
-  std::atomic<bool> running_{false};
+  std::vector<ShardSpec> specs_;  ///< names defaulted
+  std::vector<std::unique_ptr<core::Engine>> engines_;
+  std::unique_ptr<Repository> repo_;
+  std::unique_ptr<Scheduler> scheduler_;
 };
 
 }  // namespace phonebit::serve

@@ -4,43 +4,35 @@
 // of loaded .pba artifacts keyed by model name, fronted by admission
 // control (bounded queue with load shedding), per-request deadlines,
 // bounded retry-with-backoff for transient faults, and atomic artifact
-// hot-swap on a live server. Underneath, every admitted request executes
-// through a per-model-version BatchRunner (batch_runner.hpp), so the
-// zero-compile / zero-allocation artifact serving path is unchanged.
+// hot-swap on a live server. Every admitted request executes through a
+// per-model-version BatchRunner (batch_runner.hpp), so the zero-compile /
+// zero-allocation artifact serving path is unchanged.
 //
 // Failure is a value: every submitted request comes back with exactly one
 // RequestStatus — Ok, Shed (rejected at admission, never executed),
 // DeadlineExceeded (past its budget before execution could complete), or
 // Failed{error} (bad input, exhausted retries). Nothing is lost and one
-// poisoned request never destroys its neighbors.
+// poisoned request never costs its neighbors anything.
 //
-// DETERMINISM is the design's organizing trick (DESIGN.md §9): admission,
-// deadline, retry and shed decisions run against VIRTUAL time — the
-// workload's arrival timestamps plus the engine's deterministic modeled
-// device latencies — on a fixed number of simulated service lanes
-// (`ServerConfig::lanes`), not against host wall time. The modeled latency
-// of a plan depends only on geometry, so the entire decision sequence is a
-// pure function of (workload, config, fault plan): the same seed and trace
-// produce bit-identical shed/retry/failure counts whether real execution
-// uses 1 worker or 16, run after run. Real forwards then execute in
-// parallel for the requests that were admitted — requests that were shed
-// or expired are never executed at all.
+// Decisions run in VIRTUAL time (DESIGN.md §9): the trace's arrival
+// timestamps plus the plans' deterministic modeled latencies, drained by
+// `ServerConfig::lanes` simulated lanes, so every shed/deadline/retry
+// verdict is a pure function of (workload, config, fault plan) and
+// bit-identical for any exec_workers. Only admitted requests then execute
+// for real. The walk itself is serve::Scheduler (scheduler.hpp), shared
+// with FleetServer: a ModelServer is a one-shard fleet over its engine.
 //
-// Hot-swap lifecycle: swap_model loads + validates the incoming artifact
-// FIRST; only a fully validated artifact replaces the repository entry
-// (version bump, fresh BatchRunner). A corrupt or over-budget artifact
-// throws and the old model keeps serving — rollback is the no-op. Requests
-// capture a shared_ptr to their artifact at dispatch, so in-flight work
-// finishes on the old plan while new requests route to the new one; every
-// request runs against exactly one plan version, never a mix. Scheduled
-// SwapEvents inside a run() trace apply at a virtual timestamp, making the
-// version served per request deterministic too.
+// Hot-swap: swap_model loads + validates FIRST, so a corrupt or over-budget
+// artifact throws and the old model keeps serving. Requests hold their
+// artifact from routing to completion, so in-flight work finishes on the
+// old plan and every request runs against exactly one version. Scheduled
+// SwapEvents commit when run() starts and take effect at their virtual
+// timestamps; a swap_model from another thread during a run() takes effect
+// from the next run().
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -79,7 +71,9 @@ struct RequestResult {
 
   int attempts = 0;  ///< execution attempts accounted (1 + retries), 0 if shed
   int retries = 0;   ///< retries consumed by injected transient faults
-  std::uint64_t plan_version = 0;  ///< model version that served (or shed) it
+  /// Model version that served it; a shed request reports the version it
+  /// arrived under.
+  std::uint64_t plan_version = 0;
   double queue_ms = 0.0;    ///< virtual wait between arrival and dispatch
   double latency_ms = 0.0;  ///< virtual end-to-end latency (0 when shed)
 };
@@ -140,6 +134,9 @@ struct ServerConfig {
   double default_deadline_ms = 0.0;  ///< 0 = requests have no deadline
 };
 
+class Repository;
+class Scheduler;
+
 /// The multi-model serving control plane. One server fronts one Engine;
 /// load_model/swap_model manage the artifact repository (thread-safe, also
 /// against a concurrent run()), run() serves a workload trace.
@@ -147,6 +144,7 @@ class ModelServer {
  public:
   explicit ModelServer(core::Engine& engine, ServerConfig config = {},
                        FaultPlan faults = {}, std::string name = {});
+  ~ModelServer();
 
   /// Loads the .pba at `path` into the repository as `name` (version 1).
   /// Subject to FaultPlan::artifact_load_fails and the engine's device
@@ -157,7 +155,6 @@ class ModelServer {
   /// Atomic hot-swap: load + validate the artifact at `path`, then replace
   /// `name`'s entry (version + 1). On load failure the exception escapes
   /// and the OLD artifact keeps serving — a swap is all-or-nothing.
-  /// In-flight requests hold their dispatch-time artifact and finish on it.
   void swap_model(const std::string& name, const std::string& path);
 
   /// Current version of `name` (1 = initial load), 0 if not loaded.
@@ -170,20 +167,19 @@ class ModelServer {
   /// decisions in virtual time, then parallel execution of the admitted
   /// requests. `swaps` schedules hot-swaps at virtual timestamps inside
   /// the trace. One run() at a time per server (concurrent calls throw,
-  /// naming the server); swap_model from OTHER threads stays legal.
+  /// naming the server).
   ServerSummary run(std::vector<Request> workload,
                     std::vector<SwapEvent> swaps = {});
 
   /// Serves a workload trace through a model CASCADE (cascade.hpp,
   /// DESIGN.md §13): each request walks `spec`'s stages in order, every
   /// stage consuming the request's ORIGINAL input; a stage's gate decides
-  /// whether the next stage runs. Stage decisions use the same virtual-time
-  /// machinery as run() — per-stage shed/deadline/retry counts are
-  /// bit-identical across exec_workers — and a request's deadline budget
-  /// spans ALL its stages, measured from its original arrival. `swaps`
-  /// schedules per-stage hot-swaps at virtual timestamps: a stage resolves
-  /// its artifact at dispatch, so one stage swapping never drains the
-  /// cascade. Requests' `model` fields are ignored (the spec routes).
+  /// whether the next stage runs. Stage decisions are the same virtual-time
+  /// walk as run(), bit-identical across exec_workers; a request's
+  /// deadline budget spans ALL its stages, measured from its original
+  /// arrival, and each stage resolves its artifact at its own dispatch
+  /// time, so one stage swapping never drains the cascade. Requests'
+  /// `model` fields are ignored (the spec routes).
   CascadeSummary run_cascade(const CascadeSpec& spec,
                              std::vector<Request> workload,
                              std::vector<SwapEvent> swaps = {});
@@ -193,78 +189,11 @@ class ModelServer {
   const std::string& name() const noexcept { return name_; }
 
  private:
-  /// One repository entry: the loaded artifact, the runner bound to it,
-  /// and the version counter. Runners are shared_ptr so a swap can replace
-  /// the entry while an older runner finishes its in-flight batch.
-  struct Entry {
-    std::string model;
-    std::shared_ptr<const artifact::LoadedArtifact> artifact;
-    std::shared_ptr<BatchRunner> runner;
-    std::uint64_t version = 0;
-  };
-
-  /// Snapshot of an entry taken under the repository lock at dispatch.
-  struct Snapshot {
-    std::shared_ptr<const artifact::LoadedArtifact> artifact;
-    std::shared_ptr<BatchRunner> runner;
-    std::uint64_t version = 0;
-  };
-
-  Entry* find_entry(const std::string& model);
-  const Entry* find_entry(const std::string& model) const;
-  Snapshot snapshot(const std::string& model) const;
-
-  /// Loads + validates `path` (fault seam + device validation). Each call
-  /// consumes one load-sequence number for FaultPlan::artifact_load_fails.
-  std::shared_ptr<const artifact::LoadedArtifact> checked_load(
-      const std::string& path);
-
-  /// Modeled device latency of one forward of `input` through `snap`'s
-  /// plan — geometry-deterministic, measured once per (artifact, desc) on
-  /// the probe session and cached.
-  double modeled_ms_for(const Snapshot& snap, const core::Blob& input);
-
-  core::Engine& engine_;
   const ServerConfig config_;
   const FaultPlan faults_;
   const std::string name_;
-
-  mutable std::mutex repo_mu_;
-  std::vector<Entry> repo_;
-  std::uint64_t load_seq_ = 0;  ///< artifact loads attempted (fault keying)
-
-  /// Probe session + modeled-latency cache (caller-thread only; guarded by
-  /// the one-run-at-a-time contract).
-  std::unique_ptr<core::ExecSession> probe_;
-  struct ProbeEntry {
-    const void* plan = nullptr;
-    core::BlobDesc desc{};
-    double modeled_ms = 0.0;
-  };
-  std::vector<ProbeEntry> probe_cache_;
-
-  /// Cascade pricing (DESIGN.md §13): a stage costs `plain_ms` on a cold
-  /// request and `reuse_ms` when the request already carries filled input
-  /// planes under this plan's conv1 geometry (the split kernel is
-  /// skipped). `cache_active` records whether this plan participates in
-  /// plane caching at all (interior-split input conv) — measured once per
-  /// (plan, desc) by probing twice: a fill run against an empty cache,
-  /// then a reuse run against the filled one.
-  struct CascadeProbeEntry {
-    const void* plan = nullptr;
-    core::BlobDesc desc{};
-    double plain_ms = 0.0;
-    double reuse_ms = 0.0;
-    bool cache_active = false;
-    /// Conv geometry the plan's filled cache is keyed on; a request's
-    /// planes price at reuse_ms only when they were filled under it.
-    ConvGeometry planes_geom{};
-  };
-  std::vector<CascadeProbeEntry> cascade_probe_cache_;
-  const CascadeProbeEntry& cascade_probe(const Snapshot& snap,
-                                         const core::Blob& input);
-
-  std::atomic<bool> running_{false};
+  std::unique_ptr<Repository> repo_;
+  std::unique_ptr<Scheduler> scheduler_;
 };
 
 }  // namespace phonebit::serve

@@ -4,8 +4,8 @@
 // admission/deadline/retry/placement decision against VIRTUAL time: arrival
 // timestamps from the workload trace plus geometry-deterministic modeled
 // latencies, draining through a fixed number of simulated service lanes.
-// These helpers are that machinery, shared by BatchRunner, ModelServer and
-// FleetServer so single-server and fleet placement agree on one clock.
+// These helpers are that machinery; serve::Scheduler (scheduler.hpp) runs
+// the one walk that uses them for every serving entry point.
 #pragma once
 
 #include <algorithm>

@@ -617,6 +617,34 @@ TEST_F(CascadeTest, FleetReuseAffinityKeepsLaterStagesOnHomeShard) {
 // 8. The deterministic cascade soak (the `cascade_soak` ctest).
 // ---------------------------------------------------------------------------
 
+/// 1050 requests: steady traffic tight enough to queue every tier, two
+/// overload bursts, a tail that drains (the fleet_soak trace shape).
+std::vector<Request> cascade_soak_trace() {
+  auto steady_req = [](int n, std::uint64_t seed, double gap,
+                       double start) {
+    std::vector<Request> w;
+    for (int i = 0; i < n; ++i) {
+      Request r;
+      r.input = core::Blob{
+          datasets::cifar_like_image(seed + static_cast<std::uint64_t>(i))};
+      r.arrival_ms = start + gap * i;
+      w.push_back(std::move(r));
+    }
+    return w;
+  };
+  std::vector<Request> w = steady_req(800, 1000, 0.3, 0.0);
+  for (Request& r : steady_req(120, 3000, 0.0, 110.0)) {
+    w.push_back(std::move(r));  // burst 1
+  }
+  for (Request& r : steady_req(80, 4000, 0.0, 290.0)) {
+    w.push_back(std::move(r));  // burst 2
+  }
+  for (Request& r : steady_req(50, 5000, 2.0, 440.0)) {
+    w.push_back(std::move(r));  // drain tail
+  }
+  return w;
+}
+
 CascadeSummary cascade_soak_once(const std::vector<std::string>& det_paths,
                                  const std::vector<std::string>& cls_paths,
                                  float threshold, int exec_workers) {
@@ -641,36 +669,11 @@ CascadeSummary cascade_soak_once(const std::vector<std::string>& det_paths,
   fleet.load_model("det", det_paths);
   fleet.load_model("cls", cls_paths);
 
-  // 1050 requests: steady traffic tight enough to queue every tier, two
-  // overload bursts, a tail that drains (the fleet_soak trace shape).
-  auto steady_req = [](int n, std::uint64_t seed, double gap,
-                       double start) {
-    std::vector<Request> w;
-    for (int i = 0; i < n; ++i) {
-      Request r;
-      r.input = core::Blob{
-          datasets::cifar_like_image(seed + static_cast<std::uint64_t>(i))};
-      r.arrival_ms = start + gap * i;
-      w.push_back(std::move(r));
-    }
-    return w;
-  };
-  std::vector<Request> w = steady_req(800, 1000, 0.3, 0.0);
-  for (Request& r : steady_req(120, 3000, 0.0, 110.0)) {
-    w.push_back(std::move(r));  // burst 1
-  }
-  for (Request& r : steady_req(80, 4000, 0.0, 290.0)) {
-    w.push_back(std::move(r));  // burst 2
-  }
-  for (Request& r : steady_req(50, 5000, 2.0, 440.0)) {
-    w.push_back(std::move(r));  // drain tail
-  }
-
   CascadeSpec spec;
   spec.name = "soak";
   spec.stages.push_back(CascadeStageSpec{"det", gate_max_at_least(threshold)});
   spec.stages.push_back(CascadeStageSpec{"cls", StageGate{}});
-  return fleet.run_cascade(spec, std::move(w));
+  return fleet.run_cascade(spec, cascade_soak_trace());
 }
 
 TEST_F(CascadeTest, SoakStagePlacementIsBitIdenticalAcrossWorkerCounts) {
@@ -690,6 +693,8 @@ TEST_F(CascadeTest, SoakStagePlacementIsBitIdenticalAcrossWorkerCounts) {
       cascade_soak_once(det_paths, cls_paths, threshold, 1);
   expect_nothing_lost(s1);
   ASSERT_EQ(s1.requests, 1050);
+  EXPECT_TRUE(testing::serving_invariants(
+      s1, testing::arrivals_of(cascade_soak_trace()), /*lanes=*/2));
   EXPECT_GT(s1.ok, 0);
   EXPECT_GT(s1.shed, 0);
   EXPECT_GT(s1.retries, 0);

@@ -262,6 +262,76 @@ TEST_F(FleetTest, ModelMissingEverywhereFailsAsValue) {
             std::string::npos);
 }
 
+// A ModelServer is a one-shard fleet: the same faulted trace, with a burst
+// and per-request deadlines, served by a ModelServer on an sd855 engine and
+// by a one-shard sd855 fleet with the same knobs reaches the same verdict,
+// with the same virtual timing, for every request.
+TEST_F(FleetTest, ModelServerBehavesAsOneShardFleet) {
+  const std::string art = save_quicknet("one_shard", 105);
+  const auto trace = [] {
+    std::vector<Request> w = steady("qn", 240, 1100, 0.4);
+    for (Request& r : steady("qn", 120, 1400, 0.0, 40.0)) {
+      w.push_back(std::move(r));  // burst
+    }
+    for (std::size_t i = 0; i < w.size(); i += 3) w[i].deadline_ms = 2.5;
+    return w;
+  };
+  FaultPlan faults;
+  faults.seed = 0x5EED;
+  faults.transient_rate = 0.1;
+  faults.spike_rate = 0.08;
+  faults.spike_ms = 1.5;
+
+  serve::ServerConfig scfg;
+  scfg.exec_workers = 2;
+  scfg.lanes = 2;
+  scfg.queue_limit = 6;
+  scfg.max_retries = 2;
+  scfg.retry_backoff_ms = 0.5;
+  serve::ModelServer server(*engine_, scfg, faults);
+  server.load_model("qn", art);
+  ASSERT_EQ(engine_->device().profile().soc_name,
+            oclsim::profile_by_name("sd855").soc_name);
+
+  FleetConfig fcfg;
+  fcfg.shards.push_back(ShardSpec{"solo", "sd855", 2});
+  fcfg.exec_workers = scfg.exec_workers;
+  fcfg.lanes_per_shard = scfg.lanes;
+  fcfg.queue_limit = scfg.queue_limit;
+  fcfg.max_retries = scfg.max_retries;
+  fcfg.retry_backoff_ms = scfg.retry_backoff_ms;
+  FleetServer fleet(fcfg, faults);
+  fleet.load_model("qn", {art});
+
+  const serve::ServerSummary a = server.run(trace());
+  const FleetSummary b = fleet.run(trace());
+  const std::vector<double> arrivals = testing::arrivals_of(trace());
+  EXPECT_TRUE(testing::serving_invariants(a, arrivals, scfg.lanes));
+  EXPECT_TRUE(testing::serving_invariants(b, arrivals, scfg.lanes));
+  // The trace exercises every decision the two must agree on.
+  EXPECT_GT(a.ok, 0);
+  EXPECT_GT(a.shed, 0);
+  EXPECT_GT(a.deadline_exceeded, 0);
+  EXPECT_GT(a.retries, 0);
+
+  EXPECT_EQ(a.max_queue_depth, b.shards[0].max_queue_depth);
+  ASSERT_EQ(a.results.size(), b.results.size());
+  for (std::size_t i = 0; i < a.results.size(); ++i) {
+    const auto& x = a.results[i];
+    const auto& y = b.results[i];
+    ASSERT_EQ(x.status.code, y.status.code) << "request " << i;
+    EXPECT_EQ(x.attempts, y.attempts) << "request " << i;
+    EXPECT_EQ(x.retries, y.retries) << "request " << i;
+    EXPECT_EQ(x.plan_version, y.plan_version) << "request " << i;
+    EXPECT_EQ(x.queue_ms, y.queue_ms) << "request " << i;
+    EXPECT_EQ(x.latency_ms, y.latency_ms) << "request " << i;
+    if (x.status.ok()) {
+      EXPECT_TRUE(testing::expect_bitexact(x.result, y.result))
+          << "request " << i;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // 3. Per-profile correctness: outputs are profile-invariant, zoo-wide.
 // ---------------------------------------------------------------------------
@@ -479,6 +549,22 @@ TEST_F(FleetTest, WarmFleetServesWithZeroCompilesAndZeroAllocGrowth) {
 // 6. The deterministic soak (the `fleet_soak` ctest).
 // ---------------------------------------------------------------------------
 
+/// 1050 requests: steady traffic tight enough to queue every tier, two
+/// overload bursts, a tail that drains.
+std::vector<Request> soak_trace() {
+  std::vector<Request> w = steady("qn", 800, 1000, 0.3);
+  for (Request& r : steady("qn", 120, 3000, 0.0, 110.0)) {
+    w.push_back(std::move(r));  // burst 1
+  }
+  for (Request& r : steady("qn", 80, 4000, 0.0, 290.0)) {
+    w.push_back(std::move(r));  // burst 2
+  }
+  for (Request& r : steady("qn", 50, 5000, 2.0, 440.0)) {
+    w.push_back(std::move(r));  // drain tail
+  }
+  return w;
+}
+
 FleetSummary soak_once(const std::vector<std::string>& paths,
                        int exec_workers) {
   FleetConfig cfg;
@@ -500,20 +586,7 @@ FleetSummary soak_once(const std::vector<std::string>& paths,
 
   FleetServer fleet(cfg, faults, "soak");
   fleet.load_model("qn", paths);
-
-  // 1050 requests: steady traffic tight enough to queue every tier, two
-  // overload bursts, a tail that drains.
-  std::vector<Request> w = steady("qn", 800, 1000, 0.3);
-  for (Request& r : steady("qn", 120, 3000, 0.0, 110.0)) {
-    w.push_back(std::move(r));  // burst 1
-  }
-  for (Request& r : steady("qn", 80, 4000, 0.0, 290.0)) {
-    w.push_back(std::move(r));  // burst 2
-  }
-  for (Request& r : steady("qn", 50, 5000, 2.0, 440.0)) {
-    w.push_back(std::move(r));  // drain tail
-  }
-  return fleet.run(std::move(w));
+  return fleet.run(soak_trace());
 }
 
 TEST_F(FleetTest, SoakPlacementIsBitIdenticalAcrossWorkerCounts) {
@@ -525,6 +598,8 @@ TEST_F(FleetTest, SoakPlacementIsBitIdenticalAcrossWorkerCounts) {
   const FleetSummary s1 = soak_once(paths, 1);
   expect_nothing_lost(s1);
   ASSERT_EQ(s1.requests, 1050);
+  EXPECT_TRUE(testing::serving_invariants(
+      s1, testing::arrivals_of(soak_trace()), /*lanes=*/2));
   EXPECT_GT(s1.ok, 0);
   EXPECT_GT(s1.shed, 0);
   EXPECT_GT(s1.retries, 0);

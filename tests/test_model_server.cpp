@@ -202,6 +202,42 @@ TEST_F(ModelServerTest, BadRequestsFailAsValuesNotExceptions) {
   EXPECT_TRUE(summary.results[3].status.ok());
 }
 
+// A wrong-shape request fails before admission: it takes no queue slot,
+// waits no virtual time and cannot expire. One lane, two queue slots, four
+// arrivals at t=0: [valid, 16x16, 16x16 with a tiny deadline, valid]. If
+// the bad requests queued, request 3 would find the queue full and shed.
+TEST_F(ModelServerTest, WrongShapeRequestTakesNoAdmissionSlot) {
+  ServerConfig cfg;
+  cfg.lanes = 1;
+  cfg.queue_limit = 2;
+  ModelServer server(*engine_, cfg);
+  server.load_model("q", path_v1_);
+
+  std::vector<Request> w = steady("q", 4, 250, 0.0);
+  w[1].input = core::Blob{datasets::random_image(Shape{1, 16, 16, 3}, 8)};
+  w[2].input = core::Blob{datasets::random_image(Shape{1, 16, 16, 3}, 9)};
+  w[2].deadline_ms = 0.1;
+  const std::vector<double> arrivals = testing::arrivals_of(w);
+  const auto summary = server.run(std::move(w));
+  expect_nothing_lost(summary);
+  EXPECT_TRUE(testing::serving_invariants(summary, arrivals, cfg.lanes));
+  EXPECT_EQ(summary.ok, 2);
+  EXPECT_EQ(summary.failed, 2);
+  EXPECT_EQ(summary.shed, 0);
+  EXPECT_EQ(summary.deadline_exceeded, 0);
+  for (const int i : {1, 2}) {
+    const auto& rr = summary.results[static_cast<std::size_t>(i)];
+    EXPECT_EQ(rr.status.code, StatusCode::kFailed) << i;
+    EXPECT_NE(rr.status.error.find("serves"), std::string::npos) << i;
+    EXPECT_EQ(rr.queue_ms, 0.0) << i;
+    EXPECT_EQ(rr.latency_ms, 0.0) << i;
+    EXPECT_EQ(rr.attempts, 0) << i;
+  }
+  EXPECT_TRUE(summary.results[3].status.ok());
+  EXPECT_GT(summary.results[3].queue_ms, 0.0);  // it waited for request 0
+  EXPECT_EQ(summary.max_queue_depth, 1);
+}
+
 // ---------------------------------------------------------------------------
 // Admission control: load shedding and deadlines.
 // ---------------------------------------------------------------------------
@@ -458,6 +494,49 @@ TEST_F(ModelServerTest, ScheduledHotSwapRoutesNewRequestsToTheNewPlan) {
   EXPECT_GT(v2, 0);
 }
 
+// Every decision resolves its artifact at its own virtual time. One lane,
+// one queue slot, arrivals at 0, 0 and 0.1, a swap at 0.3: request 1 waits
+// for the lane past the swap and serves v2, while request 2 is shed at
+// t=0.1 and must report v1 — the version it arrived under — no matter that
+// an earlier request's dispatch already passed the swap. A one-stage
+// cascade of the same trace reports the same versions.
+TEST_F(ModelServerTest, ShedRequestReportsTheVersionItArrivedUnder) {
+  ASSERT_GT(clean_latency_ms(), 0.3) << "request 1 must dispatch after 0.3";
+  ServerConfig cfg;
+  cfg.lanes = 1;
+  cfg.queue_limit = 1;
+  const auto trace = [] {
+    std::vector<Request> w = steady("q", 3, 260, 0.0);
+    w[2].arrival_ms = 0.1;
+    return w;
+  };
+  const std::vector<SwapEvent> swaps{SwapEvent{0.3, "q", path_v2_}};
+
+  ModelServer server(*engine_, cfg);
+  server.load_model("q", path_v1_);
+  const auto s = server.run(trace(), swaps);
+  expect_nothing_lost(s);
+  EXPECT_EQ(s.results[0].status.code, StatusCode::kOk);
+  EXPECT_EQ(s.results[1].status.code, StatusCode::kOk);
+  ASSERT_EQ(s.results[2].status.code, StatusCode::kShed);
+  EXPECT_EQ(s.results[0].plan_version, 1u);
+  EXPECT_EQ(s.results[1].plan_version, 2u);
+  EXPECT_EQ(s.results[2].plan_version, 1u);
+
+  ModelServer twin(*engine_, cfg);
+  twin.load_model("q", path_v1_);
+  serve::CascadeSpec solo;
+  solo.name = "solo";
+  solo.stages.push_back(serve::CascadeStageSpec{"q", serve::StageGate{}});
+  const serve::CascadeSummary c = twin.run_cascade(solo, trace(), swaps);
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(c.results[i].stages.size(), 1u);
+    EXPECT_EQ(c.results[i].status.code, s.results[i].status.code) << i;
+    EXPECT_EQ(c.results[i].stages[0].plan_version, s.results[i].plan_version)
+        << i;
+  }
+}
+
 TEST_F(ModelServerTest, ConcurrentSwapMidRunNeverMixesPlanVersions) {
   ServerConfig cfg;
   cfg.queue_limit = 1000;
@@ -584,6 +663,8 @@ TEST_F(ModelServerTest, FaultInjectionSoakIsAccountedDeterministicBitExact) {
   const ServerSummary base = serve_once(4, faults);
   expect_nothing_lost(base);
   EXPECT_EQ(base.requests, 1050);
+  EXPECT_TRUE(testing::serving_invariants(
+      base, testing::arrivals_of(make_workload()), /*lanes=*/4));
 
   // The soak exercises every status class and both plan versions.
   EXPECT_GT(base.ok, 0);

@@ -3,6 +3,7 @@
 // steady-state device-memory growth).
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -177,7 +178,11 @@ TEST(Session, ConcurrentForwardsBitExactAndZeroGrowth) {
     serial.push_back(net.forward_float(ctx, images[i]));
   }
 
-  auto run_round = [&](std::vector<FloatTensor>& out) {
+  // `all_alive` (optional) holds every thread's first session alive at
+  // one point, so the round reaches peak session concurrency whatever the
+  // thread timing.
+  auto run_round = [&](std::vector<FloatTensor>& out,
+                       std::latch* all_alive) {
     out.resize(images.size(), FloatTensor(Shape{1, 1, 1, 1}, Layout::kNHWC));
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
@@ -186,6 +191,7 @@ TEST(Session, ConcurrentForwardsBitExactAndZeroGrowth) {
           const std::size_t i =
               static_cast<std::size_t>(t * kForwardsPerThread + f);
           auto session = engine.create_session();
+          if (f == 0 && all_alive != nullptr) all_alive->arrive_and_wait();
           auto ctx = session.context();
           const core::Network& net = (i % 2 == 0) ? *net_a : *net_b;
           out[i] = net.forward_float(ctx, images[i]);
@@ -195,9 +201,10 @@ TEST(Session, ConcurrentForwardsBitExactAndZeroGrowth) {
     for (auto& th : threads) th.join();
   };
 
-  // Warm-up round: the pool may mint up to kThreads arenas.
+  // Warm-up round: the pool mints kThreads arenas, all checked out at once.
   std::vector<FloatTensor> warm;
-  run_round(warm);
+  std::latch all_alive(kThreads);
+  run_round(warm, &all_alive);
   for (std::size_t i = 0; i < images.size(); ++i) {
     EXPECT_TRUE(testing::expect_bitexact(warm[i], serial[i]))
         << "warm-up forward " << i << " diverged from serial";
@@ -210,7 +217,7 @@ TEST(Session, ConcurrentForwardsBitExactAndZeroGrowth) {
   // nothing new — warm arenas cover peak concurrency.
   for (int round = 0; round < 2; ++round) {
     std::vector<FloatTensor> out;
-    run_round(out);
+    run_round(out, nullptr);
     for (std::size_t i = 0; i < images.size(); ++i) {
       EXPECT_TRUE(testing::expect_bitexact(out[i], serial[i]))
           << "round " << round << " forward " << i << " diverged";

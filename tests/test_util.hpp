@@ -7,15 +7,20 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "bitpack/pack.hpp"
 #include "common/rng.hpp"
 #include "core/phonebit.hpp"
 #include "oclsim/runtime.hpp"
+#include "serve/fleet.hpp"
 #include "tensor/tensor.hpp"
 
 namespace phonebit::testing {
@@ -191,6 +196,126 @@ inline bool packed_equals_signs(const bitpack::PackedTensor& packed,
                                 const FloatTensor& ref) {
   const FloatTensor got = bitpack::unpack_signs(packed);
   return allclose(got, ref, 0.0f);
+}
+
+/// Arrival times of a serving trace, in submission order (capture them
+/// before the trace moves into a run).
+inline std::vector<double> arrivals_of(
+    const std::vector<serve::Request>& workload) {
+  std::vector<double> t;
+  for (const serve::Request& r : workload) t.push_back(r.arrival_ms);
+  return t;
+}
+
+/// One served (request, stage) as the serving-invariant checker sees it:
+/// the lane set that served it (a single server has one, index 0) and its
+/// virtual timing relative to its stage arrival.
+struct ServedStage {
+  std::size_t request = 0;
+  int shard = 0;
+  double arrival_ms = 0.0;
+  double queue_ms = 0.0;
+  double latency_ms = 0.0;
+};
+
+/// The serving invariants every soak keeps, over any summary flavor:
+///   - exactly one status per request: the summary's status counts add up
+///     to `requests` and match a recount of the per-request statuses;
+///   - 0 <= queue_ms <= latency_ms for every request and every stage;
+///   - no lane is double-booked: per shard, the busy intervals
+///     [arrival + queue, arrival + latency) never overlap more than
+///     `lanes` deep (cascade stages share their shard's lanes).
+template <typename Summary>
+::testing::AssertionResult check_serving_invariants(
+    const Summary& s, const std::vector<ServedStage>& stages, int lanes) {
+  constexpr double kEps = 1e-9;  // far below any modeled service time
+  if (static_cast<int>(s.results.size()) != s.requests) {
+    return ::testing::AssertionFailure()
+           << s.results.size() << " results for " << s.requests
+           << " requests";
+  }
+  int counts[4] = {0, 0, 0, 0};
+  for (const auto& rr : s.results) {
+    const int c = static_cast<int>(rr.status.code);
+    if (c < 0 || c > 3) {
+      return ::testing::AssertionFailure() << "status code " << c;
+    }
+    ++counts[c];
+    if (rr.queue_ms < 0.0 || rr.queue_ms > rr.latency_ms + kEps) {
+      return ::testing::AssertionFailure()
+             << "request " << (&rr - s.results.data()) << ": queue "
+             << rr.queue_ms << " ms outside [0, latency " << rr.latency_ms
+             << " ms]";
+    }
+  }
+  if (counts[0] != s.ok || counts[1] != s.shed ||
+      counts[2] != s.deadline_exceeded || counts[3] != s.failed ||
+      s.ok + s.shed + s.deadline_exceeded + s.failed != s.requests) {
+    return ::testing::AssertionFailure()
+           << "status accounting does not close: ok " << s.ok << " shed "
+           << s.shed << " deadline " << s.deadline_exceeded << " failed "
+           << s.failed << " of " << s.requests << " requests";
+  }
+  std::vector<std::pair<int, std::pair<double, int>>> edges;  // shard, t, ±1
+  for (const ServedStage& st : stages) {
+    if (st.queue_ms < 0.0 || st.queue_ms > st.latency_ms + kEps) {
+      return ::testing::AssertionFailure()
+             << "request " << st.request << ": stage queue " << st.queue_ms
+             << " ms outside [0, latency " << st.latency_ms << " ms]";
+    }
+    const double begin = st.arrival_ms + st.queue_ms + kEps;
+    const double end = st.arrival_ms + st.latency_ms - kEps;
+    if (end <= begin) continue;  // never held a lane
+    edges.push_back({st.shard, {begin, +1}});
+    edges.push_back({st.shard, {end, -1}});
+  }
+  std::sort(edges.begin(), edges.end());  // a release sorts before a claim
+  int shard = -1, depth = 0;
+  for (const auto& [sh, ev] : edges) {
+    if (sh != shard) shard = sh, depth = 0;
+    depth += ev.second;
+    if (depth > lanes) {
+      return ::testing::AssertionFailure()
+             << "shard " << sh << " has " << depth << " requests on "
+             << lanes << " lanes at t=" << ev.first << " ms";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Serving invariants of a plain run (ModelServer or FleetServer):
+/// `arrivals` from arrivals_of(the trace), `lanes` per shard.
+template <typename Summary>
+::testing::AssertionResult serving_invariants(
+    const Summary& s, const std::vector<double>& arrivals, int lanes) {
+  std::vector<ServedStage> stages;
+  for (std::size_t i = 0; i < s.results.size() && i < arrivals.size(); ++i) {
+    const auto& rr = s.results[i];
+    int shard = 0;
+    if constexpr (std::is_same_v<Summary, serve::FleetSummary>) {
+      shard = rr.shard;
+    }
+    stages.push_back(ServedStage{i, shard, std::max(arrivals[i], 0.0),
+                                 rr.queue_ms, rr.latency_ms});
+  }
+  return check_serving_invariants(s, stages, lanes);
+}
+
+/// Serving invariants of a cascade: stage s+1 arrives at stage s's
+/// arrival + its latency, and every stage holds its shard's lanes.
+inline ::testing::AssertionResult serving_invariants(
+    const serve::CascadeSummary& s, const std::vector<double>& arrivals,
+    int lanes) {
+  std::vector<ServedStage> stages;
+  for (std::size_t i = 0; i < s.results.size() && i < arrivals.size(); ++i) {
+    double t = std::max(arrivals[i], 0.0);
+    for (const serve::StageOutcome& so : s.results[i].stages) {
+      stages.push_back(ServedStage{i, std::max(so.shard, 0), t, so.queue_ms,
+                                   so.latency_ms});
+      t += so.latency_ms;
+    }
+  }
+  return check_serving_invariants(s, stages, lanes);
 }
 
 }  // namespace phonebit::testing
