@@ -160,6 +160,39 @@ void bench_input_conv(const ConvSpec& spec,
   out.push_back({"input_conv", spec.tag, host, modeled});
 }
 
+/// Times the full-precision head, FloatConv2d, on a packed input (both
+/// kernels: the word-wise unpack and the 4-pixel x 16-channel dot) on one
+/// device thread, like bench_input_conv.
+void bench_float_conv(const ConvSpec& spec,
+                      std::vector<bench::BenchRecord>& out) {
+  Rng rng(104);
+  FloatTensor w(Shape{spec.c_out, spec.k, spec.k, spec.c_in}, Layout::kNHWC);
+  w.fill_random(rng);
+  FloatTensor x(Shape{1, spec.hw, spec.hw, spec.c_in}, Layout::kNHWC);
+  x.fill_random(rng);
+  ConvGeometry g;
+  g.kernel_h = g.kernel_w = spec.k;
+  g.stride_h = g.stride_w = spec.stride;
+  g.pad_h = g.pad_w = spec.pad;
+
+  auto device = std::make_shared<oclsim::Device>(
+      oclsim::DeviceProfile::snapdragon855(), /*host_threads=*/1);
+  core::Engine engine(device);
+  auto session = engine.create_session();
+  auto ctx = session.context();
+  core::FloatConv2d conv("bench", w, std::vector<float>(spec.c_out, 0.5f),
+                         g);
+  const core::Blob input{bitpack::pack_signs(x)};
+
+  double modeled = 0.0;
+  const double host = best_ms(10, [&] {
+    session.reset_profile();
+    conv.forward(ctx, input);
+    modeled = session.queue().total_modeled_ms();
+  });
+  out.push_back({"float_conv", spec.tag, host, modeled});
+}
+
 /// Times one BinaryConv2d layer: builds the engine once, then measures the
 /// per-forward host kernel time (min over reps) and the modeled device time.
 /// `redundant` overlays the filter-row redundancy trained binary nets show
@@ -583,6 +616,9 @@ int main(int argc, char** argv) {
   bench_input_conv({"3x3/s1/p1/416x416/c3->16", 416, 3, 16, 3, 1, 1},
                    records);
   bench_input_conv({"3x3/s1/p1/32x32/c3->32", 32, 3, 32, 3, 1, 1}, records);
+  // YOLOv2-Tiny's conv9, the full-precision head.
+  bench_float_conv({"1x1/s1/p0/13x13/c1024->125", 13, 1024, 125, 1, 1, 0},
+                   records);
 
   const std::vector<ConvSpec> specs = {
       {"3x3/s1/p1/26x26/c256->256", 26, 256, 256, 3, 1, 1},

@@ -1,6 +1,7 @@
 #include "bitpack/pack.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 
@@ -44,6 +45,33 @@ FloatTensor unpack_signs(const PackedTensor& p) {
         for (std::int64_t c = 0; c < s.c; ++c)
           out(n, h, w, c) = p.get(n, h, w, c) ? 1.0f : -1.0f;
   return out;
+}
+
+namespace {
+
+/// Bit b of `bits` as the float +1 (set) or -1: the bit lands in the sign
+/// bit of 1.0f, inverted, with no branch, so the loops vectorize.
+inline float sign_of_bit(std::uint32_t bits, int b) {
+  return std::bit_cast<float>(0x3F800000u | ((~bits >> b) & 1u) << 31);
+}
+
+}  // namespace
+
+void unpack_sign_words(const std::uint64_t* words, std::int64_t bits,
+                       float* dst) {
+  for (; bits > 0; bits -= kWordBits, dst += kWordBits) {
+    const std::uint64_t w = *words++;
+    const auto lo = static_cast<std::uint32_t>(w);
+    const auto hi = static_cast<std::uint32_t>(w >> 32);
+    if (bits >= kWordBits) {
+      for (int b = 0; b < 32; ++b) dst[b] = sign_of_bit(lo, b);
+      for (int b = 0; b < 32; ++b) dst[32 + b] = sign_of_bit(hi, b);
+    } else {
+      for (int b = 0; b < bits; ++b) {
+        dst[b] = sign_of_bit(b < 32 ? lo : hi, b % 32);
+      }
+    }
+  }
 }
 
 std::array<PackedTensor, 8> split_bit_planes(const U8Tensor& image) {

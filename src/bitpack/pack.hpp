@@ -17,6 +17,12 @@ PackedTensor pack_signs(const FloatTensor& t);
 /// Expands a packed tensor back to floats in {-1, +1} (testing/debug).
 FloatTensor unpack_signs(const PackedTensor& p);
 
+/// Expands `bits` sign bits, bit i at bit i % 64 of words[i / 64], into
+/// `dst[0..bits)` as +1 (bit set) or -1, one 64-bit word at a time: the
+/// unpack kernel of the full-precision heads (one pixel's channel words).
+void unpack_sign_words(const std::uint64_t* words, std::int64_t bits,
+                       float* dst);
+
 /// Splits an 8-bit NHWC image into 8 packed bit-planes: plane[k] holds bit k
 /// of every pixel/channel (Eqn 2: I = sum_k 2^k * I_k, k = 0..7).
 std::array<PackedTensor, 8> split_bit_planes(const U8Tensor& image);

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "bitpack/binary_ops.hpp"
+#include "bitpack/pack.hpp"
 #include "core/binarize.hpp"
 #include "core/costs.hpp"
 #include "simd/vec.hpp"
@@ -162,7 +163,8 @@ PackedTensor BinaryDense::execute(ExecContext& ctx, const PackedTensor& in,
 
 FloatDense::FloatDense(std::string name, FloatTensor weights,
                        std::vector<float> bias)
-    : name_(std::move(name)), weights_(std::move(weights)),
+    : name_(std::move(name)), unpack_name_(name_ + ".unpack"),
+      dot_name_(name_ + ".fdense_dot"), weights_(std::move(weights)),
       bias_(std::move(bias)) {
   PB_CHECK(weights_.shape().h == 1 && weights_.shape().w == 1,
            name_ << ": dense weights must be (units,1,1,features)");
@@ -211,14 +213,15 @@ Blob FloatDense::forward(ExecContext& ctx, const Blob& in) const {
     cost.alu_efficiency = costs::kAuxKernelEff;
     cost.coalescing = costs::coalescing(ctx.opts);
     ctx.queue.enqueue_chunked(
-        name_ + ".unpack", NDRange{ps.n, 1, 1}, cost,
+        unpack_name_, NDRange{ps.n, 1, 1}, cost,
         [&, ps](std::int64_t begin, std::int64_t end) {
           for (std::int64_t s = begin; s < end; ++s) {
-            std::int64_t i = 0;
-            for (std::int64_t h = 0; h < ps.h; ++h)
-              for (std::int64_t w = 0; w < ps.w; ++w)
-                for (std::int64_t c = 0; c < ps.c; ++c, ++i)
-                  x(s, 0, 0, i) = packed->get(s, h, w, c) ? 1.0f : -1.0f;
+            float* dst = &x(s, 0, 0, 0);
+            for (std::int64_t h = 0; h < ps.h; ++h) {
+              for (std::int64_t w = 0; w < ps.w; ++w, dst += ps.c) {
+                bitpack::unpack_sign_words(packed->pixel(s, h, w), ps.c, dst);
+              }
+            }
           }
         });
   } else {
@@ -249,7 +252,7 @@ Blob FloatDense::forward(ExecContext& ctx, const Blob& in) const {
 
   const std::vector<float>& bias = bias_;
   ctx.queue.enqueue(
-      name_ + ".fdense_dot", NDRange{u, n, 1}, cost,
+      dot_name_, NDRange{u, n, 1}, cost,
       [&, features](const WorkItem& it) {
         const float* px = &x(it.y, 0, 0, 0);
         const float* wt = &weights_(it.x, 0, 0, 0);

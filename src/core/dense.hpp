@@ -77,6 +77,8 @@ class FloatDense final : public Layer {
 
  private:
   std::string name_;
+  std::string unpack_name_;  ///< kernel names, built once
+  std::string dot_name_;
   FloatTensor weights_;
   std::vector<float> bias_;
 };

@@ -4,6 +4,10 @@
 #include <array>
 #include <cstring>
 
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
 #include "bitpack/binary_ops.hpp"
 #include "bitpack/pack.hpp"
 #include "core/binarize.hpp"
@@ -21,68 +25,58 @@ namespace {
 /// Panel rows scored per bit-plane microkernel call.
 constexpr std::int64_t kPanelTile = 16;
 
-/// Bit k of each of the 8 bytes of `x`, gathered into the low byte (byte
-/// i's bit lands at bit i): the multiply places every masked bit at a
-/// distinct position, so no partial product carries into the top byte.
-inline std::uint64_t plane_byte(std::uint64_t x, int k) {
-  return (((x >> k) & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
+}  // namespace
+
+void PanelRowWriter::append(const std::uint8_t* src, std::int64_t n) {
+  while (n > 0) {
+    const std::int64_t take = std::min<std::int64_t>(n, 64 - fill_);
+    auto* dst = block_.data() + fill_;
+    if (src != nullptr) {
+      std::memcpy(dst, src, static_cast<std::size_t>(take));
+      src += take;
+    } else {
+      std::memset(dst, 0, static_cast<std::size_t>(take));
+    }
+    fill_ += take;
+    n -= take;
+    if (fill_ == 64) flush();
+  }
 }
 
-/// Streams one window's K bytes, in (ky, kx, c) order, into an im2col
-/// panel row of 8 dense bit planes (plane k at `row + k * k_words`). Bytes
-/// are staged 64 at a time (one K word per plane) and split 8 at a time.
-class PanelRowWriter {
- public:
-  PanelRowWriter(std::uint64_t* row, std::int64_t k_words)
-      : row_(row), k_words_(k_words) {}
+void PanelRowWriter::finish() {
+  if (fill_ > 0) flush();
+}
 
-  /// Appends `n` window bytes from `src`, or `n` zero (padding) bytes when
-  /// `src` is null.
-  void append(const std::uint8_t* src, std::int64_t n) {
-    while (n > 0) {
-      const std::int64_t take = std::min<std::int64_t>(n, 64 - fill_);
-      auto* dst = block_.data() + fill_;
-      if (src != nullptr) {
-        std::memcpy(dst, src, static_cast<std::size_t>(take));
-        src += take;
-      } else {
-        std::memset(dst, 0, static_cast<std::size_t>(take));
-      }
-      fill_ += take;
-      n -= take;
-      if (fill_ == 64) flush();
-    }
+void PanelRowWriter::flush() {
+  std::memset(block_.data() + fill_, 0, static_cast<std::size_t>(64 - fill_));
+  std::uint64_t plane[8] = {};
+#if defined(__AVX2__)
+  // A 16-bit lane shift by 7 - k moves bit k of both of its bytes to their
+  // bit 7, and movemask gathers bit 7 of 32 bytes: one plane half per pair.
+  const __m256i lo = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(block_.data()));
+  const __m256i hi = _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(block_.data() + 32));
+  const auto plane_half = [](__m256i v, int k) {
+    const __m128i shift = _mm_cvtsi32_si128(7 - k);
+    return static_cast<std::uint32_t>(
+        _mm256_movemask_epi8(_mm256_sll_epi16(v, shift)));
+  };
+  for (int k = 0; k < 8; ++k) {
+    plane[k] = plane_half(lo, k) |
+               static_cast<std::uint64_t>(plane_half(hi, k)) << 32;
   }
-
-  /// Writes the last, partial K word of every plane.
-  void finish() {
-    if (fill_ > 0) flush();
+#else
+  for (std::int64_t i = 0; i < ceil_div(fill_, 8); ++i) {
+    std::uint64_t x;
+    std::memcpy(&x, block_.data() + i * 8, 8);
+    for (int k = 0; k < 8; ++k) plane[k] |= plane_byte(x, k) << (8 * i);
   }
-
- private:
-  void flush() {
-    const std::int64_t chunks = ceil_div(fill_, 8);
-    std::memset(block_.data() + fill_, 0,
-                static_cast<std::size_t>(chunks * 8 - fill_));
-    std::uint64_t plane[8] = {};
-    for (std::int64_t i = 0; i < chunks; ++i) {
-      std::uint64_t x;
-      std::memcpy(&x, block_.data() + i * 8, 8);
-      for (int k = 0; k < 8; ++k) plane[k] |= plane_byte(x, k) << (8 * i);
-    }
-    for (int k = 0; k < 8; ++k) row_[k * k_words_ + word_] = plane[k];
-    ++word_;
-    fill_ = 0;
-  }
-
-  std::uint64_t* row_;
-  std::int64_t k_words_;
-  std::int64_t word_ = 0;
-  std::int64_t fill_ = 0;
-  std::array<std::uint8_t, 64> block_;
-};
-
-}  // namespace
+#endif
+  for (int k = 0; k < 8; ++k) row_[k * k_words_ + word_] = plane[k];
+  ++word_;
+  fill_ = 0;
+}
 
 InputConv2d::InputConv2d(std::string name, PackedTensor weights,
                          std::vector<BatchNormParams> bn,

@@ -35,6 +35,8 @@
 // caller-attached InputPlaneCache keyed on input shape and conv geometry.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -44,6 +46,41 @@
 #include "core/plan.hpp"
 
 namespace phonebit::core {
+
+/// Bit k of each of the 8 bytes of `x`, gathered into the low byte (byte
+/// i's bit lands at bit i): the multiply places every masked bit at a
+/// distinct position, so no partial product carries into the top byte.
+inline std::uint64_t plane_byte(std::uint64_t x, int k) {
+  return (((x >> k) & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
+}
+
+/// Streams one window's K bytes, in (ky, kx, c) order, into an im2col
+/// panel row of 8 dense bit planes (plane k at `row + k * k_words`): the
+/// body of `.bitplane_split`. Bytes are staged 64 at a time (one K word per
+/// plane). With AVX2 each plane word of a block is one 16-bit shift and
+/// one byte movemask per 32-byte half; otherwise plane_byte splits it 8
+/// bytes at a time. Both write the same bits.
+class PanelRowWriter {
+ public:
+  PanelRowWriter(std::uint64_t* row, std::int64_t k_words)
+      : row_(row), k_words_(k_words) {}
+
+  /// Appends `n` window bytes from `src`, or `n` zero (padding) bytes when
+  /// `src` is null.
+  void append(const std::uint8_t* src, std::int64_t n);
+
+  /// Writes the last, partial K word of every plane.
+  void finish();
+
+ private:
+  void flush();
+
+  std::uint64_t* row_;
+  std::int64_t k_words_;
+  std::int64_t word_ = 0;
+  std::int64_t fill_ = 0;
+  std::array<std::uint8_t, 64> block_;
+};
 
 class InputConv2d final : public Layer {
  public:

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <sstream>
 
@@ -171,6 +172,53 @@ TEST(InputConv, ThresholdTiesMatchReference) {
             std::get<bitpack::PackedTensor>(out), ref))
             << "k" << t.k << " c" << t.c_in << "->" << t.c_out << " split "
             << split << " branch_free " << branch_free;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// PanelRowWriter (the body of `.bitplane_split`) vs plane_byte.
+// ---------------------------------------------------------------------------
+
+TEST(PanelRowWriter, MatchesPlaneByteReference) {
+  // Windows just below, at and above one K word, the YOLO conv1 window (27
+  // bytes) and a three-word window, streamed in random pieces of image
+  // bytes and zero padding.
+  Rng rng(0x5b17);
+  for (const std::int64_t len : {27, 63, 64, 65, 147}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      SCOPED_TRACE("window " + std::to_string(len) + " bytes, trial " +
+                   std::to_string(trial));
+      const std::int64_t k_words = ceil_div(len, 64);
+      std::vector<std::uint8_t> bytes(static_cast<std::size_t>(k_words * 64),
+                                      0);
+      std::vector<std::uint64_t> row(static_cast<std::size_t>(8 * k_words),
+                                     0xdeadbeefULL);
+      core::PanelRowWriter writer(row.data(), k_words);
+      for (std::int64_t at = 0; at < len;) {
+        const std::int64_t n = std::min<std::int64_t>(
+            len - at, 1 + static_cast<std::int64_t>(rng.below(40)));
+        const bool padding = rng.below(4) == 0;
+        for (std::int64_t i = 0; i < n; ++i) {
+          bytes[static_cast<std::size_t>(at + i)] =
+              padding ? 0 : static_cast<std::uint8_t>(rng());
+        }
+        writer.append(padding ? nullptr : bytes.data() + at, n);
+        at += n;
+      }
+      writer.finish();
+      for (std::int64_t j = 0; j < k_words; ++j) {
+        for (int k = 0; k < 8; ++k) {
+          std::uint64_t want = 0;
+          for (int i = 0; i < 8; ++i) {
+            std::uint64_t x;
+            std::memcpy(&x, bytes.data() + j * 64 + i * 8, 8);
+            want |= core::plane_byte(x, k) << (8 * i);
+          }
+          ASSERT_EQ(row[static_cast<std::size_t>(k * k_words + j)], want)
+              << "plane " << k << ", word " << j;
+        }
       }
     }
   }
