@@ -612,10 +612,13 @@ int main(int argc, char** argv) {
   bench_binary_dot(records);
   bench_pack_signs(records);
   bench_bit_plane_split(records);
-  // YOLOv2-Tiny's full-size conv1 and quicknet's conv1.
+  // YOLOv2-Tiny's full-size conv1, quicknet's conv1 and AlexNet's conv1
+  // (K = 363 bits: the multi-word split body).
   bench_input_conv({"3x3/s1/p1/416x416/c3->16", 416, 3, 16, 3, 1, 1},
                    records);
   bench_input_conv({"3x3/s1/p1/32x32/c3->32", 32, 3, 32, 3, 1, 1}, records);
+  bench_input_conv({"11x11/s4/p0/227x227/c3->96", 227, 3, 96, 11, 4, 0},
+                   records);
   // YOLOv2-Tiny's conv9, the full-precision head.
   bench_float_conv({"1x1/s1/p0/13x13/c1024->125", 13, 1024, 125, 1, 1, 0},
                    records);

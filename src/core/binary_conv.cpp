@@ -20,11 +20,19 @@ using oclsim::KernelCost;
 using oclsim::NDRange;
 using oclsim::WorkItem;
 
+BinaryConv2d::KernelNames::KernelNames(const std::string& layer)
+    : fused(layer + ".bconv_fused"), nopack(layer + ".bconv_nopack"),
+      pack(layer + ".pack"), raw(layer + ".bconv_raw"),
+      bn_binarize(layer + ".bn_binarize"), im2col(layer + ".im2col"),
+      bitgemm(layer + ".bitgemm"), bitgemm_reuse(layer + ".bitgemm_reuse"),
+      fused_dedup(layer + ".bconv_fused_dedup"),
+      fused_pool(layer + ".bconv_fused_pool") {}
+
 BinaryConv2d::BinaryConv2d(std::string name, PackedTensor weights,
                            std::vector<BatchNormParams> bn,
                            std::vector<float> bias, ConvGeometry geom)
-    : name_(std::move(name)), weights_(std::move(weights)), bn_(std::move(bn)),
-      bias_(std::move(bias)), geom_(geom) {
+    : name_(std::move(name)), kn_(name_), weights_(std::move(weights)),
+      bn_(std::move(bn)), bias_(std::move(bias)), geom_(geom) {
   const std::int64_t c_out = weights_.shape().n;
   PB_CHECK(static_cast<std::int64_t>(bn_.size()) == c_out,
            name_ << ": BN channel count " << bn_.size() << " != C_out "
@@ -700,7 +708,7 @@ PackedTensor BinaryConv2d::forward_fused(ExecContext& ctx,
     cost.bytes_written = static_cast<double>(out.bytes());
     auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
     ctx.queue.enqueue(
-        name_ + ".bconv_fused", NDRange{tiles_x, d.oh, d.n * groups}, cost,
+        kn_.fused, NDRange{tiles_x, d.oh, d.n * groups}, cost,
         [&, d, pw, branch_free, len, groups, split, tile,
          zeros](const WorkItem& it) {
           const std::int64_t n = it.z / groups;
@@ -726,8 +734,7 @@ PackedTensor BinaryConv2d::forward_fused(ExecContext& ctx,
   KernelCost conv_cost = cost;
   conv_cost.bytes_written = static_cast<double>(bit_count);
   ctx.queue.enqueue(
-      name_ + ".bconv_nopack", NDRange{tiles_x, d.oh, d.n * d.c_out},
-      conv_cost,
+      kn_.nopack, NDRange{tiles_x, d.oh, d.n * d.c_out}, conv_cost,
       [&, d, pw, branch_free, len, split, tile, zeros,
        bits](const WorkItem& it) {
         const std::int64_t n = it.z / d.c_out;
@@ -756,7 +763,7 @@ PackedTensor BinaryConv2d::forward_fused(ExecContext& ctx,
   pack_cost.coalescing = costs::coalescing(ctx.opts);
   pack_cost.alu_efficiency = costs::kAuxKernelEff;
   ctx.queue.enqueue(
-      name_ + ".pack", NDRange{d.ow, d.oh, d.n * owords}, pack_cost,
+      kn_.pack, NDRange{d.ow, d.oh, d.n * owords}, pack_cost,
       [&, d, owords, bits](const WorkItem& it) {
         const std::int64_t n = it.z / owords;
         const std::int64_t j = it.z % owords;
@@ -804,7 +811,7 @@ PackedTensor BinaryConv2d::forward_unfused(ExecContext& ctx,
   conv_cost.coalescing = costs::coalescing(ctx.opts);
   conv_cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
   ctx.queue.enqueue(
-      name_ + ".bconv_raw", NDRange{tiles_x, d.oh, d.n * d.c_out}, conv_cost,
+      kn_.raw, NDRange{tiles_x, d.oh, d.n * d.c_out}, conv_cost,
       [&, d, pw, len, split, tile, zeros, sums](const WorkItem& it) {
         const std::int64_t n = it.z / d.c_out;
         const std::int64_t co = it.z % d.c_out;
@@ -830,7 +837,7 @@ PackedTensor BinaryConv2d::forward_unfused(ExecContext& ctx,
   const std::vector<BatchNormParams>& bn = bn_;
   const std::vector<float>& bias = bias_;
   ctx.queue.enqueue_chunked(
-      name_ + ".bn_binarize", NDRange{out_count}, bn_cost,
+      kn_.bn_binarize, NDRange{out_count}, bn_cost,
       [&, d, sums, bits](std::int64_t begin, std::int64_t end) {
         for (std::int64_t i = begin; i < end; ++i) {
           const std::size_t ci = static_cast<std::size_t>(i % d.c_out);
@@ -850,7 +857,7 @@ PackedTensor BinaryConv2d::forward_unfused(ExecContext& ctx,
   pack_cost.coalescing = costs::coalescing(ctx.opts);
   pack_cost.alu_efficiency = costs::kAuxKernelEff;
   ctx.queue.enqueue(
-      name_ + ".pack", NDRange{d.ow, d.oh, d.n * owords}, pack_cost,
+      kn_.pack, NDRange{d.ow, d.oh, d.n * owords}, pack_cost,
       [&, d, owords, bits](const WorkItem& it) {
         const std::int64_t n = it.z / owords;
         const std::int64_t j = it.z % owords;
@@ -896,7 +903,7 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
   col_cost.coalescing = costs::coalescing(ctx.opts);
   col_cost.alu_efficiency = costs::kAuxKernelEff;
   ctx.queue.enqueue(
-      name_ + ".im2col", NDRange{d.ow, d.oh, d.n}, col_cost,
+      kn_.im2col, NDRange{d.ow, d.oh, d.n}, col_cost,
       [&, d, k_words, panel](const WorkItem& it) {
         const std::int64_t n = it.z;
         std::uint64_t* row =
@@ -965,7 +972,7 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
     reuse_cost.coalescing = costs::coalescing(ctx.opts);
     reuse_cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
     ctx.queue.enqueue(
-        name_ + ".bitgemm_reuse", NDRange{m_tiles, 1, 1}, reuse_cost,
+        kn_.bitgemm_reuse, NDRange{m_tiles, 1, 1}, reuse_cost,
         [&, d, k_words, m, out_pitch, branch_free, len, groups, panel,
          out_bytes_reuse](const WorkItem& it) {
           const std::int64_t m0 = it.x * bitpack::kGemmMr;
@@ -1009,7 +1016,7 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
   // panel rows stay in L1 while each group's interleaved filter words
   // stream past them.
   ctx.queue.enqueue(
-      name_ + ".bitgemm", NDRange{m_tiles, 1, 1}, gemm_cost,
+      kn_.bitgemm, NDRange{m_tiles, 1, 1}, gemm_cost,
       [&, k_words, m, out_pitch, branch_free, len, groups,
        panel](const WorkItem& it) {
         const std::int64_t m0 = it.x * bitpack::kGemmMr;
@@ -1075,8 +1082,7 @@ PackedTensor BinaryConv2d::forward_fused_dedup(ExecContext& ctx,
 
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
   ctx.queue.enqueue(
-      name_ + ".bconv_fused_dedup", NDRange{tiles_x, d.oh, d.n * groups},
-      cost,
+      kn_.fused_dedup, NDRange{tiles_x, d.oh, d.n * groups}, cost,
       [&, d, pw, branch_free, len, groups, tile,
        lane_src](const WorkItem& it) {
         const std::int64_t n = it.z / groups;
@@ -1147,7 +1153,7 @@ PackedTensor BinaryConv2d::forward_fused_pool(ExecContext& ctx,
 
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
   ctx.queue.enqueue(
-      name_ + ".bconv_fused_pool", NDRange{tiles_x, poh, d.n * groups}, cost,
+      kn_.fused_pool, NDRange{tiles_x, poh, d.n * groups}, cost,
       [&, d, pg, lp, poh, pow_, pw, branch_free, len, groups, split, tile,
        zeros](const WorkItem& it) {
         const std::int64_t n = it.z / groups;

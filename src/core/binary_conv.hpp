@@ -129,6 +129,13 @@ class BinaryConv2d final : public Layer {
                                            const PlanStep& step) const;
 
   std::string name_;
+  /// Kernel names, built once: name_ + ".<kernel>".
+  struct KernelNames {
+    explicit KernelNames(const std::string& layer);
+    std::string fused, nopack, pack, raw, bn_binarize, im2col, bitgemm,
+        bitgemm_reuse, fused_dedup, fused_pool;
+  };
+  KernelNames kn_;
   bitpack::PackedTensor weights_;
   std::vector<BatchNormParams> bn_;
   std::vector<float> bias_;

@@ -19,7 +19,8 @@ using oclsim::WorkItem;
 BinaryDense::BinaryDense(std::string name, PackedTensor weights,
                          std::vector<BatchNormParams> bn,
                          std::vector<float> bias)
-    : name_(std::move(name)), weights_(std::move(weights)), bn_(std::move(bn)),
+    : name_(std::move(name)), fused_name_(name_ + ".bdense_fused"),
+      weights_(std::move(weights)), bn_(std::move(bn)),
       bias_(std::move(bias)) {
   PB_CHECK(weights_.shape().h == 1 && weights_.shape().w == 1,
            name_ << ": dense weights must be (units,1,1,features)");
@@ -139,7 +140,7 @@ PackedTensor BinaryDense::execute(ExecContext& ctx, const PackedTensor& in,
 
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
   ctx.queue.enqueue(
-      name_ + ".bdense_fused", NDRange{groups, n, 1}, cost,
+      fused_name_, NDRange{groups, n, 1}, cost,
       [&, words, groups, branch_free, pw, features, flat](const WorkItem& it) {
         const std::int64_t sample = it.y;
         const std::uint64_t* x = flat + sample * words;

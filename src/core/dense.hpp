@@ -50,6 +50,7 @@ class BinaryDense final : public Layer {
                                 const KernelVariant& v) const;
 
   std::string name_;
+  std::string fused_name_;  ///< kernel name, built once
   bitpack::PackedTensor weights_;
   std::vector<BatchNormParams> bn_;
   std::vector<float> bias_;

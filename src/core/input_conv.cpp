@@ -25,57 +25,113 @@ namespace {
 /// Panel rows scored per bit-plane microkernel call.
 constexpr std::int64_t kPanelTile = 16;
 
-}  // namespace
+/// Plane-interleaved row words a `.bitplane_split` work item keeps on its
+/// stack (32 KB): the kh input rows of one output-column chunk.
+constexpr std::int64_t kRowPlaneWords = 512;
 
-void PanelRowWriter::append(const std::uint8_t* src, std::int64_t n) {
-  while (n > 0) {
-    const std::int64_t take = std::min<std::int64_t>(n, 64 - fill_);
-    auto* dst = block_.data() + fill_;
-    if (src != nullptr) {
-      std::memcpy(dst, src, static_cast<std::size_t>(take));
-      src += take;
-    } else {
-      std::memset(dst, 0, static_cast<std::size_t>(take));
-    }
-    fill_ += take;
-    n -= take;
-    if (fill_ == 64) flush();
-  }
-}
+/// 8 lanes of 64 bits, lane k holding bit plane k (GCC/Clang vector
+/// extension): the compiler picks one zmm, two ymm or four xmm registers
+/// per value from the target flags.
+using u64x8 =
+    std::uint64_t __attribute__((vector_size(8 * sizeof(std::uint64_t))));
 
-void PanelRowWriter::finish() {
-  if (fill_ > 0) flush();
-}
-
-void PanelRowWriter::flush() {
-  std::memset(block_.data() + fill_, 0, static_cast<std::size_t>(64 - fill_));
-  std::uint64_t plane[8] = {};
+/// Splits 64 bytes into their 8 plane words, plane k to `planes[k]`.
+inline void split_block(const std::uint8_t* block, std::uint64_t* planes) {
+  std::uint64_t p[8] = {};
 #if defined(__AVX2__)
   // A 16-bit lane shift by 7 - k moves bit k of both of its bytes to their
   // bit 7, and movemask gathers bit 7 of 32 bytes: one plane half per pair.
-  const __m256i lo = _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(block_.data()));
-  const __m256i hi = _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(block_.data() + 32));
+  const __m256i lo =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block));
+  const __m256i hi =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block + 32));
   const auto plane_half = [](__m256i v, int k) {
     const __m128i shift = _mm_cvtsi32_si128(7 - k);
     return static_cast<std::uint32_t>(
         _mm256_movemask_epi8(_mm256_sll_epi16(v, shift)));
   };
   for (int k = 0; k < 8; ++k) {
-    plane[k] = plane_half(lo, k) |
-               static_cast<std::uint64_t>(plane_half(hi, k)) << 32;
+    p[k] = plane_half(lo, k) |
+           static_cast<std::uint64_t>(plane_half(hi, k)) << 32;
   }
 #else
-  for (std::int64_t i = 0; i < ceil_div(fill_, 8); ++i) {
+  for (int i = 0; i < 8; ++i) {
     std::uint64_t x;
-    std::memcpy(&x, block_.data() + i * 8, 8);
-    for (int k = 0; k < 8; ++k) plane[k] |= plane_byte(x, k) << (8 * i);
+    std::memcpy(&x, block + i * 8, 8);
+    for (int k = 0; k < 8; ++k) p[k] |= plane_byte(x, k) << (8 * i);
   }
 #endif
-  for (int k = 0; k < 8; ++k) row_[k * k_words_ + word_] = plane[k];
-  ++word_;
-  fill_ = 0;
+  std::memcpy(planes, p, sizeof p);
+}
+
+/// Builds `count` consecutive panel rows (8 plane rows of k_words words,
+/// plane-major) from kh plane-interleaved input rows `row_words` words
+/// apart. Window p's row ky is the `span`-bit run at row bit t0 + p * step;
+/// it lands at K bit ky * span. Each K word is gathered in one 8-lane
+/// accumulator from the runs that cover it and stored once. A run is read
+/// as the 64 bits at its row bit t, all 8 planes at once: the look-ahead
+/// word is always read, and at t % 64 == 0 its two shifts (by 1, then by
+/// 63) move it out entirely, so no shift is by 64. K words is a
+/// template parameter when known (KWords > 0): a window of at most 64 bits
+/// (YOLO conv1's 27) is then one masked run per input row and one 64-byte
+/// store per pixel.
+template <int KWords>
+void assemble_panel_rows(const u64x8* rows, std::int64_t row_words,
+                         std::int64_t kh, std::int64_t span, std::int64_t t0,
+                         std::int64_t step, std::int64_t count,
+                         std::uint64_t* out, std::int64_t k_words) {
+  if constexpr (KWords > 0) k_words = KWords;
+  for (std::int64_t p = 0; p < count; ++p, t0 += step, out += 8 * k_words) {
+    std::int64_t ky = 0, u = 0;  // the next window bit: row ky, run bit u
+    for (std::int64_t j = 0; j < k_words; ++j) {
+      u64x8 acc = {};
+      for (std::int64_t filled = 0; filled < 64 && ky < kh;) {
+        // One K word holds the whole window, so every run lands whole.
+        const std::int64_t take =
+            KWords == 1 ? span : std::min(64 - filled, span - u);
+        const std::uint64_t mask = ~std::uint64_t{0} >> (64 - take);
+        const std::int64_t t = t0 + u;
+        const u64x8* w = rows + ky * row_words + (t >> 6);
+        const int s = static_cast<int>(t & 63);
+        acc |= (((w[0] >> s) | ((w[1] << 1) << (63 - s))) & mask) << filled;
+        filled += take;
+        u += take;
+        if (u == span) {
+          u = 0;
+          ++ky;
+        }
+      }
+      if constexpr (KWords == 1) {
+        std::memcpy(out, &acc, sizeof acc);
+      } else {
+        for (int k = 0; k < 8; ++k) out[k * k_words + j] = acc[k];
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void split_row_planes(const std::uint8_t* bytes, std::int64_t n,
+                      std::int64_t margin, std::uint64_t* planes,
+                      std::int64_t words) {
+  for (std::int64_t j = 0; j < words; ++j, planes += 8) {
+    const std::int64_t b = 64 * j - margin;  // the byte at bit 0 of word j
+    if (b >= 0 && b + 64 <= n) {
+      split_block(bytes + b, planes);
+      continue;
+    }
+    const std::int64_t lo = std::max<std::int64_t>(b, 0);
+    const std::int64_t hi = std::min<std::int64_t>(b + 64, n);
+    if (lo >= hi) {
+      std::memset(planes, 0, 8 * sizeof(std::uint64_t));
+      continue;
+    }
+    std::uint8_t block[64] = {};
+    std::memcpy(block + (lo - b), bytes + lo,
+                static_cast<std::size_t>(hi - lo));
+    split_block(block, planes);
+  }
 }
 
 InputConv2d::InputConv2d(std::string name, PackedTensor weights,
@@ -153,6 +209,21 @@ std::int64_t InputConv2d::panel_words(const Shape& in_shape) const {
          k_words_;
 }
 
+std::int64_t InputConv2d::split_chunk_cols(const Shape& in_shape) const {
+  // A chunk of m columns spans (m - 1) * step + span row bits from a start
+  // up to 63 bits past a word boundary, plus one look-ahead word: at most
+  // ((m - 1) * step + span + 62) / 64 + 2 words per input row.
+  const std::int64_t kh = geom_.kernel_h, kw = geom_.kernel_w;
+  const std::int64_t span = kw * in_shape.c;
+  const std::int64_t step = geom_.stride_w * in_shape.c;
+  const std::int64_t run_bits = (kRowPlaneWords / kh - 2) * 64;
+  PB_CHECK(run_bits >= span,
+           name_ << ": a " << kh << "x" << kw << "x" << in_shape.c
+                 << " window's rows do not fit the " << kRowPlaneWords
+                 << "-word bit-plane split buffer");
+  return std::min(geom_.out_w(in_shape.w), (run_bits - span) / step + 1);
+}
+
 std::int64_t InputConv2d::scratch_words(const Shape& in_shape,
                                         bool split) const {
   // Per-tap ablation arm: 8 per-pixel bit planes plus its all-zero padding
@@ -175,6 +246,7 @@ void InputConv2d::plan(PlanContext& pc) const {
   const std::int64_t oh = geom_.out_h(in.shape.h);
   const std::int64_t ow = geom_.out_w(in.shape.w);
   KernelVariant v = select_variant(in.shape, pc.opts());
+  if (v.interior_split) split_chunk_cols(in.shape);  // rejects oversize rows
   pc.need_words(scratch_words(in.shape, v.interior_split));
   pc.select(std::move(v));
   pc.produce(BlobDesc{BlobKind::kPacked,
@@ -296,35 +368,54 @@ PackedTensor InputConv2d::execute_dense(ExecContext& ctx,
     panel = ctx.arena.words(scratch_words(is, /*split=*/true));
   }
 
-  // Kernel 1: dense bit-plane im2col, one work item per output row. Each
-  // pixel's window bytes (out-of-bounds taps zero) become 8 panel plane
-  // rows of k_words words with the K bits back to back.
+  // Kernel 1: dense bit-plane im2col, one work item per output row. It
+  // splits each of its kh input rows into 8 plane-interleaved bit planes
+  // once (pw * C zero bits on the left, zeros for rows outside the image),
+  // then builds every pixel's 8 panel plane rows of k_words words from
+  // shifted kw * C-bit runs of those rows. Wide rows go in column chunks
+  // that fit the stack buffer.
   if (!cache_hit) {
+    const std::int64_t span = kw * is.c;  // bits one window row holds
+    const std::int64_t step = sw * is.c;  // row bits between windows
+    const std::int64_t margin = pw * is.c;
+    const std::int64_t row_bytes = is.w * is.c;
+    const std::int64_t chunk_cols = split_chunk_cols(is);
     ctx.queue.enqueue(
         split_name_, NDRange{1, oh, is.n}, split_cost(ctx, is),
-        [&, oh, ow, kh, kw, sh, sw, ph, pw, k_words,
-         row_words](const WorkItem& it) {
+        [&, oh, ow, kh, sh, ph, k_words, row_words, span, step, margin,
+         row_bytes, chunk_cols](const WorkItem& it) {
+          // Not zeroed: each chunk writes all `words` words of its kh rows
+          // before the assembly reads any of them.
+          u64x8 rows[kRowPlaneWords];
           const std::int64_t n = it.z;
-          const std::int64_t c = is.c;
           const std::int64_t iy0 = it.y * sh - ph;
-          std::uint64_t* row = panel + (n * oh + it.y) * ow * row_words;
-          for (std::int64_t ox = 0; ox < ow; ++ox, row += row_words) {
-            const std::int64_t ix0 = ox * sw - pw;
-            const std::int64_t lo = std::clamp<std::int64_t>(-ix0, 0, kw);
-            const std::int64_t hi =
-                std::clamp<std::int64_t>(is.w - ix0, 0, kw);
-            PanelRowWriter writer(row, k_words);
+          std::uint64_t* out = panel + (n * oh + it.y) * ow * row_words;
+          for (std::int64_t ox0 = 0; ox0 < ow; ox0 += chunk_cols) {
+            const std::int64_t cols = std::min(chunk_cols, ow - ox0);
+            // The chunk's rows start at a word-aligned row bit and end one
+            // look-ahead word past its last run.
+            const std::int64_t b0 = ox0 * step / 64 * 64;
+            const std::int64_t b_end = (ox0 + cols - 1) * step + span;
+            const std::int64_t words = (b_end - 1 - b0) / 64 + 2;
             for (std::int64_t ky = 0; ky < kh; ++ky) {
               const std::int64_t iy = iy0 + ky;
-              if (iy < 0 || iy >= is.h || hi <= lo) {
-                writer.append(nullptr, kw * c);
-                continue;
+              auto* r = reinterpret_cast<std::uint64_t*>(rows + ky * words);
+              if (iy < 0 || iy >= is.h) {
+                std::memset(r, 0, static_cast<std::size_t>(words) * 64);
+              } else {
+                split_row_planes(&image(n, iy, 0, 0), row_bytes,
+                                 margin - b0, r, words);
               }
-              writer.append(nullptr, lo * c);
-              writer.append(&image(n, iy, ix0 + lo, 0), (hi - lo) * c);
-              writer.append(nullptr, (kw - hi) * c);
             }
-            writer.finish();
+            std::uint64_t* dst = out + ox0 * row_words;
+            const std::int64_t t0 = ox0 * step - b0;
+            if (k_words == 1) {
+              assemble_panel_rows<1>(rows, words, kh, span, t0, step, cols,
+                                     dst, 1);
+            } else {
+              assemble_panel_rows<0>(rows, words, kh, span, t0, step, cols,
+                                     dst, k_words);
+            }
           }
         });
     if (cache != nullptr) cache->filled = true;

@@ -13,13 +13,19 @@
 // 1 (`.bitplane_split`) is a bit-plane im2col. For each output pixel it
 // writes 8 plane rows of ceil(KH*KW*C/64) words with the window's K bits
 // back to back; out-of-bounds taps are zero, and a 0 plane bit contributes
-// nothing to either popcount, so padding needs no special case. The
-// filters are repacked once at construction in the same K order and laid
-// out filter-interleaved (bitpack::interleave_filter_panel; derived state,
-// like the folded BN; never serialized). Kernel 2 (`.bitplane_conv_fused`)
-// then reduces each pixel over a handful of dense words with the bit-plane
-// microkernel (bitpack::and_popcount_planes_x8): each plane word is scored
-// against all 8 filters of a group with one vector and-popcount, and
+// nothing to either popcount, so padding needs no special case. It works
+// row-wise: a work item (one output row) splits each of its KH input rows
+// into 8 bit planes once (split_row_planes), plane-interleaved with PW*C
+// zero bits on the left, in a fixed stack buffer; every window's row ky is
+// then one KW*C-bit run of those planes, read with a two-word shift and
+// ORed into an 8-lane accumulator at K bit ky*KW*C. A row too wide for the
+// buffer is split in output-column chunks. The filters are repacked once
+// at construction in the same K order and laid out filter-interleaved
+// (bitpack::interleave_filter_panel; derived state, like the folded BN;
+// never serialized). Kernel 2 (`.bitplane_conv_fused`) then reduces each
+// pixel over a handful of dense words with the bit-plane microkernel
+// (bitpack::and_popcount_planes_x8): each plane word is scored against all
+// 8 filters of a group with one vector and-popcount, and
 // core::binarize_group packs the group's output byte. YOLO conv1 (27 bits)
 // is one word per plane.
 //
@@ -35,7 +41,6 @@
 // caller-attached InputPlaneCache keyed on input shape and conv geometry.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -54,33 +59,19 @@ inline std::uint64_t plane_byte(std::uint64_t x, int k) {
   return (((x >> k) & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
 }
 
-/// Streams one window's K bytes, in (ky, kx, c) order, into an im2col
-/// panel row of 8 dense bit planes (plane k at `row + k * k_words`): the
-/// body of `.bitplane_split`. Bytes are staged 64 at a time (one K word per
-/// plane). With AVX2 each plane word of a block is one 16-bit shift and
-/// one byte movemask per 32-byte half; otherwise plane_byte splits it 8
-/// bytes at a time. Both write the same bits.
-class PanelRowWriter {
- public:
-  PanelRowWriter(std::uint64_t* row, std::int64_t k_words)
-      : row_(row), k_words_(k_words) {}
-
-  /// Appends `n` window bytes from `src`, or `n` zero (padding) bytes when
-  /// `src` is null.
-  void append(const std::uint8_t* src, std::int64_t n);
-
-  /// Writes the last, partial K word of every plane.
-  void finish();
-
- private:
-  void flush();
-
-  std::uint64_t* row_;
-  std::int64_t k_words_;
-  std::int64_t word_ = 0;
-  std::int64_t fill_ = 0;
-  std::array<std::uint8_t, 64> block_;
-};
+/// Splits one image row into its 8 bit planes, plane-interleaved: word j
+/// holds 8 lanes, `planes[8 * j + k]` being plane k, and bit i of word j
+/// is byte `64 * j + i - margin` of `bytes[0, n)`, zero outside that
+/// range. A positive `margin` is a run of zero (padding) bits on the left;
+/// a negative one starts `-margin` bytes into the row. The body of
+/// `.bitplane_split`'s row step: 64-byte blocks inside the row are split
+/// straight from image memory, edge blocks through a zero-filled copy.
+/// With AVX2 each plane word of a block is one 16-bit shift and one byte
+/// movemask per 32-byte half; otherwise plane_byte splits it 8 bytes at a
+/// time. Both write the same bits.
+void split_row_planes(const std::uint8_t* bytes, std::int64_t n,
+                      std::int64_t margin, std::uint64_t* planes,
+                      std::int64_t words);
 
 class InputConv2d final : public Layer {
  public:
@@ -117,6 +108,10 @@ class InputConv2d final : public Layer {
   std::int64_t plane_words(const Shape& in_shape) const;
   /// Words of the dense im2col panel (8 plane rows per output pixel).
   std::int64_t panel_words(const Shape& in_shape) const;
+  /// Output columns one `.bitplane_split` chunk covers, so that its kh
+  /// row-plane spans fit the work item's stack buffer; rejects a window
+  /// whose kh rows alone do not fit.
+  std::int64_t split_chunk_cols(const Shape& in_shape) const;
   /// Arena words the schedule needs (dense panel, or planes + zeros span).
   std::int64_t scratch_words(const Shape& in_shape, bool split) const;
   oclsim::KernelCost split_cost(const ExecContext& ctx,

@@ -43,7 +43,7 @@ Blob MaxPool2d::forward(ExecContext& ctx, const Blob& in) const {
   cost.alu_efficiency = costs::kAuxKernelEff;
 
   ctx.queue.enqueue(
-      name_ + ".maxpool_or", NDRange{ow, oh, is.n * words}, cost,
+      or_name_, NDRange{ow, oh, is.n * words}, cost,
       [&, oh, ow, words](const WorkItem& it) {
         const std::int64_t n = it.z / words;
         const std::int64_t j = it.z % words;

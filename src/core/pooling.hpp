@@ -41,7 +41,8 @@ struct PoolGeometry {
 class MaxPool2d final : public Layer {
  public:
   MaxPool2d(std::string name, PoolGeometry geom)
-      : name_(std::move(name)), geom_(geom) {}
+      : name_(std::move(name)), or_name_(name_ + ".maxpool_or"),
+        geom_(geom) {}
 
   const std::string& name() const override { return name_; }
   Blob forward(ExecContext& ctx, const Blob& in) const override;
@@ -51,6 +52,7 @@ class MaxPool2d final : public Layer {
 
  private:
   std::string name_;
+  std::string or_name_;  ///< kernel name, built once
   PoolGeometry geom_;
 };
 

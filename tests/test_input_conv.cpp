@@ -177,46 +177,87 @@ TEST(InputConv, ThresholdTiesMatchReference) {
   }
 }
 
+/// A window whose kh rows of planes exceed the split's stack buffer is
+/// rejected on the dense arm (at plan time and at forward); the per-tap
+/// arm, which keeps no row buffer, still runs it.
+TEST(InputConv, RejectsWindowRowsWiderThanSplitBuffer) {
+  const U8Tensor img = datasets::random_image(Shape{1, 11, 11, 300}, 38);
+  const FloatTensor w = testing::random_float_tensor(Shape{8, 11, 11, 300}, 39);
+  const auto bn = testing::random_bn(8, 40);
+  ConvGeometry g;
+  g.kernel_h = g.kernel_w = 11;
+  for (const bool split : {true, false}) {
+    core::EngineOptions opts;
+    opts.interior_split = split;
+    core::Engine engine(testing::test_device(), opts);
+    auto session = engine.create_session();
+    auto ctx = session.context();
+    core::Network net("wide");
+    net.add(std::make_unique<InputConv2d>(
+        "conv1", bitpack::pack_filter_signs(w), bn, std::vector<float>{}, g));
+    const core::BlobDesc desc{core::BlobKind::kU8, img.shape()};
+    if (split) {
+      EXPECT_THROW(net.layers()[0]->forward(ctx, core::Blob{img}),
+                   InvalidArgument);
+      EXPECT_THROW(net.compile(engine, desc), InvalidArgument);
+    } else {
+      const auto out = net.layers()[0]->forward(ctx, core::Blob{img});
+      EXPECT_TRUE(testing::packed_equals_signs(
+          std::get<bitpack::PackedTensor>(out),
+          reference_input_conv(img, w, bn, {}, g)));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
-// PanelRowWriter (the body of `.bitplane_split`) vs plane_byte.
+// core::split_row_planes (the row step of `.bitplane_split`) vs plane_byte.
 // ---------------------------------------------------------------------------
 
-TEST(PanelRowWriter, MatchesPlaneByteReference) {
-  // Windows just below, at and above one K word, the YOLO conv1 window (27
-  // bytes) and a three-word window, streamed in random pieces of image
-  // bytes and zero padding.
+/// Plane k of the 64 bytes at `block`, one plane_byte per 8 bytes.
+std::uint64_t reference_plane_word(const std::uint8_t* block, int k) {
+  std::uint64_t word = 0;
+  for (int i = 0; i < 8; ++i) {
+    std::uint64_t x;
+    std::memcpy(&x, block + i * 8, 8);
+    word |= core::plane_byte(x, k) << (8 * i);
+  }
+  return word;
+}
+
+TEST(RowPlanes, MatchesPlaneByteReference) {
+  // Rows of 1 byte, just below, at and above one word, and a 416-pixel RGB
+  // row; margins from 0 to YOLO-to-AlexNet-sized pw * C, and negative ones
+  // (a column chunk that starts inside the row). Two words past the row
+  // (the look-ahead) must come out zero, and every word must be written.
   Rng rng(0x5b17);
-  for (const std::int64_t len : {27, 63, 64, 65, 147}) {
-    for (int trial = 0; trial < 8; ++trial) {
-      SCOPED_TRACE("window " + std::to_string(len) + " bytes, trial " +
-                   std::to_string(trial));
-      const std::int64_t k_words = ceil_div(len, 64);
-      std::vector<std::uint8_t> bytes(static_cast<std::size_t>(k_words * 64),
-                                      0);
-      std::vector<std::uint64_t> row(static_cast<std::size_t>(8 * k_words),
-                                     0xdeadbeefULL);
-      core::PanelRowWriter writer(row.data(), k_words);
-      for (std::int64_t at = 0; at < len;) {
-        const std::int64_t n = std::min<std::int64_t>(
-            len - at, 1 + static_cast<std::int64_t>(rng.below(40)));
-        const bool padding = rng.below(4) == 0;
-        for (std::int64_t i = 0; i < n; ++i) {
-          bytes[static_cast<std::size_t>(at + i)] =
-              padding ? 0 : static_cast<std::uint8_t>(rng());
+  for (const std::int64_t n : {1, 63, 64, 65, 1248}) {
+    std::vector<std::uint8_t> row(static_cast<std::size_t>(n));
+    for (auto& b : row) b = static_cast<std::uint8_t>(rng());
+    std::vector<std::int64_t> margins = {-130, -64, -63, -1};
+    for (std::int64_t m = 0; m <= 20; ++m) margins.push_back(m);
+    for (const std::int64_t margin : margins) {
+      SCOPED_TRACE("row " + std::to_string(n) + " bytes, margin " +
+                   std::to_string(margin));
+      const std::int64_t words = std::max<std::int64_t>(
+          1, ceil_div(std::max<std::int64_t>(n + margin, 0), 64) + 2);
+      // The row as the planes should see it: byte 64j + i - margin at
+      // padded[64j + i], zero outside [0, n).
+      std::vector<std::uint8_t> padded(static_cast<std::size_t>(words * 64),
+                                       0);
+      for (std::int64_t i = 0; i < words * 64; ++i) {
+        const std::int64_t b = i - margin;
+        if (b >= 0 && b < n) {
+          padded[static_cast<std::size_t>(i)] =
+              row[static_cast<std::size_t>(b)];
         }
-        writer.append(padding ? nullptr : bytes.data() + at, n);
-        at += n;
       }
-      writer.finish();
-      for (std::int64_t j = 0; j < k_words; ++j) {
+      std::vector<std::uint64_t> planes(static_cast<std::size_t>(words * 8),
+                                        0xdeadbeefULL);
+      core::split_row_planes(row.data(), n, margin, planes.data(), words);
+      for (std::int64_t j = 0; j < words; ++j) {
         for (int k = 0; k < 8; ++k) {
-          std::uint64_t want = 0;
-          for (int i = 0; i < 8; ++i) {
-            std::uint64_t x;
-            std::memcpy(&x, bytes.data() + j * 64 + i * 8, 8);
-            want |= core::plane_byte(x, k) << (8 * i);
-          }
-          ASSERT_EQ(row[static_cast<std::size_t>(k * k_words + j)], want)
+          ASSERT_EQ(planes[static_cast<std::size_t>(j * 8 + k)],
+                    reference_plane_word(padded.data() + j * 64, k))
               << "plane " << k << ", word " << j;
         }
       }
@@ -238,10 +279,10 @@ struct OracleCase {
   Fill fill;
   std::uint64_t seed;
 
-  /// One pasteable line: the call that re-runs exactly this case.
-  std::string repro() const {
+  /// One pasteable line: the call `fn` that re-runs exactly this case.
+  std::string repro(const char* fn = "check_oracle_case") const {
     std::ostringstream os;
-    os << std::boolalpha << "repro: check_oracle_case({" << c_in << ", "
+    os << std::boolalpha << "repro: " << fn << "({" << c_in << ", "
        << c_out << ", " << n << ", " << h << ", " << w << ", " << k << ", "
        << sh << ", " << sw << ", " << ph << ", " << pw << ", " << split
        << ", " << branch_free << ", Fill::"
@@ -383,6 +424,151 @@ TEST(InputConvOracle, PanelWordBoundaries) {
       }
     }
   }
+}
+
+/// A drawn case whose rows span several words: W up to about 200, so the
+/// runs start at every bit offset mod 64, with the image-like channel
+/// counts and the zoo's odd kernels, on the dense arm.
+OracleCase wide_row_case(Rng& rng, std::uint64_t seed) {
+  static constexpr std::int64_t kKernels[] = {1, 3, 5, 7, 11};
+  const auto draw = [&rng](std::int64_t n) {
+    return static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(n)));
+  };
+  OracleCase c{};
+  c.k = kKernels[draw(5)];
+  c.c_in = 1 + draw(4);
+  c.c_out = 8 * (1 + draw(2));
+  c.n = 1 + draw(2);
+  c.sh = 1 + draw(4);
+  c.sw = 1 + draw(4);
+  c.ph = draw(c.k / 2 + 1);
+  c.pw = draw(c.k / 2 + 1);
+  c.h = std::max<std::int64_t>(1, c.k - 2 * c.ph) + draw(3);
+  c.w = std::max<std::int64_t>(1, c.k - 2 * c.pw) + draw(190);
+  c.split = true;
+  c.branch_free = draw(2) == 1;
+  const std::int64_t f = draw(10);
+  c.fill = f == 0 ? Fill::kZeros : f == 1 ? Fill::kOnes : Fill::kRandom;
+  c.seed = seed;
+  return c;
+}
+
+/// Dense-arm geometries whose kh rows of planes exceed the split's stack
+/// buffer, so kernel 1 runs in 2-3 output-column chunks: AlexNet's conv1 on
+/// a 1100-pixel row, a padded 7x7 on a 1300-pixel row, and 70 channels.
+const OracleCase kChunkedCases[] = {
+    {3, 8, 1, 11, 1100, 11, 4, 4, 0, 0, true, false, Fill::kRandom, 7500},
+    {4, 8, 1, 7, 1300, 7, 1, 1, 3, 3, true, true, Fill::kRandom, 7501},
+    {70, 8, 1, 13, 80, 11, 1, 1, 2, 5, true, false, Fill::kRandom, 7502},
+};
+
+TEST(InputConvOracle, WideRows) {
+  Rng rng(0x31de);
+  for (int i = 0; i < 48; ++i) {
+    check_oracle_case(wide_row_case(rng, 7100 + static_cast<std::uint64_t>(i)));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  for (const OracleCase& c : kChunkedCases) {
+    check_oracle_case(c);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// The dense panel of `img` under `g`, built byte by byte: per output pixel
+/// the window's K bytes in (ky, kx, c) order, zero for padding taps and
+/// past K, split per 64-byte K word with plane_byte; plane k of a pixel at
+/// its row + k * k_words.
+std::vector<std::uint64_t> reference_panel(const U8Tensor& img,
+                                           const ConvGeometry& g) {
+  const Shape& s = img.shape();
+  const std::int64_t oh = g.out_h(s.h), ow = g.out_w(s.w);
+  const std::int64_t k_words = ceil_div(g.kernel_h * g.kernel_w * s.c, 64);
+  std::vector<std::uint64_t> panel(
+      static_cast<std::size_t>(s.n * oh * ow * 8 * k_words));
+  std::vector<std::uint8_t> window(static_cast<std::size_t>(k_words * 64));
+  std::uint64_t* row = panel.data();
+  for (std::int64_t n = 0; n < s.n; ++n) {
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox, row += 8 * k_words) {
+        std::fill(window.begin(), window.end(), std::uint8_t{0});
+        std::size_t q = 0;
+        for (std::int64_t ky = 0; ky < g.kernel_h; ++ky) {
+          for (std::int64_t kx = 0; kx < g.kernel_w; ++kx) {
+            const std::int64_t iy = oy * g.stride_h - g.pad_h + ky;
+            const std::int64_t ix = ox * g.stride_w - g.pad_w + kx;
+            const bool inside = iy >= 0 && iy < s.h && ix >= 0 && ix < s.w;
+            for (std::int64_t c = 0; c < s.c; ++c, ++q) {
+              if (inside) window[q] = img(n, iy, ix, c);
+            }
+          }
+        }
+        for (int k = 0; k < 8; ++k) {
+          for (std::int64_t j = 0; j < k_words; ++j) {
+            row[k * k_words + j] =
+                reference_plane_word(window.data() + j * 64, k);
+          }
+        }
+      }
+    }
+  }
+  return panel;
+}
+
+/// Fills a plane cache through a compiled run and compares its panel with
+/// reference_panel word for word.
+void check_panel_case(const OracleCase& c) {
+  SCOPED_TRACE(c.repro("check_panel_case"));
+  const Shape in_shape{c.n, c.h, c.w, c.c_in};
+  U8Tensor img = datasets::random_image(in_shape, c.seed);
+  if (c.fill != Fill::kRandom) img.fill(c.fill == Fill::kZeros ? 0 : 255);
+  const FloatTensor w = testing::random_float_tensor(
+      Shape{c.c_out, c.k, c.k, c.c_in}, c.seed + 1);
+  ConvGeometry g;
+  g.kernel_h = g.kernel_w = c.k;
+  g.stride_h = c.sh;
+  g.stride_w = c.sw;
+  g.pad_h = c.ph;
+  g.pad_w = c.pw;
+  core::Engine engine(testing::test_device());
+  core::Network net("panel");
+  net.add(std::make_unique<InputConv2d>(
+      "conv1", bitpack::pack_filter_signs(w), testing::random_bn(c.c_out, 1),
+      std::vector<float>{}, g));
+  const core::ExecutionPlan plan =
+      net.compile(engine, core::BlobDesc{core::BlobKind::kU8, in_shape});
+  auto session = engine.create_session();
+  core::InputPlaneCache cache;
+  core::RunOptions ro;
+  ro.planes = &cache;
+  plan.run(session, core::Blob{img}, ro);
+  ASSERT_TRUE(cache.filled);
+  const std::vector<std::uint64_t> want = reference_panel(img, g);
+  ASSERT_EQ(cache.words.size(), want.size());
+  const std::int64_t k_words = ceil_div(c.k * c.k * c.c_in, 64);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const auto r = static_cast<std::int64_t>(i);
+    ASSERT_EQ(cache.words[i], want[i])
+        << "pixel " << r / (8 * k_words) << ", plane "
+        << r / k_words % 8 << ", K word " << r % k_words;
+  }
+}
+
+TEST(InputConvOracle, PlaneCachePanelMatchesPlaneByteReference) {
+  // Wide drawn rows, the chunked geometries, YOLO's conv1 on a 40x40 image
+  // and a K that is exactly one word.
+  Rng rng(0xba5e);
+  for (int i = 0; i < 24; ++i) {
+    check_panel_case(wide_row_case(rng, 7200 + static_cast<std::uint64_t>(i)));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  for (const OracleCase& c : kChunkedCases) {
+    check_panel_case(c);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  check_panel_case(
+      {3, 16, 1, 40, 40, 3, 1, 1, 1, 1, true, false, Fill::kRandom, 7300});
+  check_panel_case(
+      {4, 8, 2, 9, 33, 4, 2, 3, 1, 2, true, true, Fill::kOnes, 7301});
 }
 
 }  // namespace
