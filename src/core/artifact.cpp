@@ -913,6 +913,10 @@ class PlanCodec {
     }
     return p;
   }
+
+  /// Prices a decoded plan's launches (derived state, never serialized).
+  /// load() calls it only after every check of the file has passed.
+  static void price(core::ExecutionPlan& p) { p.price(); }
 };
 
 namespace {
@@ -1119,6 +1123,7 @@ LoadedArtifact load(const std::string& path) {
   if (r.remaining() != 0) {
     r.fail("trailing bytes after the last section");
   }
+  PlanCodec::price(plan);
   return LoadedArtifact{std::move(network), std::move(plan),
                         std::move(target)};
 }

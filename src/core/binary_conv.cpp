@@ -98,10 +98,10 @@ void BinaryConv2d::plan(PlanContext& pc) const {
   const std::int64_t oh = geom_.out_h(in.shape.h);
   const std::int64_t ow = geom_.out_w(in.shape.w);
   KernelVariant v = select_variant(in.shape, pc.opts());
-  // Scratch liveness mirrors execute() exactly: the im2col panel for the
-  // bit-GEMM lowering, the legacy zeros span only without the interior
-  // split, the byte map for separate packing, and the materialized int32
-  // sums for the no-integration pipeline.
+  // Scratch needs are exactly what the dispatch bodies take: the im2col
+  // panel for the bit-GEMM lowering, the legacy zeros span only without the
+  // interior split, the byte map for separate packing, and the materialized
+  // int32 sums for the no-integration pipeline.
   const std::int64_t out_count = in.shape.n * oh * ow * out_channels();
   if (v.path == KernelVariant::Path::kConvGemm) {
     const std::int64_t words = ceil_div(in.shape.c, bitpack::kWordBits);
@@ -123,33 +123,23 @@ void BinaryConv2d::plan(PlanContext& pc) const {
                       Shape{in.shape.n, oh, ow, out_channels()}});
 }
 
-Blob BinaryConv2d::forward(ExecContext& ctx, const Blob& in) const {
-  const PackedTensor& packed = checked_input(in);
-  if (ctx.stats != nullptr) ++ctx.stats->variant_selections;
-  return execute(ctx, packed, select_variant(packed.shape(), ctx.opts));
-}
-
 Blob BinaryConv2d::run(ExecContext& ctx, const Blob& in,
                        const PlanStep& step) const {
+  const PackedTensor& packed = checked_input(in);
+  const KernelVariant& v = step.variant;
   if (step.fused_pool != nullptr) {
-    return forward_fused_pool(ctx, checked_input(in), step);
+    return forward_fused_pool(ctx, packed, step);
   }
-  return execute(ctx, checked_input(in), step.variant);
-}
-
-PackedTensor BinaryConv2d::execute(ExecContext& ctx, const PackedTensor& in,
-                                   const KernelVariant& v) const {
   if (v.path == KernelVariant::Path::kConvUnfused) {
-    return forward_unfused(ctx, in, v);
+    return forward_unfused(ctx, packed, step);
   }
   if (v.path == KernelVariant::Path::kConvGemm) {
-    return forward_gemm(ctx, in, v);
+    return forward_gemm(ctx, packed, step);
   }
   if (v.path == KernelVariant::Path::kConvFused && v.reuse) {
-    return forward_fused_dedup(ctx, in, v);
+    return forward_fused_dedup(ctx, packed, step);
   }
-  return forward_fused(ctx, in, v,
-                       v.path == KernelVariant::Path::kConvFused);
+  return forward_fused(ctx, packed, step);
 }
 
 namespace {
@@ -405,98 +395,25 @@ void charge_windows(KernelCost& cost, const ConvDims& d,
   }
 }
 
-/// Modeled time on the fixed reference profile used for ahead-of-time path
-/// selection. A pure function of the cost tally — never of the session's
-/// device — so plan replay (artifact decode) reselects identically.
-double reference_gpu_ms(const KernelCost& cost) {
+/// Modeled time of `launches` on the fixed reference profile used for
+/// ahead-of-time path selection, summed in launch order. A pure function of
+/// the cost tallies — never of the session's device — so plan replay
+/// (artifact decode) reselects identically.
+double reference_gpu_ms(const std::vector<Launch>& launches) {
   static const oclsim::DeviceProfile ref =
       oclsim::DeviceProfile::snapdragon855();
-  return oclsim::modeled_ms(cost, ref, oclsim::ExecUnit::kGpu);
+  double ms = 0.0;
+  for (const Launch& l : launches) {
+    ms += oclsim::modeled_ms(l.cost, ref, oclsim::ExecUnit::kGpu);
+  }
+  return ms;
 }
 
-/// Packed activation/filter byte sizes from geometry alone (plan time has
-/// no tensors yet). Mirrors PackedTensor::bytes() for the NHWC layout.
-double packed_in_bytes(const ConvDims& d) {
-  return static_cast<double>(d.n * d.ih * d.iw * d.words) * 8.0;
-}
-double packed_weight_bytes(const ConvDims& d) {
-  return static_cast<double>(d.c_out * d.kh * d.kw * d.words) * 8.0;
-}
+/// Packed conv-output bytes from geometry alone (the unpooled map).
 double packed_out_bytes(const ConvDims& d) {
   return static_cast<double>(d.n * d.oh * d.ow *
                              ceil_div(d.c_out, bitpack::kWordBits)) *
          8.0;
-}
-
-/// Selection-side estimate of the window-streaming schedule (path A when
-/// `path_a`, else path B's conv + pack pair). Charges exactly what
-/// forward_fused() charges at dispatch time, so the roofline comparison and
-/// the recorded modeled times cannot disagree.
-double modeled_window_ms(const ConvDims& d, const EngineOptions& opts,
-                         bool path_a) {
-  const double outputs = static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
-  const auto pw = opts.conv_pack_width(d.c_in, d.kw);
-  const bool split = opts.interior_split;
-  KernelCost cost;
-  cost.bitop_bits = outputs * window_bitops(d, pw, split);
-  charge_windows(cost, d, opts, split, /*shared_window=*/path_a);
-  cost.scalar_ops += outputs * 4.0;
-  cost.pack_width_bits = bitpack::bits(
-      split ? bitpack::cap_pack_width_to_span(pw, d.kw * d.words) : pw);
-  cost.bytes_read = packed_in_bytes(d) + packed_weight_bytes(d) +
-                    static_cast<double>(d.c_out) * 5.0;
-  cost.coalescing = costs::coalescing(opts);
-  cost.alu_efficiency = costs::binary_kernel_eff(opts);
-  if (path_a) {
-    cost.bytes_written = packed_out_bytes(d);
-    return reference_gpu_ms(cost);
-  }
-  cost.bytes_written = outputs;  // the 0/1 byte map
-  KernelCost pack;
-  pack.scalar_ops = outputs;
-  pack.bytes_read = outputs;
-  pack.bytes_written = packed_out_bytes(d);
-  pack.coalescing = costs::coalescing(opts);
-  pack.alu_efficiency = costs::kAuxKernelEff;
-  return reference_gpu_ms(cost) + reference_gpu_ms(pack);
-}
-
-/// Selection-side estimate of the bit-GEMM lowering: the im2col panel build
-/// plus the register-tiled GEMM (mirrors forward_gemm()'s tallies). The
-/// panel traffic and the second launch are what small geometries lose on;
-/// large ones win it back through the tile-amortized span setup, the lower
-/// per-op overhead and the pack width keyed on the full K span.
-double modeled_gemm_ms(const ConvDims& d, const EngineOptions& opts) {
-  const std::int64_t k_words = d.kh * d.kw * d.words;
-  const std::int64_t m = d.n * d.oh * d.ow;
-  const double outputs = static_cast<double>(m) * d.c_out;
-  const double panel_bytes = static_cast<double>(m * k_words) * 8.0;
-
-  KernelCost col;
-  col.scalar_ops = static_cast<double>(m * k_words);
-  col.bytes_read = panel_bytes;
-  col.bytes_written = panel_bytes;
-  col.coalescing = costs::coalescing(opts);
-  col.alu_efficiency = costs::kAuxKernelEff;
-
-  const auto pw = opts.pack_width_for_span(d.c_in, k_words);
-  const double tiles = static_cast<double>(ceil_div(m, bitpack::kGemmMr)) *
-                       static_cast<double>(d.c_out / 8);
-  KernelCost gemm;
-  gemm.bitop_bits =
-      outputs * 2.0 * static_cast<double>(k_words) * bitpack::kWordBits;
-  gemm.pack_width_bits =
-      bitpack::bits(bitpack::cap_pack_width_to_span(pw, k_words));
-  gemm.instr_overhead_cycles = costs::instr_overhead_gemm(opts);
-  gemm.span_count = tiles;
-  gemm.span_setup_cycles = costs::kGemmTileSetupCycles;
-  gemm.scalar_ops = outputs * 4.0;  // threshold compare + byte/bit insert
-  gemm.bytes_read = panel_bytes + packed_weight_bytes(d) +
-                    static_cast<double>(d.c_out) * 5.0;
-  gemm.bytes_written = packed_out_bytes(d);
-  gemm.coalescing = costs::coalescing(opts);
-  gemm.alu_efficiency = costs::binary_kernel_eff(opts);
-  return reference_gpu_ms(col) + reference_gpu_ms(gemm);
 }
 
 /// Window-accumulation tally of the dedup'd path-A schedule (DESIGN.md
@@ -518,78 +435,174 @@ void charge_windows_dedup(KernelCost& cost, const ConvDims& d,
   cost.instr_overhead_cycles = costs::instr_overhead_fused(opts);
 }
 
-/// Selection-side estimate of the dedup'd path-A schedule. Mirrors
-/// forward_fused_dedup()'s tallies exactly (same expressions), so the
-/// roofline comparison and the recorded modeled times cannot disagree.
-/// Only meaningful with the interior split on (the reuse gate requires it).
-double modeled_window_dedup_ms(const ConvDims& d, const EngineOptions& opts,
-                               const bitpack::CompressedFilterBank& bank) {
-  const double outputs = static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
-  const double distinct_frac =
-      static_cast<double>(bank.distinct_group_lanes()) /
-      static_cast<double>(d.c_out);
-  const auto pw = opts.conv_pack_width(d.c_in, d.kw);
-  KernelCost cost;
-  cost.bitop_bits =
-      outputs * window_bitops(d, pw, /*split=*/true) * distinct_frac;
-  charge_windows_dedup(cost, d, opts, distinct_frac);
-  cost.scalar_ops += outputs * 4.0;
-  cost.pack_width_bits =
-      bitpack::bits(bitpack::cap_pack_width_to_span(pw, d.kw * d.words));
-  cost.bytes_read = packed_in_bytes(d) +
-                    packed_weight_bytes(d) * distinct_frac +
-                    static_cast<double>(d.c_out) * 5.0;
-  cost.bytes_written = packed_out_bytes(d);
-  cost.coalescing = costs::coalescing(opts);
-  cost.alu_efficiency = costs::binary_kernel_eff(opts);
-  return reference_gpu_ms(cost);
-}
-
-/// Selection-side estimate of the partial-popcount reuse GEMM: the same
-/// im2col panel, then stage 1 scores each unique dictionary row once per
-/// register tile and stage 2 patches referencing filters at
-/// kReuseDeltaWordOps per delta word. Mirrors forward_gemm()'s reuse branch
-/// exactly.
-double modeled_gemm_reuse_ms(const ConvDims& d, const EngineOptions& opts,
-                             const bitpack::CompressedFilterBank& bank) {
-  const std::int64_t k_words = d.kh * d.kw * d.words;
-  const std::int64_t m = d.n * d.oh * d.ow;
-  const double outputs = static_cast<double>(m) * d.c_out;
-  const double panel_bytes = static_cast<double>(m * k_words) * 8.0;
-
-  KernelCost col;
-  col.scalar_ops = static_cast<double>(m * k_words);
-  col.bytes_read = panel_bytes;
-  col.bytes_written = panel_bytes;
-  col.coalescing = costs::coalescing(opts);
-  col.alu_efficiency = costs::kAuxKernelEff;
-
-  const auto pw = opts.pack_width_for_span(d.c_in, k_words);
-  const double m_tiles = static_cast<double>(ceil_div(m, bitpack::kGemmMr));
-  const double unique = static_cast<double>(bank.unique_rows());
-  const double delta_words = static_cast<double>(bank.stats().delta_words);
-  KernelCost gemm;
-  gemm.bitop_bits = costs::reuse_gemm_bitop_bits(
-      static_cast<double>(m), unique, static_cast<double>(k_words),
-      delta_words);
-  gemm.pack_width_bits =
-      bitpack::bits(bitpack::cap_pack_width_to_span(pw, k_words));
-  gemm.instr_overhead_cycles = costs::instr_overhead_gemm(opts);
-  // One stage-1 span per unique row plus one stage-2 patch/epilogue pass
-  // per filter group, per tile.
-  gemm.span_count = m_tiles * (unique + static_cast<double>(d.c_out / 8));
-  gemm.span_setup_cycles = costs::kGemmTileSetupCycles;
-  gemm.scalar_ops = outputs * 5.0;  // cached-partial fetch + threshold/byte
-  gemm.bytes_read = panel_bytes +
-                    static_cast<double>(bank.stats().encoded_bytes) +
-                    static_cast<double>(d.c_out) * 5.0;
-  gemm.bytes_written = packed_out_bytes(d);
-  gemm.coalescing = costs::coalescing(opts);
-  gemm.alu_efficiency = costs::binary_kernel_eff(opts);
-  return reference_gpu_ms(col) + reference_gpu_ms(gemm);
+/// Packing pass of paths B and C: one work item per output word gathers
+/// 64 entries of the 0/1 byte map into one packed word.
+void enqueue_pack(ExecContext& ctx, const Launch& launch, const ConvDims& d,
+                  const std::uint8_t* bits, PackedTensor& out) {
+  const std::int64_t owords = out.words_per_pixel();
+  ctx.queue.enqueue(
+      *launch.name, NDRange{d.ow, d.oh, d.n * owords}, launch.cost,
+      [&, d, owords, bits](const WorkItem& it) {
+        const std::int64_t n = it.z / owords;
+        const std::int64_t j = it.z % owords;
+        std::uint64_t word = 0;
+        const std::int64_t base =
+            ((n * d.oh + it.y) * d.ow + it.x) * d.c_out + j * 64;
+        const std::int64_t limit = std::min<std::int64_t>(64, d.c_out - j * 64);
+        for (std::int64_t b = 0; b < limit; ++b) {
+          if (bits[static_cast<std::size_t>(base + b)] != 0) {
+            word |= (std::uint64_t{1} << b);
+          }
+        }
+        out.data()[out.word_offset(n, it.y, it.x, j)] = word;
+      });
 }
 
 }  // namespace
+
+std::vector<Launch> BinaryConv2d::price(const PlanStep& step,
+                                        const EngineOptions& opts) const {
+  const ConvDims d = make_dims(step.in.shape, out_channels(), geom_);
+  const KernelVariant& v = step.variant;
+  const double outputs = static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
+  const double in_w_bytes =
+      static_cast<double>(step.in.bytes() + weights_.bytes());
+  const auto aux = [&](double scalar_ops, double read, double written) {
+    KernelCost c;
+    c.scalar_ops = scalar_ops;
+    c.bytes_read = read;
+    c.bytes_written = written;
+    c.coalescing = costs::coalescing(opts);
+    c.alu_efficiency = costs::kAuxKernelEff;
+    return c;
+  };
+
+  if (v.path == KernelVariant::Path::kConvGemm) {
+    // Path D: the im2col panel build, then the register-tiled GEMM. The
+    // panel traffic and the second launch are what small geometries lose
+    // on; large ones win it back through the tile-amortized span setup,
+    // the lower per-op overhead and the pack width keyed on the full K
+    // span.
+    const std::int64_t k_words = d.kh * d.kw * d.words;
+    const std::int64_t m = d.n * d.oh * d.ow;
+    const double panel_bytes = static_cast<double>(m * k_words) * 8.0;
+    const double m_tiles =
+        static_cast<double>(ceil_div(m, bitpack::kGemmMr));
+    const double gemm_outputs = static_cast<double>(m) * d.c_out;
+    KernelCost gemm;
+    gemm.pack_width_bits = bitpack::bits(
+        bitpack::cap_pack_width_to_span(v.pack_width, k_words));
+    gemm.instr_overhead_cycles = costs::instr_overhead_gemm(opts);
+    gemm.span_setup_cycles = costs::kGemmTileSetupCycles;
+    gemm.bytes_written = packed_out_bytes(d);
+    gemm.coalescing = costs::coalescing(opts);
+    gemm.alu_efficiency = costs::binary_kernel_eff(opts);
+    const double groups = static_cast<double>(d.c_out / 8);
+    if (v.reuse) {
+      // Stage 1 scores each unique dictionary row once per register tile,
+      // stage 2 patches referencing filters at kReuseDeltaWordOps per
+      // delta word: one stage-1 span per unique row plus one patch and
+      // epilogue pass per filter group, per tile.
+      const bitpack::CompressedFilterBank& bank = compressed_bank();
+      const double unique = static_cast<double>(bank.unique_rows());
+      gemm.bitop_bits = costs::reuse_gemm_bitop_bits(
+          static_cast<double>(m), unique, static_cast<double>(k_words),
+          static_cast<double>(bank.stats().delta_words));
+      gemm.span_count = m_tiles * (unique + groups);
+      gemm.scalar_ops = gemm_outputs * 5.0;  // partial fetch + threshold/byte
+      gemm.bytes_read = panel_bytes +
+                        static_cast<double>(bank.stats().encoded_bytes) +
+                        static_cast<double>(d.c_out) * 5.0;
+    } else {
+      gemm.bitop_bits = gemm_outputs * 2.0 * static_cast<double>(k_words) *
+                        bitpack::kWordBits;
+      gemm.span_count = m_tiles * groups;
+      gemm.scalar_ops = gemm_outputs * 4.0;  // threshold compare + byte insert
+      gemm.bytes_read = panel_bytes + static_cast<double>(weights_.bytes()) +
+                        static_cast<double>(d.c_out) * 5.0;
+    }
+    return {Launch{&kn_.im2col,
+                   aux(static_cast<double>(m * k_words), panel_bytes,
+                       panel_bytes)},
+            Launch{v.reuse ? &kn_.bitgemm_reuse : &kn_.bitgemm, gemm}};
+  }
+
+  // Window-streaming schedules (paths A, B, C and the fused conv→pool
+  // step): xor + popcount bit-lanes per window span, padded to the
+  // processing vector width (narrow layers waste the tail lanes of one
+  // vector, not a whole 64-bit word), plus window accumulation, span setups
+  // and the threshold test per output value.
+  const bool split = v.interior_split;
+  const auto pw = v.pack_width;
+  KernelCost conv;
+  conv.pack_width_bits = bitpack::bits(
+      split ? bitpack::cap_pack_width_to_span(pw, d.kw * d.words) : pw);
+  conv.coalescing = costs::coalescing(opts);
+  conv.alu_efficiency = costs::binary_kernel_eff(opts);
+
+  if (v.path == KernelVariant::Path::kConvUnfused) {
+    // Path C: raw int32 sums, full floating-point BN + sign, packing.
+    conv.bitop_bits = outputs * window_bitops(d, pw, split);
+    charge_windows(conv, d, opts, split, /*shared_window=*/false);
+    conv.bytes_read = in_w_bytes;
+    conv.bytes_written = outputs * 4.0;
+    return {Launch{&kn_.raw, conv},
+            Launch{&kn_.bn_binarize,
+                   aux(outputs * 6.0,  // add, sub, div, mul, add, compare
+                       outputs * 4.0 + static_cast<double>(d.c_out) * 20.0,
+                       outputs)},
+            Launch{&kn_.pack,
+                   aux(outputs, outputs, packed_out_bytes(d))}};
+  }
+
+  conv.bytes_read = in_w_bytes + static_cast<double>(d.c_out) * 5.0;
+  if (step.fused_pool != nullptr) {
+    // Conv work is unchanged (every conv output is still computed once);
+    // the pool adds its OR bit-ops, and the memory side drops the
+    // intermediate: only the pooled map is written, nothing re-read.
+    const PoolGeometry& pg =
+        static_cast<const MaxPool2d*>(step.fused_pool)->geometry();
+    const double pooled_outputs = static_cast<double>(d.n) *
+                                  step.out.shape.h * step.out.shape.w *
+                                  d.c_out;
+    conv.bitop_bits = outputs * window_bitops(d, pw, split) +
+                      pooled_outputs *
+                          static_cast<double>(pg.size * pg.size - 1);
+    charge_windows(conv, d, opts, split, /*shared_window=*/true);
+    conv.scalar_ops += outputs * 4.0;  // threshold + byte insert
+    conv.bytes_written = static_cast<double>(step.out.bytes());
+    return {Launch{&kn_.fused_pool, conv}};
+  }
+  if (v.reuse) {
+    // Path A with the duplicate-lane table: work and weight traffic scale
+    // by the bank's distinct-lane fraction (interior split only).
+    const double distinct_frac =
+        static_cast<double>(compressed_bank().distinct_group_lanes()) /
+        static_cast<double>(d.c_out);
+    conv.bitop_bits =
+        outputs * window_bitops(d, pw, /*split=*/true) * distinct_frac;
+    charge_windows_dedup(conv, d, opts, distinct_frac);
+    conv.scalar_ops += outputs * 4.0;  // threshold compare + byte/bit insert
+    conv.pack_width_bits =
+        bitpack::bits(bitpack::cap_pack_width_to_span(pw, d.kw * d.words));
+    conv.bytes_read = static_cast<double>(step.in.bytes()) +
+                      static_cast<double>(weights_.bytes()) * distinct_frac +
+                      static_cast<double>(d.c_out) * 5.0;
+    conv.bytes_written = packed_out_bytes(d);
+    return {Launch{&kn_.fused_dedup, conv}};
+  }
+  const bool path_a = v.path == KernelVariant::Path::kConvFused;
+  conv.bitop_bits = outputs * window_bitops(d, pw, split);
+  charge_windows(conv, d, opts, split, /*shared_window=*/path_a);
+  conv.scalar_ops += outputs * 4.0;  // threshold compare + byte/bit insert
+  if (path_a) {
+    conv.bytes_written = packed_out_bytes(d);
+    return {Launch{&kn_.fused, conv}};
+  }
+  conv.bytes_written = outputs;  // path B: the 0/1 byte map, then packing
+  return {Launch{&kn_.nopack, conv},
+          Launch{&kn_.pack, aux(outputs, outputs, packed_out_bytes(d))}};
+}
 
 KernelVariant BinaryConv2d::select_variant(const Shape& in_shape,
                                            const EngineOptions& opts) const {
@@ -598,6 +611,15 @@ KernelVariant BinaryConv2d::select_variant(const Shape& in_shape,
   v.pack_width = opts.conv_pack_width(in_shape.c, geom_.kernel_w);
   const std::int64_t ow = geom_.out_w(in_shape.w);
   v.tile_ow = opts.conv_tile_ow <= 0 ? ow : std::min(opts.conv_tile_ow, ow);
+  // Candidate schedules are priced by price() itself — the launches
+  // dispatch enqueues — and compared on the reference profile.
+  PlanStep cand;
+  cand.layer = this;
+  cand.in = BlobDesc{BlobKind::kPacked, in_shape};
+  const auto reference_ms = [&](const KernelVariant& c) {
+    cand.variant = c;
+    return reference_gpu_ms(price(cand, opts));
+  };
   // Path D (DESIGN.md §11) needs the fused folded-BN epilogue and whole
   // filter groups; where legal, kAuto takes it only when the roofline model
   // says the lowering wins this geometry on the reference profile. Both the
@@ -606,21 +628,21 @@ KernelVariant BinaryConv2d::select_variant(const Shape& in_shape,
   const bool gemm_legal = opts.fuse_bn_binarize && opts.integrate_packing &&
                           out_channels() % 8 == 0;
   if (gemm_legal && opts.conv_path != ConvPathPreference::kRowFused) {
-    const ConvDims d = make_dims(in_shape, out_channels(), geom_);
-    const bool take_gemm =
-        opts.conv_path == ConvPathPreference::kGemm ||
-        modeled_gemm_ms(d, opts) <
-            modeled_window_ms(
-                d, opts,
-                /*path_a=*/in_channels() <= opts.packing_channel_threshold);
-    if (take_gemm) {
-      v.path = KernelVariant::Path::kConvGemm;
-      v.kernel = "im2col+bitgemm";
-      // The GEMM inner loop streams the full K = kh*kw*words panel row, so
-      // its granularity is keyed on that span, not the row-fused kw*words.
-      v.pack_width =
-          opts.pack_width_for_span(in_shape.c, d.kh * d.kw * d.words);
-      v.tile_ow = bitpack::kGemmMr;  // M rows per register tile
+    KernelVariant gemm = v;
+    gemm.path = KernelVariant::Path::kConvGemm;
+    gemm.kernel = "im2col+bitgemm";
+    // The GEMM inner loop streams the full K = kh*kw*words panel row, so
+    // its granularity is keyed on that span, not the row-fused kw*words.
+    gemm.pack_width = opts.pack_width_for_span(
+        in_shape.c, geom_.kernel_h * geom_.kernel_w *
+                        ceil_div(in_shape.c, bitpack::kWordBits));
+    gemm.tile_ow = bitpack::kGemmMr;  // M rows per register tile
+    KernelVariant window = v;
+    window.path = in_channels() <= opts.packing_channel_threshold
+                      ? KernelVariant::Path::kConvFused
+                      : KernelVariant::Path::kConvSeparatePack;
+    if (opts.conv_path == ConvPathPreference::kGemm ||
+        reference_ms(gemm) < reference_ms(window)) {
       // Partial-popcount reuse (DESIGN.md §12): legal when the stage-1
       // partials fit the fixed per-work-item buffer; taken when the bank's
       // measured redundancy beats the plain tile on the reference roofline.
@@ -628,14 +650,16 @@ KernelVariant BinaryConv2d::select_variant(const Shape& in_shape,
       // stays replay-exact.
       if (opts.weight_compress == WeightCompress::kAuto) {
         const bitpack::CompressedFilterBank& bank = compressed_bank();
+        KernelVariant reuse = gemm;
+        reuse.reuse = true;
+        reuse.kernel = "im2col+bitgemm_reuse";
         if (bank.unique_rows() <= bitpack::kReuseMaxDict &&
             bank.unique_rows() < out_channels() &&
-            modeled_gemm_reuse_ms(d, opts, bank) < modeled_gemm_ms(d, opts)) {
-          v.reuse = true;
-          v.kernel = "im2col+bitgemm_reuse";
+            reference_ms(reuse) < reference_ms(gemm)) {
+          return reuse;
         }
       }
-      return v;
+      return gemm;
     }
   }
   if (!opts.fuse_bn_binarize) {
@@ -650,16 +674,12 @@ KernelVariant BinaryConv2d::select_variant(const Shape& in_shape,
     // only exact within-group duplicates are legal here (delta patches
     // would change the window math), so the gate is the bank's distinct
     // lane count plus the roofline comparison.
-    if (opts.weight_compress == WeightCompress::kAuto && opts.interior_split) {
-      const bitpack::CompressedFilterBank& bank = compressed_bank();
-      if (bank.distinct_group_lanes() < out_channels()) {
-        const ConvDims d = make_dims(in_shape, out_channels(), geom_);
-        if (modeled_window_dedup_ms(d, opts, bank) <
-            modeled_window_ms(d, opts, /*path_a=*/true)) {
-          v.reuse = true;
-          v.kernel = "bconv_fused_dedup";
-        }
-      }
+    if (opts.weight_compress == WeightCompress::kAuto && opts.interior_split &&
+        compressed_bank().distinct_group_lanes() < out_channels()) {
+      KernelVariant dedup = v;
+      dedup.reuse = true;
+      dedup.kernel = "bconv_fused_dedup";
+      if (reference_ms(dedup) < reference_ms(v)) return dedup;
     }
   } else {
     v.path = KernelVariant::Path::kConvSeparatePack;
@@ -670,8 +690,8 @@ KernelVariant BinaryConv2d::select_variant(const Shape& in_shape,
 
 PackedTensor BinaryConv2d::forward_fused(ExecContext& ctx,
                                          const PackedTensor& in,
-                                         const KernelVariant& v,
-                                         bool integrate_packing) const {
+                                         const PlanStep& step) const {
+  const KernelVariant& v = step.variant;
   const ConvDims d = make_dims(in, weights_, geom_);
   PackedTensor out = ctx.make_packed(Shape{d.n, d.oh, d.ow, d.c_out});
   const bool split = v.interior_split;
@@ -684,31 +704,15 @@ PackedTensor BinaryConv2d::forward_fused(ExecContext& ctx,
   const std::int64_t tiles_x = ceil_div(d.ow, tile);
   const FoldedBatchNorm& fb = folded_;
 
-  // Work tally (see costs.hpp): xor + popcount bit-lanes per window span,
-  // padded to the processing vector width (narrow layers waste the tail
-  // lanes of one vector, not a whole 64-bit word), plus window accumulation,
-  // span setups and the threshold test per output value.
-  const double outputs = static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
-  KernelCost cost;
-  cost.bitop_bits = outputs * window_bitops(d, pw, split);
-  charge_windows(cost, d, ctx.opts, split, /*shared_window=*/integrate_packing);
-  cost.scalar_ops += outputs * 4.0;  // threshold compare + byte/bit insert
-  cost.pack_width_bits = bitpack::bits(
-      split ? bitpack::cap_pack_width_to_span(pw, d.kw * d.words) : pw);
-  cost.bytes_read = static_cast<double>(in.bytes() + weights_.bytes()) +
-                    static_cast<double>(d.c_out) * 5.0;
-  cost.coalescing = costs::coalescing(ctx.opts);
-  cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
-
-  if (integrate_packing) {
+  if (v.path == KernelVariant::Path::kConvFused) {
     // Path A — Fig. 4: one work item owns a tile of output columns for the
     // 8 filters of its group and stores one byte per column; interior
     // windows run the shared-window schedule (group_mismatches).
     const std::int64_t groups = d.c_out / 8;
-    cost.bytes_written = static_cast<double>(out.bytes());
     auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
+    const Launch& l = step.launches[0];
     ctx.queue.enqueue(
-        kn_.fused, NDRange{tiles_x, d.oh, d.n * groups}, cost,
+        *l.name, NDRange{tiles_x, d.oh, d.n * groups}, l.cost,
         [&, d, pw, branch_free, len, groups, split, tile,
          zeros](const WorkItem& it) {
           const std::int64_t n = it.z / groups;
@@ -731,10 +735,9 @@ PackedTensor BinaryConv2d::forward_fused(ExecContext& ctx,
   // The 0/1 byte map lives in the engine arena, not a per-forward vector.
   const std::int64_t bit_count = d.n * d.oh * d.ow * d.c_out;
   std::uint8_t* bits = ctx.arena.u8(bit_count);
-  KernelCost conv_cost = cost;
-  conv_cost.bytes_written = static_cast<double>(bit_count);
+  const Launch& l = step.launches[0];
   ctx.queue.enqueue(
-      kn_.nopack, NDRange{tiles_x, d.oh, d.n * d.c_out}, conv_cost,
+      *l.name, NDRange{tiles_x, d.oh, d.n * d.c_out}, l.cost,
       [&, d, pw, branch_free, len, split, tile, zeros,
        bits](const WorkItem& it) {
         const std::int64_t n = it.z / d.c_out;
@@ -754,39 +757,17 @@ PackedTensor BinaryConv2d::forward_fused(ExecContext& ctx,
         }
       });
 
-  // Packing pass: one work item per output word.
-  const std::int64_t owords = out.words_per_pixel();
-  KernelCost pack_cost;
-  pack_cost.scalar_ops = static_cast<double>(bit_count);
-  pack_cost.bytes_read = static_cast<double>(bit_count);
-  pack_cost.bytes_written = static_cast<double>(out.bytes());
-  pack_cost.coalescing = costs::coalescing(ctx.opts);
-  pack_cost.alu_efficiency = costs::kAuxKernelEff;
-  ctx.queue.enqueue(
-      kn_.pack, NDRange{d.ow, d.oh, d.n * owords}, pack_cost,
-      [&, d, owords, bits](const WorkItem& it) {
-        const std::int64_t n = it.z / owords;
-        const std::int64_t j = it.z % owords;
-        std::uint64_t word = 0;
-        const std::int64_t base =
-            ((n * d.oh + it.y) * d.ow + it.x) * d.c_out + j * 64;
-        const std::int64_t limit = std::min<std::int64_t>(64, d.c_out - j * 64);
-        for (std::int64_t b = 0; b < limit; ++b) {
-          if (bits[static_cast<std::size_t>(base + b)] != 0) {
-            word |= (std::uint64_t{1} << b);
-          }
-        }
-        out.data()[out.word_offset(n, it.y, it.x, j)] = word;
-      });
+  enqueue_pack(ctx, step.launches[1], d, bits, out);
   return out;
 }
 
 PackedTensor BinaryConv2d::forward_unfused(ExecContext& ctx,
                                            const PackedTensor& in,
-                                           const KernelVariant& v) const {
+                                           const PlanStep& step) const {
   // Path C — the pre-integration pipeline: three kernels and two
   // materialized intermediates (what §V-B's fusion eliminates). Both
   // intermediates live in the engine arena.
+  const KernelVariant& v = step.variant;
   const ConvDims d = make_dims(in, weights_, geom_);
   PackedTensor out = ctx.make_packed(Shape{d.n, d.oh, d.ow, d.c_out});
   const bool split = v.interior_split;
@@ -796,22 +777,13 @@ PackedTensor BinaryConv2d::forward_unfused(ExecContext& ctx,
   const std::int64_t len = d.kh * d.kw * d.c_in;
   const std::int64_t tile = std::min(v.tile_ow, d.ow);
   const std::int64_t tiles_x = ceil_div(d.ow, tile);
-  const double outputs = static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
   const std::int64_t out_count = d.n * d.oh * d.ow * d.c_out;
 
   // Kernel 1: raw binary convolution, int32 sums out.
   std::int32_t* sums = ctx.arena.i32(out_count);
-  KernelCost conv_cost;
-  conv_cost.bitop_bits = outputs * window_bitops(d, pw, split);
-  charge_windows(conv_cost, d, ctx.opts, split, /*shared_window=*/false);
-  conv_cost.pack_width_bits = bitpack::bits(
-      split ? bitpack::cap_pack_width_to_span(pw, d.kw * d.words) : pw);
-  conv_cost.bytes_read = static_cast<double>(in.bytes() + weights_.bytes());
-  conv_cost.bytes_written = outputs * 4.0;
-  conv_cost.coalescing = costs::coalescing(ctx.opts);
-  conv_cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
+  const Launch& raw = step.launches[0];
   ctx.queue.enqueue(
-      kn_.raw, NDRange{tiles_x, d.oh, d.n * d.c_out}, conv_cost,
+      *raw.name, NDRange{tiles_x, d.oh, d.n * d.c_out}, raw.cost,
       [&, d, pw, len, split, tile, zeros, sums](const WorkItem& it) {
         const std::int64_t n = it.z / d.c_out;
         const std::int64_t co = it.z % d.c_out;
@@ -828,16 +800,11 @@ PackedTensor BinaryConv2d::forward_unfused(ExecContext& ctx,
 
   // Kernel 2: full floating-point batch-norm + sign binarization.
   std::uint8_t* bits = ctx.arena.u8(out_count);
-  KernelCost bn_cost;
-  bn_cost.scalar_ops = outputs * 6.0;  // add, sub, div, mul, add, compare
-  bn_cost.bytes_read = outputs * 4.0 + static_cast<double>(d.c_out) * 20.0;
-  bn_cost.bytes_written = outputs;
-  bn_cost.coalescing = costs::coalescing(ctx.opts);
-  bn_cost.alu_efficiency = costs::kAuxKernelEff;
   const std::vector<BatchNormParams>& bn = bn_;
   const std::vector<float>& bias = bias_;
+  const Launch& bn_binarize = step.launches[1];
   ctx.queue.enqueue_chunked(
-      kn_.bn_binarize, NDRange{out_count}, bn_cost,
+      *bn_binarize.name, NDRange{out_count}, bn_binarize.cost,
       [&, d, sums, bits](std::int64_t begin, std::int64_t end) {
         for (std::int64_t i = begin; i < end; ++i) {
           const std::size_t ci = static_cast<std::size_t>(i % d.c_out);
@@ -849,35 +816,13 @@ PackedTensor BinaryConv2d::forward_unfused(ExecContext& ctx,
       });
 
   // Kernel 3: packing (same as path B's second kernel).
-  const std::int64_t owords = out.words_per_pixel();
-  KernelCost pack_cost;
-  pack_cost.scalar_ops = outputs;
-  pack_cost.bytes_read = outputs;
-  pack_cost.bytes_written = static_cast<double>(out.bytes());
-  pack_cost.coalescing = costs::coalescing(ctx.opts);
-  pack_cost.alu_efficiency = costs::kAuxKernelEff;
-  ctx.queue.enqueue(
-      kn_.pack, NDRange{d.ow, d.oh, d.n * owords}, pack_cost,
-      [&, d, owords, bits](const WorkItem& it) {
-        const std::int64_t n = it.z / owords;
-        const std::int64_t j = it.z % owords;
-        std::uint64_t word = 0;
-        const std::int64_t base =
-            ((n * d.oh + it.y) * d.ow + it.x) * d.c_out + j * 64;
-        const std::int64_t limit = std::min<std::int64_t>(64, d.c_out - j * 64);
-        for (std::int64_t b = 0; b < limit; ++b) {
-          if (bits[static_cast<std::size_t>(base + b)] != 0) {
-            word |= (std::uint64_t{1} << b);
-          }
-        }
-        out.data()[out.word_offset(n, it.y, it.x, j)] = word;
-      });
+  enqueue_pack(ctx, step.launches[2], d, bits, out);
   return out;
 }
 
 PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
                                         const PackedTensor& in,
-                                        const KernelVariant& v) const {
+                                        const PlanStep& step) const {
   // Path D — bit-GEMM lowering (DESIGN.md §11). Kernel 1 lowers the packed
   // input to an im2col panel: one row of K = kh*kw*words words per output
   // pixel, padding resolved once here as zero-filled segments (the all-(-1)
@@ -894,16 +839,9 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
   const std::int64_t k_words = d.kh * d.kw * d.words;
   const std::int64_t m = d.n * d.oh * d.ow;
   std::uint64_t* panel = ctx.arena.words(m * k_words);
-  const double panel_bytes = static_cast<double>(m * k_words) * 8.0;
-
-  KernelCost col_cost;
-  col_cost.scalar_ops = static_cast<double>(m * k_words);
-  col_cost.bytes_read = panel_bytes;
-  col_cost.bytes_written = panel_bytes;
-  col_cost.coalescing = costs::coalescing(ctx.opts);
-  col_cost.alu_efficiency = costs::kAuxKernelEff;
+  const Launch& im2col = step.launches[0];
   ctx.queue.enqueue(
-      kn_.im2col, NDRange{d.ow, d.oh, d.n}, col_cost,
+      *im2col.name, NDRange{d.ow, d.oh, d.n}, im2col.cost,
       [&, d, k_words, panel](const WorkItem& it) {
         const std::int64_t n = it.z;
         std::uint64_t* row =
@@ -940,10 +878,10 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
   const std::int64_t len = d.kh * d.kw * d.c_in;
   const std::int64_t out_pitch = out.words_per_pixel() * 8;  // bytes/pixel
   const FoldedBatchNorm& fb = folded_;
-  const double outputs = static_cast<double>(m) * d.c_out;
-  auto* out_bytes_reuse = reinterpret_cast<std::uint8_t*>(out.data());
+  auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
+  const Launch& gemm = step.launches[1];
 
-  if (v.reuse) {
+  if (step.variant.reuse) {
     // Partial-popcount reuse schedule (DESIGN.md §12): one work item per
     // register tile scores every unique dictionary row ONCE (stage 1,
     // partials in a fixed stack buffer — never the shared arena, so
@@ -952,29 +890,10 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
     // partials plus their delta corrections (stage 2). Bit-exact with the
     // plain tile against the reconstructed weights.
     const bitpack::CompressedFilterBank& bank = compressed_bank();
-    const double unique = static_cast<double>(bank.unique_rows());
-    const double delta_words = static_cast<double>(bank.stats().delta_words);
-    KernelCost reuse_cost;
-    reuse_cost.bitop_bits = costs::reuse_gemm_bitop_bits(
-        static_cast<double>(m), unique, static_cast<double>(k_words),
-        delta_words);
-    reuse_cost.pack_width_bits = bitpack::bits(
-        bitpack::cap_pack_width_to_span(v.pack_width, k_words));
-    reuse_cost.instr_overhead_cycles = costs::instr_overhead_gemm(ctx.opts);
-    reuse_cost.span_count = static_cast<double>(m_tiles) *
-                            (unique + static_cast<double>(groups));
-    reuse_cost.span_setup_cycles = costs::kGemmTileSetupCycles;
-    reuse_cost.scalar_ops = outputs * 5.0;
-    reuse_cost.bytes_read = panel_bytes +
-                            static_cast<double>(bank.stats().encoded_bytes) +
-                            static_cast<double>(d.c_out) * 5.0;
-    reuse_cost.bytes_written = packed_out_bytes(d);
-    reuse_cost.coalescing = costs::coalescing(ctx.opts);
-    reuse_cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
     ctx.queue.enqueue(
-        kn_.bitgemm_reuse, NDRange{m_tiles, 1, 1}, reuse_cost,
-        [&, d, k_words, m, out_pitch, branch_free, len, groups, panel,
-         out_bytes_reuse](const WorkItem& it) {
+        *gemm.name, NDRange{m_tiles, 1, 1}, gemm.cost,
+        [&, k_words, m, out_pitch, branch_free, len, groups,
+         panel](const WorkItem& it) {
           const std::int64_t m0 = it.x * bitpack::kGemmMr;
           const std::int64_t rows =
               std::min<std::int64_t>(bitpack::kGemmMr, m - m0);
@@ -987,7 +906,7 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
                                                 bank, g, rows, partials,
                                                 mism);
             for (std::int64_t r = 0; r < rows; ++r) {
-              out_bytes_reuse[(m0 + r) * out_pitch + g] =
+              out_bytes[(m0 + r) * out_pitch + g] =
                   group_byte(&mism[r * 8], g, len, fb, branch_free);
             }
           }
@@ -995,28 +914,11 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
     return out;
   }
 
-  KernelCost gemm_cost;
-  gemm_cost.bitop_bits =
-      outputs * 2.0 * static_cast<double>(k_words) * bitpack::kWordBits;
-  gemm_cost.pack_width_bits = bitpack::bits(
-      bitpack::cap_pack_width_to_span(v.pack_width, k_words));
-  gemm_cost.instr_overhead_cycles = costs::instr_overhead_gemm(ctx.opts);
-  gemm_cost.span_count =
-      static_cast<double>(m_tiles) * static_cast<double>(groups);
-  gemm_cost.span_setup_cycles = costs::kGemmTileSetupCycles;
-  gemm_cost.scalar_ops = outputs * 4.0;  // threshold compare + byte insert
-  gemm_cost.bytes_read = panel_bytes +
-                         static_cast<double>(weights_.bytes()) +
-                         static_cast<double>(d.c_out) * 5.0;
-  gemm_cost.bytes_written = static_cast<double>(out.bytes());
-  gemm_cost.coalescing = costs::coalescing(ctx.opts);
-  gemm_cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
-  auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
   // One work item owns one m-tile across every filter group, so the tile's
   // panel rows stay in L1 while each group's interleaved filter words
   // stream past them.
   ctx.queue.enqueue(
-      kn_.bitgemm, NDRange{m_tiles, 1, 1}, gemm_cost,
+      *gemm.name, NDRange{m_tiles, 1, 1}, gemm.cost,
       [&, k_words, m, out_pitch, branch_free, len, groups,
        panel](const WorkItem& it) {
         const std::int64_t m0 = it.x * bitpack::kGemmMr;
@@ -1043,7 +945,7 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
 
 PackedTensor BinaryConv2d::forward_fused_dedup(ExecContext& ctx,
                                                const PackedTensor& in,
-                                               const KernelVariant& v) const {
+                                               const PlanStep& step) const {
   // Path A with the duplicate-lane table (DESIGN.md §12): selection only
   // takes this variant with the interior split on, so there is no per-tap
   // ablation arm here. Work and traffic scale by the bank's distinct-lane
@@ -1052,9 +954,7 @@ PackedTensor BinaryConv2d::forward_fused_dedup(ExecContext& ctx,
   PackedTensor out = ctx.make_packed(Shape{d.n, d.oh, d.ow, d.c_out});
   const bitpack::CompressedFilterBank& bank = compressed_bank();
   const std::uint8_t* lane_src = bank.lane_sources().data();
-  const double distinct_frac =
-      static_cast<double>(bank.distinct_group_lanes()) /
-      static_cast<double>(d.c_out);
+  const KernelVariant& v = step.variant;
   const auto pw = v.pack_width;
   const bool branch_free = ctx.opts.branch_free_binarize;
   const std::int64_t len = d.kh * d.kw * d.c_in;
@@ -1063,26 +963,10 @@ PackedTensor BinaryConv2d::forward_fused_dedup(ExecContext& ctx,
   const std::int64_t groups = d.c_out / 8;
   const FoldedBatchNorm& fb = folded_;
 
-  // Mirrors modeled_window_dedup_ms exactly (same expressions), so the
-  // recorded modeled time equals what selection compared.
-  const double outputs = static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
-  KernelCost cost;
-  cost.bitop_bits =
-      outputs * window_bitops(d, pw, /*split=*/true) * distinct_frac;
-  charge_windows_dedup(cost, d, ctx.opts, distinct_frac);
-  cost.scalar_ops += outputs * 4.0;  // threshold compare + byte/bit insert
-  cost.pack_width_bits =
-      bitpack::bits(bitpack::cap_pack_width_to_span(pw, d.kw * d.words));
-  cost.bytes_read = packed_in_bytes(d) +
-                    packed_weight_bytes(d) * distinct_frac +
-                    static_cast<double>(d.c_out) * 5.0;
-  cost.bytes_written = packed_out_bytes(d);
-  cost.coalescing = costs::coalescing(ctx.opts);
-  cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
-
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
+  const Launch& l = step.launches[0];
   ctx.queue.enqueue(
-      kn_.fused_dedup, NDRange{tiles_x, d.oh, d.n * groups}, cost,
+      *l.name, NDRange{tiles_x, d.oh, d.n * groups}, l.cost,
       [&, d, pw, branch_free, len, groups, tile,
        lane_src](const WorkItem& it) {
         const std::int64_t n = it.z / groups;
@@ -1130,30 +1014,10 @@ PackedTensor BinaryConv2d::forward_fused_pool(ExecContext& ctx,
   const std::int64_t groups = d.c_out / 8;
   const FoldedBatchNorm& fb = folded_;
 
-  // Conv work is unchanged (every conv output is still computed once); the
-  // pool adds its OR bit-ops, and the memory side drops the intermediate:
-  // only the pooled map is written, nothing re-read.
-  const double conv_outputs =
-      static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
-  const double pooled_outputs =
-      static_cast<double>(d.n) * poh * pow_ * d.c_out;
-  KernelCost cost;
-  cost.bitop_bits = conv_outputs * window_bitops(d, pw, split) +
-                    pooled_outputs *
-                        static_cast<double>(pg.size * pg.size - 1);
-  charge_windows(cost, d, ctx.opts, split, /*shared_window=*/true);
-  cost.scalar_ops += conv_outputs * 4.0;  // threshold + byte insert
-  cost.pack_width_bits = bitpack::bits(
-      split ? bitpack::cap_pack_width_to_span(pw, d.kw * d.words) : pw);
-  cost.bytes_read = static_cast<double>(in.bytes() + weights_.bytes()) +
-                    static_cast<double>(d.c_out) * 5.0;
-  cost.bytes_written = static_cast<double>(out.bytes());
-  cost.coalescing = costs::coalescing(ctx.opts);
-  cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
-
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
+  const Launch& l = step.launches[0];
   ctx.queue.enqueue(
-      kn_.fused_pool, NDRange{tiles_x, poh, d.n * groups}, cost,
+      *l.name, NDRange{tiles_x, poh, d.n * groups}, l.cost,
       [&, d, pg, lp, poh, pow_, pw, branch_free, len, groups, split, tile,
        zeros](const WorkItem& it) {
         const std::int64_t n = it.z / groups;

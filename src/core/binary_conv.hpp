@@ -57,8 +57,9 @@ class BinaryConv2d final : public Layer {
                ConvGeometry geom);
 
   const std::string& name() const override { return name_; }
-  Blob forward(ExecContext& ctx, const Blob& in) const override;
   void plan(PlanContext& pc) const override;
+  std::vector<Launch> price(const PlanStep& step,
+                            const EngineOptions& opts) const override;
   Blob run(ExecContext& ctx, const Blob& in,
            const PlanStep& step) const override;
 
@@ -86,24 +87,23 @@ class BinaryConv2d final : public Layer {
 
  private:
   /// Ahead-of-time kernel selection from input geometry + options: the
-  /// execution path (A/B/C), the pack width (span- or channel-keyed), the
-  /// interior split and the resolved output-x tile. Called once at compile;
-  /// the uncompiled forward() re-derives it per call.
+  /// execution path (A/B/C/D, reuse), the pack width (span- or
+  /// channel-keyed), the interior split and the resolved output-x tile.
+  /// Candidate schedules are compared by pricing them with price() on the
+  /// reference profile. Called from plan().
   KernelVariant select_variant(const Shape& in_shape,
                                const EngineOptions& opts) const;
-  /// Validated input extraction shared by forward()/run().
+  /// Validated input extraction for run().
   const bitpack::PackedTensor& checked_input(const Blob& in) const;
 
-  bitpack::PackedTensor execute(ExecContext& ctx,
-                                const bitpack::PackedTensor& in,
-                                const KernelVariant& v) const;
+  // The dispatch bodies, one per schedule; each enqueues step.launches.
+  /// Paths A and B (window streaming; B adds a separate packing kernel).
   bitpack::PackedTensor forward_fused(ExecContext& ctx,
                                       const bitpack::PackedTensor& in,
-                                      const KernelVariant& v,
-                                      bool integrate_packing) const;
+                                      const PlanStep& step) const;
   bitpack::PackedTensor forward_unfused(ExecContext& ctx,
                                         const bitpack::PackedTensor& in,
-                                        const KernelVariant& v) const;
+                                        const PlanStep& step) const;
   /// Path D — bit-GEMM lowering (DESIGN.md §11): an im2col kernel lowers
   /// the packed input to an M x K bit-panel (padding resolved to zero-fill
   /// once), then a register-tiled GEMM kernel scores kGemmMr x 8 output
@@ -111,7 +111,7 @@ class BinaryConv2d final : public Layer {
   /// K reduction, finishing with path A's folded-BN group-byte epilogue.
   bitpack::PackedTensor forward_gemm(ExecContext& ctx,
                                      const bitpack::PackedTensor& in,
-                                     const KernelVariant& v) const;
+                                     const PlanStep& step) const;
   /// Path A with the duplicate-lane table (DESIGN.md §12): each workload
   /// group computes one window per DISTINCT lane (exact-duplicate filters
   /// copy the earlier lane's mismatch count) — selected only under
@@ -119,7 +119,7 @@ class BinaryConv2d final : public Layer {
   /// comparison; bit-exact with forward_fused's shared-window schedule.
   bitpack::PackedTensor forward_fused_dedup(ExecContext& ctx,
                                             const bitpack::PackedTensor& in,
-                                            const KernelVariant& v) const;
+                                            const PlanStep& step) const;
   /// Compiled conv→pool fused step (plan.cpp's rewrite, DESIGN.md §7): one
   /// kernel computes path-A conv bytes into a per-row register buffer and
   /// ORs each pool window out of it, emitting the pooled packed map

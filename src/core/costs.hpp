@@ -1,7 +1,8 @@
 // PhoneBit — cost accounting for the engine's kernels.
 //
-// Each forward pass counts the work its kernels genuinely perform (bit-lane
-// ops, scalar ops, DRAM traffic, launches) and hands the tally to the oclsim
+// Each layer's price() counts the work its kernels genuinely perform
+// (bit-lane ops, scalar ops, DRAM traffic, launches), once per plan step at
+// compile or artifact load; dispatch hands that tally to the oclsim
 // roofline model. The efficiency constants below are the only calibrated
 // quantities; they are engine-wide (never per-network or per-layer), so
 // every relative result — speedups between engines, fusion/packing/layout
@@ -88,8 +89,7 @@ inline constexpr double kReuseDeltaWordOps = 4.0;
 /// Bit-lane ops of one im2col panel scored by the reuse schedule: every
 /// unique dictionary row pays the full 2-op/word xor+popcount reduction per
 /// panel row (stage 1, computed once per m-tile), and every delta entry pays
-/// the word-granular correction per panel row (stage 2). Bit-exact with the
-/// tallies forward_gemm's reuse branch charges.
+/// the word-granular correction per panel row (stage 2).
 inline double reuse_gemm_bitop_bits(double m, double unique_rows,
                                     double k_words, double delta_words) {
   return m * (unique_rows * 2.0 * k_words * 64.0 +

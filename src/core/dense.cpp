@@ -67,27 +67,32 @@ bitpack::PackWidth BinaryDense::dense_pack_width(
   return opts.pack_width_for_span(in_features(), weights_.words_per_pixel());
 }
 
-const PackedTensor& BinaryDense::checked_input(const Blob& in) const {
-  const auto* packed = std::get_if<PackedTensor>(&in);
-  PB_CHECK(packed != nullptr, name_ << ": binary dense expects packed input");
-  return *packed;
+std::vector<Launch> BinaryDense::price(const PlanStep& step,
+                                       const EngineOptions& opts) const {
+  const std::int64_t n = step.in.shape.n;
+  const std::int64_t u = units();
+  const auto pw = step.variant.pack_width;
+  KernelCost cost;
+  cost.bitop_bits =
+      2.0 * static_cast<double>(n * u) *
+      static_cast<double>(ceil_div(in_features(), bitpack::bits(pw)) *
+                          bitpack::bits(pw));
+  cost.scalar_ops = static_cast<double>(n * u) * 4.0;
+  cost.pack_width_bits = bitpack::bits(pw);
+  cost.instr_overhead_cycles = costs::instr_overhead(opts);
+  cost.bytes_read = static_cast<double>(n * weights_.words_per_pixel() * 8 +
+                                        weights_.bytes());
+  cost.bytes_written = static_cast<double>(step.out.bytes());
+  cost.coalescing = costs::coalescing(opts);
+  cost.alu_efficiency = costs::binary_kernel_eff(opts);
+  return {Launch{&fused_name_, cost}};
 }
 
-Blob BinaryDense::forward(ExecContext& ctx, const Blob& in) const {
-  const PackedTensor& packed = checked_input(in);
-  if (ctx.stats != nullptr) ++ctx.stats->variant_selections;
-  KernelVariant v;
-  v.pack_width = dense_pack_width(ctx.opts);
-  return execute(ctx, packed, v);
-}
-
-Blob BinaryDense::run(ExecContext& ctx, const Blob& in,
+Blob BinaryDense::run(ExecContext& ctx, const Blob& input,
                       const PlanStep& step) const {
-  return execute(ctx, checked_input(in), step.variant);
-}
-
-PackedTensor BinaryDense::execute(ExecContext& ctx, const PackedTensor& in,
-                                  const KernelVariant& v) const {
+  const auto* packed = std::get_if<PackedTensor>(&input);
+  PB_CHECK(packed != nullptr, name_ << ": binary dense expects packed input");
+  const PackedTensor& in = *packed;
   const Shape& is = in.shape();
   const std::int64_t features = is.h * is.w * is.c;
   PB_CHECK(features == in_features(), name_ << ": input features " << features
@@ -120,27 +125,14 @@ PackedTensor BinaryDense::execute(ExecContext& ctx, const PackedTensor& in,
   }
 
   const std::int64_t groups = u / 8;
-  const auto pw = v.pack_width;
+  const auto pw = step.variant.pack_width;
   const bool branch_free = ctx.opts.branch_free_binarize;
   PackedTensor out = ctx.make_packed(Shape{n, 1, 1, u});
   const FoldedBatchNorm& fb = folded_;
-
-  KernelCost cost;
-  cost.bitop_bits =
-      2.0 * static_cast<double>(n * u) *
-      static_cast<double>(ceil_div(in_features(), bitpack::bits(pw)) *
-                          bitpack::bits(pw));
-  cost.scalar_ops = static_cast<double>(n * u) * 4.0;
-  cost.pack_width_bits = bitpack::bits(pw);
-  cost.instr_overhead_cycles = costs::instr_overhead(ctx.opts);
-  cost.bytes_read = static_cast<double>(n * words * 8 + weights_.bytes());
-  cost.bytes_written = static_cast<double>(out.bytes());
-  cost.coalescing = costs::coalescing(ctx.opts);
-  cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
-
+  const Launch& l = step.launches[0];
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
   ctx.queue.enqueue(
-      fused_name_, NDRange{groups, n, 1}, cost,
+      *l.name, NDRange{groups, n, 1}, l.cost,
       [&, words, groups, branch_free, pw, features, flat](const WorkItem& it) {
         const std::int64_t sample = it.y;
         const std::uint64_t* x = flat + sample * words;
@@ -198,7 +190,34 @@ void FloatDense::plan(PlanContext& pc) const {
   pc.produce(BlobDesc{BlobKind::kFloat, Shape{in.shape.n, 1, 1, units()}});
 }
 
-Blob FloatDense::forward(ExecContext& ctx, const Blob& in) const {
+std::vector<Launch> FloatDense::price(const PlanStep& step,
+                                      const EngineOptions& opts) const {
+  const std::int64_t n = step.in.shape.n;
+  const std::int64_t u = units();
+  const std::int64_t features = in_features();
+  const double x_bytes = static_cast<double>(n * features * 4);
+  std::vector<Launch> launches;
+  if (step.in.kind == BlobKind::kPacked) {
+    KernelCost cost;
+    cost.scalar_ops = static_cast<double>(n * features);
+    cost.bytes_read = static_cast<double>(step.in.bytes());
+    cost.bytes_written = x_bytes;
+    cost.alu_efficiency = costs::kAuxKernelEff;
+    cost.coalescing = costs::coalescing(opts);
+    launches.push_back(Launch{&unpack_name_, cost});
+  }
+  KernelCost cost;
+  cost.scalar_ops = static_cast<double>(n * u * features);
+  cost.bytes_read = x_bytes + static_cast<double>(weights_.bytes());
+  cost.bytes_written = static_cast<double>(step.out.bytes());
+  cost.coalescing = costs::coalescing(opts);
+  cost.alu_efficiency = costs::kFloatDotEff;
+  launches.push_back(Launch{&dot_name_, cost});
+  return launches;
+}
+
+Blob FloatDense::run(ExecContext& ctx, const Blob& in,
+                     const PlanStep& step) const {
   // Expand packed input to ±1 floats / flatten float input, into arena f32
   // scratch (never a per-forward heap tensor).
   FloatTensor x;
@@ -207,14 +226,9 @@ Blob FloatDense::forward(ExecContext& ctx, const Blob& in) const {
     const std::int64_t feat = ps.h * ps.w * ps.c;
     x = FloatTensor(Shape{ps.n, 1, 1, feat}, Layout::kNHWC,
                     ctx.arena.f32(ps.n * feat));
-    KernelCost cost;
-    cost.scalar_ops = static_cast<double>(ps.n * feat);
-    cost.bytes_read = static_cast<double>(packed->bytes());
-    cost.bytes_written = static_cast<double>(x.bytes());
-    cost.alu_efficiency = costs::kAuxKernelEff;
-    cost.coalescing = costs::coalescing(ctx.opts);
+    const Launch& l = step.launches[0];
     ctx.queue.enqueue_chunked(
-        unpack_name_, NDRange{ps.n, 1, 1}, cost,
+        *l.name, NDRange{ps.n, 1, 1}, l.cost,
         [&, ps](std::int64_t begin, std::int64_t end) {
           for (std::int64_t s = begin; s < end; ++s) {
             float* dst = &x(s, 0, 0, 0);
@@ -243,17 +257,10 @@ Blob FloatDense::forward(ExecContext& ctx, const Blob& in) const {
   const std::int64_t features = in_features();
   FloatTensor out = ctx.make_float(Shape{n, 1, 1, u}, Layout::kNHWC);
 
-  KernelCost cost;
-  cost.scalar_ops = static_cast<double>(n * u * features);
-  cost.bytes_read =
-      static_cast<double>(x.bytes()) + static_cast<double>(weights_.bytes());
-  cost.bytes_written = static_cast<double>(out.bytes());
-  cost.coalescing = costs::coalescing(ctx.opts);
-  cost.alu_efficiency = costs::kFloatDotEff;
-
   const std::vector<float>& bias = bias_;
+  const Launch& l = step.launches.back();
   ctx.queue.enqueue(
-      dot_name_, NDRange{u, n, 1}, cost,
+      *l.name, NDRange{u, n, 1}, l.cost,
       [&, features](const WorkItem& it) {
         const float* px = &x(it.y, 0, 0, 0);
         const float* wt = &weights_(it.x, 0, 0, 0);

@@ -26,8 +26,9 @@ class BinaryDense final : public Layer {
               std::vector<BatchNormParams> bn, std::vector<float> bias);
 
   const std::string& name() const override { return name_; }
-  Blob forward(ExecContext& ctx, const Blob& in) const override;
   void plan(PlanContext& pc) const override;
+  std::vector<Launch> price(const PlanStep& step,
+                            const EngineOptions& opts) const override;
   Blob run(ExecContext& ctx, const Blob& in,
            const PlanStep& step) const override;
 
@@ -44,10 +45,6 @@ class BinaryDense final : public Layer {
  private:
   /// Span-keyed granularity of the GEMV's fused feature span.
   bitpack::PackWidth dense_pack_width(const EngineOptions& opts) const;
-  const bitpack::PackedTensor& checked_input(const Blob& in) const;
-  bitpack::PackedTensor execute(ExecContext& ctx,
-                                const bitpack::PackedTensor& in,
-                                const KernelVariant& v) const;
 
   std::string name_;
   std::string fused_name_;  ///< kernel name, built once
@@ -65,8 +62,11 @@ class FloatDense final : public Layer {
   FloatDense(std::string name, FloatTensor weights, std::vector<float> bias);
 
   const std::string& name() const override { return name_; }
-  Blob forward(ExecContext& ctx, const Blob& in) const override;
   void plan(PlanContext& pc) const override;
+  std::vector<Launch> price(const PlanStep& step,
+                            const EngineOptions& opts) const override;
+  Blob run(ExecContext& ctx, const Blob& in,
+           const PlanStep& step) const override;
 
   std::int64_t param_bytes() const override;
   std::int64_t param_count() const override;

@@ -108,31 +108,55 @@ void FloatConv2d::plan(PlanContext& pc) const {
                             geom_.out_w(in.shape.w), out_channels()}});
 }
 
-Blob FloatConv2d::forward(ExecContext& ctx, const Blob& in) const {
+std::vector<Launch> FloatConv2d::price(const PlanStep& step,
+                                       const EngineOptions& opts) const {
+  const Shape& is = step.in.shape;
+  const double in_bytes = static_cast<double>(is.elems() * 4);
+  std::vector<Launch> launches;
+  if (step.in.kind == BlobKind::kPacked) {
+    KernelCost cost;
+    cost.scalar_ops = static_cast<double>(is.elems());
+    cost.bytes_read = static_cast<double>(step.in.bytes());
+    cost.bytes_written = in_bytes;
+    cost.coalescing = costs::coalescing(opts);
+    cost.alu_efficiency = costs::kAuxKernelEff;
+    launches.push_back(Launch{&unpack_name_, cost});
+  }
+  const Shape& os = step.out.shape;
+  KernelCost cost;
+  const double outputs = static_cast<double>(os.n) * os.h * os.w * os.c;
+  cost.scalar_ops =
+      outputs * static_cast<double>(geom_.kernel_h * geom_.kernel_w * is.c);
+  cost.bytes_read = in_bytes + static_cast<double>(weights_.bytes());
+  cost.bytes_written = static_cast<double>(step.out.bytes());
+  cost.coalescing = costs::coalescing(opts);
+  cost.alu_efficiency = costs::kFloatDotEff;  // float4 dot built-in (§VII)
+  launches.push_back(Launch{&dot_name_, cost});
+  return launches;
+}
+
+Blob FloatConv2d::run(ExecContext& ctx, const Blob& in,
+                      const PlanStep& step) const {
   if (const auto* packed = std::get_if<PackedTensor>(&in)) {
     // Unpack kernel: packed bits -> ±1 floats, into arena f32 scratch.
     const Shape s = packed->shape();
     FloatTensor expanded(s, Layout::kNHWC, ctx.arena.f32(s.elems()));
-    KernelCost cost;
-    cost.scalar_ops = static_cast<double>(s.elems());
-    cost.bytes_read = static_cast<double>(packed->bytes());
-    cost.bytes_written = static_cast<double>(expanded.bytes());
-    cost.coalescing = costs::coalescing(ctx.opts);
-    cost.alu_efficiency = costs::kAuxKernelEff;
-    ctx.queue.enqueue(unpack_name_, NDRange{s.w, s.h, s.n}, cost,
+    const Launch& l = step.launches[0];
+    ctx.queue.enqueue(*l.name, NDRange{s.w, s.h, s.n}, l.cost,
                       [&](const WorkItem& it) {
                         bitpack::unpack_sign_words(
                             packed->pixel(it.z, it.y, it.x), s.c,
                             &expanded(it.z, it.y, it.x, 0));
                       });
-    return conv(ctx, expanded);
+    return conv(ctx, expanded, step.launches[1]);
   }
   const auto* f = std::get_if<FloatTensor>(&in);
   PB_CHECK(f != nullptr, name_ << ": expects packed or float input");
-  return conv(ctx, *f);
+  return conv(ctx, *f, step.launches[0]);
 }
 
-FloatTensor FloatConv2d::conv(ExecContext& ctx, const FloatTensor& in) const {
+FloatTensor FloatConv2d::conv(ExecContext& ctx, const FloatTensor& in,
+                              const Launch& launch) const {
   PB_CHECK(in.layout() == Layout::kNHWC, name_ << ": input must be NHWC");
   const Shape& is = in.shape();
   PB_CHECK(is.c == in_channels(), name_ << ": channel mismatch");
@@ -141,15 +165,6 @@ FloatTensor FloatConv2d::conv(ExecContext& ctx, const FloatTensor& in) const {
   const std::int64_t c_out = out_channels();
   const std::int64_t kh = geom_.kernel_h, kw = geom_.kernel_w;
   FloatTensor out = ctx.make_float(Shape{is.n, oh, ow, c_out}, Layout::kNHWC);
-
-  KernelCost cost;
-  const double outputs = static_cast<double>(is.n) * oh * ow * c_out;
-  cost.scalar_ops = outputs * static_cast<double>(kh * kw * is.c);
-  cost.bytes_read =
-      static_cast<double>(in.bytes()) + static_cast<double>(weights_.bytes());
-  cost.bytes_written = static_cast<double>(out.bytes());
-  cost.coalescing = costs::coalescing(ctx.opts);
-  cost.alu_efficiency = costs::kFloatDotEff;  // float4 dot built-in (§VII)
 
   // One work item per (block of 4 output pixels, in flattened (n, y, x)
   // order) x (block of 16 output channels).
@@ -161,7 +176,7 @@ FloatTensor FloatConv2d::conv(ExecContext& ctx, const FloatTensor& in) const {
   const float* src = in.data();
   float* dst = out.data();
   ctx.queue.enqueue(
-      dot_name_, NDRange{pixel_blocks, co_blocks, 1}, cost,
+      *launch.name, NDRange{pixel_blocks, co_blocks, 1}, launch.cost,
       [&, oh, ow, kh, kw, c_out, pixels, c_in, tap_floats, src,
        dst](const WorkItem& it) {
         const std::int64_t q0 = it.x * kBlockPixels;

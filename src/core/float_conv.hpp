@@ -43,8 +43,11 @@ class FloatConv2d final : public Layer {
 
   /// Accepts a packed binary blob (unpacked to ±1 on the queue) or floats.
   /// Output is always a FloatTensor.
-  Blob forward(ExecContext& ctx, const Blob& in) const override;
   void plan(PlanContext& pc) const override;
+  std::vector<Launch> price(const PlanStep& step,
+                            const EngineOptions& opts) const override;
+  Blob run(ExecContext& ctx, const Blob& in,
+           const PlanStep& step) const override;
 
   std::int64_t param_bytes() const override;
   std::int64_t param_count() const override;
@@ -56,7 +59,8 @@ class FloatConv2d final : public Layer {
   const std::vector<float>& bias() const noexcept { return bias_; }
 
  private:
-  FloatTensor conv(ExecContext& ctx, const FloatTensor& in) const;
+  FloatTensor conv(ExecContext& ctx, const FloatTensor& in,
+                   const Launch& launch) const;
 
   std::string name_;
   std::string unpack_name_;  ///< kernel names, built once

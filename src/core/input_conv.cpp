@@ -151,7 +151,7 @@ InputConv2d::InputConv2d(std::string name, PackedTensor weights,
   // the panel rows kernel 1 writes; the microkernel reads them interleaved.
   const Shape& ws = weights_.shape();
   k_words_ = ceil_div(ws.h * ws.w * ws.c, bitpack::kWordBits);
-  if (ws.n % 8 != 0) return;  // execute() rejects the layer
+  if (ws.n % 8 != 0) return;  // plan() and run() reject the layer
   std::vector<std::uint64_t> dense(static_cast<std::size_t>(ws.n * k_words_),
                                    0);
   for (std::int64_t f = 0; f < ws.n; ++f) {
@@ -188,15 +188,6 @@ const U8Tensor& InputConv2d::checked_input(const Blob& in) const {
            name_ << ": image has " << image->shape().c
                  << " channels, filter expects " << in_channels());
   return *image;
-}
-
-KernelVariant InputConv2d::select_variant(const Shape& in_shape,
-                                         const EngineOptions& opts) const {
-  KernelVariant v;
-  v.interior_split = opts.interior_split;
-  v.pack_width = opts.conv_pack_width(in_shape.c, geom_.kernel_w);
-  v.kernel = "bitplane_split+conv_fused";
-  return v;
 }
 
 std::int64_t InputConv2d::plane_words(const Shape& in_shape) const {
@@ -245,7 +236,10 @@ void InputConv2d::plan(PlanContext& pc) const {
   PB_CHECK(out_channels() % 8 == 0, name_ << ": C_out must be a multiple of 8");
   const std::int64_t oh = geom_.out_h(in.shape.h);
   const std::int64_t ow = geom_.out_w(in.shape.w);
-  KernelVariant v = select_variant(in.shape, pc.opts());
+  KernelVariant v;
+  v.interior_split = pc.opts().interior_split;
+  v.pack_width = pc.opts().conv_pack_width(in.shape.c, geom_.kernel_w);
+  v.kernel = "bitplane_split+conv_fused";
   if (v.interior_split) split_chunk_cols(in.shape);  // rejects oversize rows
   pc.need_words(scratch_words(in.shape, v.interior_split));
   pc.select(std::move(v));
@@ -253,31 +247,26 @@ void InputConv2d::plan(PlanContext& pc) const {
                       Shape{in.shape.n, oh, ow, out_channels()}});
 }
 
-Blob InputConv2d::forward(ExecContext& ctx, const Blob& in) const {
-  const U8Tensor& image = checked_input(in);
-  if (ctx.stats != nullptr) ++ctx.stats->variant_selections;
-  return execute(ctx, image, select_variant(image.shape(), ctx.opts));
-}
-
 Blob InputConv2d::run(ExecContext& ctx, const Blob& in,
                       const PlanStep& step) const {
-  return execute(ctx, checked_input(in), step.variant);
+  const U8Tensor& image = checked_input(in);
+  PB_CHECK(out_channels() % 8 == 0,
+           name_ << ": C_out must be a multiple of 8");
+  return step.variant.interior_split ? execute_dense(ctx, image, step)
+                                     : execute_per_tap(ctx, image, step);
 }
 
-KernelCost InputConv2d::split_cost(const ExecContext& ctx,
-                                   const Shape& is) const {
-  KernelCost cost;
-  cost.scalar_ops = static_cast<double>(is.elems()) * 8.0;
-  cost.bytes_read = static_cast<double>(is.elems());
-  cost.bytes_written = static_cast<double>(plane_words(is)) * 8.0 * 8.0;
-  cost.coalescing = costs::coalescing(ctx.opts);
-  cost.alu_efficiency = costs::kAuxKernelEff;
-  return cost;
-}
+std::vector<Launch> InputConv2d::price(const PlanStep& step,
+                                       const EngineOptions& opts) const {
+  const Shape& is = step.in.shape;
+  const KernelVariant& v = step.variant;
+  KernelCost split;
+  split.scalar_ops = static_cast<double>(is.elems()) * 8.0;
+  split.bytes_read = static_cast<double>(is.elems());
+  split.bytes_written = static_cast<double>(plane_words(is)) * 8.0 * 8.0;
+  split.coalescing = costs::coalescing(opts);
+  split.alu_efficiency = costs::kAuxKernelEff;
 
-KernelCost InputConv2d::conv_cost(const ExecContext& ctx, const Shape& is,
-                                  const KernelVariant& v,
-                                  const PackedTensor& out) const {
   const std::int64_t oh = geom_.out_h(is.h);
   const std::int64_t ow = geom_.out_w(is.w);
   const std::int64_t c_out = out_channels();
@@ -304,41 +293,35 @@ KernelCost InputConv2d::conv_cost(const ExecContext& ctx, const Shape& is,
             costs::shared_window_spans(static_cast<double>(kh)) +
         opixels * 8.0 * static_cast<double>(kh);
     cost.span_setup_cycles = costs::kSpanSetupCycles;
-    cost.instr_overhead_cycles = costs::instr_overhead_fused(ctx.opts);
+    cost.instr_overhead_cycles = costs::instr_overhead_fused(opts);
     cost.pack_width_bits = bitpack::bits(
         bitpack::cap_pack_width_to_span(v.pack_width, kw * words));
   } else {
     // Per-tap ablation arm, costed as the window-packed schedule: the whole
     // KxKxC window's bits processed contiguously at the vector width chosen
     // for KxKxC (e.g. YOLO conv1: 27 bits -> 32-bit vectors).
-    const auto window_pw = ctx.opts.pack_width_for(kh * kw * is.c);
+    const auto window_pw = opts.pack_width_for(kh * kw * is.c);
     const double window_bits = static_cast<double>(
         ceil_div(kh * kw * is.c, bitpack::bits(window_pw)) *
         bitpack::bits(window_pw));
     cost.bitop_bits = outputs * 8.0 * 2.0 * window_bits;
-    cost.instr_overhead_cycles = costs::instr_overhead(ctx.opts);
+    cost.instr_overhead_cycles = costs::instr_overhead(opts);
     cost.pack_width_bits = bitpack::bits(window_pw);
   }
   cost.scalar_ops = outputs * (8.0 + 4.0);
   cost.bytes_read = static_cast<double>(plane_words(is)) * 8.0 * 8.0 +
                     static_cast<double>(weights_.bytes());
-  cost.bytes_written = static_cast<double>(out.bytes());
-  cost.coalescing = costs::coalescing(ctx.opts);
-  cost.alu_efficiency = costs::binary_kernel_eff(ctx.opts);
-  return cost;
-}
-
-PackedTensor InputConv2d::execute(ExecContext& ctx, const U8Tensor& image,
-                                  const KernelVariant& v) const {
-  PB_CHECK(out_channels() % 8 == 0,
-           name_ << ": C_out must be a multiple of 8");
-  return v.interior_split ? execute_dense(ctx, image, v)
-                          : execute_per_tap(ctx, image, v);
+  cost.bytes_written = static_cast<double>(step.out.bytes());
+  cost.coalescing = costs::coalescing(opts);
+  cost.alu_efficiency = costs::binary_kernel_eff(opts);
+  // Only the dense arm's panel can come from an InputPlaneCache.
+  return {Launch{&split_name_, split, /*plane_split=*/v.interior_split},
+          Launch{&conv_name_, cost}};
 }
 
 PackedTensor InputConv2d::execute_dense(ExecContext& ctx,
                                         const U8Tensor& image,
-                                        const KernelVariant& v) const {
+                                        const PlanStep& step) const {
   const Shape& is = image.shape();
   const std::int64_t oh = geom_.out_h(is.h);
   const std::int64_t ow = geom_.out_w(is.w);
@@ -368,6 +351,8 @@ PackedTensor InputConv2d::execute_dense(ExecContext& ctx,
     panel = ctx.arena.words(scratch_words(is, /*split=*/true));
   }
 
+  const Launch& split = step.launches[0];
+  const Launch& conv = step.launches[1];
   // Kernel 1: dense bit-plane im2col, one work item per output row. It
   // splits each of its kh input rows into 8 plane-interleaved bit planes
   // once (pw * C zero bits on the left, zeros for rows outside the image),
@@ -381,7 +366,7 @@ PackedTensor InputConv2d::execute_dense(ExecContext& ctx,
     const std::int64_t row_bytes = is.w * is.c;
     const std::int64_t chunk_cols = split_chunk_cols(is);
     ctx.queue.enqueue(
-        split_name_, NDRange{1, oh, is.n}, split_cost(ctx, is),
+        *split.name, NDRange{1, oh, is.n}, split.cost,
         [&, oh, ow, kh, sh, ph, k_words, row_words, span, step, margin,
          row_bytes, chunk_cols](const WorkItem& it) {
           // Not zeroed: each chunk writes all `words` words of its kh rows
@@ -432,7 +417,7 @@ PackedTensor InputConv2d::execute_dense(ExecContext& ctx,
   const std::int64_t out_pitch = out.words_per_pixel() * 8;  // bytes/pixel
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
   ctx.queue.enqueue(
-      conv_name_, NDRange{1, oh, is.n}, conv_cost(ctx, is, v, out),
+      *conv.name, NDRange{1, oh, is.n}, conv.cost,
       [&, oh, ow, k_words, row_words, groups, branch_free,
        out_pitch](const WorkItem& it) {
         const std::int64_t p0 = (it.z * oh + it.y) * ow;
@@ -471,7 +456,7 @@ PackedTensor InputConv2d::execute_dense(ExecContext& ctx,
 
 PackedTensor InputConv2d::execute_per_tap(ExecContext& ctx,
                                           const U8Tensor& image,
-                                          const KernelVariant& v) const {
+                                          const PlanStep& step) const {
   const Shape& is = image.shape();
   const std::int64_t oh = geom_.out_h(is.h);
   const std::int64_t ow = geom_.out_w(is.w);
@@ -479,7 +464,7 @@ PackedTensor InputConv2d::execute_per_tap(ExecContext& ctx,
   const std::int64_t sh = geom_.stride_h, sw = geom_.stride_w;
   const std::int64_t ph = geom_.pad_h, pw_pad = geom_.pad_w;
   const std::int64_t words = ceil_div(is.c, bitpack::kWordBits);
-  const auto pw = v.pack_width;
+  const auto pw = step.variant.pack_width;
 
   // The 8 per-pixel bit planes and the all-zero padding span share one
   // arena words span (one live span per kind).
@@ -497,8 +482,9 @@ PackedTensor InputConv2d::execute_per_tap(ExecContext& ctx,
 
   // Kernel 1: bit-plane split (one work item per pixel owns all its words,
   // so plane words are written race-free).
+  const Launch& split = step.launches[0];
   ctx.queue.enqueue(
-      split_name_, NDRange{is.w, is.h, is.n}, split_cost(ctx, is),
+      *split.name, NDRange{is.w, is.h, is.n}, split.cost,
       [&, words](const WorkItem& it) {
         for (std::int64_t j = 0; j < words; ++j) {
           std::array<std::uint64_t, 8> acc{};
@@ -528,8 +514,9 @@ PackedTensor InputConv2d::execute_per_tap(ExecContext& ctx,
   const bool branch_free = ctx.opts.branch_free_binarize;
   const FoldedBatchNorm& fb = folded_;
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
+  const Launch& conv = step.launches[1];
   ctx.queue.enqueue(
-      conv_name_, NDRange{ow, oh, is.n * groups}, conv_cost(ctx, is, v, out),
+      *conv.name, NDRange{ow, oh, is.n * groups}, conv.cost,
       [&, kh, kw, sh, sw, ph, pw_pad, words, groups, branch_free,
        pw](const WorkItem& it) {
         const std::int64_t n = it.z / groups;

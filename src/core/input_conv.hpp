@@ -83,8 +83,11 @@ class InputConv2d final : public Layer {
   const std::string& name() const override { return name_; }
 
   /// Input blob must be a U8Tensor (the decoded image). Output is packed.
-  Blob forward(ExecContext& ctx, const Blob& in) const override;
   void plan(PlanContext& pc) const override;
+  /// Two launches, `.bitplane_split` then `.bitplane_conv_fused`; on the
+  /// dense arm the split is the plane-cache launch (Launch::plane_split).
+  std::vector<Launch> price(const PlanStep& step,
+                            const EngineOptions& opts) const override;
   Blob run(ExecContext& ctx, const Blob& in,
            const PlanStep& step) const override;
 
@@ -100,8 +103,6 @@ class InputConv2d final : public Layer {
   const std::vector<float>& bias() const noexcept { return bias_; }
 
  private:
-  KernelVariant select_variant(const Shape& in_shape,
-                               const EngineOptions& opts) const;
   const U8Tensor& checked_input(const Blob& in) const;
   /// Words of one per-pixel bit plane (C bits per pixel word): the unit the
   /// cost model and the per-tap ablation arm use.
@@ -114,18 +115,11 @@ class InputConv2d final : public Layer {
   std::int64_t split_chunk_cols(const Shape& in_shape) const;
   /// Arena words the schedule needs (dense panel, or planes + zeros span).
   std::int64_t scratch_words(const Shape& in_shape, bool split) const;
-  oclsim::KernelCost split_cost(const ExecContext& ctx,
-                                const Shape& is) const;
-  oclsim::KernelCost conv_cost(const ExecContext& ctx, const Shape& is,
-                               const KernelVariant& v,
-                               const bitpack::PackedTensor& out) const;
-  bitpack::PackedTensor execute(ExecContext& ctx, const U8Tensor& image,
-                                const KernelVariant& v) const;
   bitpack::PackedTensor execute_dense(ExecContext& ctx, const U8Tensor& image,
-                                      const KernelVariant& v) const;
+                                      const PlanStep& step) const;
   bitpack::PackedTensor execute_per_tap(ExecContext& ctx,
                                         const U8Tensor& image,
-                                        const KernelVariant& v) const;
+                                        const PlanStep& step) const;
 
   std::string name_;
   std::string split_name_;  ///< kernel names, built once

@@ -136,7 +136,21 @@ struct ExecContext {
 class PlanContext;  // plan.hpp — compile-time shape/variant negotiation
 struct PlanStep;    // plan.hpp — one compiled layer invocation
 
-/// Base class for all PhoneBit layers.
+/// One kernel launch a plan step enqueues, priced once when the plan is
+/// compiled or loaded: the kernel name the layer built at construction and
+/// the work tally the roofline model turns into device time. Dispatch hands
+/// both to the queue unchanged, so a live run's events are these launches.
+struct Launch {
+  const std::string* name = nullptr;
+  oclsim::KernelCost cost;
+  /// Kernel 1 of the dense input conv: skipped by a run whose
+  /// InputPlaneCache already holds the input's panel.
+  bool plane_split = false;
+};
+
+/// Base class for all PhoneBit layers. A layer implements three things:
+/// plan() (shape contract + kernel selection), price() (the launches a
+/// planned step enqueues) and run() (the kernels themselves).
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -144,9 +158,9 @@ class Layer {
   /// Layer instance name ("conv2", "pool1", ...).
   virtual const std::string& name() const = 0;
 
-  /// Runs the layer, enqueueing its kernels on ctx.queue. Uncompiled path:
-  /// the kernel variant is re-derived from ctx.opts on every call.
-  virtual Blob forward(ExecContext& ctx, const Blob& in) const = 0;
+  /// Uncompiled path: plans a one-step PlanStep for `in` from ctx.opts,
+  /// prices it and runs it — the variant is re-derived on every call.
+  Blob forward(ExecContext& ctx, const Blob& in) const;
 
   /// Compile hook (plan.hpp): validate the input descriptor in `pc` (throw
   /// InvalidArgument to fail the compile), declare the output descriptor,
@@ -154,14 +168,18 @@ class Layer {
   /// Network::compile — never on the forward hot path.
   virtual void plan(PlanContext& pc) const = 0;
 
-  /// Compiled path: run with the variant selected at compile time instead
-  /// of re-deriving it from ctx.opts. Layers without variants fall back to
-  /// forward().
+  /// The one cost function of a planned step: the launches run() will
+  /// enqueue for `step` (fused conv→pool steps included), in dispatch
+  /// order, each with its KernelCost. Pure in (step, opts) — never reads
+  /// tensors or a device — so the plan prices itself at compile and load
+  /// and selection prices candidate variants with it.
+  virtual std::vector<Launch> price(const PlanStep& step,
+                                    const EngineOptions& opts) const = 0;
+
+  /// Runs the step, enqueueing step.launches on ctx.queue with the variant
+  /// selected at compile time.
   virtual Blob run(ExecContext& ctx, const Blob& in,
-                   const PlanStep& step) const {
-    (void)step;
-    return forward(ctx, in);
-  }
+                   const PlanStep& step) const = 0;
 
   /// On-device parameter footprint in bytes (packed weights count packed;
   /// used for the Table II model-size accounting).

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/binary_conv.hpp"
+#include "core/input_conv.hpp"
 #include "core/pooling.hpp"
 
 namespace phonebit::core {
@@ -76,17 +77,7 @@ ExecutionPlan Network::compile(const EngineOptions& opts, const BlobDesc& input,
   // the network+layer context, before any kernel could run.
   BlobDesc cur = input;
   for (const auto& layer : layers_) {
-    PlanContext pc(cur, opts, stats);
-    layer->plan(pc);
-    PB_CHECK(pc.produced_, name_ << "." << layer->name()
-                                 << ": plan() declared no output descriptor");
-    PlanStep step;
-    step.layer = layer.get();
-    step.in = cur;
-    step.out = pc.out_;
-    step.variant = std::move(pc.variant_);
-    step.scratch = pc.scratch_;
-    step.display = layer->name();
+    PlanStep step = plan_step(*layer, cur, opts, stats);
     // Per-step compression accounting (DESIGN.md §12): recorded in the plan
     // so dumps and `pbc dump` print per-layer redundancy without touching
     // the layers. The bank is deterministic in the weights, so the values
@@ -175,8 +166,56 @@ ExecutionPlan Network::compile(const EngineOptions& opts, const BlobDesc& input,
   plan.output_offset_ = off;
   plan.slab_bytes_ = off + slab_align(plan.steps_.back().out.bytes());
 
+  plan.price();
   if (stats != nullptr) ++stats->compiles;
   return plan;
+}
+
+PlanStep plan_step(const Layer& layer, const BlobDesc& in,
+                   const EngineOptions& opts, SessionStats* stats) {
+  PlanContext pc(in, opts, stats);
+  layer.plan(pc);
+  PB_CHECK(pc.produced_,
+           layer.name() << ": plan() declared no output descriptor");
+  PlanStep step;
+  step.layer = &layer;
+  step.in = in;
+  step.out = pc.out_;
+  step.variant = std::move(pc.variant_);
+  step.scratch = pc.scratch_;
+  step.display = layer.name();
+  return step;
+}
+
+Blob Layer::forward(ExecContext& ctx, const Blob& in) const {
+  PlanStep step = plan_step(*this, describe_blob(in), ctx.opts, ctx.stats);
+  step.launches = price(step, ctx.opts);
+  return run(ctx, in, step);
+}
+
+void ExecutionPlan::price() {
+  planes_geom_.reset();
+  for (PlanStep& step : steps_) {
+    step.launches = step.layer->price(step, opts_);
+    for (const Launch& l : step.launches) {
+      if (l.plane_split) {
+        planes_geom_ =
+            static_cast<const InputConv2d*>(step.layer)->geometry();
+      }
+    }
+  }
+}
+
+double ExecutionPlan::modeled_ms(const oclsim::DeviceProfile& profile,
+                                 bool planes_hit) const {
+  double ms = 0.0;
+  for (const PlanStep& step : steps_) {
+    for (const Launch& l : step.launches) {
+      if (planes_hit && l.plane_split) continue;
+      ms += oclsim::modeled_ms(l.cost, profile, oclsim::ExecUnit::kGpu);
+    }
+  }
+  return ms;
 }
 
 ForwardResult ExecutionPlan::run(ExecSession& session, const Blob& input,

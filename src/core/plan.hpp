@@ -17,7 +17,10 @@
 //       the layer contract allows (path A/B vs the unfused path C), and a
 //       plan-level pass rewrites `BinaryConv2d → MaxPool` chains into one
 //       fused step whose epilogue pools conv bytes in registers — the
-//       full-size conv activation map is never written (DESIGN.md §7).
+//       full-size conv activation map is never written (DESIGN.md §7),
+//   (e) price every final step once: Layer::price stores the launches
+//       dispatch will enqueue, each with its KernelCost, so the plan knows
+//       its modeled time on any profile without running (DESIGN.md §2).
 // The resulting ExecutionPlan is immutable and shareable: any number of
 // sessions can run one plan concurrently, the same way they share a const
 // Network. This is the compiled-model / per-invocation cut daBNN and Larq
@@ -25,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -190,6 +194,10 @@ struct PlanStep {
   /// Display name ("conv2", or "conv2+pool2" when fused) — precomputed at
   /// compile so the hot run loop never concatenates strings.
   std::string display;
+  /// The launches run() enqueues, in order: `layer->price(*this, opts)`,
+  /// evaluated once at compile (after the conv→pool rewrite) or artifact
+  /// load. Derived state — never serialized.
+  std::vector<Launch> launches;
 
   const std::string& name() const noexcept { return display; }
 };
@@ -217,6 +225,12 @@ struct RunOptions {
   /// packed-input reuse seam. Null = no caching.
   InputPlaneCache* planes = nullptr;
 };
+
+/// Plans one step of `layer` for input `in` (layer->plan plus the step
+/// record compile keeps; unpriced, no fusion). Shared by Network::compile
+/// and the uncompiled Layer::forward.
+PlanStep plan_step(const Layer& layer, const BlobDesc& in,
+                   const EngineOptions& opts, SessionStats* stats);
 
 /// What Layer::plan sees: the inferred input descriptor and the options the
 /// plan is being compiled against. The layer validates its contract (throw
@@ -256,7 +270,8 @@ class PlanContext {
   void need_words(std::int64_t n) { scratch_.words += n; }
 
  private:
-  friend class Network;
+  friend PlanStep plan_step(const Layer&, const BlobDesc&,
+                            const EngineOptions&, SessionStats*);
   // The artifact loader replays each layer's plan() against the
   // deserialized descriptors to prove a loaded step's shapes are exactly
   // what the layer would infer (artifact.cpp).
@@ -312,6 +327,20 @@ class ExecutionPlan {
   /// borrow_output runs hand out as the result view).
   std::int64_t output_offset() const noexcept { return output_offset_; }
 
+  /// Modeled device ms of one forward on `profile`, read off the stored
+  /// launches: oclsim::modeled_ms per launch (GPU), summed in dispatch
+  /// order — bit-identical to a live run's total_modeled_ms() on that
+  /// profile. `planes_hit` prices a run whose InputPlaneCache already holds
+  /// the input's panel: the plane-split launch is skipped, not subtracted.
+  double modeled_ms(const oclsim::DeviceProfile& profile,
+                    bool planes_hit = false) const;
+
+  /// Conv geometry under which a run of this plan fills an InputPlaneCache
+  /// (its input conv runs the dense arm); empty when runs never touch one.
+  const std::optional<ConvGeometry>& planes_geometry() const noexcept {
+    return planes_geom_;
+  }
+
   /// Runs the plan on a session: reserves the exact scratch/slab peaks,
   /// executes every step with its compiled variant (no per-forward
   /// re-selection), backing each intermediate activation with its assigned
@@ -344,6 +373,10 @@ class ExecutionPlan {
   // meaningless.
   ExecutionPlan() = default;
 
+  /// Fills every step's launches and planes_geom_ from the layers' price()
+  /// functions. Runs last in compile and in artifact load.
+  void price();
+
   std::string name_;
   EngineOptions opts_{};
   BlobDesc input_{};
@@ -352,6 +385,7 @@ class ExecutionPlan {
   ScratchNeed scratch_peak_{};
   std::int64_t slab_bytes_ = 0;      ///< slots + output staging, 8-aligned
   std::int64_t output_offset_ = 0;   ///< output staging region in the slab
+  std::optional<ConvGeometry> planes_geom_;
 };
 
 }  // namespace phonebit::core

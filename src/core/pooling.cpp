@@ -23,7 +23,24 @@ void MaxPool2d::plan(PlanContext& pc) const {
                             geom_.out_dim(in.shape.w), in.shape.c}});
 }
 
-Blob MaxPool2d::forward(ExecContext& ctx, const Blob& in) const {
+std::vector<Launch> MaxPool2d::price(const PlanStep& step,
+                                     const EngineOptions& opts) const {
+  const Shape& is = step.in.shape;
+  const Shape& os = step.out.shape;
+  KernelCost cost;
+  const double opixels = static_cast<double>(os.n) * os.h * os.w;
+  cost.bitop_bits = opixels * static_cast<double>(is.c) *
+                    static_cast<double>(geom_.size * geom_.size - 1);
+  cost.pack_width_bits = 64;
+  cost.bytes_read = static_cast<double>(step.in.bytes());
+  cost.bytes_written = static_cast<double>(step.out.bytes());
+  cost.coalescing = costs::coalescing(opts);
+  cost.alu_efficiency = costs::kAuxKernelEff;
+  return {Launch{&or_name_, cost}};
+}
+
+Blob MaxPool2d::run(ExecContext& ctx, const Blob& in,
+                    const PlanStep& step) const {
   const auto* packed = std::get_if<PackedTensor>(&in);
   PB_CHECK(packed != nullptr, name_ << ": max pool expects packed input");
   const Shape& is = packed->shape();
@@ -31,19 +48,9 @@ Blob MaxPool2d::forward(ExecContext& ctx, const Blob& in) const {
   const std::int64_t ow = geom_.out_dim(is.w);
   PackedTensor out = ctx.make_packed(Shape{is.n, oh, ow, is.c});
   const std::int64_t words = packed->words_per_pixel();
-
-  KernelCost cost;
-  const double opixels = static_cast<double>(is.n) * oh * ow;
-  cost.bitop_bits = opixels * static_cast<double>(is.c) *
-                    static_cast<double>(geom_.size * geom_.size - 1);
-  cost.pack_width_bits = 64;
-  cost.bytes_read = static_cast<double>(packed->bytes());
-  cost.bytes_written = static_cast<double>(out.bytes());
-  cost.coalescing = costs::coalescing(ctx.opts);
-  cost.alu_efficiency = costs::kAuxKernelEff;
-
+  const Launch& l = step.launches[0];
   ctx.queue.enqueue(
-      or_name_, NDRange{ow, oh, is.n * words}, cost,
+      *l.name, NDRange{ow, oh, is.n * words}, l.cost,
       [&, oh, ow, words](const WorkItem& it) {
         const std::int64_t n = it.z / words;
         const std::int64_t j = it.z % words;

@@ -45,8 +45,11 @@ class MaxPool2d final : public Layer {
         geom_(geom) {}
 
   const std::string& name() const override { return name_; }
-  Blob forward(ExecContext& ctx, const Blob& in) const override;
   void plan(PlanContext& pc) const override;
+  std::vector<Launch> price(const PlanStep& step,
+                            const EngineOptions& opts) const override;
+  Blob run(ExecContext& ctx, const Blob& in,
+           const PlanStep& step) const override;
 
   const PoolGeometry& geometry() const noexcept { return geom_; }
 

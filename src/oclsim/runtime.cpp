@@ -113,11 +113,4 @@ double CommandQueue::total_host_ms() const noexcept {
   return s;
 }
 
-double replay_modeled_ms(const std::vector<KernelEvent>& events,
-                         const DeviceProfile& profile) {
-  double s = 0.0;
-  for (const auto& e : events) s += modeled_ms(e.cost, profile, e.unit);
-  return s;
-}
-
 }  // namespace phonebit::oclsim

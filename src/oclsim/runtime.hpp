@@ -5,7 +5,11 @@
 // C++ work-item functions executed in parallel on a host thread pool, so
 // results are bit-exact; alongside the real execution each dispatch logs a
 // KernelCost from which the device-time model produces the "phone"
-// milliseconds reported by the benchmarks (see DESIGN.md §2).
+// milliseconds reported by the benchmarks (see DESIGN.md §2). The engine
+// never builds a KernelCost at dispatch: a KernelCost is a pure function of
+// the plan step and its options (never of the device that runs it), so each
+// layer prices its launches once when a plan is compiled or loaded, and
+// enqueue() logs that stored tally.
 #pragma once
 
 #include <cstdint>
@@ -140,15 +144,5 @@ class CommandQueue {
   ExecUnit unit_;
   std::vector<KernelEvent> events_;
 };
-
-/// Re-prices a recorded event log for a *different* device profile: the sum
-/// of modeled_ms(event.cost, profile, event.unit) over `events`. Because a
-/// KernelCost is a pure function of geometry + plan options (never of the
-/// device it ran on), this equals exactly the total_modeled_ms() a live run
-/// of the same plan would report on `profile` — one probe forward prices a
-/// plan for a whole fleet of heterogeneous profiles without standing up an
-/// engine per device. Fleet placement (serve::FleetServer) is built on this.
-double replay_modeled_ms(const std::vector<KernelEvent>& events,
-                         const DeviceProfile& profile);
 
 }  // namespace phonebit::oclsim

@@ -13,9 +13,10 @@
 // weak profiles; a loaded flagship loses to an idle mid-tier once its queue
 // passes the speed gap. Shards are tried best-score-first; a full shard
 // spills the request to the next candidate, and only when EVERY candidate
-// is full is the request shed. The modeled term comes from one probe
-// forward whose kernel event log oclsim::replay_modeled_ms re-prices for
-// every profile (exactly — a KernelCost is geometry-pure, runtime.hpp).
+// is full is the request shed. The modeled term is the loaded plan's own
+// price on the shard's profile (ExecutionPlan::modeled_ms over the launches
+// priced at artifact load — exactly what a live run there reports, since a
+// KernelCost is geometry-pure, runtime.hpp); nothing runs to learn it.
 //
 // The walk is serve::Scheduler (scheduler.hpp), the same one ModelServer
 // runs with one shard, so placement, spill, shed, deadline and retry

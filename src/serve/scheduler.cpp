@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/artifact.hpp"
-#include "oclsim/runtime.hpp"
 #include "serve/virtual_time.hpp"
 
 namespace phonebit::serve {
@@ -240,59 +239,31 @@ Scheduler::Scheduler(Repository& repo, SchedulerConfig config,
                      FaultPlan faults)
     : repo_(repo), config_(config), faults_(faults) {}
 
-const Scheduler::ProbeCost& Scheduler::probe(int shard, const Snapshot& snap,
-                                             const core::Blob& input,
-                                             const core::BlobDesc& desc) {
+const Scheduler::PlanPrice& Scheduler::price(const Snapshot& snap) {
   // Keyed on the artifact's identity (owner, not address: a freed
-  // artifact's address can be reused by the next load) and the shape.
-  for (const ProbeCost& p : probe_cache_) {
-    if (p.desc == desc && !p.artifact.owner_before(snap.artifact) &&
+  // artifact's address can be reused by the next load).
+  for (const PlanPrice& p : prices_) {
+    if (!p.artifact.owner_before(snap.artifact) &&
         !snap.artifact.owner_before(p.artifact)) {
       return p;
     }
   }
-  std::erase_if(probe_cache_,
-                [](const ProbeCost& p) { return p.artifact.expired(); });
-  const int nshards = repo_.shard_count();
-  probe_sessions_.resize(static_cast<std::size_t>(nshards));
-  auto& session = probe_sessions_[static_cast<std::size_t>(shard)];
-  if (session == nullptr) {
-    session = std::make_unique<core::ExecSession>(
-        repo_.engine(shard).create_session());
-  }
-  // Modeled time is a pure function of the plan and the input GEOMETRY,
-  // and a KernelCost re-prices exactly on any profile (oclsim::
-  // replay_modeled_ms), so one probe pair on one shard prices every
-  // request of the shape on every shard. The fill run writes an empty
-  // plane cache at the unchanged split cost, so it doubles as the plain
-  // cost; only a plan that filled the cache needs the reuse run.
-  const auto replay = [&] {
-    std::vector<double> ms;
-    for (int si = 0; si < nshards; ++si) {
-      ms.push_back(oclsim::replay_modeled_ms(session->queue().events(),
-                                             repo_.profile(si)));
-    }
-    return ms;
-  };
-  core::InputPlaneCache cache;
-  core::RunOptions ro;
-  ro.planes = &cache;
-  ProbeCost p;
+  std::erase_if(prices_,
+                [](const PlanPrice& p) { return p.artifact.expired(); });
+  // A plan's launches are priced at load, and a KernelCost is a pure
+  // function of the plan and its geometry, so one plan prices a request
+  // on every shard's profile without running anything.
+  const core::ExecutionPlan& plan = snap.artifact->plan;
+  PlanPrice p;
   p.artifact = snap.artifact;
-  p.desc = desc;
-  session->reset_profile();
-  (void)snap.artifact->plan.run(*session, input, ro);
-  p.plain_ms = replay();
-  p.cache_active = cache.filled;
-  p.planes_geom = cache.geom;
-  p.reuse_ms = p.plain_ms;
-  if (p.cache_active) {
-    session->reset_profile();
-    (void)snap.artifact->plan.run(*session, input, ro);
-    p.reuse_ms = replay();
+  p.planes_geom = plan.planes_geometry();
+  for (int si = 0; si < repo_.shard_count(); ++si) {
+    const oclsim::DeviceProfile& profile = repo_.profile(si);
+    p.plain_ms.push_back(plan.modeled_ms(profile));
+    p.reuse_ms.push_back(plan.modeled_ms(profile, p.planes_geom.has_value()));
   }
-  probe_cache_.push_back(std::move(p));
-  return probe_cache_.back();
+  prices_.push_back(std::move(p));
+  return prices_.back();
 }
 
 Schedule Scheduler::run(const CascadeSpec* spec,
@@ -448,13 +419,13 @@ Schedule Scheduler::run(const CascadeSpec* spec,
       // Placement: score = modeled cost on the shard (split-skipped on
       // the shard holding the request's planes) + weighted lane wait. Try
       // best first, spill past full shards, shed only when all are full.
-      const ProbeCost& cost =
-          probe(candidates.front(),
-                *snaps[static_cast<std::size_t>(candidates.front())],
-                rq.input, desc);
+      // Every shard is priced with the first candidate's plan.
+      const PlanPrice& cost =
+          price(*snaps[static_cast<std::size_t>(candidates.front())]);
+      const bool cache_active = cost.planes_geom.has_value();
       const auto reuses = [&](int si) {
-        return cost.cache_active && wk.cache_shard == si &&
-               wk.planes_geom == cost.planes_geom;
+        return cache_active && wk.cache_shard == si &&
+               wk.planes_geom == *cost.planes_geom;
       };
       const auto stage_cost = [&](int si) {
         const auto u = static_cast<std::size_t>(si);
@@ -554,13 +525,13 @@ Schedule Scheduler::run(const CascadeSpec* spec,
       so.status.code = StatusCode::kOk;
       wk.arrive = end;
       // An Ok run through a cache-active plan fills the request's planes
-      // ON THIS SHARD (decision-time knowledge from the probe). The cache
+      // ON THIS SHARD (decision-time knowledge from the plan). The cache
       // is attached only on its home shard, and only when a stage can
       // read it back — plain runs execute through the session arena.
-      if (cost.cache_active && wk.cache_shard < 0) wk.cache_shard = placed;
-      const bool attach = cost.cache_active && wk.cache_shard == placed &&
+      if (cache_active && wk.cache_shard < 0) wk.cache_shard = placed;
+      const bool attach = cache_active && wk.cache_shard == placed &&
                           (reuse || s + 1 < nstages);
-      if (attach) wk.planes_geom = cost.planes_geom;
+      if (attach) wk.planes_geom = *cost.planes_geom;
       pinned.push_back(snap);
       ExecGroup* g = nullptr;
       for (ExecGroup& cand : groups) {

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -159,25 +160,23 @@ class Scheduler {
                std::vector<ShardSwap> swaps = {});
 
  private:
-  /// Modeled cost of one (plan, input shape) on every shard: a fill
-  /// forward (empty plane cache, the plain cost) and, for cache-active
-  /// plans, a reuse forward, both re-priced per shard profile.
-  struct ProbeCost {
+  /// Modeled cost of one loaded plan on every shard's profile, read off
+  /// the plan's stored launches (ExecutionPlan::modeled_ms): the plain
+  /// forward and, for a plan whose input conv fills a plane cache, the
+  /// split-skipped reuse forward.
+  struct PlanPrice {
     std::weak_ptr<const artifact::LoadedArtifact> artifact;
-    core::BlobDesc desc{};
     std::vector<double> plain_ms;  ///< per shard
     std::vector<double> reuse_ms;  ///< per shard
-    bool cache_active = false;
-    ConvGeometry planes_geom{};  ///< key the filled cache holds
+    std::optional<ConvGeometry> planes_geom;  ///< key a filled cache holds
   };
-  const ProbeCost& probe(int shard, const Snapshot& snap,
-                         const core::Blob& input, const core::BlobDesc& desc);
+  /// The price of `snap`'s plan, memoized per loaded artifact.
+  const PlanPrice& price(const Snapshot& snap);
 
   Repository& repo_;
   const SchedulerConfig config_;
   const FaultPlan faults_;
-  std::vector<std::unique_ptr<core::ExecSession>> probe_sessions_;
-  std::vector<ProbeCost> probe_cache_;
+  std::vector<PlanPrice> prices_;
   std::atomic<bool> running_{false};
 };
 

@@ -1,8 +1,8 @@
 // serve::FleetServer — heterogeneous sharding across device profiles.
 //
 // The suite proves the PR 7 fleet contract:
-//   - cost replay: one probe forward's kernel event log, re-priced with
-//     oclsim::replay_modeled_ms, equals EXACTLY what a live run on another
+//   - plan pricing: a compiled plan's stored launches, priced with
+//     ExecutionPlan::modeled_ms, equal EXACTLY what a live run on each
 //     profile reports — placement scores need no engine per profile;
 //   - cost-aware placement: an idle fleet routes to the fastest profile;
 //     the wait term spreads load once queues build; a full shard spills to
@@ -139,11 +139,12 @@ class FleetTest : public ::testing::Test {
 // 1. Cost replay: the oclsim seam placement is built on.
 // ---------------------------------------------------------------------------
 
-// One probe run's event log, re-priced for another profile, must equal
-// EXACTLY (bitwise, not approximately) the total a live run on that profile
-// reports — KernelCost is geometry-pure, so only the roofline re-pricing
-// differs. This is what lets one probe price a plan for the whole fleet.
-TEST_F(FleetTest, ReplayedEventLogMatchesLiveRunExactly) {
+// A plan's own price on a profile must equal EXACTLY (bitwise, not
+// approximately) the total a live run on that profile reports — KernelCost
+// is geometry-pure and priced once at compile, so only the roofline
+// differs between profiles. This is what lets placement price a plan for
+// the whole fleet without running it.
+TEST_F(FleetTest, PlanPricedEqualsLiveRunExactly) {
   const FloatModel model = FloatModel::random(models::quicknet(10), 33);
   auto net = core::convert_to_phonebit(model);
   const core::BlobDesc desc{core::BlobKind::kU8, Shape{1, 32, 32, 3}};
@@ -154,26 +155,20 @@ TEST_F(FleetTest, ReplayedEventLogMatchesLiveRunExactly) {
   const oclsim::DeviceProfile p855 = oclsim::profile_by_name("sd855");
   const oclsim::DeviceProfile p625 = oclsim::profile_by_name("sd625");
 
-  auto run_on = [&](const oclsim::DeviceProfile& profile,
-                    std::vector<oclsim::KernelEvent>* events) {
+  auto run_on = [&](const oclsim::DeviceProfile& profile) {
     auto device = std::make_shared<oclsim::Device>(profile, 2);
     core::Engine engine(device, engine_->options());
     auto session = engine.create_session();
     session.reset_profile();
     (void)plan.run(session, input);
-    if (events != nullptr) *events = session.queue().events();
+    EXPECT_FALSE(session.queue().events().empty());
     return session.queue().total_modeled_ms();
   };
 
-  std::vector<oclsim::KernelEvent> events;
-  const double live855 = run_on(p855, &events);
-  const double live625 = run_on(p625, nullptr);
-
-  ASSERT_FALSE(events.empty());
-  // Same profile: replay is the identity.
-  EXPECT_EQ(oclsim::replay_modeled_ms(events, p855), live855);
-  // Foreign profile: replaying the 855's log prices the 625 exactly.
-  EXPECT_EQ(oclsim::replay_modeled_ms(events, p625), live625);
+  const double live855 = run_on(p855);
+  const double live625 = run_on(p625);
+  EXPECT_EQ(plan.modeled_ms(p855), live855);
+  EXPECT_EQ(plan.modeled_ms(p625), live625);
   // The tiers are genuinely distinct — placement has a signal to act on.
   EXPECT_GT(live625, live855);
 }

@@ -8,9 +8,12 @@
 #include <memory>
 #include <sstream>
 
+#include "baselines/bnn_reference.hpp"
 #include "bitpack/pack.hpp"
 #include "common/rng.hpp"
 #include "core/phonebit.hpp"
+#include "datasets/synthetic.hpp"
+#include "models/zoo.hpp"
 #include "test_util.hpp"
 
 namespace phonebit {
@@ -251,6 +254,40 @@ TEST(FloatHeadOracle, DensePackedInputMatchesReference) {
                 /*packed=*/true, ref);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Whole network
+
+/// The float head inside a compiled network: YOLOv2-Tiny at its full
+/// channel widths (conv9 is 1x1, 1024 -> 125) on a reduced 96x96 input.
+/// The BNN reference forward gives conv8's ±1 activation, so every product
+/// of conv9 is exact, and the plan's float output must equal
+/// reference_conv over it with conv9's float weights byte for byte. This
+/// pins the whole-network float output, which a perfbench-style reference
+/// compiled from the same FloatConv2d could not.
+TEST(FloatHead, YoloOutputMatchesReferenceConvOverBnnActivation) {
+  core::NetworkSpec spec = models::yolov2_tiny();
+  spec.input = Shape{1, 96, 96, 3};
+  const core::FloatModel model = core::FloatModel::random(spec, 4141);
+  const U8Tensor image = datasets::random_image(spec.input, 4142);
+
+  const auto ref = baselines::bnn_reference_forward(model, image);
+  const auto* conv9 = std::get_if<core::ConvLayerSpec>(&spec.layers.back());
+  const auto* w9 = std::get_if<core::ConvWeights>(&model.weights.back());
+  ASSERT_NE(conv9, nullptr);
+  ASSERT_NE(w9, nullptr);
+  const FloatTensor& conv8 = ref.activations[ref.activations.size() - 2];
+  const FloatTensor want = reference_conv(conv8, w9->w, w9->bias, conv9->geom);
+
+  auto net = core::convert_to_phonebit(model);
+  core::Engine engine(testing::test_device());
+  const core::ExecutionPlan plan = net->compile(
+      engine, core::BlobDesc{core::BlobKind::kU8, spec.input});
+  auto session = engine.create_session();
+  const core::ForwardResult got = plan.run(session, core::Blob{image});
+  ASSERT_TRUE(testing::expect_bitexact(got.float_output(), want));
+  ASSERT_EQ(got.float_output().shape(), (Shape{1, 3, 3, 125}));
 }
 
 }  // namespace

@@ -560,5 +560,135 @@ TEST(Plan, SharedAcrossConcurrentSessions) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Plan pricing: the launches a plan stores at compile ARE what dispatch
+// enqueues, and ExecutionPlan::modeled_ms is a live run's total.
+// ---------------------------------------------------------------------------
+
+using core::WeightCompress;  // for pasted check_pricing_case lines
+
+/// Variants a grid cell's plan reached, as bits of `Reached`.
+enum Reached : unsigned {
+  kPathA = 1u << 0,
+  kPathB = 1u << 1,
+  kPathC = 1u << 2,
+  kPathD = 1u << 3,
+  kReuse = 1u << 4,
+  kFusedPool = 1u << 5,
+  kPlanes = 1u << 6,
+};
+
+/// One grid cell: the plan's stored launches must match the events a live
+/// SD855 run records (same order; names and KernelCost field by field);
+/// modeled_ms(p) must EXPECT_EQ (exact doubles) that run's
+/// total_modeled_ms() on SD855 and on SD625; and a run whose plane cache
+/// already holds the input must total modeled_ms(p, /*planes_hit=*/true).
+/// Returns the Reached bits of the plan.
+unsigned check_pricing_case(const testing::PricingCase& c) {
+  SCOPED_TRACE(c.repro("check_pricing_case"));
+  static core::Engine e855(testing::test_device());
+  static core::Engine e625(std::make_shared<oclsim::Device>(
+      oclsim::profile_by_name("sd625"), 2));
+  const testing::PricingNet& pn = testing::pricing_net(c.net);
+  Shape shape = pn.input;
+  shape.n = c.n;
+  const U8Tensor image =
+      datasets::random_image(shape, 720 + static_cast<std::uint64_t>(c.n));
+  const core::Blob input{image};
+  const ExecutionPlan plan = pn.net->compile(c.options(), u8_desc(shape));
+
+  unsigned reached = 0;
+  for (const core::PlanStep& step : plan.steps()) {
+    switch (step.variant.path) {
+      case KernelVariant::Path::kConvFused: reached |= kPathA; break;
+      case KernelVariant::Path::kConvSeparatePack: reached |= kPathB; break;
+      case KernelVariant::Path::kConvUnfused: reached |= kPathC; break;
+      case KernelVariant::Path::kConvGemm: reached |= kPathD; break;
+      case KernelVariant::Path::kDefault: break;
+    }
+    if (step.variant.reuse) reached |= kReuse;
+    if (step.fused_pool != nullptr) reached |= kFusedPool;
+  }
+  if (plan.planes_geometry().has_value()) reached |= kPlanes;
+
+  // Fill run: an empty plane cache is filled at the plain cost.
+  auto session = e855.create_session();
+  core::InputPlaneCache planes;
+  core::RunOptions ro;
+  ro.planes = &planes;
+  session.reset_profile();
+  (void)plan.run(session, input, ro);
+  const std::vector<oclsim::KernelEvent>& events = session.queue().events();
+  std::size_t i = 0;
+  for (const core::PlanStep& step : plan.steps()) {
+    for (const core::Launch& l : step.launches) {
+      if (i >= events.size()) {
+        ADD_FAILURE() << step.name() << ": the run recorded only "
+                      << events.size() << " events";
+        return reached;
+      }
+      EXPECT_EQ(events[i].name, *l.name) << "launch " << i;
+      EXPECT_TRUE(testing::same_cost(l.cost, events[i].cost))
+          << "launch " << i << " (" << events[i].name << ")";
+      ++i;
+    }
+  }
+  EXPECT_EQ(i, events.size()) << "the run recorded more events than launches";
+  const oclsim::DeviceProfile& p855 = testing::test_device()->profile();
+  EXPECT_EQ(plan.modeled_ms(p855), session.queue().total_modeled_ms());
+  EXPECT_EQ(planes.filled, plan.planes_geometry().has_value());
+  if (plan.planes_geometry().has_value()) {
+    EXPECT_TRUE(planes.holds(shape, *plan.planes_geometry()));
+  }
+
+  // Hit run: the same cache now holds this input's panel.
+  session.reset_profile();
+  (void)plan.run(session, input, ro);
+  EXPECT_EQ(plan.modeled_ms(p855, /*planes_hit=*/true),
+            session.queue().total_modeled_ms());
+
+  // Another profile, no cache.
+  auto other = e625.create_session();
+  other.reset_profile();
+  (void)plan.run(other, input);
+  EXPECT_EQ(plan.modeled_ms(oclsim::profile_by_name("sd625")),
+            other.queue().total_modeled_ms());
+  return reached;
+}
+
+TEST(PlanPricing, StoredLaunchesAreWhatDispatchEnqueues) {
+  unsigned reached = 0;
+  for (const testing::PricingCase& c : testing::pricing_grid()) {
+    reached |= check_pricing_case(c);
+  }
+  // The grid exercises every schedule the pricing functions cover.
+  EXPECT_EQ(reached, kPathA | kPathB | kPathC | kPathD | kReuse | kFusedPool |
+                         kPlanes);
+}
+
+/// The uncompiled Layer::forward plans, prices and runs one step: its
+/// event is the step's launch.
+TEST(PlanPricing, LayerForwardEnqueuesItsPricedStep) {
+  const testing::PricingNet& pn = testing::pricing_net("quicknet");
+  const U8Tensor image = datasets::random_image(pn.input, 731);
+  const core::Layer& conv1 = *pn.net->layers().front();
+  core::Engine engine(testing::test_device());
+  auto session = engine.create_session();
+  auto ctx = session.context();
+  session.reset_profile();
+  (void)conv1.forward(ctx, core::Blob{image});
+
+  const ExecutionPlan plan =
+      pn.net->compile(engine.options(), u8_desc(pn.input));
+  const std::vector<core::Launch>& launches = plan.steps().front().launches;
+  const std::vector<oclsim::KernelEvent>& events = session.queue().events();
+  ASSERT_EQ(events.size(), launches.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].name, *launches[i].name);
+    EXPECT_TRUE(testing::same_cost(launches[i].cost, events[i].cost));
+  }
+  EXPECT_EQ(session.stats().variant_selections, 1);
+}
+
 }  // namespace
 }  // namespace phonebit
