@@ -567,8 +567,9 @@ std::uint64_t checksum(const void* data, std::size_t n) noexcept {
 
 /// Friend of ExecutionPlan (plan.hpp): the one deserialization path allowed
 /// to rebuild a plan field by field. Decode VALIDATES the full structural
-/// contract — step edges, slot-table layout, scratch peaks — so a loaded
-/// plan is indistinguishable from a freshly compiled one.
+/// contract — step edges, slot-table layout, scratch peaks — and only then
+/// prices the steps' launches (derived state, never serialized), so a
+/// loaded plan is indistinguishable from a freshly compiled one.
 class PlanCodec {
  public:
   static void encode(ByteWriter& w, const Network& net,
@@ -911,12 +912,9 @@ class PlanCodec {
              " disagrees with recomputed layout " +
              std::to_string(want_slab));
     }
+    p.price();
     return p;
   }
-
-  /// Prices a decoded plan's launches (derived state, never serialized).
-  /// load() calls it only after every check of the file has passed.
-  static void price(core::ExecutionPlan& p) { p.price(); }
 };
 
 namespace {
@@ -1123,7 +1121,6 @@ LoadedArtifact load(const std::string& path) {
   if (r.remaining() != 0) {
     r.fail("trailing bytes after the last section");
   }
-  PlanCodec::price(plan);
   return LoadedArtifact{std::move(network), std::move(plan),
                         std::move(target)};
 }

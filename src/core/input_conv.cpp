@@ -315,7 +315,7 @@ std::vector<Launch> InputConv2d::price(const PlanStep& step,
   cost.coalescing = costs::coalescing(opts);
   cost.alu_efficiency = costs::binary_kernel_eff(opts);
   // Only the dense arm's panel can come from an InputPlaneCache.
-  return {Launch{&split_name_, split, /*plane_split=*/v.interior_split},
+  return {Launch{&split_name_, split, v.interior_split ? &geom_ : nullptr},
           Launch{&conv_name_, cost}};
 }
 

@@ -85,7 +85,7 @@ class InputConv2d final : public Layer {
   /// Input blob must be a U8Tensor (the decoded image). Output is packed.
   void plan(PlanContext& pc) const override;
   /// Two launches, `.bitplane_split` then `.bitplane_conv_fused`; on the
-  /// dense arm the split is the plane-cache launch (Launch::plane_split).
+  /// dense arm the split is the plane-cache launch (Launch::planes_geom).
   std::vector<Launch> price(const PlanStep& step,
                             const EngineOptions& opts) const override;
   Blob run(ExecContext& ctx, const Blob& in,

@@ -143,9 +143,10 @@ struct PlanStep;    // plan.hpp — one compiled layer invocation
 struct Launch {
   const std::string* name = nullptr;
   oclsim::KernelCost cost;
-  /// Kernel 1 of the dense input conv: skipped by a run whose
-  /// InputPlaneCache already holds the input's panel.
-  bool plane_split = false;
+  /// Set on kernel 1 of the dense input conv: the conv geometry the
+  /// InputPlaneCache it fills is keyed on. A run whose cache already holds
+  /// the input's panel skips this launch.
+  const ConvGeometry* planes_geom = nullptr;
 };
 
 /// Base class for all PhoneBit layers. A layer implements three things:

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "core/binary_conv.hpp"
-#include "core/input_conv.hpp"
 #include "core/pooling.hpp"
 
 namespace phonebit::core {
@@ -194,16 +193,16 @@ Blob Layer::forward(ExecContext& ctx, const Blob& in) const {
 }
 
 void ExecutionPlan::price() {
-  planes_geom_.reset();
-  for (PlanStep& step : steps_) {
-    step.launches = step.layer->price(step, opts_);
+  for (PlanStep& step : steps_) step.launches = step.layer->price(step, opts_);
+}
+
+std::optional<ConvGeometry> ExecutionPlan::planes_geometry() const noexcept {
+  for (const PlanStep& step : steps_) {
     for (const Launch& l : step.launches) {
-      if (l.plane_split) {
-        planes_geom_ =
-            static_cast<const InputConv2d*>(step.layer)->geometry();
-      }
+      if (l.planes_geom != nullptr) return *l.planes_geom;
     }
   }
+  return std::nullopt;
 }
 
 double ExecutionPlan::modeled_ms(const oclsim::DeviceProfile& profile,
@@ -211,7 +210,7 @@ double ExecutionPlan::modeled_ms(const oclsim::DeviceProfile& profile,
   double ms = 0.0;
   for (const PlanStep& step : steps_) {
     for (const Launch& l : step.launches) {
-      if (planes_hit && l.plane_split) continue;
+      if (planes_hit && l.planes_geom != nullptr) continue;
       ms += oclsim::modeled_ms(l.cost, profile, oclsim::ExecUnit::kGpu);
     }
   }

@@ -336,10 +336,9 @@ class ExecutionPlan {
                     bool planes_hit = false) const;
 
   /// Conv geometry under which a run of this plan fills an InputPlaneCache
-  /// (its input conv runs the dense arm); empty when runs never touch one.
-  const std::optional<ConvGeometry>& planes_geometry() const noexcept {
-    return planes_geom_;
-  }
+  /// (the plane-cache launch's Launch::planes_geom); empty when runs never
+  /// touch one.
+  std::optional<ConvGeometry> planes_geometry() const noexcept;
 
   /// Runs the plan on a session: reserves the exact scratch/slab peaks,
   /// executes every step with its compiled variant (no per-forward
@@ -373,8 +372,8 @@ class ExecutionPlan {
   // meaningless.
   ExecutionPlan() = default;
 
-  /// Fills every step's launches and planes_geom_ from the layers' price()
-  /// functions. Runs last in compile and in artifact load.
+  /// Fills every step's launches from its layer's price(). Runs last in
+  /// compile and in artifact decode.
   void price();
 
   std::string name_;
@@ -385,7 +384,6 @@ class ExecutionPlan {
   ScratchNeed scratch_peak_{};
   std::int64_t slab_bytes_ = 0;      ///< slots + output staging, 8-aligned
   std::int64_t output_offset_ = 0;   ///< output staging region in the slab
-  std::optional<ConvGeometry> planes_geom_;
 };
 
 }  // namespace phonebit::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <utility>
 
 #include "core/artifact.hpp"
@@ -239,33 +240,6 @@ Scheduler::Scheduler(Repository& repo, SchedulerConfig config,
                      FaultPlan faults)
     : repo_(repo), config_(config), faults_(faults) {}
 
-const Scheduler::PlanPrice& Scheduler::price(const Snapshot& snap) {
-  // Keyed on the artifact's identity (owner, not address: a freed
-  // artifact's address can be reused by the next load).
-  for (const PlanPrice& p : prices_) {
-    if (!p.artifact.owner_before(snap.artifact) &&
-        !snap.artifact.owner_before(p.artifact)) {
-      return p;
-    }
-  }
-  std::erase_if(prices_,
-                [](const PlanPrice& p) { return p.artifact.expired(); });
-  // A plan's launches are priced at load, and a KernelCost is a pure
-  // function of the plan and its geometry, so one plan prices a request
-  // on every shard's profile without running anything.
-  const core::ExecutionPlan& plan = snap.artifact->plan;
-  PlanPrice p;
-  p.artifact = snap.artifact;
-  p.planes_geom = plan.planes_geometry();
-  for (int si = 0; si < repo_.shard_count(); ++si) {
-    const oclsim::DeviceProfile& profile = repo_.profile(si);
-    p.plain_ms.push_back(plan.modeled_ms(profile));
-    p.reuse_ms.push_back(plan.modeled_ms(profile, p.planes_geom.has_value()));
-  }
-  prices_.push_back(std::move(p));
-  return prices_.back();
-}
-
 Schedule Scheduler::run(const CascadeSpec* spec,
                         const std::vector<Request>& workload,
                         std::vector<ShardSwap> swaps) {
@@ -419,17 +393,18 @@ Schedule Scheduler::run(const CascadeSpec* spec,
       // Placement: score = modeled cost on the shard (split-skipped on
       // the shard holding the request's planes) + weighted lane wait. Try
       // best first, spill past full shards, shed only when all are full.
-      // Every shard is priced with the first candidate's plan.
-      const PlanPrice& cost =
-          price(*snaps[static_cast<std::size_t>(candidates.front())]);
-      const bool cache_active = cost.planes_geom.has_value();
+      // Every shard is priced with the first candidate's plan, read off
+      // its stored launches (ExecutionPlan::modeled_ms): nothing runs.
+      const core::ExecutionPlan& plan =
+          snaps[static_cast<std::size_t>(candidates.front())]->artifact->plan;
+      const std::optional<ConvGeometry> planes_geom = plan.planes_geometry();
+      const bool cache_active = planes_geom.has_value();
       const auto reuses = [&](int si) {
         return cache_active && wk.cache_shard == si &&
-               wk.planes_geom == *cost.planes_geom;
+               wk.planes_geom == *planes_geom;
       };
       const auto stage_cost = [&](int si) {
-        const auto u = static_cast<std::size_t>(si);
-        return reuses(si) ? cost.reuse_ms[u] : cost.plain_ms[u];
+        return plan.modeled_ms(repo_.profile(si), reuses(si));
       };
       scored.clear();
       for (const int si : candidates) {
@@ -531,7 +506,7 @@ Schedule Scheduler::run(const CascadeSpec* spec,
       if (cache_active && wk.cache_shard < 0) wk.cache_shard = placed;
       const bool attach = cache_active && wk.cache_shard == placed &&
                           (reuse || s + 1 < nstages);
-      if (attach) wk.planes_geom = *cost.planes_geom;
+      if (attach) wk.planes_geom = *planes_geom;
       pinned.push_back(snap);
       ExecGroup* g = nullptr;
       for (ExecGroup& cand : groups) {

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -160,23 +159,9 @@ class Scheduler {
                std::vector<ShardSwap> swaps = {});
 
  private:
-  /// Modeled cost of one loaded plan on every shard's profile, read off
-  /// the plan's stored launches (ExecutionPlan::modeled_ms): the plain
-  /// forward and, for a plan whose input conv fills a plane cache, the
-  /// split-skipped reuse forward.
-  struct PlanPrice {
-    std::weak_ptr<const artifact::LoadedArtifact> artifact;
-    std::vector<double> plain_ms;  ///< per shard
-    std::vector<double> reuse_ms;  ///< per shard
-    std::optional<ConvGeometry> planes_geom;  ///< key a filled cache holds
-  };
-  /// The price of `snap`'s plan, memoized per loaded artifact.
-  const PlanPrice& price(const Snapshot& snap);
-
   Repository& repo_;
   const SchedulerConfig config_;
   const FaultPlan faults_;
-  std::vector<PlanPrice> prices_;
   std::atomic<bool> running_{false};
 };
 

@@ -178,46 +178,6 @@ TEST_F(ArtifactTest, RoundTripBitExactAcrossZoo) {
   }
 }
 
-/// Launches are derived state: never serialized, priced again by the
-/// loader after every check of the file has passed. A loaded plan must
-/// price exactly like the plan it was saved from — launch by launch and in
-/// total, on every profile, with and without a plane-cache hit.
-TEST_F(ArtifactTest, LoadedPlanPricesLikeCompiledPlan) {
-  const oclsim::DeviceProfile p855 = oclsim::profile_by_name("sd855");
-  const oclsim::DeviceProfile p625 = oclsim::profile_by_name("sd625");
-  for (const testing::PricingCase& c : testing::pricing_grid()) {
-    SCOPED_TRACE(c.repro("pricing grid cell"));
-    const testing::PricingNet& pn = testing::pricing_net(c.net);
-    Shape shape = pn.input;
-    shape.n = c.n;
-    const ExecutionPlan plan = pn.net->compile(
-        c.options(), BlobDesc{BlobKind::kU8, shape});
-    artifact::save(*pn.net, plan, path_);
-    const artifact::LoadedArtifact loaded = artifact::load(path_);
-
-    ASSERT_EQ(loaded.plan.steps().size(), plan.steps().size());
-    for (std::size_t i = 0; i < plan.steps().size(); ++i) {
-      const auto& want = plan.steps()[i].launches;
-      const auto& got = loaded.plan.steps()[i].launches;
-      ASSERT_EQ(got.size(), want.size()) << plan.steps()[i].name();
-      for (std::size_t j = 0; j < want.size(); ++j) {
-        EXPECT_EQ(*got[j].name, *want[j].name);
-        EXPECT_EQ(got[j].plane_split, want[j].plane_split) << *want[j].name;
-        EXPECT_TRUE(testing::same_cost(got[j].cost, want[j].cost))
-            << *want[j].name;
-      }
-    }
-    EXPECT_EQ(loaded.plan.planes_geometry(), plan.planes_geometry());
-    for (const oclsim::DeviceProfile* p : {&p855, &p625}) {
-      EXPECT_EQ(loaded.plan.modeled_ms(*p), plan.modeled_ms(*p))
-          << p->soc_name;
-      EXPECT_EQ(loaded.plan.modeled_ms(*p, /*planes_hit=*/true),
-                plan.modeled_ms(*p, /*planes_hit=*/true))
-          << p->soc_name;
-    }
-  }
-}
-
 /// The unfused-BN ablation path (path C) consumes the RAW batch-norm
 /// parameters — the artifact must preserve them exactly, not re-synthesize
 /// sign-equivalent substitutes like the .pbm model format does.

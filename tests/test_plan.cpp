@@ -5,11 +5,17 @@
 // forwards across the model zoo.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <iomanip>
+#include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "baselines/bnn_reference.hpp"
+#include "core/artifact.hpp"
 #include "core/phonebit.hpp"
 #include "datasets/synthetic.hpp"
 #include "models/zoo.hpp"
@@ -567,6 +573,126 @@ TEST(Plan, SharedAcrossConcurrentSessions) {
 
 using core::WeightCompress;  // for pasted check_pricing_case lines
 
+/// Field-by-field equality of two kernel tallies (exact doubles): a plan
+/// step's stored launch against the event a live run recorded for it.
+::testing::AssertionResult same_cost(const oclsim::KernelCost& a,
+                                      const oclsim::KernelCost& b) {
+#define PB_SAME_FIELD(f)                                                  \
+  if (!(a.f == b.f)) {                                                    \
+    return ::testing::AssertionFailure()                                  \
+           << std::setprecision(17) << "KernelCost." #f " differs: "      \
+           << a.f << " vs " << b.f;                                       \
+  }
+  PB_SAME_FIELD(scalar_ops)
+  PB_SAME_FIELD(bitop_bits)
+  PB_SAME_FIELD(pack_width_bits)
+  PB_SAME_FIELD(instr_overhead_cycles)
+  PB_SAME_FIELD(span_count)
+  PB_SAME_FIELD(span_setup_cycles)
+  PB_SAME_FIELD(bytes_read)
+  PB_SAME_FIELD(bytes_written)
+  PB_SAME_FIELD(coalescing)
+  PB_SAME_FIELD(alu_efficiency)
+  PB_SAME_FIELD(overlap_mem)
+  PB_SAME_FIELD(int8_ops)
+  PB_SAME_FIELD(launches)
+#undef PB_SAME_FIELD
+  return ::testing::AssertionSuccess();
+}
+
+/// One cell of the plan-pricing grid: a zoo net in its shrunk test size,
+/// compiled under options that reach one conv path, one weight-compression
+/// mode, interior split and conv→pool fusion on or off, batch size N.
+struct PricingCase {
+  std::string net;  ///< "quicknet", "yolov2-tiny", "alexnet" or "vgg16"
+  char path = 'a';  ///< 'A', 'B', 'C', 'D', or 'a' for roofline selection
+  core::WeightCompress compress = core::WeightCompress::kOff;
+  bool split = true;
+  bool fuse_pool = true;
+  std::int64_t n = 1;
+
+  core::EngineOptions options() const {
+    core::EngineOptions o;
+    o.weight_compress = compress;
+    o.interior_split = split;
+    o.fuse_conv_pool = fuse_pool;
+    switch (path) {
+      case 'A':  // path B still takes layers past the channel threshold
+        o.conv_path = core::ConvPathPreference::kRowFused;
+        break;
+      case 'B':
+        o.conv_path = core::ConvPathPreference::kRowFused;
+        o.integrate_packing = false;
+        break;
+      case 'C':
+        o.fuse_bn_binarize = false;
+        break;
+      case 'D':
+        o.conv_path = core::ConvPathPreference::kGemm;
+        break;
+      default:
+        break;
+    }
+    return o;
+  }
+
+  /// A pasteable reproducer line for `fn`.
+  std::string repro(const char* fn) const {
+    static const char* const kCompress[] = {"kOff", "kLossless", "kAuto"};
+    std::ostringstream os;
+    os << std::boolalpha << "repro: " << fn << "({\"" << net << "\", '"
+       << path << "', WeightCompress::"
+       << kCompress[static_cast<int>(compress)] << ", " << split << ", "
+       << fuse_pool << ", " << n << "});";
+    return os.str();
+  }
+};
+
+/// Every cell of the grid: 4 nets x paths {auto, A, B, C, D} x
+/// compression {kOff, kLossless, kAuto} x split x fusion x N {1, 3}.
+std::vector<PricingCase> pricing_grid() {
+  std::vector<PricingCase> grid;
+  for (const char* net : {"quicknet", "yolov2-tiny", "alexnet", "vgg16"}) {
+    for (const char path : {'a', 'A', 'B', 'C', 'D'}) {
+      for (const auto wc :
+           {core::WeightCompress::kOff, core::WeightCompress::kLossless,
+            core::WeightCompress::kAuto}) {
+        for (const bool split : {true, false}) {
+          for (const bool fuse : {true, false}) {
+            for (const std::int64_t n : {1, 3}) {
+              grid.push_back({net, path, wc, split, fuse, n});
+            }
+          }
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+/// A grid net, converted once per process: clustered weights
+/// (FloatModel::random_redundant), so kAuto selection can reach the reuse
+/// kernels. `input` is the net's N = 1 input shape.
+struct PricingNet {
+  std::unique_ptr<core::Network> net;
+  Shape input;
+};
+const PricingNet& pricing_net(const std::string& name) {
+  static std::map<std::string, PricingNet> cache;
+  if (const auto it = cache.find(name); it != cache.end()) return it->second;
+  models::ZooOptions zoo;
+  zoo.shrink_log2 = name == "yolov2-tiny" ? 3 : 4;
+  const bool quick = name == "quicknet", yolo = name == "yolov2-tiny",
+             alex = name == "alexnet";
+  const core::NetworkSpec spec = quick  ? models::quicknet(10)
+                                 : yolo ? models::yolov2_tiny(zoo)
+                                 : alex ? models::alexnet(zoo)
+                                        : models::vgg16(zoo);
+  const core::FloatModel model = core::FloatModel::random_redundant(
+      spec, quick ? 701 : yolo ? 702 : alex ? 703 : 704);
+  return cache[name] = PricingNet{core::convert_to_phonebit(model), spec.input};
+}
+
 /// Variants a grid cell's plan reached, as bits of `Reached`.
 enum Reached : unsigned {
   kPathA = 1u << 0,
@@ -583,13 +709,15 @@ enum Reached : unsigned {
 /// modeled_ms(p) must EXPECT_EQ (exact doubles) that run's
 /// total_modeled_ms() on SD855 and on SD625; and a run whose plane cache
 /// already holds the input must total modeled_ms(p, /*planes_hit=*/true).
-/// Returns the Reached bits of the plan.
-unsigned check_pricing_case(const testing::PricingCase& c) {
+/// Launches are derived state, never serialized: the same plan saved and
+/// loaded back is priced again by the artifact decoder and must pass the
+/// same checks. Returns the Reached bits of the plan.
+unsigned check_pricing_case(const PricingCase& c) {
   SCOPED_TRACE(c.repro("check_pricing_case"));
   static core::Engine e855(testing::test_device());
   static core::Engine e625(std::make_shared<oclsim::Device>(
       oclsim::profile_by_name("sd625"), 2));
-  const testing::PricingNet& pn = testing::pricing_net(c.net);
+  const PricingNet& pn = pricing_net(c.net);
   Shape shape = pn.input;
   shape.n = c.n;
   const U8Tensor image =
@@ -618,47 +746,57 @@ unsigned check_pricing_case(const testing::PricingCase& c) {
   ro.planes = &planes;
   session.reset_profile();
   (void)plan.run(session, input, ro);
-  const std::vector<oclsim::KernelEvent>& events = session.queue().events();
-  std::size_t i = 0;
-  for (const core::PlanStep& step : plan.steps()) {
-    for (const core::Launch& l : step.launches) {
-      if (i >= events.size()) {
-        ADD_FAILURE() << step.name() << ": the run recorded only "
-                      << events.size() << " events";
-        return reached;
-      }
-      EXPECT_EQ(events[i].name, *l.name) << "launch " << i;
-      EXPECT_TRUE(testing::same_cost(l.cost, events[i].cost))
-          << "launch " << i << " (" << events[i].name << ")";
-      ++i;
-    }
-  }
-  EXPECT_EQ(i, events.size()) << "the run recorded more events than launches";
-  const oclsim::DeviceProfile& p855 = testing::test_device()->profile();
-  EXPECT_EQ(plan.modeled_ms(p855), session.queue().total_modeled_ms());
+  const std::vector<oclsim::KernelEvent> events = session.queue().events();
+  const double fill855 = session.queue().total_modeled_ms();
   EXPECT_EQ(planes.filled, plan.planes_geometry().has_value());
   if (plan.planes_geometry().has_value()) {
     EXPECT_TRUE(planes.holds(shape, *plan.planes_geometry()));
   }
-
   // Hit run: the same cache now holds this input's panel.
   session.reset_profile();
   (void)plan.run(session, input, ro);
-  EXPECT_EQ(plan.modeled_ms(p855, /*planes_hit=*/true),
-            session.queue().total_modeled_ms());
-
+  const double hit855 = session.queue().total_modeled_ms();
   // Another profile, no cache.
   auto other = e625.create_session();
   other.reset_profile();
   (void)plan.run(other, input);
-  EXPECT_EQ(plan.modeled_ms(oclsim::profile_by_name("sd625")),
-            other.queue().total_modeled_ms());
+  const double plain625 = other.queue().total_modeled_ms();
+
+  const std::string path = testing::temp_path("pricing.pba");
+  artifact::save(*pn.net, plan, path);
+  const artifact::LoadedArtifact loaded = artifact::load(path);
+  std::remove(path.c_str());
+
+  for (const ExecutionPlan* p : {&plan, &loaded.plan}) {
+    SCOPED_TRACE(p == &plan ? "compiled plan" : "loaded plan");
+    std::size_t i = 0;
+    for (const core::PlanStep& step : p->steps()) {
+      for (const core::Launch& l : step.launches) {
+        if (i >= events.size()) {
+          ADD_FAILURE() << step.name() << ": the run recorded only "
+                        << events.size() << " events";
+          return reached;
+        }
+        EXPECT_EQ(events[i].name, *l.name) << "launch " << i;
+        EXPECT_TRUE(same_cost(l.cost, events[i].cost))
+            << "launch " << i << " (" << events[i].name << ")";
+        ++i;
+      }
+    }
+    EXPECT_EQ(i, events.size())
+        << "the run recorded more events than launches";
+    EXPECT_EQ(p->planes_geometry(), plan.planes_geometry());
+    const oclsim::DeviceProfile& p855 = testing::test_device()->profile();
+    EXPECT_EQ(p->modeled_ms(p855), fill855);
+    EXPECT_EQ(p->modeled_ms(p855, /*planes_hit=*/true), hit855);
+    EXPECT_EQ(p->modeled_ms(oclsim::profile_by_name("sd625")), plain625);
+  }
   return reached;
 }
 
 TEST(PlanPricing, StoredLaunchesAreWhatDispatchEnqueues) {
   unsigned reached = 0;
-  for (const testing::PricingCase& c : testing::pricing_grid()) {
+  for (const PricingCase& c : pricing_grid()) {
     reached |= check_pricing_case(c);
   }
   // The grid exercises every schedule the pricing functions cover.
@@ -666,10 +804,54 @@ TEST(PlanPricing, StoredLaunchesAreWhatDispatchEnqueues) {
                          kPlanes);
 }
 
+/// Absolute modeled totals (exact doubles), recorded from live runs of the
+/// engine before the per-layer tallies moved into Layer::price. The grid
+/// compares each stored launch with the event dispatch enqueued from that
+/// same launch, so a cost expression that drifts in price() passes it;
+/// these pins catch the drift.
+TEST(PlanPricing, ModeledTotalsArePinned) {
+  struct Pin {
+    PricingCase c;
+    double sd855, sd855_hit, sd625;
+  };
+  const Pin pins[] = {
+      // Path D with both reuse kernels, plane cache.
+      {{"yolov2-tiny", 'D', WeightCompress::kAuto, true, true, 1},
+       0.84241309084498062, 0.8111626854628865, 2.3301477592552962},
+      // Path C (raw BN on the hot path), N = 3.
+      {{"alexnet", 'C', WeightCompress::kOff, true, true, 3},
+       1.1868671182604849, 1.1307376029939675, 3.6754697141711858},
+      // Roofline selection with fused conv→pool steps.
+      {{"quicknet", 'a', WeightCompress::kAuto, true, true, 3},
+       1.2915699638558669, 1.2594689115874522, 4.4182659543027176},
+      // Per-tap input conv: no plane cache, a hit prices as a plain run.
+      {{"quicknet", 'C', WeightCompress::kLossless, false, false, 1},
+       0.47158583498478085, 0.47158583498478085, 1.2858050339932692},
+  };
+  const oclsim::DeviceProfile& p855 = testing::test_device()->profile();
+  const oclsim::DeviceProfile p625 = oclsim::profile_by_name("sd625");
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.c.repro("check_pricing_case"));
+    const PricingNet& pn = pricing_net(pin.c.net);
+    Shape shape = pn.input;
+    shape.n = pin.c.n;
+    const ExecutionPlan plan = pn.net->compile(pin.c.options(), u8_desc(shape));
+    EXPECT_EQ(plan.modeled_ms(p855), pin.sd855);
+    EXPECT_EQ(plan.modeled_ms(p855, /*planes_hit=*/true), pin.sd855_hit);
+    EXPECT_EQ(plan.modeled_ms(p625), pin.sd625);
+  }
+  // perfbench's yolo416 workload: full YOLOv2-Tiny at 416², default
+  // options (kOff, so the weights do not steer selection).
+  const core::NetworkSpec spec = models::yolov2_tiny();
+  const auto net = core::convert_to_phonebit(FloatModel::random(spec, 2020));
+  EXPECT_EQ(net->compile(EngineOptions{}, u8_desc(spec.input)).modeled_ms(p855),
+            38.034540585886653);
+}
+
 /// The uncompiled Layer::forward plans, prices and runs one step: its
 /// event is the step's launch.
 TEST(PlanPricing, LayerForwardEnqueuesItsPricedStep) {
-  const testing::PricingNet& pn = testing::pricing_net("quicknet");
+  const PricingNet& pn = pricing_net("quicknet");
   const U8Tensor image = datasets::random_image(pn.input, 731);
   const core::Layer& conv1 = *pn.net->layers().front();
   core::Engine engine(testing::test_device());
@@ -685,7 +867,7 @@ TEST(PlanPricing, LayerForwardEnqueuesItsPricedStep) {
   ASSERT_EQ(events.size(), launches.size());
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].name, *launches[i].name);
-    EXPECT_TRUE(testing::same_cost(launches[i].cost, events[i].cost));
+    EXPECT_TRUE(same_cost(launches[i].cost, events[i].cost));
   }
   EXPECT_EQ(session.stats().variant_selections, 1);
 }

@@ -9,11 +9,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <iomanip>
 #include <limits>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -22,7 +19,6 @@
 #include "bitpack/pack.hpp"
 #include "common/rng.hpp"
 #include "core/phonebit.hpp"
-#include "models/zoo.hpp"
 #include "oclsim/runtime.hpp"
 #include "serve/fleet.hpp"
 #include "tensor/tensor.hpp"
@@ -101,127 +97,6 @@ inline ::testing::AssertionResult expect_bitexact(
            << b.modeled_ms << " ms";
   }
   return ::testing::AssertionSuccess();
-}
-
-/// Field-by-field equality of two kernel tallies (exact doubles): a plan
-/// step's stored launch against the event a live run recorded for it.
-inline ::testing::AssertionResult same_cost(const oclsim::KernelCost& a,
-                                            const oclsim::KernelCost& b) {
-#define PB_SAME_FIELD(f)                                                  \
-  if (!(a.f == b.f)) {                                                    \
-    return ::testing::AssertionFailure()                                  \
-           << std::setprecision(17) << "KernelCost." #f " differs: "      \
-           << a.f << " vs " << b.f;                                       \
-  }
-  PB_SAME_FIELD(scalar_ops)
-  PB_SAME_FIELD(bitop_bits)
-  PB_SAME_FIELD(pack_width_bits)
-  PB_SAME_FIELD(instr_overhead_cycles)
-  PB_SAME_FIELD(span_count)
-  PB_SAME_FIELD(span_setup_cycles)
-  PB_SAME_FIELD(bytes_read)
-  PB_SAME_FIELD(bytes_written)
-  PB_SAME_FIELD(coalescing)
-  PB_SAME_FIELD(alu_efficiency)
-  PB_SAME_FIELD(overlap_mem)
-  PB_SAME_FIELD(int8_ops)
-  PB_SAME_FIELD(launches)
-#undef PB_SAME_FIELD
-  return ::testing::AssertionSuccess();
-}
-
-/// One cell of the plan-pricing grid (tests/test_plan.cpp and
-/// tests/test_artifact.cpp): a zoo net in its shrunk test size, compiled
-/// under options that reach one conv path, one weight-compression mode,
-/// interior split and conv→pool fusion on or off, batch size N.
-struct PricingCase {
-  std::string net;  ///< "quicknet", "yolov2-tiny", "alexnet" or "vgg16"
-  char path = 'a';  ///< 'A', 'B', 'C', 'D', or 'a' for roofline selection
-  core::WeightCompress compress = core::WeightCompress::kOff;
-  bool split = true;
-  bool fuse_pool = true;
-  std::int64_t n = 1;
-
-  core::EngineOptions options() const {
-    core::EngineOptions o;
-    o.weight_compress = compress;
-    o.interior_split = split;
-    o.fuse_conv_pool = fuse_pool;
-    switch (path) {
-      case 'A':  // path B still takes layers past the channel threshold
-        o.conv_path = core::ConvPathPreference::kRowFused;
-        break;
-      case 'B':
-        o.conv_path = core::ConvPathPreference::kRowFused;
-        o.integrate_packing = false;
-        break;
-      case 'C':
-        o.fuse_bn_binarize = false;
-        break;
-      case 'D':
-        o.conv_path = core::ConvPathPreference::kGemm;
-        break;
-      default:
-        break;
-    }
-    return o;
-  }
-
-  /// A pasteable reproducer line for `fn`.
-  std::string repro(const char* fn) const {
-    static const char* const kCompress[] = {"kOff", "kLossless", "kAuto"};
-    std::ostringstream os;
-    os << std::boolalpha << "repro: " << fn << "({\"" << net << "\", '"
-       << path << "', WeightCompress::"
-       << kCompress[static_cast<int>(compress)] << ", " << split << ", "
-       << fuse_pool << ", " << n << "});";
-    return os.str();
-  }
-};
-
-/// Every cell of the grid: 4 nets x paths {auto, A, B, C, D} x
-/// compression {kOff, kLossless, kAuto} x split x fusion x N {1, 3}.
-inline std::vector<PricingCase> pricing_grid() {
-  std::vector<PricingCase> grid;
-  for (const char* net : {"quicknet", "yolov2-tiny", "alexnet", "vgg16"}) {
-    for (const char path : {'a', 'A', 'B', 'C', 'D'}) {
-      for (const auto wc :
-           {core::WeightCompress::kOff, core::WeightCompress::kLossless,
-            core::WeightCompress::kAuto}) {
-        for (const bool split : {true, false}) {
-          for (const bool fuse : {true, false}) {
-            for (const std::int64_t n : {1, 3}) {
-              grid.push_back({net, path, wc, split, fuse, n});
-            }
-          }
-        }
-      }
-    }
-  }
-  return grid;
-}
-
-/// A grid net, converted once per process: clustered weights
-/// (FloatModel::random_redundant), so kAuto selection can reach the reuse
-/// kernels. `input` is the net's N = 1 input shape.
-struct PricingNet {
-  std::unique_ptr<core::Network> net;
-  Shape input;
-};
-inline const PricingNet& pricing_net(const std::string& name) {
-  static std::map<std::string, PricingNet> cache;
-  if (const auto it = cache.find(name); it != cache.end()) return it->second;
-  models::ZooOptions zoo;
-  zoo.shrink_log2 = name == "yolov2-tiny" ? 3 : 4;
-  const bool quick = name == "quicknet", yolo = name == "yolov2-tiny",
-             alex = name == "alexnet";
-  const core::NetworkSpec spec = quick  ? models::quicknet(10)
-                                 : yolo ? models::yolov2_tiny(zoo)
-                                 : alex ? models::alexnet(zoo)
-                                        : models::vgg16(zoo);
-  const core::FloatModel model = core::FloatModel::random_redundant(
-      spec, quick ? 701 : yolo ? 702 : alex ? 703 : 704);
-  return cache[name] = PricingNet{core::convert_to_phonebit(model), spec.input};
 }
 
 /// A file path under the gtest temp dir that is unique to this process.
