@@ -518,25 +518,17 @@ void bench_cascade_e2e(std::vector<bench::BenchRecord>& out) {
   fleet.load_model("det", det_paths);
   fleet.load_model("cls", cls_paths);
 
-  // Gate threshold at the median max-logit over a sample of the workload
-  // inputs: roughly half the trace gates out, half pays for the
-  // classifier, so the makespan tracks both verdict classes.
+  // Gate threshold from a sample of the workload inputs: roughly half the
+  // trace gates out, half pays for the classifier, so the makespan tracks
+  // both verdict classes.
   const auto det_art = fleet.engine(0).load_artifact_shared(det_paths[0]);
   auto probe_session = fleet.engine(0).create_session();
-  std::vector<float> peaks;
+  std::vector<core::Blob> sample;
   for (std::uint64_t i = 0; i < 9; ++i) {
-    const core::ForwardResult probe = det_art->plan.run(
-        probe_session, core::Blob{datasets::cifar_like_image(100 + i)});
-    const FloatTensor& pf = probe.float_output();
-    float peak = pf.data()[0];
-    for (std::int64_t k = 1; k < pf.elems(); ++k) {
-      peak = std::max(peak, pf.data()[k]);
-    }
-    peaks.push_back(peak);
+    sample.emplace_back(datasets::cifar_like_image(100 + i));
   }
-  std::nth_element(peaks.begin(), peaks.begin() + peaks.size() / 2,
-                   peaks.end());
-  const float threshold = peaks[peaks.size() / 2];
+  const float threshold =
+      serve::median_peak_threshold(det_art->plan, probe_session, sample);
 
   serve::CascadeSpec spec;
   spec.name = "bench";

@@ -1,7 +1,6 @@
 #include "bitpack/binary_ops.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #if defined(__AVX2__)
@@ -320,27 +319,41 @@ namespace {
 // The GEMM and bit-plane microkernels score one workload group of 8 filters
 // per instruction: a Lanes8 holds one 64-bit word per filter (lane f =
 // filter f), which is exactly one K step of a filter-interleaved panel.
-// The body is chosen at compile time from the flags CMake's popcount probe
-// selects: one zmm (AVX-512BW with VBMI's vpermb), two ymm (AVX2) or eight
-// scalar words. VPOPCNTDQ and BITALG are never used (the probe rejects
-// them on CPUs that miscount).
+// The body is chosen at compile time: one zmm with the native 64-bit lane
+// popcount (vpopcntq) when CMake's vpopcntq probe defines
+// PHONEBIT_VPOPCNTQ, else two ymm (AVX2), else eight scalar words.
 //
-// Byte-counter contract: byte_popcount<S>() yields per-lane counts scaled
-// by 2^S (S <= 3), which add_counts() accumulates until lane_sums()
-// reduces them to one 64-bit count per lane. The SIMD bodies count per
-// byte with table lookups and sum each lane's 8 byte counters with
-// vpsadbw, so a byte counter must be flushed before it passes 255:
+// The global flags keep -mno-avx512vpopcntdq: GCC 12.2 folds the
+// auto-vectorized ulong4 popcount of constant lanes wrongly with it (the
+// ladder's PHONEBIT_POPCNT_SANITY probe reads popcount(0x3) == 3), although
+// the hardware counts correctly. So only the AVX-512 body, written in
+// intrinsics, is built with the instruction, under a target pragma that
+// spans the Lanes8 primitives and the two tile templates below.
+//
+// Counter contract: byte_popcount<S>() yields per-lane counts scaled by
+// 2^S (S <= 3) in the body's counter format, which add_counts()
+// accumulates until lane_sums() reduces them to one 64-bit count per lane.
+// The AVX-512 and scalar bodies count whole 64-bit lanes, so their
+// counters cannot wrap and lane_sums() is the identity. The AVX2 body
+// counts per byte with vpshufb lookups and sums each lane's 8 byte
+// counters with vpsadbw, so a byte counter must be flushed before it
+// passes 255:
 //   - xor-popcount gains at most 8 per step: flush every kFlushSteps = 31
 //     steps (248);
 //   - the bit-plane kernel adds planes 0-3 (and, in a second counter
 //     shifted by 4 at the flush, planes 4-7) with S = plane index, at most
 //     8 * (1 + 2 + 4 + 8) = 120 per step: flush every
 //     kPlaneFlushSteps = 2 steps (240).
-// The scalar body counts whole lanes, and its lane_sums() is the identity.
+// The tiles flush at these intervals whatever the body.
 constexpr std::int64_t kFlushSteps = 31;
 constexpr std::int64_t kPlaneFlushSteps = 2;
 
-#if defined(__AVX512BW__) && defined(__AVX512VBMI__)
+#if defined(__AVX512F__) && defined(PHONEBIT_VPOPCNTQ)
+
+#pragma GCC push_options
+#pragma GCC target("avx512vpopcntdq")
+
+constexpr const char* kLanes8Body = "avx512-vpopcntq";
 
 struct Lanes8 {
   __m512i v;
@@ -359,41 +372,15 @@ inline Lanes8 operator^(Lanes8 a, Lanes8 b) {
 inline Lanes8 operator&(Lanes8 a, Lanes8 b) {
   return {_mm512_and_si512(a.v, b.v)};
 }
-
-/// 64-entry byte table of popcount(i & Mask) << S, for vpermb lookups.
-template <int S, int Mask>
-struct PopcountTable {
-  alignas(64) std::uint8_t v[64] = {};
-  constexpr PopcountTable() {
-    for (int i = 0; i < 64; ++i) {
-      v[i] = static_cast<std::uint8_t>(
-          std::popcount(static_cast<unsigned>(i & Mask)) << S);
-    }
-  }
-};
-template <int S, int Mask>
-inline constexpr PopcountTable<S, Mask> kPopcountTable{};
-
-/// vpermb looks up the low 6 bits of every byte, a second vpermb the top
-/// 2 bits (shifted down; the bits the 16-bit shift pulls in from the next
-/// byte are masked off by the table): 4 ops, against 6 for nibble lookups.
 template <int S = 0>
 inline Lanes8 byte_popcount(Lanes8 x) {
-  const __m512i low6 = _mm512_load_si512(kPopcountTable<S, 63>.v);
-  const __m512i top2 = _mm512_load_si512(kPopcountTable<S, 3>.v);
-  return {_mm512_add_epi8(
-      _mm512_permutexvar_epi8(x.v, low6),
-      _mm512_permutexvar_epi8(_mm512_srli_epi16(x.v, 6), top2))};
-}
-inline Lanes8 add_counts(Lanes8 a, Lanes8 b) {
-  return {_mm512_add_epi8(a.v, b.v)};
-}
-inline Lanes8 lane_sums(Lanes8 x) {
-  return {_mm512_sad_epu8(x.v, _mm512_setzero_si512())};
+  return {_mm512_slli_epi64(_mm512_popcnt_epi64(x.v), S)};
 }
 inline Lanes8 add64(Lanes8 a, Lanes8 b) {
   return {_mm512_add_epi64(a.v, b.v)};
 }
+inline Lanes8 add_counts(Lanes8 a, Lanes8 b) { return add64(a, b); }
+inline Lanes8 lane_sums(Lanes8 x) { return x; }
 inline Lanes8 shl64(Lanes8 a, int k) {
   return {_mm512_sll_epi64(a.v, _mm_cvtsi32_si128(k))};
 }
@@ -404,6 +391,8 @@ inline void store_i32(Lanes8 x, std::int32_t* out) {
 }
 
 #elif defined(__AVX2__)
+
+constexpr const char* kLanes8Body = "avx2";
 
 struct Lanes8 {
   __m256i lo, hi;  // filters 0-3, 4-7
@@ -469,6 +458,8 @@ inline void store_i32(Lanes8 x, std::int32_t* out) {
 
 #else
 
+constexpr const char* kLanes8Body = "scalar";
+
 using Lanes8 = simd::ulong8;
 
 inline Lanes8 zero8() { return Lanes8{}; }
@@ -496,7 +487,7 @@ inline void store_i32(Lanes8 x, std::int32_t* out) {
 /// One Rows x 8 register tile with a compile-time row count, so the
 /// accumulators are a true register array. Each K step loads the group's
 /// 8 filter words as one Lanes8 and scores it against every row's
-/// broadcast word; byte counters are flushed every kFlushSteps.
+/// broadcast word; counters are flushed every kFlushSteps.
 template <int Rows>
 void gemm_tile(const std::uint64_t* a, std::int64_t a_stride,
                const std::uint64_t* panel, std::int64_t k_words,
@@ -519,7 +510,71 @@ void gemm_tile(const std::uint64_t* a, std::int64_t a_stride,
   for (int r = 0; r < Rows; ++r) store_i32(acc[r], out + r * 8);
 }
 
+/// Adds plane S (to `low`) and plane S + 4 (to `high`) of panel-row word
+/// j, and-ed with the group's filter words `w`, each scaled by 2^S.
+template <int S>
+inline void add_plane_pair(Lanes8& low, Lanes8& high, const std::uint64_t* row,
+                           std::int64_t k_words, std::int64_t j, Lanes8 w) {
+  low = add_counts(low, byte_popcount<S>(broadcast8(row[S * k_words + j]) & w));
+  high = add_counts(
+      high, byte_popcount<S>(broadcast8(row[(S + 4) * k_words + j]) & w));
+}
+
+/// The bit-plane tile with the K-word count as a template parameter when
+/// it is known (KWords > 0): YOLO-style input layers (K <= 64 bits) then
+/// load the group's filter words once for all rows. Planes 0-3 and 4-7
+/// accumulate in two weighted counters; the high one is shifted by 4
+/// when both are flushed.
+template <int KWords>
+void planes_x8_tile(const std::uint64_t* a, std::int64_t a_stride,
+                    const std::uint64_t* panel, std::int64_t k_words,
+                    std::int64_t rows, std::int32_t* out) {
+  if constexpr (KWords > 0) k_words = KWords;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::uint64_t* row = a + r * a_stride;
+    Lanes8 acc = zero8();
+    for (std::int64_t j0 = 0; j0 < k_words; j0 += kPlaneFlushSteps) {
+      const std::int64_t j1 = std::min(k_words, j0 + kPlaneFlushSteps);
+      Lanes8 low = zero8(), high = zero8();
+      for (std::int64_t j = j0; j < j1; ++j) {
+        const Lanes8 w = load8(panel + j * 8);
+        add_plane_pair<0>(low, high, row, k_words, j, w);
+        add_plane_pair<1>(low, high, row, k_words, j, w);
+        add_plane_pair<2>(low, high, row, k_words, j, w);
+        add_plane_pair<3>(low, high, row, k_words, j, w);
+      }
+      acc = add64(acc, add64(lane_sums(low), shl64(lane_sums(high), 4)));
+    }
+    store_i32(acc, out + r * 8);
+  }
+}
+
+#if defined(__AVX512F__) && defined(PHONEBIT_VPOPCNTQ)
+#pragma GCC pop_options
+#endif
+
+template <int KWords>
+void window_sums_tile(const std::uint64_t* a, std::int64_t a_stride,
+                      std::int64_t k_words, std::int64_t rows,
+                      std::int64_t* sums) {
+  if constexpr (KWords > 0) k_words = KWords;
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const std::uint64_t* row = a + r * a_stride;
+    std::int64_t s = 0;
+    for (int k = 0; k < 8; ++k) {
+      std::int64_t bits = 0;
+      for (std::int64_t j = 0; j < k_words; ++j) {
+        bits += popcount(row[k * k_words + j]);
+      }
+      s += bits << k;
+    }
+    sums[r] = s;
+  }
+}
+
 }  // namespace
+
+const char* lanes8_body() noexcept { return kLanes8Body; }
 
 std::vector<std::uint64_t> interleave_filter_panel(const std::uint64_t* w,
                                                    std::int64_t filters,
@@ -548,68 +603,6 @@ void xor_popcount_gemm_x8(const std::uint64_t* a, std::int64_t a_stride,
     default: return gemm_tile<4>(a, a_stride, panel, k_words, out);
   }
 }
-
-namespace {
-
-/// Adds plane S (to `low`) and plane S + 4 (to `high`) of panel-row word
-/// j, and-ed with the group's filter words `w`, each scaled by 2^S.
-template <int S>
-inline void add_plane_pair(Lanes8& low, Lanes8& high, const std::uint64_t* row,
-                           std::int64_t k_words, std::int64_t j, Lanes8 w) {
-  low = add_counts(low, byte_popcount<S>(broadcast8(row[S * k_words + j]) & w));
-  high = add_counts(
-      high, byte_popcount<S>(broadcast8(row[(S + 4) * k_words + j]) & w));
-}
-
-/// The bit-plane tile with the K-word count as a template parameter when
-/// it is known (KWords > 0): YOLO-style input layers (K <= 64 bits) then
-/// load the group's filter words once for all rows. Planes 0-3 and 4-7
-/// accumulate in two weighted byte counters; the high one is shifted by 4
-/// when both are flushed.
-template <int KWords>
-void planes_x8_tile(const std::uint64_t* a, std::int64_t a_stride,
-                    const std::uint64_t* panel, std::int64_t k_words,
-                    std::int64_t rows, std::int32_t* out) {
-  if constexpr (KWords > 0) k_words = KWords;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::uint64_t* row = a + r * a_stride;
-    Lanes8 acc = zero8();
-    for (std::int64_t j0 = 0; j0 < k_words; j0 += kPlaneFlushSteps) {
-      const std::int64_t j1 = std::min(k_words, j0 + kPlaneFlushSteps);
-      Lanes8 low = zero8(), high = zero8();
-      for (std::int64_t j = j0; j < j1; ++j) {
-        const Lanes8 w = load8(panel + j * 8);
-        add_plane_pair<0>(low, high, row, k_words, j, w);
-        add_plane_pair<1>(low, high, row, k_words, j, w);
-        add_plane_pair<2>(low, high, row, k_words, j, w);
-        add_plane_pair<3>(low, high, row, k_words, j, w);
-      }
-      acc = add64(acc, add64(lane_sums(low), shl64(lane_sums(high), 4)));
-    }
-    store_i32(acc, out + r * 8);
-  }
-}
-
-template <int KWords>
-void window_sums_tile(const std::uint64_t* a, std::int64_t a_stride,
-                      std::int64_t k_words, std::int64_t rows,
-                      std::int64_t* sums) {
-  if constexpr (KWords > 0) k_words = KWords;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::uint64_t* row = a + r * a_stride;
-    std::int64_t s = 0;
-    for (int k = 0; k < 8; ++k) {
-      std::int64_t bits = 0;
-      for (std::int64_t j = 0; j < k_words; ++j) {
-        bits += popcount(row[k * k_words + j]);
-      }
-      s += bits << k;
-    }
-    sums[r] = s;
-  }
-}
-
-}  // namespace
 
 void and_popcount_planes_x8(const std::uint64_t* a, std::int64_t a_stride,
                             const std::uint64_t* panel, std::int64_t k_words,

@@ -9,7 +9,7 @@
 //
 // The GEMM (path D) and bit-plane (input layer) microkernels are the
 // exception: they score the 8 filters of a workload group at once from a
-// filter-interleaved panel, with a SIMD body (AVX-512BW+VBMI, AVX2 or
+// filter-interleaved panel, with a SIMD body (AVX-512 vpopcntq, AVX2 or
 // scalar) fixed at compile time by the CPU flags rather than by PackWidth.
 #pragma once
 
@@ -109,16 +109,22 @@ std::vector<std::uint64_t> interleave_filter_panel(const std::uint64_t* w,
                                                    std::int64_t filters,
                                                    std::int64_t k_words);
 
+/// Name of the compiled body of the two group microkernels below:
+/// "avx512-vpopcntq" (one zmm, native 64-bit lane popcount), "avx2" (two
+/// ymm, vpshufb byte lookups) or "scalar" (eight words).
+const char* lanes8_body() noexcept;
+
 /// Register-tiled bit-GEMM microkernel (DESIGN.md §11): scores up to
 /// kGemmMr im2col rows of A (row r at `a + r * a_stride`, `k_words` long)
 /// against one filter group of an interleave_filter_panel (`panel` points
 /// at the group's `k_words * 8` words). Each K step loads the group's 8
 /// filter words as one vector, xors it with each row's broadcast word and
-/// counts bits per byte with table lookups; the byte counters are flushed
-/// into 64-bit lanes (sum of absolute differences) every 31 steps, before
-/// any can wrap. The SIMD body (AVX-512BW+VBMI, AVX2, or scalar words) is
-/// fixed at compile time by the CPU flags. `out[r * 8 + f]` receives row
-/// r's mismatch count against filter f; bit-exact with rows*8
+/// popcounts the result lane by lane. The body (lanes8_body()) is fixed at
+/// compile time by the CPU flags: AVX-512 counts each 64-bit lane with
+/// vpopcntq; AVX2 counts bits per byte with table lookups and flushes the
+/// byte counters into 64-bit lanes (sum of absolute differences) every 31
+/// steps, before any can wrap; scalar counts words. `out[r * 8 + f]`
+/// receives row r's mismatch count against filter f; bit-exact with rows*8
 /// xor_popcount calls. Requires k_words < 2^25 so counts fit int32.
 void xor_popcount_gemm_x8(const std::uint64_t* a, std::int64_t a_stride,
                           const std::uint64_t* panel, std::int64_t k_words,
@@ -130,9 +136,9 @@ void xor_popcount_gemm_x8(const std::uint64_t* a, std::int64_t a_stride,
 /// `rows` panel rows (`a_stride` words apart) against one filter group of
 /// an interleave_filter_panel (`panel` at the group's `k_words * 8`
 /// words): each plane word is broadcast and and-ed with the group's filter
-/// vector, and its byte counts are scaled by 2^plane in the lookup table
-/// (planes 0-3 and 4-7 share two byte counters, the second shifted by 4
-/// when flushed). `out[r * 8 + f]` receives
+/// vector, and its counts are scaled by 2^plane (planes 0-3 and 4-7 share
+/// two counters, the second shifted by 4 when flushed; the AVX2 body's
+/// byte counters are flushed every 2 steps). `out[r * 8 + f]` receives
 /// sum_k 2^k popcount(a_rk AND b_f), the weighted half of Eqn 2. Requires
 /// k_words < 2^17 so sums fit int32.
 void and_popcount_planes_x8(const std::uint64_t* a, std::int64_t a_stride,

@@ -5,6 +5,17 @@
 #include "serve/virtual_time.hpp"
 
 namespace phonebit::serve {
+namespace {
+
+float max_logit(const FloatTensor& t) {
+  float best = t.data()[0];
+  for (std::int64_t i = 1; i < t.elems(); ++i) {
+    best = std::max(best, t.data()[i]);
+  }
+  return best;
+}
+
+}  // namespace
 
 GateVerdict evaluate_gate(const StageGate& gate, const core::Blob& output) {
   GateVerdict v;
@@ -19,18 +30,27 @@ GateVerdict evaluate_gate(const StageGate& gate, const core::Blob& output) {
         v.error = "kMaxAtLeast gate needs a float stage output";
         return v;
       }
-      float best = f->data()[0];
-      const std::int64_t n = f->elems();
-      for (std::int64_t i = 1; i < n; ++i) {
-        best = std::max(best, f->data()[i]);
-      }
       v.ok = true;
-      v.pass = best >= gate.threshold;
+      v.pass = max_logit(*f) >= gate.threshold;
       return v;
     }
   }
   v.error = "unknown gate kind";
   return v;
+}
+
+float median_peak_threshold(const core::ExecutionPlan& plan,
+                            core::ExecSession& session,
+                            const std::vector<core::Blob>& inputs) {
+  PB_CHECK(!inputs.empty(), "gate calibration needs at least one input");
+  std::vector<float> peaks;
+  peaks.reserve(inputs.size());
+  for (const core::Blob& input : inputs) {
+    peaks.push_back(max_logit(plan.run(session, input).float_output()));
+  }
+  std::nth_element(peaks.begin(), peaks.begin() + peaks.size() / 2,
+                   peaks.end());
+  return peaks[peaks.size() / 2];
 }
 
 void validate_cascade(const CascadeSpec& spec, const std::string& who) {

@@ -37,7 +37,9 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "core/network.hpp"
+#include "core/plan.hpp"
 #include "serve/batch_runner.hpp"
 
 namespace phonebit::serve {
@@ -80,6 +82,14 @@ struct GateVerdict {
 
 /// Evaluates `gate` on a stage's executed output.
 GateVerdict evaluate_gate(const StageGate& gate, const core::Blob& output);
+
+/// Calibrates a kMaxAtLeast gate: the MEDIAN max-logit of `plan` (a stage
+/// with a float output) over a sample of the workload's `inputs`, run on
+/// `session`. About half of such a workload then gates out at the stage
+/// and half advances, so both verdict classes fire whatever the seed.
+float median_peak_threshold(const core::ExecutionPlan& plan,
+                            core::ExecSession& session,
+                            const std::vector<core::Blob>& inputs);
 
 /// Virtual-time accounting of ONE stage of one request's cascade walk.
 struct StageOutcome {

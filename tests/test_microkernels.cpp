@@ -1,15 +1,22 @@
 // Popcount microkernels (DESIGN.md §11) vs scalar reference tiles.
 //
 // xor_popcount_gemm_x8 (path D) and and_popcount_planes_x8 (the input
-// conv) read a filter-interleaved panel and count bits per byte, flushing
-// the byte counters before they can wrap (every 31 K steps for xor, every
-// 2 for the plane-weighted counts). The reference tiles below
-// read the plain filter-major rows with one scalar popcount per word, so a
-// wrong panel layout, a lane mix-up, a dropped tail step or a flush
-// interval long enough to wrap a byte counter all show up as a count
-// mismatch. The all-ones fills put 8 bits in every byte of every step,
-// the worst case for the byte counters. Each failure prints a pasteable
-// `repro: check_kernel_case({...})` line.
+// conv) read a filter-interleaved panel and popcount one 64-bit lane per
+// filter. The body is fixed at compile time (bitpack::lanes8_body()):
+// AVX-512 counts whole lanes with vpopcntq; the AVX2 body counts bits per
+// byte and must flush its byte counters before they can wrap (every 31 K
+// steps for xor, every 2 for the plane-weighted counts). The reference
+// tiles below read the plain filter-major rows with one scalar popcount
+// per word, so a wrong panel layout, a lane mix-up, a dropped tail step or
+// (AVX2) a flush interval long enough to wrap a byte counter all show up
+// as a count mismatch. The all-ones fills put 8 bits in every byte of
+// every step, the worst case for the byte counters. Each failure prints a
+// pasteable `repro: check_kernel_case({...})` line.
+//
+// MicrokernelBody guards the body choice itself: a native AVX-512 build on
+// a CPU with VPOPCNTDQ must compile the vpopcntq body, since a silent
+// fallback to the AVX2 body keeps every count right and only shows as lost
+// speed.
 //
 // binarize_group, the vectorized epilogue both kernels feed, is checked
 // against the scalar Eqn 8 / Eqn 9 forms on ties, infinities and NaN.
@@ -205,6 +212,20 @@ TEST(MicrokernelOracle, InterleavedPanelLayout) {
     }
   }
   EXPECT_THROW(bitpack::interleave_filter_panel(w.data(), 12, 10), Error);
+}
+
+TEST(MicrokernelBody, AvxVpopcntqHostCompilesVpopcntqBody) {
+#if defined(__AVX512F__)
+  if (!__builtin_cpu_supports("avx512vpopcntdq")) {
+    GTEST_SKIP() << "CPU lacks AVX-512 VPOPCNTDQ; body is "
+                 << bitpack::lanes8_body();
+  }
+  EXPECT_STREQ(bitpack::lanes8_body(), "avx512-vpopcntq")
+      << "an AVX-512 build on a VPOPCNTDQ CPU fell back to a slower body; "
+         "check CMake's PHONEBIT_OK_vpopcntq probe";
+#else
+  GTEST_SKIP() << "build without AVX-512F; body is " << bitpack::lanes8_body();
+#endif
 }
 
 TEST(MicrokernelOracle, BinarizeGroupMatchesScalarEqns) {

@@ -426,26 +426,15 @@ int cascade_check_mode(const Args& a) {
     std::remove(cls_path.c_str());
   };
 
-  // Gate threshold at the MEDIAN max-logit over a sample of the actual
-  // workload inputs: about half the trace gates out at the detector, half
-  // advances — both verdict classes fire whatever the seed.
+  // Gate threshold from a sample of the actual workload inputs.
   const auto det_art = engine.load_artifact_shared(det_path);
   auto probe_session = engine.create_session();
-  std::vector<float> peaks;
+  std::vector<core::Blob> sample;
   for (std::uint64_t i = 0; i < 9; ++i) {
-    const core::ForwardResult probe = det_art->plan.run(
-        probe_session,
-        core::Blob{datasets::random_image(spec.input, a.seed + 100 + i)});
-    const FloatTensor& pf = probe.float_output();
-    float peak = pf.data()[0];
-    for (std::int64_t k = 1; k < pf.elems(); ++k) {
-      peak = std::max(peak, pf.data()[k]);
-    }
-    peaks.push_back(peak);
+    sample.emplace_back(datasets::random_image(spec.input, a.seed + 100 + i));
   }
-  std::nth_element(peaks.begin(), peaks.begin() + peaks.size() / 2,
-                   peaks.end());
-  const float threshold = peaks[peaks.size() / 2];
+  const float threshold =
+      serve::median_peak_threshold(det_art->plan, probe_session, sample);
 
   serve::CascadeSpec cascade;
   cascade.name = "cascade-check";
