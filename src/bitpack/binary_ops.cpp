@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -85,62 +86,6 @@ std::int64_t xor_popcount_2d_wide(const std::uint64_t* a,
     for (; i < row_words; ++i) tail += popcount(pa[i] ^ pb[i]);
   }
   return simd::reduce_add(acc) + tail;
-}
-
-// Shared-window kernels: one pass over the input window spans scores the 8
-// filters of a workload group. The input vector is loaded once per chunk
-// and reused across the 8 weight streams (the compiler keeps it in a
-// register), so the group pays 9 loads per chunk instead of 16 and one loop
-// prologue per row instead of 8.
-template <int Lanes>
-void xor_popcount_2d_x8_wide(const std::uint64_t* a, std::int64_t a_stride,
-                             const std::uint64_t* b, std::int64_t b_pitch,
-                             std::int64_t b_stride, std::int64_t row_words,
-                             std::int64_t rows, std::int64_t out[8]) {
-  using V = simd::vec<std::uint64_t, Lanes>;
-  V acc[8]{};
-  std::int64_t tail[8] = {};
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::uint64_t* pa = a + r * a_stride;
-    const std::uint64_t* pb = b + r * b_stride;
-    std::int64_t i = 0;
-    for (; i + Lanes <= row_words; i += Lanes) {
-      const V va = simd::vload<std::uint64_t, Lanes>(0, pa + i);
-      for (int f = 0; f < 8; ++f) {
-        const V vb = simd::vload<std::uint64_t, Lanes>(0, pb + f * b_pitch + i);
-        simd::popcount_accumulate(acc[f], va ^ vb);
-      }
-    }
-    for (; i < row_words; ++i) {
-      const std::uint64_t wa = pa[i];
-      for (int f = 0; f < 8; ++f) {
-        const std::uint64_t wb = pb[f * b_pitch + i];
-        tail[f] += popcount(wa ^ wb);
-      }
-    }
-  }
-  for (int f = 0; f < 8; ++f) out[f] = simd::reduce_add(acc[f]) + tail[f];
-}
-
-// Word-granularity shared-window loop for the narrow widths (no lane
-// accumulator to carry; the sharing of the input load is the whole point).
-void xor_popcount_2d_x8_words(const std::uint64_t* a, std::int64_t a_stride,
-                              const std::uint64_t* b, std::int64_t b_pitch,
-                              std::int64_t b_stride, std::int64_t row_words,
-                              std::int64_t rows, std::int64_t out[8]) {
-  std::int64_t acc[8] = {};
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::uint64_t* pa = a + r * a_stride;
-    const std::uint64_t* pb = b + r * b_stride;
-    for (std::int64_t i = 0; i < row_words; ++i) {
-      const std::uint64_t wa = pa[i];
-      for (int f = 0; f < 8; ++f) {
-        const std::uint64_t wb = pb[f * b_pitch + i];
-        acc[f] += popcount(wa ^ wb);
-      }
-    }
-  }
-  for (int f = 0; f < 8; ++f) out[f] = acc[f];
 }
 
 template <int Lanes>
@@ -288,30 +233,6 @@ std::int64_t xor_popcount_2d(const std::uint64_t* a, std::int64_t a_stride,
   }
 }
 
-void xor_popcount_2d_x8(const std::uint64_t* a, std::int64_t a_stride,
-                        const std::uint64_t* b, std::int64_t b_pitch,
-                        std::int64_t b_stride, std::int64_t row_words,
-                        std::int64_t rows, PackWidth w, std::int64_t out[8]) {
-  PB_CHECK(row_words >= 0 && rows >= 0, "negative span geometry");
-  switch (w) {
-    case PackWidth::k128:
-      return xor_popcount_2d_x8_wide<2>(a, a_stride, b, b_pitch, b_stride,
-                                        row_words, rows, out);
-    case PackWidth::k256:
-      return xor_popcount_2d_x8_wide<4>(a, a_stride, b, b_pitch, b_stride,
-                                        row_words, rows, out);
-    case PackWidth::k512:
-      return xor_popcount_2d_x8_wide<8>(a, a_stride, b, b_pitch, b_stride,
-                                        row_words, rows, out);
-    case PackWidth::k1024:
-      return xor_popcount_2d_x8_wide<16>(a, a_stride, b, b_pitch, b_stride,
-                                         row_words, rows, out);
-    default:
-      return xor_popcount_2d_x8_words(a, a_stride, b, b_pitch, b_stride,
-                                      row_words, rows, out);
-  }
-}
-
 namespace {
 
 // --- 8-lane group vectors ---------------------------------------------------
@@ -344,7 +265,8 @@ namespace {
 //     shifted by 4 at the flush, planes 4-7) with S = plane index, at most
 //     8 * (1 + 2 + 4 + 8) = 120 per step: flush every
 //     kPlaneFlushSteps = 2 steps (240).
-// The tiles flush at these intervals whatever the body.
+// kByteCounters: the GEMM tile flushes only in that body; the bit-plane
+// tile flushes at its interval whatever the body.
 constexpr std::int64_t kFlushSteps = 31;
 constexpr std::int64_t kPlaneFlushSteps = 2;
 
@@ -354,6 +276,7 @@ constexpr std::int64_t kPlaneFlushSteps = 2;
 #pragma GCC target("avx512vpopcntdq")
 
 constexpr const char* kLanes8Body = "avx512-vpopcntq";
+constexpr bool kByteCounters = false;
 
 struct Lanes8 {
   __m512i v;
@@ -393,6 +316,7 @@ inline void store_i32(Lanes8 x, std::int32_t* out) {
 #elif defined(__AVX2__)
 
 constexpr const char* kLanes8Body = "avx2";
+constexpr bool kByteCounters = true;
 
 struct Lanes8 {
   __m256i lo, hi;  // filters 0-3, 4-7
@@ -459,6 +383,7 @@ inline void store_i32(Lanes8 x, std::int32_t* out) {
 #else
 
 constexpr const char* kLanes8Body = "scalar";
+constexpr bool kByteCounters = false;
 
 using Lanes8 = simd::ulong8;
 
@@ -485,28 +410,41 @@ inline void store_i32(Lanes8 x, std::int32_t* out) {
 #endif
 
 /// One Rows x 8 register tile with a compile-time row count, so the
-/// accumulators are a true register array. Each K step loads the group's
-/// 8 filter words as one Lanes8 and scores it against every row's
-/// broadcast word; counters are flushed every kFlushSteps.
+/// accumulators are a true register array. Row r's K words are `segs`
+/// segments of `seg_words` words, segment s at
+/// a + r * a_stride + s * seg_stride. Each K step loads the group's 8
+/// filter words as one Lanes8 and scores it against every row's broadcast
+/// word. Only the AVX2 body flushes its counters (every kFlushSteps steps,
+/// across segment ends); whole-lane counts accumulate in `counts` itself.
 template <int Rows>
 void gemm_tile(const std::uint64_t* a, std::int64_t a_stride,
-               const std::uint64_t* panel, std::int64_t k_words,
+               std::int64_t seg_words, std::int64_t seg_stride,
+               std::int64_t segs, const std::uint64_t* panel,
                std::int32_t* out) {
-  Lanes8 acc[Rows];
-  for (int r = 0; r < Rows; ++r) acc[r] = zero8();
-  for (std::int64_t k0 = 0; k0 < k_words; k0 += kFlushSteps) {
-    const std::int64_t k1 = std::min(k_words, k0 + kFlushSteps);
-    Lanes8 counts[Rows];
-    for (int r = 0; r < Rows; ++r) counts[r] = zero8();
-    for (std::int64_t k = k0; k < k1; ++k) {
+  Lanes8 acc[Rows], counts[Rows];
+  for (int r = 0; r < Rows; ++r) acc[r] = counts[r] = zero8();
+  const auto flush = [&] {
+    for (int r = 0; r < Rows; ++r) {
+      acc[r] = add64(acc[r], lane_sums(counts[r]));
+      counts[r] = zero8();
+    }
+  };
+  std::int64_t left = kFlushSteps;  // AVX2: steps before the next flush
+  for (std::int64_t s = 0; s < segs;
+       ++s, a += seg_stride, panel += seg_words * 8) {
+    for (std::int64_t k = 0; k < seg_words; ++k) {
       const Lanes8 w = load8(panel + k * 8);
       for (int r = 0; r < Rows; ++r) {
         counts[r] = add_counts(
             counts[r], byte_popcount(broadcast8(a[r * a_stride + k]) ^ w));
       }
+      if (kByteCounters && --left == 0) {
+        flush();
+        left = kFlushSteps;
+      }
     }
-    for (int r = 0; r < Rows; ++r) acc[r] = add64(acc[r], lane_sums(counts[r]));
   }
+  flush();
   for (int r = 0; r < Rows; ++r) store_i32(acc[r], out + r * 8);
 }
 
@@ -590,18 +528,18 @@ std::vector<std::uint64_t> interleave_filter_panel(const std::uint64_t* w,
 }
 
 void xor_popcount_gemm_x8(const std::uint64_t* a, std::int64_t a_stride,
-                          const std::uint64_t* panel, std::int64_t k_words,
+                          std::int64_t seg_words, std::int64_t seg_stride,
+                          std::int64_t segs, const std::uint64_t* panel,
                           std::int64_t rows, std::int32_t* out) {
-  // Counts are at most 64 * k_words and must fit the int32 outputs.
-  PB_CHECK(k_words >= 0 && k_words < (std::int64_t{1} << 25) && rows >= 1 &&
+  // Counts are at most 64 * K words and must fit the int32 outputs.
+  PB_CHECK(seg_words >= 0 && segs >= 0 &&
+               seg_words * segs < (std::int64_t{1} << 25) && rows >= 1 &&
                rows <= kGemmMr,
            "bad GEMM tile geometry");
-  switch (rows) {
-    case 1: return gemm_tile<1>(a, a_stride, panel, k_words, out);
-    case 2: return gemm_tile<2>(a, a_stride, panel, k_words, out);
-    case 3: return gemm_tile<3>(a, a_stride, panel, k_words, out);
-    default: return gemm_tile<4>(a, a_stride, panel, k_words, out);
-  }
+  static constexpr decltype(&gemm_tile<1>) kTiles[] = {
+      gemm_tile<1>, gemm_tile<2>, gemm_tile<3>, gemm_tile<4>};
+  static_assert(std::size(kTiles) == kGemmMr);
+  kTiles[rows - 1](a, a_stride, seg_words, seg_stride, segs, panel, out);
 }
 
 void and_popcount_planes_x8(const std::uint64_t* a, std::int64_t a_stride,

@@ -7,10 +7,10 @@
 // The memory format is always 64-bit words; PackWidth selects how wide the
 // *processing* vectors are, which is what the granularity ablation measures.
 //
-// The GEMM (path D) and bit-plane (input layer) microkernels are the
+// The GEMM (paths A and D) and bit-plane (input layer) microkernels are the
 // exception: they score the 8 filters of a workload group at once from a
 // filter-interleaved panel, with a SIMD body (AVX-512 vpopcntq, AVX2 or
-// scalar) fixed at compile time by the CPU flags rather than by PackWidth.
+// scalar) fixed at compile time by the CPU flags; PackWidth only prices them.
 #pragma once
 
 #include <cstdint>
@@ -81,20 +81,6 @@ std::int64_t xor_popcount_2d(const std::uint64_t* a, std::int64_t a_stride,
                              std::int64_t row_words, std::int64_t rows,
                              PackWidth w);
 
-/// Shared-window schedule: xor_popcount_2d of ONE input window against the
-/// 8 filters of a workload group in a single pass. Each input span is
-/// loaded once per row and scored against all 8 weight streams (filter f's
-/// rows start at `b + f*b_pitch`, strided `b_stride` apart), with one
-/// mismatch accumulator per filter — instead of 8 independent window
-/// passes each re-reading the same input spans. `out[f]` receives filter
-/// f's mismatch count; results are bit-exact with 8 xor_popcount_2d calls.
-/// Narrow granularities (< 128 bits) have no cross-row lane accumulator
-/// and run the shared loop at word granularity.
-void xor_popcount_2d_x8(const std::uint64_t* a, std::int64_t a_stride,
-                        const std::uint64_t* b, std::int64_t b_pitch,
-                        std::int64_t b_stride, std::int64_t row_words,
-                        std::int64_t rows, PackWidth w, std::int64_t out[8]);
-
 /// M-rows of one bit-GEMM register tile (the conv path-D microkernel).
 inline constexpr int kGemmMr = 4;
 
@@ -115,20 +101,31 @@ std::vector<std::uint64_t> interleave_filter_panel(const std::uint64_t* w,
 const char* lanes8_body() noexcept;
 
 /// Register-tiled bit-GEMM microkernel (DESIGN.md §11): scores up to
-/// kGemmMr im2col rows of A (row r at `a + r * a_stride`, `k_words` long)
-/// against one filter group of an interleave_filter_panel (`panel` points
-/// at the group's `k_words * 8` words). Each K step loads the group's 8
-/// filter words as one vector, xors it with each row's broadcast word and
-/// popcounts the result lane by lane. The body (lanes8_body()) is fixed at
-/// compile time by the CPU flags: AVX-512 counts each 64-bit lane with
-/// vpopcntq; AVX2 counts bits per byte with table lookups and flushes the
-/// byte counters into 64-bit lanes (sum of absolute differences) every 31
-/// steps, before any can wrap; scalar counts words. `out[r * 8 + f]`
-/// receives row r's mismatch count against filter f; bit-exact with rows*8
-/// xor_popcount calls. Requires k_words < 2^25 so counts fit int32.
+/// kGemmMr rows of A against one filter group of an interleave_filter_panel
+/// (`panel` at the group's K * 8 words). Row r's K = segs * seg_words words
+/// are `segs` runs, run s at `a + r * a_stride + s * seg_stride`: kh runs of
+/// kw*words words at the input row pitch for a conv window read in place
+/// (path A), one run for an im2col row (path D). Each K step loads the group's 8 filter words as one vector, xors it
+/// with each row's broadcast word and popcounts the result lane by lane.
+/// The body (lanes8_body()) is fixed at compile time by the CPU flags:
+/// AVX-512 counts each 64-bit lane with vpopcntq; AVX2 counts bits per
+/// byte with table lookups and flushes the byte counters into 64-bit lanes
+/// (sum of absolute differences) every 31 steps, before any can wrap;
+/// scalar counts words. `out[r * 8 + f]` receives row r's mismatch count
+/// against filter f; bit-exact with rows*8 xor_popcount calls. Requires
+/// K < 2^25 words so counts fit int32.
 void xor_popcount_gemm_x8(const std::uint64_t* a, std::int64_t a_stride,
-                          const std::uint64_t* panel, std::int64_t k_words,
+                          std::int64_t seg_words, std::int64_t seg_stride,
+                          std::int64_t segs, const std::uint64_t* panel,
                           std::int64_t rows, std::int32_t* out);
+
+/// The tile over dense rows of `k_words` words, `a_stride` apart.
+inline void xor_popcount_gemm_x8(const std::uint64_t* a, std::int64_t a_stride,
+                                 const std::uint64_t* panel,
+                                 std::int64_t k_words, std::int64_t rows,
+                                 std::int32_t* out) {
+  xor_popcount_gemm_x8(a, a_stride, k_words, 0, 1, panel, rows, out);
+}
 
 /// Bit-plane microkernel (the input conv's dense schedule, Eqn 2): each
 /// im2col panel row holds a window's 8 bit planes back to back, plane k at

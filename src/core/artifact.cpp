@@ -675,14 +675,16 @@ class PlanCodec {
                std::to_string(step.variant.tile_ow) +
                " (conv kernels tile by it; must be >= 1)");
       }
-      // Path D scores whole filter groups from a panel built only when
-      // C_out % 8 == 0; selection never records it otherwise.
-      if (step.variant.path == KernelVariant::Path::kConvGemm) {
+      // Paths A and D score whole filter groups from a panel built only
+      // when C_out % 8 == 0; selection never records them otherwise.
+      const bool path_a = step.variant.path == KernelVariant::Path::kConvFused;
+      if (path_a || step.variant.path == KernelVariant::Path::kConvGemm) {
         const auto* conv =
             dynamic_cast<const core::BinaryConv2d*>(step.layer);
         if (conv == nullptr || conv->out_channels() % 8 != 0) {
-          r.fail("step " + std::to_string(i) +
-                 " records path D on a layer without whole 8-filter groups");
+          r.fail("step " + std::to_string(i) + " records path " +
+                 (path_a ? "A" : "D") +
+                 " on a layer without whole 8-filter groups");
         }
       }
       if (step.variant.reuse) {

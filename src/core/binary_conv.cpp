@@ -127,6 +127,11 @@ Blob BinaryConv2d::run(ExecContext& ctx, const Blob& in,
                        const PlanStep& step) const {
   const PackedTensor& packed = checked_input(in);
   const KernelVariant& v = step.variant;
+  // Paths A and D need gemm_panel_; an artifact's recorded variant is not
+  // re-derived on load.
+  PB_CHECK(!gemm_panel_.empty() || (v.path != KernelVariant::Path::kConvFused &&
+                                    v.path != KernelVariant::Path::kConvGemm),
+           name_ << ": paths A and D need C_out % 8 == 0");
   if (step.fused_pool != nullptr) {
     return forward_fused_pool(ctx, packed, step);
   }
@@ -276,38 +281,122 @@ inline std::int64_t window_mismatches(const PackedTensor& in,
   return window_mismatches_border(in, weights, d, n, oy, ox, co, pw);
 }
 
-/// Path A's per-group window accumulator: the 8 filters of workload group g
-/// scored at once. Interior windows run the SHARED-WINDOW schedule — each
-/// input span is loaded once and re-used across the 8 contiguous filters of
-/// the group (xor_popcount_2d_x8) instead of 8 independent window passes
-/// re-reading the same spans. Border/per-tap windows keep the per-filter
-/// routines (the border fraction is small and pad-clamped spans differ per
-/// row anyway).
-inline void group_mismatches(const PackedTensor& in,
-                             const PackedTensor& weights, const ConvDims& d,
-                             std::int64_t n, std::int64_t oy, std::int64_t ox,
-                             std::int64_t g, const std::uint64_t* zeros,
-                             bitpack::PackWidth pw, bool split,
-                             bool y_interior, std::int64_t mism[8]) {
-  if (split && y_interior && ox >= d.x0 && ox < d.x1) {
-    bitpack::xor_popcount_2d_x8(
-        in.pixel(n, oy * d.sh - d.ph, ox * d.sw - d.pw), d.iw * d.words,
-        weights.pixel(g * 8, 0, 0), d.kh * d.kw * d.words, d.kw * d.words,
-        d.kw * d.words, d.kh, pw, mism);
-    return;
-  }
+/// Folded-BN threshold sign of workload group g's 8 mismatch counts,
+/// packed into one byte (Fig. 4's private-memory byte) by the vector
+/// epilogue core::binarize_group. `len` is the window's bit count.
+template <class Count>
+inline std::uint8_t group_byte(const Count* mism, std::int64_t g,
+                               std::int64_t len, const FoldedBatchNorm& fb,
+                               bool branch_free) {
+  std::int32_t x1[8];
   for (int f = 0; f < 8; ++f) {
-    mism[f] = window_mismatches(in, weights, d, n, oy, ox, g * 8 + f, zeros,
-                                pw, split, y_interior);
+    x1[f] = static_cast<std::int32_t>(len - 2 * mism[f]);
+  }
+  return binarize_group(x1, fb.xi.data() + g * 8, fb.gamma_pos.data() + g * 8,
+                        branch_free);
+}
+
+/// Copies words [k0, k1) of the window at input origin (iy0, ix0) to
+/// `dst` in the panel's (ky, kx, word) K order. Pad taps are zero words:
+/// xor against them counts the weight word (§4's padding convention).
+void gather_window(const PackedTensor& in, const ConvDims& d, std::int64_t n,
+                   std::int64_t iy0, std::int64_t ix0, std::int64_t k0,
+                   std::int64_t k1, std::uint64_t* dst) {
+  const std::int64_t row_words = d.kw * d.words;
+  // In-bounds words [lo, hi) of every filter row (x-invariant).
+  const std::int64_t lo = std::clamp<std::int64_t>(-ix0, 0, d.kw) * d.words;
+  const std::int64_t hi =
+      std::clamp<std::int64_t>(d.iw - ix0, 0, d.kw) * d.words;
+  for (std::int64_t ky = k0 / row_words; ky * row_words < k1; ++ky) {
+    // Words [r0, r1) of filter row ky; `out` holds word r0.
+    const std::int64_t r0 = std::max<std::int64_t>(0, k0 - ky * row_words);
+    const std::int64_t r1 = std::min(row_words, k1 - ky * row_words);
+    std::uint64_t* out = dst + (ky * row_words + r0 - k0);
+    const bool row_in = iy0 + ky >= 0 && iy0 + ky < d.ih;
+    const std::int64_t c0 = row_in ? std::clamp(lo, r0, r1) : r1;
+    const std::int64_t c1 = row_in ? std::clamp(hi, c0, r1) : r1;
+    std::fill(out, out + (c0 - r0), 0);
+    if (c0 < c1) {
+      const std::uint64_t* src = in.pixel(n, iy0 + ky, 0);
+      std::copy(src + (ix0 * d.words + c0), src + (ix0 * d.words + c1),
+                out + (c0 - r0));
+    }
+    std::fill(out + (c1 - r0), out + (r1 - r0), 0);
   }
 }
+
+/// Path A's work-item body (Fig. 4, DESIGN.md §4): hands emit(ox, byte)
+/// group g's byte for columns [x_begin, x_end) of row oy. With the split
+/// on, the group microkernel scores up to kGemmMr windows per call, reading
+/// interior windows in place and border windows from a zero-padded stack
+/// panel (in K chunks if one does not fit); off, the per-tap loop runs.
+struct PathAGroups {
+  const PackedTensor& in;
+  const PackedTensor& weights;
+  const std::uint64_t* panel;  ///< gemm_panel_
+  const FoldedBatchNorm& fb;
+  const KernelVariant& v;
+  ConvDims d;
+  bool branch_free;
+  const std::uint64_t* zeros;  ///< per-tap arm only
+
+  template <class Emit>
+  void score_row(std::int64_t n, std::int64_t oy, std::int64_t g,
+                 std::int64_t x_begin, std::int64_t x_end,
+                 Emit&& emit) const {
+    constexpr std::int64_t kMr = bitpack::kGemmMr;
+    constexpr std::int64_t kBuf = BinaryConv2d::kBorderPanelWords;
+    const std::int64_t k_words = d.kh * d.kw * d.words;
+    const std::int64_t len = d.kh * d.kw * d.c_in;
+    const std::uint64_t* gpanel = panel + g * 8 * k_words;
+    const std::int64_t iy0 = oy * d.sh - d.ph;
+    const bool y_in = oy >= d.y0 && oy < d.y1;
+    std::int32_t mism[kMr * 8];
+    for (std::int64_t ox = x_begin; ox < x_end;) {
+      std::int64_t rows = 1;
+      if (!v.interior_split) {
+        for (int f = 0; f < 8; ++f) {
+          mism[f] = static_cast<std::int32_t>(window_mismatches_taps(
+              in, weights, d, n, oy, ox, g * 8 + f, zeros, v.pack_width));
+        }
+      } else if (y_in && ox >= d.x0 && ox < d.x1) {
+        rows = std::min({kMr, d.x1 - ox, x_end - ox});
+        bitpack::xor_popcount_gemm_x8(in.pixel(n, iy0, ox * d.sw - d.pw),
+                                      d.sw * d.words, d.kw * d.words,
+                                      d.iw * d.words, d.kh, gpanel, rows,
+                                      mism);
+      } else {
+        const std::int64_t run_end =
+            y_in && ox < d.x0 ? std::min(x_end, d.x0) : x_end;
+        rows = std::min({kMr, run_end - ox,
+                         std::max<std::int64_t>(1, kBuf / k_words)});
+        std::uint64_t buf[kBuf];
+        std::int32_t part[kMr * 8];
+        std::fill(mism, mism + rows * 8, 0);
+        for (std::int64_t k0 = 0; k0 < k_words; k0 += kBuf) {
+          const std::int64_t kc = std::min(kBuf, k_words - k0);
+          for (std::int64_t r = 0; r < rows; ++r) {
+            gather_window(in, d, n, iy0, (ox + r) * d.sw - d.pw, k0, k0 + kc,
+                          buf + r * kc);
+          }
+          bitpack::xor_popcount_gemm_x8(buf, kc, gpanel + k0 * 8, kc, rows,
+                                        part);
+          for (std::int64_t i = 0; i < rows * 8; ++i) mism[i] += part[i];
+        }
+      }
+      for (std::int64_t r = 0; r < rows; ++r, ++ox) {
+        emit(ox, group_byte(&mism[r * 8], g, len, fb, branch_free));
+      }
+    }
+  }
+};
 
 /// Dedup'd per-group window accumulator (DESIGN.md §12): lane f computes
 /// its window only when it is its group's first lane with that exact filter
 /// content (`lanes[f] == f`); duplicate lanes copy the earlier result —
 /// legal for interior AND border windows, since identical filters score
 /// identically against any window. Distinct interior lanes run the plain
-/// row-fused whole-window reduction; bit-exact with group_mismatches.
+/// row-fused whole-window reduction; bit-exact with path A.
 inline void group_mismatches_dedup(const PackedTensor& in,
                                    const PackedTensor& weights,
                                    const ConvDims& d, std::int64_t n,
@@ -328,23 +417,6 @@ inline void group_mismatches_dedup(const PackedTensor& in,
                   : window_mismatches_border(in, weights, d, n, oy, ox,
                                              g * 8 + f, pw);
   }
-}
-
-/// Path A epilogue: folded-BN threshold sign over the 8 group results,
-/// packed into one byte (Fig. 4's private-memory byte).
-inline std::uint8_t group_byte(const std::int64_t mism[8], std::int64_t g,
-                               std::int64_t len, const FoldedBatchNorm& fb,
-                               bool branch_free) {
-  std::uint8_t byte = 0;
-  for (int f = 0; f < 8; ++f) {
-    const std::size_t ci = static_cast<std::size_t>(g * 8 + f);
-    const float x1 = static_cast<float>(len - 2 * mism[f]);
-    const bool bit = branch_free
-                         ? binarize_eqn9(x1, fb.xi[ci], fb.gamma_pos[ci] != 0)
-                         : binarize_eqn8(x1, fb.xi[ci], fb.gamma_pos[ci] != 0);
-    if (bit) byte = static_cast<std::uint8_t>(byte | (1u << f));
-  }
-  return byte;
 }
 
 /// Bit-lanes charged per conv window at granularity `pw`. The row-fused
@@ -706,27 +778,23 @@ PackedTensor BinaryConv2d::forward_fused(ExecContext& ctx,
 
   if (v.path == KernelVariant::Path::kConvFused) {
     // Path A — Fig. 4: one work item owns a tile of output columns for the
-    // 8 filters of its group and stores one byte per column; interior
-    // windows run the shared-window schedule (group_mismatches).
+    // 8 filters of its group and stores one byte per column.
     const std::int64_t groups = d.c_out / 8;
+    const PathAGroups a{in, weights_, gemm_panel_.data(), folded_, v, d,
+                        branch_free, zeros};
     auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
     const Launch& l = step.launches[0];
     ctx.queue.enqueue(
         *l.name, NDRange{tiles_x, d.oh, d.n * groups}, l.cost,
-        [&, d, pw, branch_free, len, groups, split, tile,
-         zeros](const WorkItem& it) {
+        [&, a, d, groups, tile](const WorkItem& it) {
           const std::int64_t n = it.z / groups;
           const std::int64_t g = it.z % groups;
-          const bool y_in = it.y >= d.y0 && it.y < d.y1;
-          const std::int64_t x_end =
-              std::min(d.ow, (it.x + 1) * tile);
-          for (std::int64_t ox = it.x * tile; ox < x_end; ++ox) {
-            std::int64_t mism[8];
-            group_mismatches(in, weights_, d, n, it.y, ox, g, zeros, pw,
-                             split, y_in, mism);
-            out_bytes[out.word_offset(n, it.y, ox, 0) * 8 + g] =
-                group_byte(mism, g, len, fb, branch_free);
-          }
+          a.score_row(n, it.y, g, it.x * tile,
+                      std::min(d.ow, (it.x + 1) * tile),
+                      [&](std::int64_t ox, std::uint8_t byte) {
+                        out_bytes[out.word_offset(n, it.y, ox, 0) * 8 + g] =
+                            byte;
+                      });
         });
     return out;
   }
@@ -832,9 +900,6 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
   // applies the same folded-BN group-byte epilogue as path A, so results
   // are bit-exact with the window-streaming schedule.
   const ConvDims d = make_dims(in, weights_, geom_);
-  // Selection never picks D otherwise, but an artifact's recorded variant
-  // is not re-derived on load, and gemm_panel_ only exists for whole groups.
-  PB_CHECK(d.c_out % 8 == 0, name_ << ": path D needs C_out % 8 == 0");
   PackedTensor out = ctx.make_packed(Shape{d.n, d.oh, d.ow, d.c_out});
   const std::int64_t k_words = d.kh * d.kw * d.words;
   const std::int64_t m = d.n * d.oh * d.ow;
@@ -924,19 +989,14 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
         const std::int64_t m0 = it.x * bitpack::kGemmMr;
         const std::int64_t rows =
             std::min<std::int64_t>(bitpack::kGemmMr, m - m0);
-        const auto len32 = static_cast<std::int32_t>(len);
         std::int32_t mism[bitpack::kGemmMr * 8];
         for (std::int64_t g = 0; g < groups; ++g) {
           bitpack::xor_popcount_gemm_x8(panel + m0 * k_words, k_words,
                                         gemm_panel_.data() + g * 8 * k_words,
                                         k_words, rows, mism);
-          const float* xi = fb.xi.data() + g * 8;
-          const std::uint8_t* gamma_pos = fb.gamma_pos.data() + g * 8;
           for (std::int64_t r = 0; r < rows; ++r) {
-            std::int32_t x1[8];
-            for (int f = 0; f < 8; ++f) x1[f] = len32 - 2 * mism[r * 8 + f];
             out_bytes[(m0 + r) * out_pitch + g] =
-                binarize_group(x1, xi, gamma_pos, branch_free);
+                group_byte(&mism[r * 8], g, len, fb, branch_free);
           }
         }
       });
@@ -1002,24 +1062,20 @@ PackedTensor BinaryConv2d::forward_fused_pool(ExecContext& ctx,
   const std::int64_t lp = pg.lead_pad();
   PackedTensor out = ctx.make_packed(step.out.shape);
 
-  const bool split = v.interior_split;
-  const std::uint64_t* zeros =
-      split ? nullptr : ctx.arena.zero_words(d.words);
-  const auto pw = v.pack_width;
-  const bool branch_free = ctx.opts.branch_free_binarize;
-  const std::int64_t len = d.kh * d.kw * d.c_in;
   const std::int64_t tile = std::max<std::int64_t>(
       1, std::min(v.tile_ow, pow_));
   const std::int64_t tiles_x = ceil_div(pow_, tile);
   const std::int64_t groups = d.c_out / 8;
-  const FoldedBatchNorm& fb = folded_;
+  const PathAGroups a{
+      in, weights_, gemm_panel_.data(), folded_, v, d,
+      ctx.opts.branch_free_binarize,
+      v.interior_split ? nullptr : ctx.arena.zero_words(d.words)};
 
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
   const Launch& l = step.launches[0];
   ctx.queue.enqueue(
       *l.name, NDRange{tiles_x, poh, d.n * groups}, l.cost,
-      [&, d, pg, lp, poh, pow_, pw, branch_free, len, groups, split, tile,
-       zeros](const WorkItem& it) {
+      [&, a, d, pg, lp, poh, pow_, groups, tile](const WorkItem& it) {
         const std::int64_t n = it.z / groups;
         const std::int64_t g = it.z % groups;
         const std::int64_t px0 = it.x * tile;
@@ -1040,14 +1096,11 @@ PackedTensor BinaryConv2d::forward_fused_pool(ExecContext& ctx,
           const std::int64_t cy = cy_base + ky;
           if (cy < 0 || cy >= d.oh || span <= 0) continue;
           row_valid = static_cast<std::uint8_t>(row_valid | (1u << ky));
-          const bool y_in = cy >= d.y0 && cy < d.y1;
           std::uint8_t* row = rowbuf.data() + ky * span;
-          for (std::int64_t cx = cx0; cx < cx1; ++cx) {
-            std::int64_t mism[8];
-            group_mismatches(in, weights_, d, n, cy, cx, g, zeros, pw,
-                             split, y_in, mism);
-            row[cx - cx0] = group_byte(mism, g, len, fb, branch_free);
-          }
+          a.score_row(n, cy, g, cx0, cx1,
+                      [row, cx0](std::int64_t cx, std::uint8_t byte) {
+                        row[cx - cx0] = byte;
+                      });
         }
         for (std::int64_t px = px0; px < px1; ++px) {
           std::uint8_t acc = 0;  // all -1: the pool padding value

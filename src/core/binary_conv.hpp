@@ -24,14 +24,15 @@
 // contribute -1 per channel (all-zero packed words), the standard BNN
 // convention. The float reference used by tests pads with -1 accordingly.
 //
-// All paths share a row-fused window accumulator (DESIGN.md §4): the kw taps
-// of one filter row are contiguous in the NHWC-packed layout, so an interior
-// window — precomputed as the output rectangle that never touches padding —
-// is ONE strided xor+popcount over the whole filter, and border windows
-// resolve padding per filter row (a padded tap's mismatches are just the
-// popcount of its weight span). EngineOptions::interior_split turns the
-// specialization off for ablation; conv_tile_ow sets the output-x tile each
-// work item owns. Intermediates live in the engine's ScratchArena.
+// Paths A–C are priced on a row-fused window accumulator (DESIGN.md §4): the
+// kw taps of one filter row are contiguous in the NHWC-packed layout, so an
+// interior window — precomputed as the output rectangle that never touches
+// padding — is ONE strided xor+popcount over the whole filter, and border
+// windows resolve padding per filter row (a padded tap's mismatches are just
+// the popcount of its weight span). Paths B and C run it; path A runs path
+// D's group microkernel over the same windows. EngineOptions::interior_split
+// turns the specialization off for ablation; conv_tile_ow sets the output-x
+// tile each work item owns. Intermediates live in the engine's ScratchArena.
 #pragma once
 
 #include <memory>
@@ -62,6 +63,10 @@ class BinaryConv2d final : public Layer {
                             const EngineOptions& opts) const override;
   Blob run(ExecContext& ctx, const Blob& in,
            const PlanStep& step) const override;
+
+  /// Words of path A's stack panel for border windows: any K runs without
+  /// heap or arena, one window in K chunks when it does not fit.
+  static constexpr std::int64_t kBorderPanelWords = 512;
 
   std::int64_t param_bytes() const override;
   std::int64_t param_count() const override;
@@ -97,7 +102,7 @@ class BinaryConv2d final : public Layer {
   const bitpack::PackedTensor& checked_input(const Blob& in) const;
 
   // The dispatch bodies, one per schedule; each enqueues step.launches.
-  /// Paths A and B (window streaming; B adds a separate packing kernel).
+  /// Paths A and B (B adds a separate packing kernel).
   bitpack::PackedTensor forward_fused(ExecContext& ctx,
                                       const bitpack::PackedTensor& in,
                                       const PlanStep& step) const;
@@ -121,7 +126,7 @@ class BinaryConv2d final : public Layer {
                                             const bitpack::PackedTensor& in,
                                             const PlanStep& step) const;
   /// Compiled conv→pool fused step (plan.cpp's rewrite, DESIGN.md §7): one
-  /// kernel computes path-A conv bytes into a per-row register buffer and
+  /// kernel computes path-A conv bytes into a per-row stack buffer and
   /// ORs each pool window out of it, emitting the pooled packed map
   /// directly — the unpooled conv activation map is never written.
   bitpack::PackedTensor forward_fused_pool(ExecContext& ctx,
@@ -140,7 +145,7 @@ class BinaryConv2d final : public Layer {
   std::vector<BatchNormParams> bn_;
   std::vector<float> bias_;
   FoldedBatchNorm folded_;
-  /// Path D's filter-interleaved copy of weights_
+  /// Paths A and D's filter-interleaved copy of weights_
   /// (bitpack::interleave_filter_panel), built at construction when
   /// C_out % 8 == 0. Derived state like folded_, never serialized.
   std::vector<std::uint64_t> gemm_panel_;

@@ -53,20 +53,6 @@ void Device::release(std::int64_t bytes) noexcept {
 CommandQueue::CommandQueue(Device& device, ExecUnit unit)
     : device_(device), unit_(unit) {}
 
-void CommandQueue::enqueue(const std::string& name, NDRange range,
-                           const KernelCost& cost, const KernelBody& body) {
-  enqueue_chunked(name, range, cost,
-                  [&range, &body](std::int64_t begin, std::int64_t end) {
-                    for (std::int64_t i = begin; i < end; ++i) {
-                      WorkItem item;
-                      item.x = i % range.x;
-                      item.y = (i / range.x) % range.y;
-                      item.z = i / (range.x * range.y);
-                      body(item);
-                    }
-                  });
-}
-
 void CommandQueue::enqueue_chunked(const std::string& name, NDRange range,
                                    const KernelCost& cost,
                                    const ChunkBody& body) {

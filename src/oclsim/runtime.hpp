@@ -99,15 +99,35 @@ struct EventSlice {
 /// for API parity but retained so engine code reads like OpenCL host code.
 class CommandQueue {
  public:
-  /// Kernel body type: called once per work item.
-  using KernelBody = std::function<void(const WorkItem&)>;
-
   CommandQueue(Device& device, ExecUnit unit);
 
-  /// Executes `body` over `range` on the device pool and records an event
-  /// with both modeled device time and measured host time.
+  /// Executes `body(const WorkItem&)` over `range` on the device pool and
+  /// records an event with both modeled device time and measured host time.
+  /// Each chunk of the flattened range walks its items in x, y, z order
+  /// with incremental coordinates, and the body is called directly, so it
+  /// inlines into the chunk loop.
+  template <class Body>
   void enqueue(const std::string& name, NDRange range, const KernelCost& cost,
-               const KernelBody& body);
+               const Body& body) {
+    enqueue_chunked(name, range, cost,
+                    [&range, &body](std::int64_t begin, std::int64_t end) {
+                      const std::int64_t row = begin / range.x;
+                      WorkItem item;
+                      item.x = begin - row * range.x;
+                      item.y = row % range.y;
+                      item.z = row / range.y;
+                      for (std::int64_t i = begin; i < end; ++i) {
+                        body(static_cast<const WorkItem&>(item));
+                        if (++item.x == range.x) {
+                          item.x = 0;
+                          if (++item.y == range.y) {
+                            item.y = 0;
+                            ++item.z;
+                          }
+                        }
+                      }
+                    });
+  }
 
   /// Like enqueue(), but the body receives a contiguous chunk
   /// [begin, end) of the *flattened* range — cheaper for very fine-grained

@@ -581,9 +581,10 @@ TEST_F(ArtifactTest, ResealedIllegalFusionRejected) {
   }
 }
 
-/// A checksum-resealed plan that records path D for a conv whose 12
-/// filters do not fill whole 8-filter groups: the GEMM microkernel scores
-/// whole groups only, so the loader must reject the variant.
+/// A checksum-resealed plan that records path D or path A for a conv whose
+/// 12 filters do not fill whole 8-filter groups: both run the group
+/// microkernel, which scores whole groups only, so the loader must reject
+/// the variant.
 TEST_F(ArtifactTest, ResealedPathDOnPartialGroupRejected) {
   ConvGeometry g;
   g.pad_h = g.pad_w = 1;
@@ -599,25 +600,29 @@ TEST_F(ArtifactTest, ResealedPathDOnPartialGroupRejected) {
       net.compile(engine.options(), core::describe_blob(input));
   ASSERT_EQ(plan.steps().size(), 1u);
   artifact::save(net, plan, path_);
-  std::vector<std::uint8_t> evil = read_bytes(path_);
+  const std::vector<std::uint8_t> saved = read_bytes(path_);
   const auto table = artifact::section_table(path_);
 
   // Walk the plan section to the step's variant path byte.
   std::int64_t t = table[3].body_offset;
   std::uint32_t name_len;
-  std::memcpy(&name_len, evil.data() + t, 4);
+  std::memcpy(&name_len, saved.data() + t, 4);
   t += 4 + name_len;                 // plan name
   t += 4;                            // step count
   t += 4 + 4;                        // layer index + fused pool index
   t += 3 * 33;                       // in / out / fused_mid descriptors
-  ASSERT_EQ(evil[static_cast<std::size_t>(t)],
+  ASSERT_EQ(saved[static_cast<std::size_t>(t)],
             static_cast<std::uint8_t>(
                 core::KernelVariant::Path::kConvSeparatePack));
-  evil[static_cast<std::size_t>(t)] =
-      static_cast<std::uint8_t>(core::KernelVariant::Path::kConvGemm);
-  patch_checksum(evil);
-  write_bytes(path_, evil);
-  expect_rejected(path_, "path D");
+  for (const auto& [path, name] :
+       {std::pair{core::KernelVariant::Path::kConvGemm, "path D"},
+        std::pair{core::KernelVariant::Path::kConvFused, "path A"}}) {
+    std::vector<std::uint8_t> evil = saved;
+    evil[static_cast<std::size_t>(t)] = static_cast<std::uint8_t>(path);
+    patch_checksum(evil);
+    write_bytes(path_, evil);
+    expect_rejected(path_, name);
+  }
 }
 
 /// Re-pointing a step at its predecessor's activation slot (resealed):

@@ -1,7 +1,11 @@
 // BinaryConv2d vs the float-domain reference, across geometries, channel
 // widths (straddling the 8-filter packing threshold), execution paths and
-// option toggles.
+// option toggles, plus a seeded differential oracle over random geometries.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <sstream>
+#include <string>
 
 #include "baselines/float_ops.hpp"
 #include "bitpack/pack.hpp"
@@ -179,6 +183,188 @@ TEST(BinaryConv, RejectsFloatInput) {
       conv.forward(ctx, core::Blob{testing::random_float_tensor(
                             Shape{1, 6, 6, 16}, 65)}),
       InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle: seeded random geometries through every conv path
+// (A, B, C, D) with the interior split on and off, and path A fused with a
+// following 2x2/s2 and 3x3/s3 pool, each compiled and run against the
+// float-domain reference (conv2d_ref with -1 padding, folded BN, Eqn 8).
+// Geometries cover layers with no interior at all (H or W below the
+// kernel), whole-pad windows (pad up to k), per-axis strides, channel
+// counts around word boundaries and, in a quarter of the draws, thresholds
+// exactly on reachable sums and at +-inf (testing::tie_bn). The perfbench bit-exact gate cannot see a
+// path-A bug (its reference plan runs path A too), so this is the check.
+// ---------------------------------------------------------------------------
+
+struct BconvCase {
+  std::int64_t c_in, c_out, n, h, w, kh, kw, sh, sw, ph, pw;
+  bool branch_free;
+  bool ties;  ///< thresholds on reachable sums and at +-inf (tie_bn)
+  std::uint64_t seed;
+
+  /// One pasteable line that re-runs exactly this case.
+  std::string repro() const {
+    std::ostringstream os;
+    os << std::boolalpha << "repro: check_bconv_case({" << c_in << ", "
+       << c_out << ", " << n << ", " << h << ", " << w << ", " << kh << ", "
+       << kw << ", " << sh << ", " << sw << ", " << ph << ", " << pw << ", "
+       << branch_free << ", " << ties << ", " << seed << "});  // K = "
+       << kh * kw * ((c_in + 63) / 64) << " words";
+    return os.str();
+  }
+};
+
+/// BN whose thresholds fall inside the range of the conv sums (about
+/// sqrt(K) for random signs), so the output bits depend on the sums, not
+/// just on their sign.
+std::vector<core::BatchNormParams> oracle_bn(std::int64_t c_out,
+                                             std::int64_t len,
+                                             std::uint64_t seed) {
+  Rng rng(seed);
+  const float scale = std::sqrt(static_cast<float>(len));
+  std::vector<core::BatchNormParams> bn;
+  for (std::int64_t c = 0; c < c_out; ++c) {
+    core::BatchNormParams p;
+    p.gamma = rng.uniform(0.3f, 1.5f) * (rng.uniform() < 0.3f ? -1.0f : 1.0f);
+    p.beta = rng.normal() * 0.5f;
+    p.mu = rng.normal() * scale;
+    p.sigma = rng.uniform(0.5f, 2.0f);
+    bn.push_back(p);
+  }
+  return bn;
+}
+
+void check_bconv_case(const BconvCase& c) {
+  SCOPED_TRACE(c.repro());
+  using Path = core::KernelVariant::Path;
+  const Shape in_shape{c.n, c.h, c.w, c.c_in};
+  const FloatTensor in = testing::random_sign_tensor(in_shape, c.seed);
+  const FloatTensor w = testing::random_sign_tensor(
+      Shape{c.c_out, c.kh, c.kw, c.c_in}, c.seed + 1);
+  ConvGeometry g;
+  g.kernel_h = c.kh;
+  g.kernel_w = c.kw;
+  g.stride_h = c.sh;
+  g.stride_w = c.sw;
+  g.pad_h = c.ph;
+  g.pad_w = c.pw;
+  // Tie thresholds need beta = 0 and no bias, so that xi = mu exactly.
+  const auto bn =
+      c.ties ? testing::tie_bn(conv2d_ref(in, w, {}, g, -1.0f), c.seed + 2)
+             : oracle_bn(c.c_out, c.kh * c.kw * c.c_in, c.seed + 2);
+  const auto bias = c.ties ? std::vector<float>{}
+                           : testing::random_bias(c.c_out, c.seed + 3);
+  const FloatTensor ref = reference_bconv(in, w, bn, bias, g);
+  const core::Blob input{bitpack::pack_signs(in)};
+  const core::BlobDesc desc = core::describe_blob(input);
+
+  // Compiles conv (+ pool) under `opts`, checks the conv step took `path`
+  // (and fused the pool), and compares the run with `want`.
+  const auto run = [&](const char* arm, core::EngineOptions opts, Path path,
+                       const core::PoolGeometry* pool,
+                       const FloatTensor& want) {
+    SCOPED_TRACE(arm);
+    opts.branch_free_binarize = c.branch_free;
+    core::Engine engine(testing::test_device(), opts);
+    core::Network net("oracle");
+    net.emplace<BinaryConv2d>("conv", bitpack::pack_filter_signs(w), bn,
+                              bias, g);
+    if (pool != nullptr) net.emplace<core::MaxPool2d>("pool", *pool);
+    const core::ExecutionPlan plan = net.compile(engine, desc);
+    ASSERT_EQ(plan.steps().size(), 1u);
+    ASSERT_EQ(plan.steps()[0].variant.path, path);
+    ASSERT_EQ(plan.steps()[0].fused_pool != nullptr, pool != nullptr);
+    auto session = engine.create_session();
+    const core::ForwardResult r = plan.run(session, input);
+    ASSERT_TRUE(testing::packed_equals_signs(
+        std::get<bitpack::PackedTensor>(r.output), want))
+        << "output diverged from the reference";
+  };
+
+  for (const bool split : {true, false}) {
+    SCOPED_TRACE(split ? "interior_split on" : "interior_split off");
+    EngineOptions a;
+    a.interior_split = split;
+    a.conv_path = core::ConvPathPreference::kRowFused;
+    a.packing_channel_threshold = std::max<std::int64_t>(256, c.c_in);
+    EngineOptions b = a;
+    b.packing_channel_threshold = 0;
+    EngineOptions cc = a;
+    cc.fuse_bn_binarize = false;
+    EngineOptions d = a;
+    d.conv_path = core::ConvPathPreference::kGemm;
+    run("path A", a, Path::kConvFused, nullptr, ref);
+    run("path B", b, Path::kConvSeparatePack, nullptr, ref);
+    run("path C", cc, Path::kConvUnfused, nullptr, ref);
+    run("path D", d, Path::kConvGemm, nullptr, ref);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    // Path A fused with the pool that follows it: 2x2/s2 (darknet tail
+    // padding when the conv map is narrower than the window) and 3x3/s3
+    // with tail padding, so clamped windows run too.
+    const Shape& os = ref.shape();
+    core::PoolGeometry p2;
+    p2.size = p2.stride = 2;
+    p2.tail_pad = os.h < 2 || os.w < 2;
+    core::PoolGeometry p3;
+    p3.size = p3.stride = 3;
+    p3.tail_pad = true;
+    for (const core::PoolGeometry* p : {&p2, &p3}) {
+      run(p == &p2 ? "path A + pool 2x2/s2" : "path A + pool 3x3/s3", a,
+          Path::kConvFused, p, baselines::maxpool_ref(ref, *p, -1.0f));
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+BconvCase random_bconv_case(Rng& rng, std::uint64_t seed) {
+  static constexpr std::int64_t kKernels[] = {1, 3, 5, 7};
+  static constexpr std::int64_t kWordEdges[] = {63, 64, 65, 130};
+  const auto draw = [&rng](std::int64_t n) {
+    return static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(n)));
+  };
+  BconvCase c{};
+  c.c_in = draw(4) == 0 ? kWordEdges[draw(4)] : 1 + draw(200);
+  c.c_out = 8 * (1 + draw(3));
+  c.n = draw(2) == 0 ? 1 : 3;
+  c.kh = kKernels[draw(4)];
+  c.kw = kKernels[draw(4)];
+  c.sh = 1 + draw(3);
+  c.sw = 1 + draw(3);
+  c.h = 1 + draw(20);
+  c.w = 1 + draw(20);
+  // Pads up to k per axis, redrawn until the padded input holds a window.
+  do {
+    c.ph = draw(c.kh + 1);
+  } while (c.h + 2 * c.ph < c.kh);
+  do {
+    c.pw = draw(c.kw + 1);
+  } while (c.w + 2 * c.pw < c.kw);
+  c.branch_free = draw(2) == 1;
+  c.ties = draw(4) == 0;
+  c.seed = seed;
+  return c;
+}
+
+TEST(BinaryConvOracle, RandomGeometriesMatchFloatReference) {
+  Rng rng(0xb1c0);
+  for (int i = 0; i < 300; ++i) {
+    check_bconv_case(
+        random_bconv_case(rng, 9000 + static_cast<std::uint64_t>(i)));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(BinaryConvOracle, WindowsLargerThanTheBorderPanel) {
+  // K above BinaryConv2d::kBorderPanelWords: path A scores each border
+  // window alone, in K chunks of the stack panel. 700 channels are 11
+  // words, so a 7x7 window is 539 words; 1500 channels (24 words) in a
+  // 5x5 window are 600. The 3x7 case (210 words) fits two windows a fill.
+  static_assert(BinaryConv2d::kBorderPanelWords < 7 * 7 * 11);
+  check_bconv_case({700, 8, 1, 9, 8, 7, 7, 1, 2, 3, 2, true, false, 9500});
+  check_bconv_case({1500, 16, 1, 6, 7, 5, 5, 2, 1, 2, 4, false, true, 9501});
+  check_bconv_case({640, 8, 3, 5, 9, 3, 7, 1, 1, 1, 3, true, false, 9502});
 }
 
 }  // namespace

@@ -133,10 +133,11 @@ TEST(BitGemm, OddGeometriesMatchRowFused) {
 }
 
 /// Thresholds exactly on reachable sums and at +-inf, half the gammas
-/// negative (testing::tie_bn), under both binarizers: path D's vector
-/// epilogue must take the same side of every tie as path A's scalar
-/// Eqn 8 / Eqn 9. The second geometry's K = 36 words crosses the
-/// microkernel's 31-step byte-counter flush.
+/// negative (testing::tie_bn), under both binarizers: path D must take
+/// the same side of every tie as path A (both end in core::binarize_group;
+/// BinaryConvOracle checks ties against the scalar Eqn 8 reference). The
+/// second geometry's K = 36 words crosses the AVX2 body's 31-step
+/// byte-counter flush.
 TEST(BitGemm, ThresholdTiesMatchRowFused) {
   struct Tie {
     std::int64_t hw, c_in, c_out, k, stride, pad;

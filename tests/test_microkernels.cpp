@@ -1,6 +1,6 @@
 // Popcount microkernels (DESIGN.md §11) vs scalar reference tiles.
 //
-// xor_popcount_gemm_x8 (path D) and and_popcount_planes_x8 (the input
+// xor_popcount_gemm_x8 (paths A and D) and and_popcount_planes_x8 (the input
 // conv) read a filter-interleaved panel and popcount one 64-bit lane per
 // filter. The body is fixed at compile time (bitpack::lanes8_body()):
 // AVX-512 counts whole lanes with vpopcntq; the AVX2 body counts bits per
@@ -12,6 +12,10 @@
 // as a count mismatch. The all-ones fills put 8 bits in every byte of
 // every step, the worst case for the byte counters. Each failure prints a
 // pasteable `repro: check_kernel_case({...})` line.
+//
+// SegmentedGemmTile checks the GEMM tile on rows stored in runs (path A's
+// conv windows read in place) against the same reference over the
+// gathered rows.
 //
 // MicrokernelBody guards the body choice itself: a native AVX-512 build on
 // a CPU with VPOPCNTDQ must compile the vpopcntq body, since a silent
@@ -212,6 +216,59 @@ TEST(MicrokernelOracle, InterleavedPanelLayout) {
     }
   }
   EXPECT_THROW(bitpack::interleave_filter_panel(w.data(), 12, 10), Error);
+}
+
+TEST(SegmentedGemmTile, MatchesGatheredDenseRows) {
+  // Path A reads conv windows in place: row r's K words are segs runs of
+  // seg_words words, run s at a + r * a_stride + s * seg_stride. The tile
+  // must count exactly what the scalar reference counts over the gathered
+  // dense rows, including AVX2 flushes that fall inside a run (the
+  // all-ones-vs-zeros fill saturates every byte counter).
+  Rng rng(0x5e9);
+  for (const std::int64_t seg_words : {1, 2, 3, 7, 12, 30, 31, 32}) {
+    for (const std::int64_t segs : {1, 2, 3, 5, 9}) {
+      for (std::int64_t rows = 1; rows <= bitpack::kGemmMr; ++rows) {
+        for (const Fill fill : {Fill::kRandom, Fill::kOnesVsZeros}) {
+          const std::int64_t k_words = seg_words * segs;
+          const std::int64_t a_stride =
+              seg_words + static_cast<std::int64_t>(rng.below(3));
+          const std::int64_t seg_stride =
+              rows * a_stride + static_cast<std::int64_t>(rng.below(5));
+          SCOPED_TRACE(::testing::Message()
+                       << "seg_words " << seg_words << " segs " << segs
+                       << " rows " << rows << " a_stride " << a_stride
+                       << " seg_stride " << seg_stride);
+          std::vector<std::uint64_t> a(
+              static_cast<std::size_t>(segs * seg_stride));
+          std::vector<std::uint64_t> w(static_cast<std::size_t>(8 * k_words));
+          for (auto& x : a) x = fill == Fill::kRandom ? rng() : ~0ull;
+          for (auto& x : w) x = fill == Fill::kRandom ? rng() : 0;
+          std::vector<std::uint64_t> dense(
+              static_cast<std::size_t>(rows * k_words));
+          for (std::int64_t r = 0; r < rows; ++r) {
+            for (std::int64_t k = 0; k < k_words; ++k) {
+              dense[static_cast<std::size_t>(r * k_words + k)] =
+                  a[static_cast<std::size_t>(r * a_stride +
+                                             (k / seg_words) * seg_stride +
+                                             k % seg_words)];
+            }
+          }
+          const std::vector<std::uint64_t> panel =
+              bitpack::interleave_filter_panel(w.data(), 8, k_words);
+          std::int32_t got[bitpack::kGemmMr * 8];
+          std::int64_t want[bitpack::kGemmMr * 8];
+          bitpack::xor_popcount_gemm_x8(a.data(), a_stride, seg_words,
+                                        seg_stride, segs, panel.data(), rows,
+                                        got);
+          reference_gemm_tile(dense.data(), k_words, w.data(), k_words, rows,
+                              want);
+          for (std::int64_t i = 0; i < rows * 8; ++i) {
+            ASSERT_EQ(got[i], want[i]) << "row " << i / 8 << " filter " << i % 8;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(MicrokernelBody, AvxVpopcntqHostCompilesVpopcntqBody) {
