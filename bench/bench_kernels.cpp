@@ -195,35 +195,14 @@ void bench_float_conv(const ConvSpec& spec,
 
 /// Times one BinaryConv2d layer: builds the engine once, then measures the
 /// per-forward host kernel time (min over reps) and the modeled device time.
-/// `redundant` overlays the filter-row redundancy trained binary nets show
-/// (groups of 8 filters share a base; half exact copies, half sparse sign
-/// flips) so the /compressed records measure a compressible bank — plain
-/// random signs never cluster.
 void bench_conv(const ConvSpec& spec, const core::EngineOptions& opts,
                 const std::string& variant,
-                std::vector<bench::BenchRecord>& out, bool redundant = false) {
+                std::vector<bench::BenchRecord>& out) {
   Rng rng(99);
   FloatTensor in(Shape{1, spec.hw, spec.hw, spec.c_in}, Layout::kNHWC);
   FloatTensor w(Shape{spec.c_out, spec.k, spec.k, spec.c_in}, Layout::kNHWC);
   for (std::int64_t i = 0; i < in.elems(); ++i) in.data()[i] = rng.sign();
   for (std::int64_t i = 0; i < w.elems(); ++i) w.data()[i] = rng.sign();
-  if (redundant) {
-    const std::int64_t fsize = spec.k * spec.k * spec.c_in;
-    for (std::int64_t f = 0; f < spec.c_out; ++f) {
-      const std::int64_t lane = f % 8;
-      if (lane == 0) continue;
-      std::memcpy(w.data() + f * fsize, w.data() + (f - lane) * fsize,
-                  static_cast<std::size_t>(fsize) * sizeof(float));
-      if (lane >= 4) {
-        for (std::int64_t t = 0; t < std::max<std::int64_t>(1, fsize / 64);
-             ++t) {
-          const auto p = static_cast<std::int64_t>(
-              rng.below(static_cast<std::uint64_t>(fsize)));
-          w.data()[f * fsize + p] = -w.data()[f * fsize + p];
-        }
-      }
-    }
-  }
   std::vector<core::BatchNormParams> bn;
   for (std::int64_t c = 0; c < spec.c_out; ++c) {
     bn.push_back({rng.uniform(0.3f, 1.5f) * rng.sign(), rng.normal(),
@@ -250,14 +229,7 @@ void bench_conv(const ConvSpec& spec, const core::EngineOptions& opts,
   });
   // total_host_ms would exclude the enqueue-side setup; report the full
   // forward wall time so host_ms reflects the real hot path.
-  bench::BenchRecord rec{"bconv", spec.tag + "/" + variant, host, modeled};
-  if (opts.weight_compress != core::WeightCompress::kOff) {
-    const bitpack::CompressStats& cs = conv.compressed_bank().stats();
-    rec.weights_bytes = std::min(cs.encoded_bytes, cs.raw_bytes);
-    rec.weights_ratio = static_cast<double>(cs.raw_bytes) /
-                        static_cast<double>(rec.weights_bytes);
-  }
-  out.push_back(std::move(rec));
+  out.push_back({"bconv", spec.tag + "/" + variant, host, modeled});
 }
 
 /// Compiled conv(+pool) layer-chain records: the fused-geometry regression
@@ -377,8 +349,8 @@ void bench_model_e2e(std::vector<bench::BenchRecord>& out) {
 
   // Weight-compressed serving record: a REDUNDANT model (random_redundant —
   // the clustering structure trained binary nets exhibit) compiled under
-  // kAuto, so the row tracks both the modeled time of the reuse kernels and
-  // the whole-model weight compression ratio.
+  // kAuto, so the row tracks the whole-model weight compression ratio of
+  // the compressed artifact storage.
   const auto run_model_compressed = [&](const std::string& tag,
                                         const core::FloatModel& trained,
                                         const U8Tensor& image) {
@@ -639,10 +611,6 @@ int main(int argc, char** argv) {
     core::EngineOptions gemm;  // path D: im2col + register-tiled bit-GEMM
     gemm.conv_path = core::ConvPathPreference::kGemm;
     bench_conv(spec, gemm, "bitgemm", records);
-    core::EngineOptions comp;  // weight compression + roofline-selected
-                               // partial-popcount reuse on a redundant bank
-    comp.weight_compress = core::WeightCompress::kAuto;
-    bench_conv(spec, comp, "compressed", records, /*redundant=*/true);
   }
   // YOLOv2-Tiny 416^2 conv2, the largest path-D step of a full-size
   // forward: 16 channels fill only 16 bits of each 64-bit word.

@@ -4,25 +4,6 @@
 #include <map>
 
 namespace phonebit::bitpack {
-namespace {
-
-// Patch-equality of two filters that share a dictionary row: identical CSR
-// spans mean identical reconstructed content, which is what the path-A
-// dedup schedule needs to let one lane copy another's mismatch counts.
-bool same_encoding(const std::vector<std::uint32_t>& row_index,
-                   const std::vector<std::uint32_t>& begin,
-                   const std::vector<FilterDelta>& deltas, std::int64_t fa,
-                   std::int64_t fb) {
-  if (row_index[fa] != row_index[fb]) return false;
-  const std::uint32_t na = begin[fa + 1] - begin[fa];
-  if (na != begin[fb + 1] - begin[fb]) return false;
-  for (std::uint32_t i = 0; i < na; ++i) {
-    if (!(deltas[begin[fa] + i] == deltas[begin[fb] + i])) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 std::int64_t compressed_encoded_bytes(std::int64_t filters,
                                       std::int64_t k_words,
@@ -89,8 +70,7 @@ CompressedFilterBank CompressedFilterBank::build(const PackedTensor& weights) {
       }
     }
     // Near-duplicate threshold: a patch is worth it while it touches at
-    // most a third of the row — 12 bytes/entry vs 8 bytes/word raw, plus
-    // the reuse kernels' per-entry correction cost.
+    // most a third of the row — 12 bytes/entry vs 8 bytes/word raw.
     if (best_u >= 0 && best_cnt * 3 <= k) {
       bank.row_index_.push_back(static_cast<std::uint32_t>(best_u));
       const std::uint64_t* d = bank.dict_row(best_u);
@@ -156,29 +136,6 @@ void CompressedFilterBank::finalize() {
   stats_.raw_bytes = nf * k_words_ * 8;
   stats_.encoded_bytes = compressed_encoded_bytes(
       nf, k_words_, stats_.unique_rows, stats_.delta_words);
-
-  lane_src_.resize(static_cast<std::size_t>(nf));
-  if (nf % 8 == 0) {
-    for (std::int64_t g = 0; g < nf / 8; ++g) {
-      for (std::int64_t f = 0; f < 8; ++f) {
-        std::int64_t src = f;
-        for (std::int64_t s = 0; s < f; ++s) {
-          if (same_encoding(row_index_, delta_begin_, deltas_, g * 8 + s,
-                            g * 8 + f)) {
-            src = s;
-            break;
-          }
-        }
-        lane_src_[g * 8 + f] = static_cast<std::uint8_t>(src);
-        if (src == f) ++distinct_lanes_;
-      }
-    }
-  } else {
-    for (std::int64_t f = 0; f < nf; ++f) {
-      lane_src_[f] = static_cast<std::uint8_t>(f % 8);
-    }
-    distinct_lanes_ = nf;
-  }
 }
 
 PackedTensor CompressedFilterBank::reconstruct() const {
@@ -192,79 +149,6 @@ PackedTensor CompressedFilterBank::reconstruct() const {
     }
   }
   return weights;
-}
-
-namespace {
-
-// Stage-1 inner loop at a fixed row count so the per-row accumulators stay
-// in registers, mirroring the gemm_tile<Rows> discipline in binary_ops.cpp.
-template <int Rows>
-void dict_tile(const std::uint64_t* a, std::int64_t a_stride,
-               const std::uint64_t* dict, std::int64_t k_words,
-               std::int64_t unique, std::int64_t* partials) {
-  for (std::int64_t u = 0; u < unique; ++u) {
-    const std::uint64_t* d = dict + u * k_words;
-    std::int32_t acc[Rows] = {};
-    for (std::int64_t w = 0; w < k_words; ++w) {
-      const std::uint64_t dw = d[w];
-      for (int r = 0; r < Rows; ++r) {
-        acc[r] += popcount(a[r * a_stride + w] ^ dw);
-      }
-    }
-    for (int r = 0; r < Rows; ++r) partials[u * kGemmMr + r] = acc[r];
-  }
-}
-
-}  // namespace
-
-void xor_popcount_dict(const std::uint64_t* a, std::int64_t a_stride,
-                       const CompressedFilterBank& bank, std::int64_t rows,
-                       std::int64_t* partials) {
-  PB_CHECK(rows >= 1 && rows <= kGemmMr,
-           "xor_popcount_dict rows " << rows << " outside [1, " << kGemmMr
-                                     << "]");
-  PB_CHECK(bank.unique_rows() <= kReuseMaxDict,
-           "dictionary too large for reuse partials: " << bank.unique_rows());
-  const std::uint64_t* dict = bank.dict().data();
-  const std::int64_t k = bank.k_words();
-  const std::int64_t u = bank.unique_rows();
-  switch (rows) {
-    case 1: dict_tile<1>(a, a_stride, dict, k, u, partials); break;
-    case 2: dict_tile<2>(a, a_stride, dict, k, u, partials); break;
-    case 3: dict_tile<3>(a, a_stride, dict, k, u, partials); break;
-    default: dict_tile<4>(a, a_stride, dict, k, u, partials); break;
-  }
-}
-
-void xor_popcount_gemm_reuse_x8(const std::uint64_t* a, std::int64_t a_stride,
-                                const CompressedFilterBank& bank,
-                                std::int64_t group, std::int64_t rows,
-                                const std::int64_t* partials,
-                                std::int64_t* out) {
-  const auto& row_index = bank.row_index();
-  const auto& begin = bank.delta_begin();
-  const auto& deltas = bank.deltas();
-  const std::int64_t base = group * 8;
-  for (std::int64_t f = 0; f < 8; ++f) {
-    const std::int64_t fi = base + f;
-    const std::uint32_t u = row_index[fi];
-    for (std::int64_t r = 0; r < rows; ++r) {
-      out[r * 8 + f] = partials[u * kGemmMr + r];
-    }
-    if (begin[fi] == begin[fi + 1]) continue;
-    const std::uint64_t* d = bank.dict_row(u);
-    for (std::uint32_t e = begin[fi]; e < begin[fi + 1]; ++e) {
-      const std::int64_t w = deltas[e].word;
-      const std::uint64_t m = deltas[e].mask;
-      const std::uint64_t dw = d[w];
-      for (std::int64_t r = 0; r < rows; ++r) {
-        // filter word = dict ^ mask, so popcount(a ^ filter) differs from
-        // the cached popcount(a ^ dict) by exactly this correction.
-        const std::uint64_t x = a[r * a_stride + w] ^ dw;
-        out[r * 8 + f] += popcount(x ^ m) - popcount(x);
-      }
-    }
-  }
 }
 
 }  // namespace phonebit::bitpack

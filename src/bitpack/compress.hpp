@@ -12,21 +12,14 @@
 //                 on top of its dictionary row; exact duplicates have none
 //
 // Reconstruction is exact (dict[row_index[f]] ^ deltas[f] == filter f), so
-// compression is lossless and every consumer stays bit-exact.
-//
-// Beyond storage, the factorization feeds a partial-popcount reuse schedule
-// for the bit-GEMM conv path (DESIGN.md §12): for one im2col tile the
-// popcount reduction against each *unique* dictionary row is computed once;
-// each referencing filter's mismatch count is then the cached partial plus a
-// per-delta-word correction popcount(x ^ mask) - popcount(x), which touches
-// only the patched words. With u unique rows and d total delta words this
-// turns c_out full K reductions into u full reductions + d word fixups.
+// compression is lossless. It only changes how .pba artifacts store the
+// weights (DESIGN.md §12): the loader reconstructs the packed bank and every
+// conv path runs on it exactly as on uncompressed weights.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "bitpack/binary_ops.hpp"
 #include "bitpack/packed_tensor.hpp"
 
 namespace phonebit::bitpack {
@@ -58,14 +51,6 @@ struct CompressStats {
   friend bool operator==(const CompressStats&, const CompressStats&) = default;
 };
 
-/// Hard cap on dictionary rows eligible for the partial-popcount reuse
-/// kernels: stage-1 partials live in a fixed per-work-item stack buffer of
-/// kReuseMaxDict * kGemmMr accumulators (~8 KB), never in the shared arena,
-/// so parallel work items cannot collide and warm forwards stay
-/// zero-allocation. Banks with more unique rows still compress for storage;
-/// they just keep the plain kernels.
-inline constexpr std::int64_t kReuseMaxDict = 256;
-
 /// Lossless dictionary/index/delta factorization of one packed filter bank.
 /// Built deterministically from the weights (same bank for the same bytes,
 /// on every thread and every load), or adopted verbatim from an artifact so
@@ -90,7 +75,6 @@ class CompressedFilterBank {
 
   const Shape& filter_shape() const noexcept { return shape_; }
   std::int64_t k_words() const noexcept { return k_words_; }
-  std::int64_t num_filters() const noexcept { return shape_.n; }
   std::int64_t unique_rows() const noexcept {
     return static_cast<std::int64_t>(dict_.size()) / k_words_;
   }
@@ -112,18 +96,6 @@ class CompressedFilterBank {
   /// tensor the bank was built from.
   PackedTensor reconstruct() const;
 
-  /// Per-workload-group duplicate-lane table for the path-A shared-window
-  /// dedup schedule: lane f of group g computes its window only when
-  /// lane_sources()[g*8+f] == f; otherwise it copies the mismatch count of
-  /// the (identical) earlier lane it points at. Identity when C_out is not
-  /// a multiple of 8. Size num_filters().
-  const std::vector<std::uint8_t>& lane_sources() const noexcept {
-    return lane_src_;
-  }
-  /// Number of lanes that actually compute (lane_sources()[f] == f's
-  /// position); == num_filters() when no intra-group duplicates exist.
-  std::int64_t distinct_group_lanes() const noexcept { return distinct_lanes_; }
-
   friend bool operator==(const CompressedFilterBank& a,
                          const CompressedFilterBank& b) {
     return a.shape_ == b.shape_ && a.dict_ == b.dict_ &&
@@ -134,7 +106,7 @@ class CompressedFilterBank {
  private:
   CompressedFilterBank() = default;  // build() fills the parts in place
 
-  void finalize();  // stats_, lane_src_, distinct_lanes_ from the parts
+  void finalize();  // stats_ from the parts
 
   Shape shape_{};
   std::int64_t k_words_ = 0;
@@ -142,8 +114,6 @@ class CompressedFilterBank {
   std::vector<std::uint32_t> row_index_;
   std::vector<std::uint32_t> delta_begin_;
   std::vector<FilterDelta> deltas_;
-  std::vector<std::uint8_t> lane_src_;
-  std::int64_t distinct_lanes_ = 0;
   CompressStats stats_{};
 };
 
@@ -156,25 +126,5 @@ std::int64_t compressed_encoded_bytes(std::int64_t filters,
                                       std::int64_t k_words,
                                       std::int64_t unique_rows,
                                       std::int64_t delta_words) noexcept;
-
-/// Stage 1 of the reuse schedule: popcount(xor) of each of `rows` im2col
-/// rows of A (row r at `a + r * a_stride`, k_words long) against every
-/// dictionary row of `bank`, written to
-/// `partials[u * kGemmMr + r]`. One call per GEMM m-tile covers every
-/// filter group; requires bank.unique_rows() <= kReuseMaxDict.
-void xor_popcount_dict(const std::uint64_t* a, std::int64_t a_stride,
-                       const CompressedFilterBank& bank, std::int64_t rows,
-                       std::int64_t* partials);
-
-/// Stage 2: mismatch counts for the 8 filters of `group` derived from the
-/// stage-1 partials — filter f's accumulator starts at its dictionary row's
-/// partial and each patch entry contributes popcount(x ^ mask) - popcount(x)
-/// where x = a_word ^ dict_word. `out[r * 8 + f]` matches
-/// xor_popcount_gemm_x8 against the reconstructed weights bit-exactly.
-void xor_popcount_gemm_reuse_x8(const std::uint64_t* a, std::int64_t a_stride,
-                                const CompressedFilterBank& bank,
-                                std::int64_t group, std::int64_t rows,
-                                const std::int64_t* partials,
-                                std::int64_t* out);
 
 }  // namespace phonebit::bitpack

@@ -489,7 +489,9 @@ EngineOptions read_options(ByteReader& r, std::uint32_t version) {
   o.conv_path = static_cast<core::ConvPathPreference>(conv_path);
   if (version >= 4) {
     const auto wc = r.pod<std::uint8_t>();
-    if (wc > static_cast<std::uint8_t>(core::WeightCompress::kAuto)) {
+    // Value 1 is the retired storage-only mode, which kAuto now is.
+    if (wc != static_cast<std::uint8_t>(core::WeightCompress::kOff) &&
+        wc != static_cast<std::uint8_t>(core::WeightCompress::kAuto)) {
       r.fail("invalid weight compression mode " + std::to_string(wc));
     }
     o.weight_compress = static_cast<core::WeightCompress>(wc);
@@ -504,11 +506,8 @@ void write_variant(ByteWriter& w, const KernelVariant& v,
   w.pod<std::uint8_t>(static_cast<std::uint8_t>(v.path));
   w.pod<std::uint32_t>(static_cast<std::uint32_t>(bits(v.pack_width)));
   w.pod<std::uint8_t>(v.interior_split ? 1 : 0);
-  if (version >= 4) {
-    w.pod<std::uint8_t>(v.reuse ? 1 : 0);
-  } else {
-    PB_CHECK(!v.reuse, "v3 artifact cannot record a reuse kernel variant");
-  }
+  // v4 keeps the retired reuse byte so both layouts stay byte-compatible.
+  if (version >= 4) w.pod<std::uint8_t>(0);
   w.pod<std::int64_t>(v.tile_ow);
   w.str(v.kernel);
 }
@@ -522,7 +521,9 @@ KernelVariant read_variant(ByteReader& r, std::uint32_t version) {
   v.path = static_cast<KernelVariant::Path>(path);
   v.pack_width = read_pack_width(r);
   v.interior_split = read_bool(r);
-  if (version >= 4) v.reuse = read_bool(r);
+  if (version >= 4 && r.pod<std::uint8_t>() != 0) {
+    r.fail("retired reuse kernel variant flag is set");
+  }
   v.tile_ow = r.pod<std::int64_t>();
   if (v.tile_ow < 0) r.fail("negative kernel tile width");
   v.kernel = r.str();
@@ -685,27 +686,6 @@ class PlanCodec {
           r.fail("step " + std::to_string(i) + " records path " +
                  (path_a ? "A" : "D") +
                  " on a layer without whole 8-filter groups");
-        }
-      }
-      if (step.variant.reuse) {
-        // Reuse variants are only ever selected for binary convs under
-        // kAuto. The GEMM-reuse kernel additionally indexes a FIXED stack
-        // partial buffer by dictionary row, so the cap is a memory-safety
-        // bound against resealed files (the bank here is the loader-adopted
-        // one — honest reuse layers always ship mode-1 weights, so this
-        // does not re-cluster).
-        const auto* conv =
-            dynamic_cast<const core::BinaryConv2d*>(step.layer);
-        if (conv == nullptr ||
-            opts.weight_compress != core::WeightCompress::kAuto) {
-          r.fail("step " + std::to_string(i) +
-                 " records a reuse kernel outside auto weight compression");
-        }
-        if (step.variant.path == KernelVariant::Path::kConvGemm &&
-            conv->compressed_bank().unique_rows() > bitpack::kReuseMaxDict) {
-          r.fail("step " + std::to_string(i) +
-                 " reuse dictionary exceeds the kernel cap " +
-                 std::to_string(bitpack::kReuseMaxDict));
         }
       }
       if (fused) {

@@ -31,14 +31,17 @@
 // prints it.
 //
 // Format v4 added weight compression (DESIGN.md §12): the options record
-// carries the weight_compress knob, kernel variants carry the reuse flag,
-// plan steps carry their compression stats, and BinaryConv2d records gain a
-// storage-mode byte — mode 1 stores the filter bank as dictionary + row
-// indices + XOR deltas (picked per layer only when strictly smaller than
-// raw; the loader reconstructs the exact weights and hands the layer the
-// decoded bank, so loading never re-clusters). v3 files still load; save()
-// writes v3 whenever the plan was compiled with WeightCompress::kOff, so
-// default-configuration artifacts stay byte-identical across this change.
+// carries the weight_compress knob, plan steps carry their compression
+// stats, and BinaryConv2d records gain a storage-mode byte — mode 1 stores
+// the filter bank as dictionary + row indices + XOR deltas (picked per
+// layer only when strictly smaller than raw; the loader reconstructs the
+// exact weights and hands the layer the decoded bank, so loading never
+// re-clusters). Compression changes storage only, never the kernels a plan
+// runs. Each v4 kernel-variant record keeps a retired reuse byte, always
+// written 0; the loader rejects a non-zero one, and rejects the retired
+// weight_compress value 1. v3 files still load; save() writes v3 whenever
+// the plan was compiled with WeightCompress::kOff, so default-configuration
+// artifacts stay byte-identical across this change.
 //
 // Every load-time mismatch — bad magic/version/endianness, truncation,
 // checksum failure, invalid enum, violated structural invariant (weight

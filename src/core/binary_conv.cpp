@@ -24,9 +24,7 @@ BinaryConv2d::KernelNames::KernelNames(const std::string& layer)
     : fused(layer + ".bconv_fused"), nopack(layer + ".bconv_nopack"),
       pack(layer + ".pack"), raw(layer + ".bconv_raw"),
       bn_binarize(layer + ".bn_binarize"), im2col(layer + ".im2col"),
-      bitgemm(layer + ".bitgemm"), bitgemm_reuse(layer + ".bitgemm_reuse"),
-      fused_dedup(layer + ".bconv_fused_dedup"),
-      fused_pool(layer + ".bconv_fused_pool") {}
+      bitgemm(layer + ".bitgemm"), fused_pool(layer + ".bconv_fused_pool") {}
 
 BinaryConv2d::BinaryConv2d(std::string name, PackedTensor weights,
                            std::vector<BatchNormParams> bn,
@@ -140,9 +138,6 @@ Blob BinaryConv2d::run(ExecContext& ctx, const Blob& in,
   }
   if (v.path == KernelVariant::Path::kConvGemm) {
     return forward_gemm(ctx, packed, step);
-  }
-  if (v.path == KernelVariant::Path::kConvFused && v.reuse) {
-    return forward_fused_dedup(ctx, packed, step);
   }
   return forward_fused(ctx, packed, step);
 }
@@ -284,8 +279,7 @@ inline std::int64_t window_mismatches(const PackedTensor& in,
 /// Folded-BN threshold sign of workload group g's 8 mismatch counts,
 /// packed into one byte (Fig. 4's private-memory byte) by the vector
 /// epilogue core::binarize_group. `len` is the window's bit count.
-template <class Count>
-inline std::uint8_t group_byte(const Count* mism, std::int64_t g,
+inline std::uint8_t group_byte(const std::int32_t* mism, std::int64_t g,
                                std::int64_t len, const FoldedBatchNorm& fb,
                                bool branch_free) {
   std::int32_t x1[8];
@@ -391,34 +385,6 @@ struct PathAGroups {
   }
 };
 
-/// Dedup'd per-group window accumulator (DESIGN.md §12): lane f computes
-/// its window only when it is its group's first lane with that exact filter
-/// content (`lanes[f] == f`); duplicate lanes copy the earlier result —
-/// legal for interior AND border windows, since identical filters score
-/// identically against any window. Distinct interior lanes run the plain
-/// row-fused whole-window reduction; bit-exact with path A.
-inline void group_mismatches_dedup(const PackedTensor& in,
-                                   const PackedTensor& weights,
-                                   const ConvDims& d, std::int64_t n,
-                                   std::int64_t oy, std::int64_t ox,
-                                   std::int64_t g, const std::uint8_t* lanes,
-                                   bitpack::PackWidth pw, bool y_interior,
-                                   std::int64_t mism[8]) {
-  const bool interior = y_interior && ox >= d.x0 && ox < d.x1;
-  for (int f = 0; f < 8; ++f) {
-    if (lanes[f] != f) {
-      mism[f] = mism[lanes[f]];
-      continue;
-    }
-    mism[f] = interior
-                  ? window_mismatches_interior(in, weights, d, n,
-                                               oy * d.sh - d.ph,
-                                               ox * d.sw - d.pw, g * 8 + f, pw)
-                  : window_mismatches_border(in, weights, d, n, oy, ox,
-                                             g * 8 + f, pw);
-  }
-}
-
 /// Bit-lanes charged per conv window at granularity `pw`. The row-fused
 /// path streams kh spans of kw*words words with a scalar tail — no lane is
 /// ever wasted (span-keyed selection never overshoots the span), so it is
@@ -488,25 +454,6 @@ double packed_out_bytes(const ConvDims& d) {
          8.0;
 }
 
-/// Window-accumulation tally of the dedup'd path-A schedule (DESIGN.md
-/// §12): every group computes one window per DISTINCT lane and copies exact
-/// duplicates, so span setups, border row walks and bit-ops all scale by
-/// the bank's distinct-lane fraction. Interior bookkeeping stays one op per
-/// output (the copy is as cheap as the accumulate it replaces).
-void charge_windows_dedup(KernelCost& cost, const ConvDims& d,
-                          const EngineOptions& opts, double distinct_frac) {
-  const double outputs = static_cast<double>(d.n) * d.oh * d.ow * d.c_out;
-  const double interior =
-      static_cast<double>(d.n) * (d.y1 - d.y0) * (d.x1 - d.x0) * d.c_out;
-  const double border = outputs - interior;
-  const double kh = static_cast<double>(d.kh);
-  cost.span_setup_cycles = costs::kSpanSetupCycles;
-  cost.scalar_ops = interior * 1.0 + border * kh * distinct_frac;
-  cost.span_count = interior * costs::dedup_window_spans(kh, distinct_frac) +
-                    border * 2.0 * kh * distinct_frac;
-  cost.instr_overhead_cycles = costs::instr_overhead_fused(opts);
-}
-
 /// Packing pass of paths B and C: one work item per output word gathers
 /// 64 entries of the 0/1 byte map into one packed word.
 void enqueue_pack(ExecContext& ctx, const Launch& launch, const ConvDims& d,
@@ -569,34 +516,16 @@ std::vector<Launch> BinaryConv2d::price(const PlanStep& step,
     gemm.bytes_written = packed_out_bytes(d);
     gemm.coalescing = costs::coalescing(opts);
     gemm.alu_efficiency = costs::binary_kernel_eff(opts);
-    const double groups = static_cast<double>(d.c_out / 8);
-    if (v.reuse) {
-      // Stage 1 scores each unique dictionary row once per register tile,
-      // stage 2 patches referencing filters at kReuseDeltaWordOps per
-      // delta word: one stage-1 span per unique row plus one patch and
-      // epilogue pass per filter group, per tile.
-      const bitpack::CompressedFilterBank& bank = compressed_bank();
-      const double unique = static_cast<double>(bank.unique_rows());
-      gemm.bitop_bits = costs::reuse_gemm_bitop_bits(
-          static_cast<double>(m), unique, static_cast<double>(k_words),
-          static_cast<double>(bank.stats().delta_words));
-      gemm.span_count = m_tiles * (unique + groups);
-      gemm.scalar_ops = gemm_outputs * 5.0;  // partial fetch + threshold/byte
-      gemm.bytes_read = panel_bytes +
-                        static_cast<double>(bank.stats().encoded_bytes) +
-                        static_cast<double>(d.c_out) * 5.0;
-    } else {
-      gemm.bitop_bits = gemm_outputs * 2.0 * static_cast<double>(k_words) *
-                        bitpack::kWordBits;
-      gemm.span_count = m_tiles * groups;
-      gemm.scalar_ops = gemm_outputs * 4.0;  // threshold compare + byte insert
-      gemm.bytes_read = panel_bytes + static_cast<double>(weights_.bytes()) +
-                        static_cast<double>(d.c_out) * 5.0;
-    }
+    gemm.bitop_bits = gemm_outputs * 2.0 * static_cast<double>(k_words) *
+                      bitpack::kWordBits;
+    gemm.span_count = m_tiles * static_cast<double>(d.c_out / 8);
+    gemm.scalar_ops = gemm_outputs * 4.0;  // threshold compare + byte insert
+    gemm.bytes_read = panel_bytes + static_cast<double>(weights_.bytes()) +
+                      static_cast<double>(d.c_out) * 5.0;
     return {Launch{&kn_.im2col,
                    aux(static_cast<double>(m * k_words), panel_bytes,
                        panel_bytes)},
-            Launch{v.reuse ? &kn_.bitgemm_reuse : &kn_.bitgemm, gemm}};
+            Launch{&kn_.bitgemm, gemm}};
   }
 
   // Window-streaming schedules (paths A, B, C and the fused conv→pool
@@ -644,24 +573,6 @@ std::vector<Launch> BinaryConv2d::price(const PlanStep& step,
     conv.scalar_ops += outputs * 4.0;  // threshold + byte insert
     conv.bytes_written = static_cast<double>(step.out.bytes());
     return {Launch{&kn_.fused_pool, conv}};
-  }
-  if (v.reuse) {
-    // Path A with the duplicate-lane table: work and weight traffic scale
-    // by the bank's distinct-lane fraction (interior split only).
-    const double distinct_frac =
-        static_cast<double>(compressed_bank().distinct_group_lanes()) /
-        static_cast<double>(d.c_out);
-    conv.bitop_bits =
-        outputs * window_bitops(d, pw, /*split=*/true) * distinct_frac;
-    charge_windows_dedup(conv, d, opts, distinct_frac);
-    conv.scalar_ops += outputs * 4.0;  // threshold compare + byte/bit insert
-    conv.pack_width_bits =
-        bitpack::bits(bitpack::cap_pack_width_to_span(pw, d.kw * d.words));
-    conv.bytes_read = static_cast<double>(step.in.bytes()) +
-                      static_cast<double>(weights_.bytes()) * distinct_frac +
-                      static_cast<double>(d.c_out) * 5.0;
-    conv.bytes_written = packed_out_bytes(d);
-    return {Launch{&kn_.fused_dedup, conv}};
   }
   const bool path_a = v.path == KernelVariant::Path::kConvFused;
   conv.bitop_bits = outputs * window_bitops(d, pw, split);
@@ -715,22 +626,6 @@ KernelVariant BinaryConv2d::select_variant(const Shape& in_shape,
                       : KernelVariant::Path::kConvSeparatePack;
     if (opts.conv_path == ConvPathPreference::kGemm ||
         reference_ms(gemm) < reference_ms(window)) {
-      // Partial-popcount reuse (DESIGN.md §12): legal when the stage-1
-      // partials fit the fixed per-work-item buffer; taken when the bank's
-      // measured redundancy beats the plain tile on the reference roofline.
-      // The bank is a deterministic function of the weights, so selection
-      // stays replay-exact.
-      if (opts.weight_compress == WeightCompress::kAuto) {
-        const bitpack::CompressedFilterBank& bank = compressed_bank();
-        KernelVariant reuse = gemm;
-        reuse.reuse = true;
-        reuse.kernel = "im2col+bitgemm_reuse";
-        if (bank.unique_rows() <= bitpack::kReuseMaxDict &&
-            bank.unique_rows() < out_channels() &&
-            reference_ms(reuse) < reference_ms(gemm)) {
-          return reuse;
-        }
-      }
       return gemm;
     }
   }
@@ -742,17 +637,6 @@ KernelVariant BinaryConv2d::select_variant(const Shape& in_shape,
              out_channels() % 8 == 0) {
     v.path = KernelVariant::Path::kConvFused;
     v.kernel = "bconv_fused";
-    // Duplicate-lane dedup of the shared-window schedule (DESIGN.md §12):
-    // only exact within-group duplicates are legal here (delta patches
-    // would change the window math), so the gate is the bank's distinct
-    // lane count plus the roofline comparison.
-    if (opts.weight_compress == WeightCompress::kAuto && opts.interior_split &&
-        compressed_bank().distinct_group_lanes() < out_channels()) {
-      KernelVariant dedup = v;
-      dedup.reuse = true;
-      dedup.kernel = "bconv_fused_dedup";
-      if (reference_ms(dedup) < reference_ms(v)) return dedup;
-    }
   } else {
     v.path = KernelVariant::Path::kConvSeparatePack;
     v.kernel = "bconv_nopack+pack";
@@ -946,39 +830,6 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
   const Launch& gemm = step.launches[1];
 
-  if (step.variant.reuse) {
-    // Partial-popcount reuse schedule (DESIGN.md §12): one work item per
-    // register tile scores every unique dictionary row ONCE (stage 1,
-    // partials in a fixed stack buffer — never the shared arena, so
-    // parallel work items cannot collide and warm forwards stay
-    // zero-allocation), then derives all c_out filters from the cached
-    // partials plus their delta corrections (stage 2). Bit-exact with the
-    // plain tile against the reconstructed weights.
-    const bitpack::CompressedFilterBank& bank = compressed_bank();
-    ctx.queue.enqueue(
-        *gemm.name, NDRange{m_tiles, 1, 1}, gemm.cost,
-        [&, k_words, m, out_pitch, branch_free, len, groups,
-         panel](const WorkItem& it) {
-          const std::int64_t m0 = it.x * bitpack::kGemmMr;
-          const std::int64_t rows =
-              std::min<std::int64_t>(bitpack::kGemmMr, m - m0);
-          std::int64_t partials[bitpack::kReuseMaxDict * bitpack::kGemmMr];
-          bitpack::xor_popcount_dict(panel + m0 * k_words, k_words, bank,
-                                     rows, partials);
-          std::int64_t mism[bitpack::kGemmMr * 8];
-          for (std::int64_t g = 0; g < groups; ++g) {
-            bitpack::xor_popcount_gemm_reuse_x8(panel + m0 * k_words, k_words,
-                                                bank, g, rows, partials,
-                                                mism);
-            for (std::int64_t r = 0; r < rows; ++r) {
-              out_bytes[(m0 + r) * out_pitch + g] =
-                  group_byte(&mism[r * 8], g, len, fb, branch_free);
-            }
-          }
-        });
-    return out;
-  }
-
   // One work item owns one m-tile across every filter group, so the tile's
   // panel rows stay in L1 while each group's interleaved filter words
   // stream past them.
@@ -998,47 +849,6 @@ PackedTensor BinaryConv2d::forward_gemm(ExecContext& ctx,
             out_bytes[(m0 + r) * out_pitch + g] =
                 group_byte(&mism[r * 8], g, len, fb, branch_free);
           }
-        }
-      });
-  return out;
-}
-
-PackedTensor BinaryConv2d::forward_fused_dedup(ExecContext& ctx,
-                                               const PackedTensor& in,
-                                               const PlanStep& step) const {
-  // Path A with the duplicate-lane table (DESIGN.md §12): selection only
-  // takes this variant with the interior split on, so there is no per-tap
-  // ablation arm here. Work and traffic scale by the bank's distinct-lane
-  // fraction; results are bit-exact with forward_fused.
-  const ConvDims d = make_dims(in, weights_, geom_);
-  PackedTensor out = ctx.make_packed(Shape{d.n, d.oh, d.ow, d.c_out});
-  const bitpack::CompressedFilterBank& bank = compressed_bank();
-  const std::uint8_t* lane_src = bank.lane_sources().data();
-  const KernelVariant& v = step.variant;
-  const auto pw = v.pack_width;
-  const bool branch_free = ctx.opts.branch_free_binarize;
-  const std::int64_t len = d.kh * d.kw * d.c_in;
-  const std::int64_t tile = std::min(v.tile_ow, d.ow);
-  const std::int64_t tiles_x = ceil_div(d.ow, tile);
-  const std::int64_t groups = d.c_out / 8;
-  const FoldedBatchNorm& fb = folded_;
-
-  auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
-  const Launch& l = step.launches[0];
-  ctx.queue.enqueue(
-      *l.name, NDRange{tiles_x, d.oh, d.n * groups}, l.cost,
-      [&, d, pw, branch_free, len, groups, tile,
-       lane_src](const WorkItem& it) {
-        const std::int64_t n = it.z / groups;
-        const std::int64_t g = it.z % groups;
-        const bool y_in = it.y >= d.y0 && it.y < d.y1;
-        const std::int64_t x_end = std::min(d.ow, (it.x + 1) * tile);
-        for (std::int64_t ox = it.x * tile; ox < x_end; ++ox) {
-          std::int64_t mism[8];
-          group_mismatches_dedup(in, weights_, d, n, it.y, ox, g,
-                                 lane_src + g * 8, pw, y_in, mism);
-          out_bytes[out.word_offset(n, it.y, ox, 0) * 8 + g] =
-              group_byte(mism, g, len, fb, branch_free);
         }
       });
   return out;

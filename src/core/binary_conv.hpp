@@ -81,7 +81,7 @@ class BinaryConv2d final : public Layer {
 
   /// Dictionary/index/delta factorization of the filter bank (DESIGN.md
   /// §12). Built lazily and deterministically from the packed weights on
-  /// first use (compile-time selection, v4 artifact save, compress-stats) —
+  /// first use (compile-time stats, v4 artifact save, compress-stats) —
   /// one std::call_once guards the build, so concurrent compiles are safe —
   /// or adopted verbatim by the artifact loader so loading never
   /// re-clusters.
@@ -92,7 +92,7 @@ class BinaryConv2d final : public Layer {
 
  private:
   /// Ahead-of-time kernel selection from input geometry + options: the
-  /// execution path (A/B/C/D, reuse), the pack width (span- or
+  /// execution path (A/B/C/D), the pack width (span- or
   /// channel-keyed), the interior split and the resolved output-x tile.
   /// Candidate schedules are compared by pricing them with price() on the
   /// reference profile. Called from plan().
@@ -117,14 +117,6 @@ class BinaryConv2d final : public Layer {
   bitpack::PackedTensor forward_gemm(ExecContext& ctx,
                                      const bitpack::PackedTensor& in,
                                      const PlanStep& step) const;
-  /// Path A with the duplicate-lane table (DESIGN.md §12): each workload
-  /// group computes one window per DISTINCT lane (exact-duplicate filters
-  /// copy the earlier lane's mismatch count) — selected only under
-  /// WeightCompress::kAuto when the bank's dedup fraction wins the roofline
-  /// comparison; bit-exact with forward_fused's shared-window schedule.
-  bitpack::PackedTensor forward_fused_dedup(ExecContext& ctx,
-                                            const bitpack::PackedTensor& in,
-                                            const PlanStep& step) const;
   /// Compiled conv→pool fused step (plan.cpp's rewrite, DESIGN.md §7): one
   /// kernel computes path-A conv bytes into a per-row stack buffer and
   /// ORs each pool window out of it, emitting the pooled packed map
@@ -138,7 +130,7 @@ class BinaryConv2d final : public Layer {
   struct KernelNames {
     explicit KernelNames(const std::string& layer);
     std::string fused, nopack, pack, raw, bn_binarize, im2col, bitgemm,
-        bitgemm_reuse, fused_dedup, fused_pool;
+        fused_pool;
   };
   KernelNames kn_;
   bitpack::PackedTensor weights_;

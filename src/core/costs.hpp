@@ -78,32 +78,6 @@ inline constexpr double kGemmInstrOverheadCycles = 0.25;
 /// ALU cycles. Charged once per tile (span_count), not per output.
 inline constexpr double kGemmTileSetupCycles = 8.0;
 
-/// Work charged per delta-word correction of the partial-popcount reuse
-/// schedule (DESIGN.md §12), in equivalent 64-bit lane ops: load the patched
-/// a-word and dict word, two xors, two popcounts, and the signed fixup —
-/// about four word ops where the plain kernel spends one per K word. Reuse
-/// wins exactly when unique_rows * k_words + deltas * this constant beats
-/// c_out * k_words, which is what modeled selection compares.
-inline constexpr double kReuseDeltaWordOps = 4.0;
-
-/// Bit-lane ops of one im2col panel scored by the reuse schedule: every
-/// unique dictionary row pays the full 2-op/word xor+popcount reduction per
-/// panel row (stage 1, computed once per m-tile), and every delta entry pays
-/// the word-granular correction per panel row (stage 2).
-inline double reuse_gemm_bitop_bits(double m, double unique_rows,
-                                    double k_words, double delta_words) {
-  return m * (unique_rows * 2.0 * k_words * 64.0 +
-              delta_words * kReuseDeltaWordOps * 64.0);
-}
-
-/// Span-setup units per OUTPUT of the dedup'd shared-window interior
-/// schedule (path A with an intra-group duplicate-lane table): only the
-/// `distinct_frac` fraction of a group's 8 lanes streams its kh row spans;
-/// duplicate lanes copy an earlier lane's mismatch counts for free.
-inline double dedup_window_spans(double kh, double distinct_frac) {
-  return kh * distinct_frac;
-}
-
 /// Additional instruction overhead when vectorized loads are off (each
 /// operand arrives in pieces).
 inline constexpr double kScalarLoadInstrOverhead = 2.0;

@@ -27,16 +27,14 @@ enum class ConvPathPreference : std::uint8_t {
 
 /// Weight-compression policy (DESIGN.md §12). Compression is always
 /// lossless — the dictionary/index/delta factorization reconstructs the
-/// packed filter bank bit-exactly — so the knob only controls where it is
-/// applied. kOff keeps today's behaviour byte-for-byte (v3 artifacts, raw
-/// weight records). kLossless compresses artifact storage (format v4) but
-/// executes the plain kernels. kAuto additionally lets ahead-of-time
-/// selection pick the partial-popcount reuse kernels where the roofline
-/// model says the measured redundancy pays for the delta corrections.
+/// packed filter bank bit-exactly — and only changes how artifacts store
+/// the weights: every conv path runs on the reconstructed bank either way.
+/// kOff keeps today's bytes (v3 artifacts, raw weight records); kAuto
+/// stores each conv bank compressed (format v4) where that is smaller.
+/// Value 1 is retired and loaders reject it.
 enum class WeightCompress : std::uint8_t {
-  kOff = 0,       ///< raw weights, format v3, plain kernels (default)
-  kLossless = 1,  ///< compressed .pba storage only, execution unchanged
-  kAuto = 2,      ///< compressed storage + roofline-selected reuse kernels
+  kOff = 0,   ///< raw weights, format v3 (default)
+  kAuto = 2,  ///< compressed .pba storage where smaller, format v4
 };
 
 /// Tunable engine behaviour (all paper defaults ON).
@@ -107,11 +105,10 @@ struct EngineOptions {
   ConvPathPreference conv_path = ConvPathPreference::kAuto;
 
   /// Weight-compression policy (DESIGN.md §12): kOff is byte-identical to
-  /// the pre-compression engine; kLossless/kAuto store conv filter banks as
-  /// dictionary + row indices + XOR deltas in v4 artifacts; kAuto also
-  /// enables the partial-popcount reuse kernels where selection says the
-  /// bank's redundancy wins. Off by default so existing artifacts, byte
-  /// walks, and bench ablations are untouched.
+  /// the pre-compression engine; kAuto stores conv filter banks as
+  /// dictionary + row indices + XOR deltas in v4 artifacts. Execution is
+  /// the same under both. Off by default so existing artifacts, byte walks
+  /// and bench ablations are untouched.
   WeightCompress weight_compress = WeightCompress::kOff;
 
   /// §VI-A.1 vectorized load/store. Turning this off models scalar loads:

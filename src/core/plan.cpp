@@ -109,14 +109,6 @@ ExecutionPlan Network::compile(const EngineOptions& opts, const BlobDesc& input,
         step.fused_pool = pool.layer;
         step.fused_mid = step.out;
         step.out = pool.out;
-        // The fused conv→pool kernel keeps the plain shared-window schedule;
-        // the dedup reuse variant does not compose with its row buffer, so
-        // fusion (the bigger win — the conv map is never written) takes
-        // precedence and the reuse flag is cleared before serialization.
-        if (step.variant.reuse) {
-          step.variant.reuse = false;
-          step.variant.kernel = "bconv_fused";
-        }
         step.variant.kernel += "+maxpool";
         step.display += "+" + pool.layer->name();
         // Re-clamp the output-x tile to the POOLED row and the fused row
@@ -332,8 +324,7 @@ std::string ExecutionPlan::dump() const {
       os << " path=" << letter;
     }
     os << " pw=" << bitpack::bits(st.variant.pack_width)
-       << (st.variant.interior_split ? " split" : "")
-       << (st.variant.reuse ? " reuse" : "");
+       << (st.variant.interior_split ? " split" : "");
     if (st.variant.path == KernelVariant::Path::kConvGemm) {
       // The GEMM register-tile shape: tile_ow M-rows x the 8-filter group.
       os << " tile=" << st.variant.tile_ow << "x8";

@@ -127,13 +127,10 @@ struct KernelVariant {
   bool interior_split = false;
   /// Resolved output-x tile width (0 = the layer does not tile).
   std::int64_t tile_ow = 0;
-  /// Partial-popcount reuse schedule selected (DESIGN.md §12): path D scores
-  /// unique dictionary rows once per tile and patches referencing filters;
-  /// path A computes one window per distinct lane of a filter group and
-  /// copies duplicates. Only ever true under WeightCompress::kAuto when the
-  /// roofline model says the bank's measured redundancy wins; bit-exact with
-  /// the plain schedule either way.
-  bool reuse = false;
+  /// Weight compression never changes what runs (DESIGN.md §12), so no
+  /// step selects a reuse schedule; the flag stays readable for callers
+  /// that count such steps.
+  static constexpr bool reuse = false;
   /// Kernel family, for plan dumps ("bconv_fused", "maxpool_or", ...).
   std::string kernel;
 };

@@ -166,13 +166,10 @@ TEST(AllocCount, BatchedPlanPeaksExactAndWarmForwardAllocatesNothing) {
   }
 }
 
-/// Compressed-weight plans (PR 9) keep the whole contract: the lazily
-/// built filter banks and the reuse kernels' stage-1 partials live off the
-/// arena (compile-time shared_ptr and per-work-item stack respectively),
-/// so the arena lands byte-exactly on the plan's peaks and warm forwards
-/// stay zero-allocation — storage-only (kLossless) and reuse-selected
-/// (kAuto) alike, on both the fused default path and the bit-GEMM path
-/// where the reuse kernels run.
+/// Compressed-weight plans keep the whole contract: the lazily built filter
+/// banks live off the arena (a compile-time shared_ptr), so the arena lands
+/// byte-exactly on the plan's peaks and warm forwards stay zero-allocation,
+/// on both the fused default path and the bit-GEMM path.
 TEST(AllocCount, WarmCompressedForwardAllocatesNothingAndPeaksExact) {
   const core::FloatModel model =
       FloatModel::random_redundant(models::quicknet(10), 507);
@@ -185,8 +182,6 @@ TEST(AllocCount, WarmCompressedForwardAllocatesNothingAndPeaksExact) {
     core::ConvPathPreference path;
   };
   const OptCase cases[] = {
-      {"lossless", core::WeightCompress::kLossless,
-       core::ConvPathPreference::kAuto},
       {"auto", core::WeightCompress::kAuto, core::ConvPathPreference::kAuto},
       {"auto-gemm", core::WeightCompress::kAuto,
        core::ConvPathPreference::kGemm},

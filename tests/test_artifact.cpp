@@ -625,6 +625,52 @@ TEST_F(ArtifactTest, ResealedPathDOnPartialGroupRejected) {
   }
 }
 
+/// The two bytes weight compression retired, set in a resealed v4 file:
+/// the variant record's reuse byte (always written 0) and options value 1
+/// (the old storage-only mode, which kAuto now is). Each names its section
+/// and the offset just past the byte.
+TEST_F(ArtifactTest, ResealedRetiredCompressionBytesRejected) {
+  EngineOptions opts;
+  opts.weight_compress = core::WeightCompress::kAuto;
+  core::Engine engine(testing::test_device(), opts);
+  save_quicknet(engine);
+  const std::vector<std::uint8_t> saved = read_bytes(path_);
+  const auto table = artifact::section_table(path_);
+  std::uint32_t version = 0;
+  std::memcpy(&version, saved.data() + artifact::kVersionOffset, 4);
+  ASSERT_EQ(version, 4u);
+
+  const auto reject_set = [&](std::int64_t at, std::uint8_t was,
+                              const std::string& what,
+                              const std::string& section) {
+    ASSERT_EQ(saved[static_cast<std::size_t>(at)], was);
+    std::vector<std::uint8_t> evil = saved;
+    evil[static_cast<std::size_t>(at)] = 1;
+    patch_checksum(evil);
+    write_bytes(path_, evil);
+    expect_rejected(path_, what + " (section '" + section +
+                               "', byte offset " + std::to_string(at + 1) +
+                               ")");
+  };
+
+  // weight_compress is the options record's last byte.
+  ASSERT_EQ(table[1].tag, artifact::Section::kOptions);
+  reject_set(table[1].body_offset + table[1].body_bytes - 1,
+             static_cast<std::uint8_t>(core::WeightCompress::kAuto),
+             "invalid weight compression mode 1", "options");
+
+  // Step 0's variant: path, pack width, split, then the reuse byte.
+  std::int64_t t = table[3].body_offset;
+  std::uint32_t name_len;
+  std::memcpy(&name_len, saved.data() + t, 4);
+  t += 4 + name_len;  // plan name
+  t += 4;             // step count
+  t += 4 + 4;         // layer index + fused pool index
+  t += 3 * 33;        // in / out / fused_mid descriptors
+  t += 1 + 4 + 1;     // variant: path + pack width + split
+  reject_set(t, 0, "retired reuse kernel variant flag is set", "plan");
+}
+
 /// Re-pointing a step at its predecessor's activation slot (resealed):
 /// step i+1 reads slot i while writing its own, so shared adjacent slots
 /// would alias input and output in place — the loader must re-establish

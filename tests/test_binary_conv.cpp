@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -195,12 +198,17 @@ TEST(BinaryConv, RejectsFloatInput) {
 // counts around word boundaries and, in a quarter of the draws, thresholds
 // exactly on reachable sums and at +-inf (testing::tie_bn). The perfbench bit-exact gate cannot see a
 // path-A bug (its reference plan runs path A too), so this is the check.
+// A second set of draws gives every bank redundant filters (duplicate lanes
+// and sparse sign flips) and runs each arm through a kAuto artifact: saved
+// with compressed weight storage, loaded back, then run.
 // ---------------------------------------------------------------------------
 
 struct BconvCase {
   std::int64_t c_in, c_out, n, h, w, kh, kw, sh, sw, ph, pw;
   bool branch_free;
   bool ties;  ///< thresholds on reachable sums and at +-inf (tie_bn)
+  /// Redundant filter bank, run through a saved and loaded kAuto artifact.
+  bool compressed;
   std::uint64_t seed;
 
   /// One pasteable line that re-runs exactly this case.
@@ -209,11 +217,32 @@ struct BconvCase {
     os << std::boolalpha << "repro: check_bconv_case({" << c_in << ", "
        << c_out << ", " << n << ", " << h << ", " << w << ", " << kh << ", "
        << kw << ", " << sh << ", " << sw << ", " << ph << ", " << pw << ", "
-       << branch_free << ", " << ties << ", " << seed << "});  // K = "
-       << kh * kw * ((c_in + 63) / 64) << " words";
+       << branch_free << ", " << ties << ", " << compressed << ", " << seed
+       << "});  // K = " << kh * kw * ((c_in + 63) / 64) << " words";
     return os.str();
   }
 };
+
+/// The case's filter bank. A compressed case overlays the redundancy of
+/// trained binary banks on each group of 8 filters: lanes 1-3 copy lane 0,
+/// lanes 4-5 copy it with one or two sign flips, lanes 6-7 stay random.
+FloatTensor oracle_weights(const BconvCase& c) {
+  FloatTensor w = testing::random_sign_tensor(
+      Shape{c.c_out, c.kh, c.kw, c.c_in}, c.seed + 1);
+  if (!c.compressed) return w;
+  Rng rng(c.seed + 4);
+  const std::int64_t fsize = c.kh * c.kw * c.c_in;
+  for (std::int64_t f = 0; f < c.c_out; ++f) {
+    const std::int64_t lane = f % 8;
+    if (lane == 0 || lane > 5) continue;
+    float* row = w.data() + f * fsize;
+    std::copy(row - lane * fsize, row - lane * fsize + fsize, row);
+    for (std::int64_t flips = lane < 4 ? 0 : 1 + lane - 4; flips > 0; --flips) {
+      row[rng.below(static_cast<std::uint64_t>(fsize))] *= -1.0f;
+    }
+  }
+  return w;
+}
 
 /// BN whose thresholds fall inside the range of the conv sums (about
 /// sqrt(K) for random signs), so the output bits depend on the sums, not
@@ -240,8 +269,7 @@ void check_bconv_case(const BconvCase& c) {
   using Path = core::KernelVariant::Path;
   const Shape in_shape{c.n, c.h, c.w, c.c_in};
   const FloatTensor in = testing::random_sign_tensor(in_shape, c.seed);
-  const FloatTensor w = testing::random_sign_tensor(
-      Shape{c.c_out, c.kh, c.kw, c.c_in}, c.seed + 1);
+  const FloatTensor w = oracle_weights(c);
   ConvGeometry g;
   g.kernel_h = c.kh;
   g.kernel_w = c.kw;
@@ -260,18 +288,28 @@ void check_bconv_case(const BconvCase& c) {
   const core::BlobDesc desc = core::describe_blob(input);
 
   // Compiles conv (+ pool) under `opts`, checks the conv step took `path`
-  // (and fused the pool), and compares the run with `want`.
+  // (and fused the pool), and compares the run with `want`. A compressed
+  // case runs the plan of a kAuto artifact, saved and loaded back.
   const auto run = [&](const char* arm, core::EngineOptions opts, Path path,
                        const core::PoolGeometry* pool,
                        const FloatTensor& want) {
     SCOPED_TRACE(arm);
     opts.branch_free_binarize = c.branch_free;
+    if (c.compressed) opts.weight_compress = core::WeightCompress::kAuto;
     core::Engine engine(testing::test_device(), opts);
     core::Network net("oracle");
     net.emplace<BinaryConv2d>("conv", bitpack::pack_filter_signs(w), bn,
                               bias, g);
     if (pool != nullptr) net.emplace<core::MaxPool2d>("pool", *pool);
-    const core::ExecutionPlan plan = net.compile(engine, desc);
+    const core::ExecutionPlan compiled = net.compile(engine, desc);
+    std::optional<artifact::LoadedArtifact> loaded;
+    if (c.compressed) {
+      const std::string file = testing::temp_path("oracle.pba");
+      artifact::save(net, compiled, file);
+      loaded.emplace(engine.load_artifact(file));
+      std::remove(file.c_str());
+    }
+    const core::ExecutionPlan& plan = loaded ? loaded->plan : compiled;
     ASSERT_EQ(plan.steps().size(), 1u);
     ASSERT_EQ(plan.steps()[0].variant.path, path);
     ASSERT_EQ(plan.steps()[0].fused_pool != nullptr, pool != nullptr);
@@ -343,6 +381,7 @@ BconvCase random_bconv_case(Rng& rng, std::uint64_t seed) {
   } while (c.w + 2 * c.pw < c.kw);
   c.branch_free = draw(2) == 1;
   c.ties = draw(4) == 0;
+  c.compressed = false;
   c.seed = seed;
   return c;
 }
@@ -356,15 +395,43 @@ TEST(BinaryConvOracle, RandomGeometriesMatchFloatReference) {
   }
 }
 
+/// Compressed weight storage: redundant banks through kAuto artifacts.
+/// Half the draws take C_in 63, 65 or 130, so mode-1 storage (dictionary +
+/// deltas, picked only where smaller than raw) covers banks with pad bits
+/// in their last word; the loader rebuilds those words from the dictionary.
+TEST(BinaryConvOracle, CompressedStorageMatchesFloatReference) {
+  static constexpr std::int64_t kPadded[] = {63, 65, 130};
+  Rng rng(0xc0b1);
+  std::map<std::int64_t, int> stored;  // C_in -> cases stored as mode 1
+  for (int i = 0; i < 90; ++i) {
+    BconvCase c = random_bconv_case(rng, 9600 + static_cast<std::uint64_t>(i));
+    if (i % 2 == 0) c.c_in = kPadded[(i / 2) % 3];
+    c.compressed = true;
+    const bitpack::CompressStats cs =
+        bitpack::CompressedFilterBank::build(
+            bitpack::pack_filter_signs(oracle_weights(c)))
+            .stats();
+    if (cs.encoded_bytes < cs.raw_bytes) ++stored[c.c_in];
+    check_bconv_case(c);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  for (const std::int64_t c_in : kPadded) {
+    EXPECT_GE(stored[c_in], 10) << "C_in " << c_in << ": too few banks stored as mode 1";
+  }
+}
+
 TEST(BinaryConvOracle, WindowsLargerThanTheBorderPanel) {
   // K above BinaryConv2d::kBorderPanelWords: path A scores each border
   // window alone, in K chunks of the stack panel. 700 channels are 11
   // words, so a 7x7 window is 539 words; 1500 channels (24 words) in a
   // 5x5 window are 600. The 3x7 case (210 words) fits two windows a fill.
   static_assert(BinaryConv2d::kBorderPanelWords < 7 * 7 * 11);
-  check_bconv_case({700, 8, 1, 9, 8, 7, 7, 1, 2, 3, 2, true, false, 9500});
-  check_bconv_case({1500, 16, 1, 6, 7, 5, 5, 2, 1, 2, 4, false, true, 9501});
-  check_bconv_case({640, 8, 3, 5, 9, 3, 7, 1, 1, 1, 3, true, false, 9502});
+  check_bconv_case(
+      {700, 8, 1, 9, 8, 7, 7, 1, 2, 3, 2, true, false, false, 9500});
+  check_bconv_case(
+      {1500, 16, 1, 6, 7, 5, 5, 2, 1, 2, 4, false, true, false, 9501});
+  check_bconv_case(
+      {640, 8, 3, 5, 9, 3, 7, 1, 1, 1, 3, true, false, false, 9502});
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
 // Weight compression (DESIGN.md §12): the dictionary/index/delta
 // factorization of packed filter banks and everything that consumes it.
+// Compression only changes how artifacts store the weights; the kernels a
+// plan runs are the same under kOff and kAuto.
 //
-// The suite proves the PR 9 contract four ways:
-//   1. algebraically: build → reconstruct is the identity on every bank,
-//      and the partial-popcount reuse kernels match the plain register-
-//      tiled bit-GEMM bit-exactly on redundant and incompressible banks;
-//   2. differentially: zoo-wide (quicknet, yolov2tiny-s3), the kLossless
-//      and kAuto paths produce bit-identical outputs to kOff — compiled,
-//      loaded from a v4 artifact, fused, batched N>1 and fleet-served;
+// The suite proves that contract four ways:
+//   1. algebraically: build → reconstruct is the identity on every bank;
+//   2. differentially: zoo-wide (quicknet, yolov2tiny-s3), kAuto selects
+//      the same kernels as kOff and produces bit-identical outputs —
+//      compiled, loaded from a v4 artifact, fused, batched N>1 and
+//      fleet-served;
 //   3. structurally: v4 artifacts round trip byte-identically, record the
 //      compression option, shrink the network section >= 1.3x on a
 //      redundant model, and default (kOff) saves still emit v3 bytes;
@@ -97,7 +98,7 @@ PackedTensor redundant_bank(std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Algebraic: build/reconstruct identity and reuse-kernel exactness.
+// 1. Algebraic: build/reconstruct identity.
 // ---------------------------------------------------------------------------
 
 TEST(CompressBank, ReconstructIsIdentityOnRedundantAndRandomBanks) {
@@ -135,72 +136,8 @@ TEST(CompressBank, ClusteringIsDeterministic) {
   EXPECT_EQ(a.stats(), b.stats());
 }
 
-TEST(CompressBank, LaneSourcesMarkExactIntraGroupDuplicates) {
-  const PackedTensor w = redundant_bank(904);
-  const CompressedFilterBank bank = CompressedFilterBank::build(w);
-  const auto& src = bank.lane_sources();
-  ASSERT_EQ(static_cast<std::int64_t>(src.size()), bank.num_filters());
-  const std::int64_t k = bank.k_words();
-  std::int64_t distinct = 0;
-  for (std::int64_t f = 0; f < bank.num_filters(); ++f) {
-    const std::int64_t lane = f % 8;
-    const std::int64_t lane_src = src[static_cast<std::size_t>(f)];
-    ASSERT_LE(lane_src, lane) << "lane may only point backwards";
-    if (lane_src == lane) {
-      ++distinct;
-    } else {
-      // A copying lane must be bit-identical to its source lane.
-      EXPECT_EQ(std::memcmp(w.pixel(f, 0, 0), w.pixel(f - lane + lane_src, 0, 0),
-                            static_cast<std::size_t>(k) * 8),
-                0)
-          << "filter " << f;
-    }
-  }
-  EXPECT_EQ(distinct, bank.distinct_group_lanes());
-  // random_redundant plants lanes 1-3 as exact copies of lane 0: at most
-  // 5 of every 8 lanes compute.
-  EXPECT_LE(distinct, bank.num_filters() * 5 / 8);
-}
-
-TEST(CompressBank, ReuseKernelsMatchPlainGemmBitExactly) {
-  const PackedTensor w = redundant_bank(905);
-  const CompressedFilterBank bank = CompressedFilterBank::build(w);
-  ASSERT_LE(bank.unique_rows(), bitpack::kReuseMaxDict);
-  const std::int64_t k = bank.k_words();
-  const std::int64_t groups = bank.num_filters() / 8;
-  ASSERT_GT(groups, 0);
-
-  // Random packed im2col panel: kGemmMr rows of k words.
-  Rng rng(906);
-  std::vector<std::uint64_t> a(
-      static_cast<std::size_t>(bitpack::kGemmMr * k));
-  for (auto& word : a) word = rng();
-
-  // The plain GEMM reads the filter-interleaved panel path D builds.
-  const std::vector<std::uint64_t> panel =
-      bitpack::interleave_filter_panel(w.data(), bank.num_filters(), k);
-  std::vector<std::int64_t> partials(
-      static_cast<std::size_t>(bank.unique_rows() * bitpack::kGemmMr));
-  for (const std::int64_t rows : {std::int64_t{1}, std::int64_t{3},
-                                  std::int64_t{bitpack::kGemmMr}}) {
-    bitpack::xor_popcount_dict(a.data(), k, bank, rows, partials.data());
-    for (std::int64_t g = 0; g < groups; ++g) {
-      std::int64_t reuse[bitpack::kGemmMr * 8];
-      std::int32_t plain[bitpack::kGemmMr * 8];
-      bitpack::xor_popcount_gemm_reuse_x8(a.data(), k, bank, g, rows,
-                                          partials.data(), reuse);
-      bitpack::xor_popcount_gemm_x8(a.data(), k, panel.data() + g * 8 * k, k,
-                                    rows, plain);
-      for (std::int64_t i = 0; i < rows * 8; ++i) {
-        ASSERT_EQ(reuse[i], plain[i])
-            << "group " << g << " rows " << rows << " slot " << i;
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// 2. Differential: zoo-wide bit-exactness of kLossless / kAuto vs kOff.
+// 2. Differential: zoo-wide, kAuto runs what kOff runs, bit-exactly.
 // ---------------------------------------------------------------------------
 
 struct ZooCase {
@@ -235,9 +172,8 @@ TEST(CompressForward, BitExactAcrossZooModesPathsAndBatches) {
                   static_cast<std::size_t>(one.elems()));
     }
 
-    // Fused default path and the bit-GEMM path (where the reuse kernels
-    // live) — each compared against its own kOff baseline so ONLY the
-    // compression knob differs.
+    // Fused default path and the bit-GEMM path — each compared against its
+    // own kOff baseline so ONLY the compression knob differs.
     struct PathCase {
       const char* label;
       core::ConvPathPreference path;
@@ -255,15 +191,53 @@ TEST(CompressForward, BitExactAcrossZooModesPathsAndBatches) {
         auto session = engine.create_session();
         return plan.run(session, core::Blob{img}).float_output();
       };
-      const FloatTensor ref = run(WeightCompress::kOff, image);
-      const FloatTensor bref = run(WeightCompress::kOff, batch);
-      for (const WeightCompress wc :
-           {WeightCompress::kLossless, WeightCompress::kAuto}) {
-        EXPECT_TRUE(testing::expect_bitexact(run(wc, image), ref))
-            << c.name << "/" << p.label << " single";
-        EXPECT_TRUE(testing::expect_bitexact(run(wc, batch), bref))
-            << c.name << "/" << p.label << " batched N=4";
+      EXPECT_TRUE(testing::expect_bitexact(run(WeightCompress::kAuto, image),
+                                           run(WeightCompress::kOff, image)))
+          << c.name << "/" << p.label << " single";
+      EXPECT_TRUE(testing::expect_bitexact(run(WeightCompress::kAuto, batch),
+                                           run(WeightCompress::kOff, batch)))
+          << c.name << "/" << p.label << " batched N=4";
+    }
+  }
+}
+
+/// Compression is storage only: kAuto compiles exactly the kernels kOff
+/// compiles — same paths, variants and priced launches, step for step —
+/// on redundant weights, under roofline selection and with each path
+/// pinned.
+TEST(CompressForward, SelectionIsIdenticalToUncompressed) {
+  const oclsim::DeviceProfile& p855 = testing::test_device()->profile();
+  for (const ZooCase& c : zoo_cases()) {
+    const FloatModel model = FloatModel::random_redundant(c.spec, c.seed);
+    auto net = core::convert_to_phonebit(model);
+    for (const auto path :
+         {core::ConvPathPreference::kAuto, core::ConvPathPreference::kRowFused,
+          core::ConvPathPreference::kGemm}) {
+      SCOPED_TRACE(c.name + " conv_path " +
+                   std::to_string(static_cast<int>(path)));
+      const auto compile = [&](WeightCompress wc) {
+        EngineOptions opts;
+        opts.conv_path = path;
+        opts.weight_compress = wc;
+        return net->compile(opts, BlobDesc{BlobKind::kU8, model.spec.input});
+      };
+      const ExecutionPlan off = compile(WeightCompress::kOff);
+      const ExecutionPlan comp = compile(WeightCompress::kAuto);
+      ASSERT_EQ(off.steps().size(), comp.steps().size());
+      for (std::size_t i = 0; i < off.steps().size(); ++i) {
+        const core::PlanStep& a = off.steps()[i];
+        const core::PlanStep& b = comp.steps()[i];
+        EXPECT_EQ(a.variant.path, b.variant.path) << b.name();
+        EXPECT_EQ(a.variant.kernel, b.variant.kernel) << b.name();
+        EXPECT_EQ(a.variant.pack_width, b.variant.pack_width) << b.name();
+        EXPECT_EQ(a.variant.tile_ow, b.variant.tile_ow) << b.name();
+        EXPECT_EQ(a.fused_pool, b.fused_pool) << b.name();
+        ASSERT_EQ(a.launches.size(), b.launches.size()) << b.name();
+        for (std::size_t l = 0; l < a.launches.size(); ++l) {
+          EXPECT_EQ(*a.launches[l].name, *b.launches[l].name) << b.name();
+        }
       }
+      EXPECT_EQ(off.modeled_ms(p855), comp.modeled_ms(p855));
     }
   }
 }
@@ -300,30 +274,27 @@ TEST_F(CompressArtifactTest, LoadedV4PlanReplaysBitExactZooWide) {
     const U8Tensor image = datasets::random_image(model.spec.input, c.seed);
     auto net = core::convert_to_phonebit(model);
 
-    for (const WeightCompress wc :
-         {WeightCompress::kLossless, WeightCompress::kAuto}) {
-      EngineOptions opts;
-      opts.weight_compress = wc;
-      const std::string path = temp_path(c.name);
-      core::Engine engine(testing::test_device(), opts);
-      const ExecutionPlan plan =
-          net->compile(engine, BlobDesc{BlobKind::kU8, image.shape()});
-      artifact::save(*net, plan, path);
+    EngineOptions opts;
+    opts.weight_compress = WeightCompress::kAuto;
+    const std::string path = temp_path(c.name);
+    core::Engine engine(testing::test_device(), opts);
+    const ExecutionPlan plan =
+        net->compile(engine, BlobDesc{BlobKind::kU8, image.shape()});
+    artifact::save(*net, plan, path);
 
-      // Loader adopts the serialized bank — no re-clustering, no
-      // re-selection, and the replay matches outputs AND modeled time.
-      const artifact::LoadedArtifact loaded = engine.load_artifact(path);
-      EXPECT_TRUE(loaded.plan.options() == plan.options()) << c.name;
-      EXPECT_EQ(loaded.plan.dump(), plan.dump()) << c.name;
-      auto s1 = engine.create_session();
-      auto s2 = engine.create_session();
-      EXPECT_TRUE(testing::expect_bitexact(
-          loaded.plan.run(s2, core::Blob{image}),
-          plan.run(s1, core::Blob{image})))
-          << c.name << " compress mode " << static_cast<int>(wc);
-      EXPECT_EQ(s2.stats().variant_selections, 0) << c.name;
-      EXPECT_EQ(s2.stats().compiles, 0) << c.name;
-    }
+    // Loader adopts the serialized bank — no re-clustering, no
+    // re-selection, and the replay matches outputs AND modeled time.
+    const artifact::LoadedArtifact loaded = engine.load_artifact(path);
+    EXPECT_TRUE(loaded.plan.options() == plan.options()) << c.name;
+    EXPECT_EQ(loaded.plan.dump(), plan.dump()) << c.name;
+    auto s1 = engine.create_session();
+    auto s2 = engine.create_session();
+    EXPECT_TRUE(testing::expect_bitexact(
+        loaded.plan.run(s2, core::Blob{image}),
+        plan.run(s1, core::Blob{image})))
+        << c.name;
+    EXPECT_EQ(s2.stats().variant_selections, 0) << c.name;
+    EXPECT_EQ(s2.stats().compiles, 0) << c.name;
   }
 }
 
@@ -380,7 +351,7 @@ TEST_F(CompressArtifactTest, V4RoundTripsByteIdenticallyAndRecordsOption) {
   auto net = core::convert_to_phonebit(model);
   const std::string path = temp_path("v4");
   EngineOptions opts;
-  opts.weight_compress = WeightCompress::kLossless;
+  opts.weight_compress = WeightCompress::kAuto;
   save(*net, opts, Shape{1, 32, 32, 3}, path);
 
   const std::vector<std::uint8_t> first = read_bytes(path);
@@ -393,7 +364,7 @@ TEST_F(CompressArtifactTest, V4RoundTripsByteIdenticallyAndRecordsOption) {
   // the adopted compressed banks, re-serialized without re-clustering.
   const artifact::LoadedArtifact loaded = artifact::load(path);
   EXPECT_TRUE(loaded.plan.options().weight_compress ==
-              WeightCompress::kLossless);
+              WeightCompress::kAuto);
   const std::string again = temp_path("v4_resave");
   artifact::save(*loaded.network, loaded.plan, again);
   EXPECT_EQ(read_bytes(again), first) << "v4 round trip altered the bytes";
@@ -432,7 +403,7 @@ TEST_F(CompressArtifactTest, NetworkSectionShrinksOnRedundantModel) {
   const std::string off_path = temp_path("shrink_off");
   save(*net, EngineOptions{}, input, off_path);
   EngineOptions comp;
-  comp.weight_compress = WeightCompress::kLossless;
+  comp.weight_compress = WeightCompress::kAuto;
   const std::string comp_path = temp_path("shrink_on");
   const ExecutionPlan plan = save(*net, comp, input, comp_path);
 
@@ -465,7 +436,7 @@ TEST_F(CompressArtifactTest, PlanRecordsPerStepCompressionStats) {
       FloatModel::random_redundant(models::quicknet(10), 934);
   auto net = core::convert_to_phonebit(model);
   EngineOptions opts;
-  opts.weight_compress = WeightCompress::kLossless;
+  opts.weight_compress = WeightCompress::kAuto;
   core::Engine engine(testing::test_device(), opts);
   const ExecutionPlan plan =
       net->compile(engine, BlobDesc{BlobKind::kU8, Shape{1, 32, 32, 3}});

@@ -638,25 +638,24 @@ struct PricingCase {
 
   /// A pasteable reproducer line for `fn`.
   std::string repro(const char* fn) const {
-    static const char* const kCompress[] = {"kOff", "kLossless", "kAuto"};
     std::ostringstream os;
     os << std::boolalpha << "repro: " << fn << "({\"" << net << "\", '"
        << path << "', WeightCompress::"
-       << kCompress[static_cast<int>(compress)] << ", " << split << ", "
+       << (compress == core::WeightCompress::kOff ? "kOff" : "kAuto") << ", "
+       << split << ", "
        << fuse_pool << ", " << n << "});";
     return os.str();
   }
 };
 
 /// Every cell of the grid: 4 nets x paths {auto, A, B, C, D} x
-/// compression {kOff, kLossless, kAuto} x split x fusion x N {1, 3}.
+/// compression {kOff, kAuto} x split x fusion x N {1, 3}.
 std::vector<PricingCase> pricing_grid() {
   std::vector<PricingCase> grid;
   for (const char* net : {"quicknet", "yolov2-tiny", "alexnet", "vgg16"}) {
     for (const char path : {'a', 'A', 'B', 'C', 'D'}) {
       for (const auto wc :
-           {core::WeightCompress::kOff, core::WeightCompress::kLossless,
-            core::WeightCompress::kAuto}) {
+           {core::WeightCompress::kOff, core::WeightCompress::kAuto}) {
         for (const bool split : {true, false}) {
           for (const bool fuse : {true, false}) {
             for (const std::int64_t n : {1, 3}) {
@@ -671,8 +670,8 @@ std::vector<PricingCase> pricing_grid() {
 }
 
 /// A grid net, converted once per process: clustered weights
-/// (FloatModel::random_redundant), so kAuto selection can reach the reuse
-/// kernels. `input` is the net's N = 1 input shape.
+/// (FloatModel::random_redundant), so kAuto stores compressed banks.
+/// `input` is the net's N = 1 input shape.
 struct PricingNet {
   std::unique_ptr<core::Network> net;
   Shape input;
@@ -699,9 +698,8 @@ enum Reached : unsigned {
   kPathB = 1u << 1,
   kPathC = 1u << 2,
   kPathD = 1u << 3,
-  kReuse = 1u << 4,
-  kFusedPool = 1u << 5,
-  kPlanes = 1u << 6,
+  kFusedPool = 1u << 4,
+  kPlanes = 1u << 5,
 };
 
 /// One grid cell: the plan's stored launches must match the events a live
@@ -734,7 +732,6 @@ unsigned check_pricing_case(const PricingCase& c) {
       case KernelVariant::Path::kConvGemm: reached |= kPathD; break;
       case KernelVariant::Path::kDefault: break;
     }
-    if (step.variant.reuse) reached |= kReuse;
     if (step.fused_pool != nullptr) reached |= kFusedPool;
   }
   if (plan.planes_geometry().has_value()) reached |= kPlanes;
@@ -800,8 +797,8 @@ TEST(PlanPricing, StoredLaunchesAreWhatDispatchEnqueues) {
     reached |= check_pricing_case(c);
   }
   // The grid exercises every schedule the pricing functions cover.
-  EXPECT_EQ(reached, kPathA | kPathB | kPathC | kPathD | kReuse | kFusedPool |
-                         kPlanes);
+  EXPECT_EQ(reached,
+            kPathA | kPathB | kPathC | kPathD | kFusedPool | kPlanes);
 }
 
 /// Absolute modeled totals (exact doubles), recorded from live runs of the
@@ -815,9 +812,9 @@ TEST(PlanPricing, ModeledTotalsArePinned) {
     double sd855, sd855_hit, sd625;
   };
   const Pin pins[] = {
-      // Path D with both reuse kernels, plane cache.
+      // Path D under compressed storage, plane cache.
       {{"yolov2-tiny", 'D', WeightCompress::kAuto, true, true, 1},
-       0.84241309084498062, 0.8111626854628865, 2.3301477592552962},
+       0.84775808632584637, 0.81650768094375203, 2.347424586251976},
       // Path C (raw BN on the hot path), N = 3.
       {{"alexnet", 'C', WeightCompress::kOff, true, true, 3},
        1.1868671182604849, 1.1307376029939675, 3.6754697141711858},
@@ -825,7 +822,7 @@ TEST(PlanPricing, ModeledTotalsArePinned) {
       {{"quicknet", 'a', WeightCompress::kAuto, true, true, 3},
        1.2915699638558669, 1.2594689115874522, 4.4182659543027176},
       // Per-tap input conv: no plane cache, a hit prices as a plain run.
-      {{"quicknet", 'C', WeightCompress::kLossless, false, false, 1},
+      {{"quicknet", 'C', WeightCompress::kAuto, false, false, 1},
        0.47158583498478085, 0.47158583498478085, 1.2858050339932692},
   };
   const oclsim::DeviceProfile& p855 = testing::test_device()->profile();

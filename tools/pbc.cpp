@@ -46,9 +46,9 @@
 //       the clustered checkpoint trained binary nets exhibit; without it a
 //       random checkpoint shows the incompressible baseline.
 //
-// compile/selfcheck accept --compress off|lossless|auto (default off):
-// lossless compresses v4 artifact weight storage, auto additionally lets
-// the roofline select the partial-popcount reuse kernels.
+// compile/selfcheck accept --compress off|auto (default off): auto stores
+// conv weights compressed in a v4 artifact where that is smaller; the
+// kernels a plan runs are the same either way.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -92,11 +92,11 @@ int usage() {
       "  pbc compile --model <quicknet|alexnet|yolov2-tiny|vgg16>\n"
       "              [-o out.pba] [--shrink N] [--seed S]\n"
       "              [--classes C (quicknet only)] [--no-fuse-conv-pool]\n"
-      "              [--compress off|lossless|auto] [--redundant]\n"
+      "              [--compress off|auto] [--redundant]\n"
       "  pbc compile --pbm model.pbm --input NxHxWxC [-o out.pba]\n"
       "  pbc dump <file.pba>\n"
       "  pbc selfcheck [--model <name>] [--shrink N] [--seed S]\n"
-      "                [--compress off|lossless|auto] [--redundant]\n"
+      "                [--compress off|auto] [--redundant]\n"
       "  pbc serve-check [--model <name>] [--shrink N] [--seed S]\n"
       "  pbc cascade-check [--model <name>] [--shrink N] [--seed S]\n"
       "  pbc compile-fleet --model <name> [--profiles sd855,sd660,...]\n"
@@ -174,8 +174,6 @@ bool parse(int argc, char** argv, Args& a) {
       const std::string mode = v;
       if (mode == "off") {
         a.compress = core::WeightCompress::kOff;
-      } else if (mode == "lossless") {
-        a.compress = core::WeightCompress::kLossless;
       } else if (mode == "auto") {
         a.compress = core::WeightCompress::kAuto;
       } else {
