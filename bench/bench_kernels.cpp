@@ -347,62 +347,14 @@ void bench_model_e2e(std::vector<bench::BenchRecord>& out) {
                    modeled / static_cast<double>(batch_n)});
   };
 
-  // Weight-compressed serving record: a REDUNDANT model (random_redundant —
-  // the clustering structure trained binary nets exhibit) compiled under
-  // kAuto, so the row tracks the whole-model weight compression ratio of
-  // the compressed artifact storage.
-  const auto run_model_compressed = [&](const std::string& tag,
-                                        const core::FloatModel& trained,
-                                        const U8Tensor& image) {
-    auto net = core::convert_to_phonebit(trained);
-    const core::Blob input{image};
-    core::EngineOptions opts;
-    opts.weight_compress = core::WeightCompress::kAuto;
-    core::Engine engine(device, opts);
-    const core::ExecutionPlan plan =
-        net->compile(engine, core::describe_blob(input));
-    auto session = engine.create_session();
-    core::RunOptions ro;
-    ro.borrow_output = true;
-    double modeled = 0.0;
-    const double host = best_ms(15, [&] {
-      session.reset_profile();
-      const auto result = plan.run(session, input, ro);
-      modeled = result.modeled_ms;
-    });
-    bench::BenchRecord rec{"model_e2e", tag + "/compressed", host, modeled};
-    std::int64_t raw = 0, enc = 0;
-    for (const auto& layer : net->layers()) {
-      if (const auto* conv =
-              dynamic_cast<const core::BinaryConv2d*>(layer.get())) {
-        const bitpack::CompressStats& cs = conv->compressed_bank().stats();
-        raw += cs.raw_bytes;
-        enc += std::min(cs.encoded_bytes, cs.raw_bytes);
-      }
-    }
-    if (enc > 0) {
-      rec.weights_bytes = enc;
-      rec.weights_ratio =
-          static_cast<double>(raw) / static_cast<double>(enc);
-    }
-    out.push_back(std::move(rec));
-  };
-
   run_model("quicknet",
             core::FloatModel::random(models::quicknet(10), 42),
             datasets::cifar_like_image(7));
-  run_model_compressed(
-      "quicknet", core::FloatModel::random_redundant(models::quicknet(10), 42),
-      datasets::cifar_like_image(7));
   models::ZooOptions zoo;
   zoo.shrink_log2 = 3;
   const auto yolo = core::FloatModel::random(models::yolov2_tiny(zoo), 21);
   run_model("yolov2tiny-s3", yolo,
             datasets::voc_like_image(yolo.spec.input.h, 9));
-  run_model_compressed(
-      "yolov2tiny-s3",
-      core::FloatModel::random_redundant(models::yolov2_tiny(zoo), 21),
-      datasets::voc_like_image(yolo.spec.input.h, 9));
 }
 
 /// Fleet-serving end-to-end record: a fixed quicknet trace placed across
@@ -600,10 +552,6 @@ int main(int argc, char** argv) {
                                // that kAuto may pick the bit-GEMM path)
     fast.conv_path = core::ConvPathPreference::kRowFused;
     bench_conv(spec, fast, "fast", records);
-    core::EngineOptions ckey;  // pack-width-key ablation: C_in keying
-    ckey.span_keyed_pack_width = false;
-    ckey.conv_path = core::ConvPathPreference::kRowFused;
-    bench_conv(spec, ckey, "fast-ckey", records);
     core::EngineOptions taps;  // pre-tentpole inner loop, kept for ablation
     taps.interior_split = false;
     taps.conv_path = core::ConvPathPreference::kRowFused;

@@ -1,21 +1,21 @@
 // PhoneBit quickstart — the Fig. 2 deployment flow end to end:
 //   1. take a trained full-precision model (synthetic stand-in here),
 //   2. convert it to the PhoneBit binary format (binarize + fold BN),
-//   3. "upload" it (save/load the .pbm file),
-//   4. build the engine on a simulated phone SoC and run inference.
+//   3. compile it for a simulated phone SoC (kernel selection, fusion,
+//      activation slots, exact memory peaks),
+//   4. "upload" it: save the .pba artifact, load it back through
+//      Engine::load_artifact (zero re-planning) and run the LOADED plan.
 //
 // Build & run:  ./build/quickstart
 //
-// `quickstart plan_dump` skips inference and prints the compiled
+// `quickstart plan_dump` skips inference and prints the loaded
 // ExecutionPlan instead (per-step kernel variants, activation slots, exact
 // scratch peak) — the ctest smoke target runs this mode.
 // `quickstart fused_dump` additionally self-checks the conv→pool fusion
 // pass: it verifies the printed plan contains fused steps and per-slot
 // slab backing offsets (the quickstart_fused_dump ctest target).
-// `quickstart artifact` exercises the compiled-artifact deployment
-// boundary end to end: compile → artifact::save(.pba) →
-// Engine::load_artifact → run the LOADED plan, self-checking that it
-// reproduces the in-memory compiled forward bit-exactly with zero
+// `quickstart artifact` self-checks the upload step: the loaded plan must
+// reproduce the in-memory compiled forward bit-exactly with zero
 // re-planning (the quickstart_artifact ctest target).
 #include <cstdio>
 #include <cstring>
@@ -35,9 +35,8 @@ int main(int argc, char** argv) {
   const bool artifact_mode =
       argc > 1 && std::strcmp(argv[1], "artifact") == 0;
   // The ctest targets run every mode concurrently in the build dir: each
-  // mode writes its own scratch files so the runs never race on them.
+  // mode writes its own artifact file so the runs never race on it.
   const std::string mode = argc > 1 ? argv[1] : "run";
-  const std::string pbm_path = "quicknet_" + mode + ".pbm";
   const std::string pba_path = "quicknet_" + mode + ".pba";
 
   // (1) A trained model. In a real deployment this comes from a BNN
@@ -54,12 +53,7 @@ int main(int argc, char** argv) {
               static_cast<double>(spec.float_param_bytes()) /
                   static_cast<double>(net->param_bytes()));
 
-  // (3) Round-trip through the on-disk format (the artifact you'd push to
-  // the phone).
-  core::save_model(*net, pbm_path);
-  auto deployed = core::load_model(pbm_path);
-
-  // (4) Compile for the simulated Snapdragon 855 (Adreno 640), then run.
+  // (3) Compile for the simulated Snapdragon 855 (Adreno 640).
   // compile() walks the pipeline once — shape inference, buffer-liveness
   // slot assignment, ahead-of-time kernel selection — and the resulting
   // ExecutionPlan is immutable: any number of sessions can run it
@@ -69,13 +63,19 @@ int main(int argc, char** argv) {
   core::Engine engine(device);
 
   const U8Tensor image = datasets::cifar_like_image(/*seed=*/7);
-  const core::ExecutionPlan plan = deployed->compile(
-      engine, core::BlobDesc{core::BlobKind::kU8, image.shape()});
+  const core::ExecutionPlan plan =
+      net->compile(engine, core::BlobDesc{core::BlobKind::kU8, image.shape()});
+
+  // (4) "Upload": the .pba artifact carries the network AND its plan; the
+  // phone-side engine loads it (validating the device profile's RAM) and
+  // runs it without re-planning anything.
+  artifact::save(*net, plan, pba_path);
+  const artifact::LoadedArtifact deployed = engine.load_artifact(pba_path);
+  std::remove(pba_path.c_str());
 
   if (plan_dump) {
-    const std::string dump = plan.dump();
+    const std::string dump = deployed.plan.dump();
     std::printf("%s", dump.c_str());
-    std::remove(pbm_path.c_str());
     if (fused_dump) {
       // Self-checking smoke: the fused plan must surface fused conv→pool
       // steps and the per-slot slab backing offsets.
@@ -96,43 +96,36 @@ int main(int argc, char** argv) {
       }
       std::printf("fused_dump: ok (%zu steps, fused steps present, "
                   "slot offsets printed)\n",
-                  plan.steps().size());
+                  deployed.plan.steps().size());
     }
     return 0;
   }
 
+  auto session = engine.create_session();
+  const auto result = deployed.plan.run(session, core::Blob{image});
+
   if (artifact_mode) {
-    // The full compiled-artifact deployment boundary: serialize the plan
-    // alongside the network, reload through the engine (which validates
-    // the device profile) and prove the loaded plan replays the in-memory
-    // forward bit-exactly — zero re-planning, zero re-selection.
-    artifact::save(*deployed, plan, pba_path);
-    const artifact::LoadedArtifact loaded = engine.load_artifact(pba_path);
-    auto s1 = engine.create_session();
-    auto s2 = engine.create_session();
-    const auto fresh = plan.run(s1, core::Blob{image});
-    const auto replay = loaded.plan.run(s2, core::Blob{image});
-    std::remove(pba_path.c_str());
-    std::remove(pbm_path.c_str());
-    if (!allclose(replay.float_output(), fresh.float_output(), 0.0f)) {
+    // The loaded plan must replay the in-memory compiled forward
+    // bit-exactly — zero re-planning, zero re-selection.
+    auto fresh_session = engine.create_session();
+    const auto fresh = plan.run(fresh_session, core::Blob{image});
+    if (!allclose(result.float_output(), fresh.float_output(), 0.0f)) {
       std::fprintf(stderr, "artifact: loaded forward diverged\n");
       return 1;
     }
-    if (replay.modeled_ms != fresh.modeled_ms ||
-        s2.stats().variant_selections != 0 || s2.stats().compiles != 0) {
+    if (result.modeled_ms != fresh.modeled_ms ||
+        session.stats().variant_selections != 0 ||
+        session.stats().compiles != 0) {
       std::fprintf(stderr, "artifact: loaded plan re-planned or drifted\n");
       return 1;
     }
     std::printf("artifact: ok (%zu steps, save -> load -> run bit-exact, "
                 "%.4f ms modeled)\n",
-                loaded.plan.steps().size(), replay.modeled_ms);
+                deployed.plan.steps().size(), result.modeled_ms);
     return 0;
   }
 
-  auto session = engine.create_session();
-  const auto result = plan.run(session, core::Blob{image});
   const FloatTensor& scores = result.float_output();
-
   std::printf("\nclass scores:\n");
   for (std::int64_t c = 0; c < scores.shape().c; ++c) {
     std::printf("  class %2lld: %8.2f\n", static_cast<long long>(c),
@@ -147,6 +140,5 @@ int main(int argc, char** argv) {
   }
   std::printf("total: %.4f ms modeled (%.1f ms host wall)\n",
               result.modeled_ms, result.host_ms);
-  std::remove(pbm_path.c_str());
   return 0;
 }

@@ -44,8 +44,7 @@ PackWidth select_pack_width(std::int64_t channels) noexcept;
 /// minimizing the per-row instruction count (full vectors + scalar tail
 /// words), ties to the wider vector. Unlike the channel rule this accounts
 /// for the tail — a 12-word span runs 3 exact ulong4 ops rather than one
-/// ulong8 op plus 4 scalar tail words (the bench_kernels `/fast-ckey`
-/// ablation keyed the decision).
+/// ulong8 op plus 4 scalar tail words.
 PackWidth select_pack_width_for_span(std::int64_t span_words) noexcept;
 
 /// Caps `w` to the widest granularity whose lane count fits `span_words`

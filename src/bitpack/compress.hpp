@@ -118,7 +118,7 @@ class CompressedFilterBank {
 };
 
 /// Serialized byte footprint of the dictionary/index/delta sections exactly
-/// as the v4 artifact writer frames them (k_words i64 + unique u32 + dict
+/// as the artifact writer frames them (k_words i64 + unique u32 + dict
 /// words + per-filter index u32 + delta count u32 + CSR offsets u32 + 12
 /// bytes per delta entry). save() picks compressed storage only when this
 /// beats filters*k_words*8.

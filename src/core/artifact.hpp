@@ -1,14 +1,13 @@
-// PhoneBit — serializable compiled artifacts (.pba).
+// PhoneBit — serializable compiled artifacts (.pba), the one model file.
 //
 // PhoneBit's deployment story (Fig. 2) is ahead-of-time: the converter runs
 // on a workstation and the phone receives a ready-to-run artifact, never
-// paying conversion or planning cost at startup. The .pbm model format
-// (model_format.hpp) ships the *network*; this module ships the *compiled*
-// network — the layer graph with its BN-folded packed weights PLUS the
-// ExecutionPlan that Network::compile produced: per-step kernel selections
-// (conv path, pack width, interior split, tile, fusion rewrites), the
-// activation-slot table with its fixed slab offsets, and the exact
-// scratch/slab peaks. load() reconstructs an immutable Network +
+// paying conversion or planning cost at startup. The artifact ships the
+// *compiled* network — the layer graph with its BN-folded packed weights
+// PLUS the ExecutionPlan that Network::compile produced: per-step kernel
+// selections (conv path, pack width, interior split, tile, fusion
+// rewrites), the activation-slot table with its fixed slab offsets, and the
+// exact scratch/slab peaks. load() reconstructs an immutable Network +
 // ExecutionPlan with ZERO re-planning: no shape inference, no liveness
 // pass, no kernel selection — the plan's implicit in-memory invariants are
 // an explicit on-disk contract, validated field by field.
@@ -16,7 +15,7 @@
 // Container layout (all fields host little-endian; DESIGN.md §8):
 //
 //   byte  0  u32  magic            "PBA!" (0x21414250)
-//   byte  4  u32  format version   (kMinFormatVersion..kFormatVersion)
+//   byte  4  u32  format version   (kFormatVersion; nothing else loads)
 //   byte  8  u32  endianness mark  0x01020304 as written by the producer
 //   byte 12  u32  header bytes     32
 //   byte 16  u64  payload bytes    (file size - 32 must equal this)
@@ -25,23 +24,20 @@
 //              [u32 tag | u64 body bytes | body]
 //            tags: 1 network, 2 options, 3 input, 4 plan, 5 target
 //
-// Format v2 added the target section: the device-profile key the artifact
-// was compiled (and RAM-validated) for — empty when the producer did not
+// The target section holds the device-profile key the artifact was
+// compiled (and RAM-validated) for — empty when the producer did not
 // target a specific profile. Fleet repositories route on it; `pbc dump`
 // prints it.
 //
-// Format v4 added weight compression (DESIGN.md §12): the options record
-// carries the weight_compress knob, plan steps carry their compression
-// stats, and BinaryConv2d records gain a storage-mode byte — mode 1 stores
-// the filter bank as dictionary + row indices + XOR deltas (picked per
-// layer only when strictly smaller than raw; the loader reconstructs the
-// exact weights and hands the layer the decoded bank, so loading never
-// re-clusters). Compression changes storage only, never the kernels a plan
-// runs. Each v4 kernel-variant record keeps a retired reuse byte, always
-// written 0; the loader rejects a non-zero one, and rejects the retired
-// weight_compress value 1. v3 files still load; save() writes v3 whenever
-// the plan was compiled with WeightCompress::kOff, so default-configuration
-// artifacts stay byte-identical across this change.
+// Weight compression (DESIGN.md §12) is a storage choice recorded in three
+// places: the options record carries the weight_compress knob, every plan
+// step carries its compression stats (zero unless the step is a binary conv
+// under a compressing plan), and every BinaryConv2d record carries a
+// storage-mode byte — mode 1 stores the filter bank as dictionary + row
+// indices + XOR deltas (picked per layer, under kAuto, only when strictly
+// smaller than raw; the loader reconstructs the exact weights and hands the
+// layer the decoded bank, so loading never re-clusters). Compression never
+// changes the kernels a plan runs.
 //
 // Every load-time mismatch — bad magic/version/endianness, truncation,
 // checksum failure, invalid enum, violated structural invariant (weight
@@ -65,11 +61,9 @@ namespace phonebit::artifact {
 // --- container constants (the stable on-disk contract; tests pin these) ---
 
 inline constexpr std::uint32_t kMagic = 0x21414250u;  // "PBA!" little-endian
-inline constexpr std::uint32_t kFormatVersion = 4;  // v4: weight compression
-/// Oldest format the loader still accepts (v3: conv_path + path D). save()
-/// emits v3 when the plan has weight compression off — byte-identical to
-/// pre-v4 producers — and v4 otherwise.
-inline constexpr std::uint32_t kMinFormatVersion = 3;
+/// The one layout save() writes and load() accepts; any layout change bumps
+/// it.
+inline constexpr std::uint32_t kFormatVersion = 5;
 inline constexpr std::uint32_t kEndianMark = 0x01020304u;
 inline constexpr std::int64_t kHeaderBytes = 32;
 

@@ -617,8 +617,8 @@ KernelVariant BinaryConv2d::select_variant(const Shape& in_shape,
     // The GEMM inner loop streams the full K = kh*kw*words panel row, so
     // its granularity is keyed on that span, not the row-fused kw*words.
     gemm.pack_width = opts.pack_width_for_span(
-        in_shape.c, geom_.kernel_h * geom_.kernel_w *
-                        ceil_div(in_shape.c, bitpack::kWordBits));
+        geom_.kernel_h * geom_.kernel_w *
+        ceil_div(in_shape.c, bitpack::kWordBits));
     gemm.tile_ow = bitpack::kGemmMr;  // M rows per register tile
     KernelVariant window = v;
     window.path = in_channels() <= opts.packing_channel_threshold

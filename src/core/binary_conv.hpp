@@ -81,7 +81,7 @@ class BinaryConv2d final : public Layer {
 
   /// Dictionary/index/delta factorization of the filter bank (DESIGN.md
   /// §12). Built lazily and deterministically from the packed weights on
-  /// first use (compile-time stats, v4 artifact save, compress-stats) —
+  /// first use (compile-time stats, kAuto artifact save, compress-stats) —
   /// one std::call_once guards the build, so concurrent compiles are safe —
   /// or adopted verbatim by the artifact loader so loading never
   /// re-clusters.

@@ -64,7 +64,7 @@ bitpack::PackWidth BinaryDense::dense_pack_width(
   // The GEMV streams the whole flattened feature vector per unit — one
   // fused span of `words_per_pixel` words, so span keying applies exactly
   // as in the row-fused convs.
-  return opts.pack_width_for_span(in_features(), weights_.words_per_pixel());
+  return opts.pack_width_for_span(weights_.words_per_pixel());
 }
 
 std::vector<Launch> BinaryDense::price(const PlanStep& step,

@@ -29,12 +29,11 @@ enum class ConvPathPreference : std::uint8_t {
 /// lossless — the dictionary/index/delta factorization reconstructs the
 /// packed filter bank bit-exactly — and only changes how artifacts store
 /// the weights: every conv path runs on the reconstructed bank either way.
-/// kOff keeps today's bytes (v3 artifacts, raw weight records); kAuto
-/// stores each conv bank compressed (format v4) where that is smaller.
-/// Value 1 is retired and loaders reject it.
+/// kOff stores raw weight records; kAuto stores each conv bank compressed
+/// where that is smaller. Value 1 is retired and loaders reject it.
 enum class WeightCompress : std::uint8_t {
-  kOff = 0,   ///< raw weights, format v3 (default)
-  kAuto = 2,  ///< compressed .pba storage where smaller, format v4
+  kOff = 0,   ///< raw weights (default)
+  kAuto = 2,  ///< compressed .pba storage where smaller
 };
 
 /// Tunable engine behaviour (all paper defaults ON).
@@ -83,18 +82,6 @@ struct EngineOptions {
   bool auto_pack_width = true;
   bitpack::PackWidth fixed_pack_width = bitpack::PackWidth::k64;
 
-  /// Pack-width selection key for the row-fused conv fast path: key the
-  /// granularity on the fused span length `kw * words` (the contiguous run
-  /// the interior kernel actually streams, instruction count minimized tail
-  /// included — select_pack_width_for_span) instead of C_in. Only consulted
-  /// when `interior_split` fuses rows; the per-tap ablation path always
-  /// keys on C_in. Default ON: the bench_kernels ablation (the `/fast-ckey`
-  /// records in BENCH_kernels.json) shows the span key cuts the narrow
-  /// 7x7/c64 layer ~20% host time (7 scalar words become 1 ulong4 op + 3
-  /// tail words) and ties within noise on wide layers, where both keys
-  /// resolve to the same width.
-  bool span_keyed_pack_width = true;
-
   /// Conv path policy (DESIGN.md §11): under kAuto the planner compares the
   /// modeled time of the window-streaming schedule against the bit-GEMM
   /// lowering per conv geometry and records the winner in the plan; kRowFused
@@ -104,11 +91,9 @@ struct EngineOptions {
   /// rules decide exactly as before this option existed.
   ConvPathPreference conv_path = ConvPathPreference::kAuto;
 
-  /// Weight-compression policy (DESIGN.md §12): kOff is byte-identical to
-  /// the pre-compression engine; kAuto stores conv filter banks as
-  /// dictionary + row indices + XOR deltas in v4 artifacts. Execution is
-  /// the same under both. Off by default so existing artifacts, byte walks
-  /// and bench ablations are untouched.
+  /// Weight-compression policy (DESIGN.md §12): kAuto stores conv filter
+  /// banks as dictionary + row indices + XOR deltas in artifacts where that
+  /// is smaller; kOff stores them raw. Execution is the same under both.
   WeightCompress weight_compress = WeightCompress::kOff;
 
   /// §VI-A.1 vectorized load/store. Turning this off models scalar loads:
@@ -129,15 +114,11 @@ struct EngineOptions {
   }
 
   /// Resolves the pack width for a kernel streaming contiguous spans of
-  /// `span_words` words: keyed on the span when `span_keyed_pack_width` is
-  /// on (minimizing the per-span instruction count, tail included), else on
-  /// the channel count as before.
-  bitpack::PackWidth pack_width_for_span(std::int64_t channels,
-                                         std::int64_t span_words) const {
-    if (!auto_pack_width) return fixed_pack_width;
-    return span_keyed_pack_width
-               ? bitpack::select_pack_width_for_span(span_words)
-               : bitpack::select_pack_width(channels);
+  /// `span_words` words: keyed on the span (minimizing the per-span
+  /// instruction count, tail included).
+  bitpack::PackWidth pack_width_for_span(std::int64_t span_words) const {
+    return auto_pack_width ? bitpack::select_pack_width_for_span(span_words)
+                           : fixed_pack_width;
   }
 
   /// Pack width of a conv's inner loop under the current keying: the fused
@@ -147,7 +128,7 @@ struct EngineOptions {
   bitpack::PackWidth conv_pack_width(std::int64_t channels,
                                      std::int64_t kernel_w) const {
     const std::int64_t words = ceil_div(channels, bitpack::kWordBits);
-    return interior_split ? pack_width_for_span(channels, kernel_w * words)
+    return interior_split ? pack_width_for_span(kernel_w * words)
                           : pack_width_for(channels);
   }
 };

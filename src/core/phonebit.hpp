@@ -1,7 +1,7 @@
 // PhoneBit — umbrella public header.
 //
 // #include "core/phonebit.hpp" pulls in the whole public inference API:
-// simulated device, engine, layers, converter and model format.
+// simulated device, engine, layers, converter and artifact format.
 #pragma once
 
 #include "core/artifact.hpp"
@@ -15,7 +15,6 @@
 #include "core/float_model.hpp"
 #include "core/input_conv.hpp"
 #include "core/layer.hpp"
-#include "core/model_format.hpp"
 #include "core/network.hpp"
 #include "core/options.hpp"
 #include "core/plan.hpp"

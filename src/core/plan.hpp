@@ -159,7 +159,7 @@ struct ScratchNeed {
 /// compile for BinaryConv2d steps when `weight_compress` is not kOff, so
 /// plan dumps and `pbc dump` can print per-layer redundancy without
 /// touching the layers. All-zero for other layers / when compression is
-/// off; serialized with v4 plans and revalidated on load.
+/// off; serialized with every plan step and revalidated on load.
 struct StepCompression {
   std::int64_t unique_rows = 0;    ///< dictionary rows of the filter bank
   std::int64_t raw_bytes = 0;      ///< packed weight bytes, uncompressed

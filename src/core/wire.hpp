@@ -1,9 +1,8 @@
-// PhoneBit — wire-format primitives shared by the on-disk containers
-// (model_format.cpp's .pbm checkpoints and artifact.cpp's .pba compiled
-// artifacts).
+// PhoneBit — wire-format primitives of the .pba artifact container
+// (artifact.cpp).
 //
-// Both formats are compact little-endian binary containers; this header
-// owns the primitive encode/decode layer so the two cannot drift:
+// The artifact is a compact little-endian binary container; this header
+// owns its primitive encode/decode layer:
 //
 //   ByteWriter — appends PODs/strings/tensors to an in-memory payload
 //     buffer. Building the payload in memory (rather than streaming to the
@@ -12,22 +11,19 @@
 //   ByteReader — consumes a fully-loaded buffer, tracking the absolute
 //     byte offset and a caller-maintained section label. EVERY decode
 //     failure (truncation, implausible length, invalid enum, violated
-//     invariant) funnels through fail(), which formats
-//     "<what> (section '<name>', byte offset <off>)" and hands the message
-//     to the caller-supplied thrower — model_format throws FormatError,
-//     the artifact loader throws InvalidArgument, both with the same
-//     diagnosable section + offset payload.
+//     invariant) funnels through fail(), which throws InvalidArgument
+//     formatted "artifact '<path>': <what> (section '<name>', byte offset
+//     <off>)".
 //
-// Byte order: fields are memcpy'd in host order. Containers that must be
-// portable record an endianness marker in their header (artifact.hpp) so a
-// foreign-endian file fails loudly instead of decoding garbage.
+// Byte order: fields are memcpy'd in host order. The artifact header
+// records an endianness marker (artifact.hpp) so a foreign-endian file
+// fails loudly instead of decoding garbage.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -52,16 +48,14 @@ inline std::uint64_t fnv1a64(const void* data, std::size_t n) noexcept {
 }
 
 /// Guard against decoding a corrupted length field into a giant allocation:
-/// no serialized string/array in either container is anywhere near this.
+/// no serialized string/array in an artifact is anywhere near this.
 inline constexpr std::uint64_t kMaxWireString = 1u << 20;
 
 /// Largest element count a deserialized tensor shape may describe. Checked
 /// dimension by dimension (overflow-safe) before any allocation.
 inline constexpr std::int64_t kMaxWireElems = std::int64_t{1} << 40;
 
-/// Layer discriminators shared by BOTH on-disk containers (.pbm model
-/// checkpoints and .pba compiled artifacts): one numbering, defined once,
-/// so the formats cannot drift.
+/// Layer discriminators of the artifact's network section.
 enum class LayerKind : std::uint8_t {
   kInputConv = 0,
   kBinaryConv = 1,
@@ -71,11 +65,11 @@ enum class LayerKind : std::uint8_t {
   kFloatDense = 5,
 };
 
-/// Slurps a whole file; `fail` (must throw) receives the error message.
-/// Shared by both container loaders so the I/O path cannot diverge.
-inline std::vector<std::uint8_t> read_file(
-    const std::string& path,
-    const std::function<void(const std::string&)>& fail) {
+/// Slurps a whole file; throws InvalidArgument when it cannot be read.
+inline std::vector<std::uint8_t> read_file(const std::string& path) {
+  const auto fail = [](const std::string& what) {
+    throw InvalidArgument("artifact: " + what);
+  };
   // ifstream happily opens directories on Linux and tellg() then reports a
   // garbage "size" (huge on tmpfs, -1 elsewhere) — gate on the file type
   // first so a wrong path fails with the contractual exception instead of
@@ -151,14 +145,6 @@ class ByteWriter {
     raw(t.data(), static_cast<std::size_t>(t.bytes()));
   }
 
-  void folded_bn(const FoldedBatchNorm& f) {
-    floats(f.xi);
-    PB_CHECK(f.gamma_pos.size() <= kMaxWireString,
-             "BN array too long to serialize");
-    pod<std::uint64_t>(f.gamma_pos.size());
-    raw(f.gamma_pos.data(), f.gamma_pos.size());
-  }
-
   /// Raw (unfolded) batch-norm parameters: the artifact stores these so a
   /// reconstructed layer re-folds to bit-identical constants AND keeps the
   /// exact float parameters the no-integration ablation path consumes.
@@ -192,11 +178,9 @@ class ByteWriter {
 
 class ByteReader {
  public:
-  /// `fail` receives the fully formatted message and MUST throw.
-  using Thrower = std::function<void(const std::string&)>;
-
-  ByteReader(const std::uint8_t* data, std::size_t size, Thrower fail)
-      : data_(data), size_(size), fail_(std::move(fail)) {}
+  /// `path` names the file in every failure message.
+  ByteReader(const std::uint8_t* data, std::size_t size, std::string path)
+      : data_(data), size_(size), path_(std::move(path)) {}
 
   /// Labels subsequent failures ("header", "network", "plan", ...).
   void set_section(std::string name) { section_ = std::move(name); }
@@ -211,12 +195,9 @@ class ByteReader {
 
   [[noreturn]] void fail(const std::string& what) const {
     std::ostringstream os;
-    os << what << " (section '" << section_ << "', byte offset " << offset()
-       << ")";
-    fail_(os.str());
-    // The thrower's contract is to throw; if a buggy caller returns, keep
-    // the [[noreturn]] promise honest rather than continuing to decode.
-    std::abort();
+    os << "artifact '" << path_ << "': " << what << " (section '" << section_
+       << "', byte offset " << offset() << ")";
+    throw InvalidArgument(os.str());
   }
 
   void need(std::size_t n) const {
@@ -336,19 +317,6 @@ class ByteReader {
     return t;
   }
 
-  FoldedBatchNorm folded_bn() {
-    FoldedBatchNorm f;
-    f.xi = floats();
-    const auto n = pod<std::uint64_t>();
-    if (n > kMaxWireString) fail("implausible BN array length");
-    f.gamma_pos.resize(n);
-    raw(f.gamma_pos.data(), n);
-    if (f.xi.size() != f.gamma_pos.size()) {
-      fail("folded BN arrays disagree in length");
-    }
-    return f;
-  }
-
   std::vector<BatchNormParams> bn_params() {
     const auto n = pod<std::uint64_t>();
     if (n > kMaxWireString) fail("implausible BN param count");
@@ -366,8 +334,8 @@ class ByteReader {
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t cursor_ = 0;
+  std::string path_;
   std::string section_ = "header";
-  Thrower fail_;
 };
 
 }  // namespace phonebit::core::wire

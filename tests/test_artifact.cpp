@@ -180,7 +180,7 @@ TEST_F(ArtifactTest, RoundTripBitExactAcrossZoo) {
 
 /// The unfused-BN ablation path (path C) consumes the RAW batch-norm
 /// parameters — the artifact must preserve them exactly, not re-synthesize
-/// sign-equivalent substitutes like the .pbm model format does.
+/// sign-equivalent substitutes from the folded constants.
 TEST_F(ArtifactTest, RoundTripExactUnderAblationOptions) {
   const FloatModel model = FloatModel::random(models::quicknet(10), 620);
   const U8Tensor image = datasets::cifar_like_image(621);
@@ -265,16 +265,45 @@ TEST_F(ArtifactTest, SaveIsDeterministicAndRoundTripStable) {
 
   // save(load(x)) == x: deserialization loses nothing the serializer
   // writes — the golden-checksum property without cross-machine pinning.
-  const artifact::LoadedArtifact loaded = artifact::load(path_);
   const std::string again = path_ + ".resaved";
-  artifact::save(*loaded.network, loaded.plan, again);
-  EXPECT_EQ(read_bytes(again), first) << "round trip altered the bytes";
+  {
+    const artifact::LoadedArtifact loaded = artifact::load(path_);
+    artifact::save(*loaded.network, loaded.plan, again);
+    EXPECT_EQ(read_bytes(again), first) << "round trip altered the bytes";
+  }
+
+  // The same under both weight-storage modes, on redundant checkpoints so
+  // kAuto really stores dictionary banks, for quicknet and a shrunk
+  // YOLOv2-Tiny.
+  models::ZooOptions zoo;
+  zoo.shrink_log2 = 3;
+  for (const core::NetworkSpec& spec :
+       {models::quicknet(10), models::yolov2_tiny(zoo)}) {
+    auto redundant =
+        core::convert_to_phonebit(FloatModel::random_redundant(spec, 640));
+    for (const core::WeightCompress wc :
+         {core::WeightCompress::kOff, core::WeightCompress::kAuto}) {
+      SCOPED_TRACE(spec.name + (wc == core::WeightCompress::kOff
+                                    ? " kOff"
+                                    : " kAuto"));
+      EngineOptions opts;
+      opts.weight_compress = wc;
+      core::Engine e(testing::test_device(), opts);
+      artifact::save(*redundant,
+                     redundant->compile(e, BlobDesc{BlobKind::kU8, spec.input}),
+                     path_);
+      const std::vector<std::uint8_t> saved = read_bytes(path_);
+      const artifact::LoadedArtifact loaded = artifact::load(path_);
+      artifact::save(*loaded.network, loaded.plan, again);
+      EXPECT_EQ(read_bytes(again), saved) << "round trip altered the bytes";
+    }
+  }
   std::remove(again.c_str());
 }
 
 TEST_F(ArtifactTest, HeaderLayoutIsPinned) {
   core::Engine engine(testing::test_device());
-  save_quicknet(engine);
+  const auto net = save_quicknet(engine);
   const std::vector<std::uint8_t> buf = read_bytes(path_);
   ASSERT_GE(buf.size(), static_cast<std::size_t>(artifact::kHeaderBytes));
 
@@ -287,9 +316,7 @@ TEST_F(ArtifactTest, HeaderLayoutIsPinned) {
   std::memcpy(&header_bytes, buf.data() + artifact::kHeaderBytesOffset, 4);
   std::memcpy(&payload_bytes, buf.data() + artifact::kPayloadBytesOffset, 8);
   std::memcpy(&stored_sum, buf.data() + artifact::kChecksumOffset, 8);
-  // Dual-write: a default (compression-off) plan serializes as the oldest
-  // still-readable version, keeping pre-v4 artifact bytes stable.
-  EXPECT_EQ(version, artifact::kMinFormatVersion);
+  EXPECT_EQ(version, artifact::kFormatVersion);
   EXPECT_EQ(endian, artifact::kEndianMark);
   EXPECT_EQ(header_bytes, static_cast<std::uint32_t>(artifact::kHeaderBytes));
   EXPECT_EQ(payload_bytes,
@@ -311,6 +338,11 @@ TEST_F(ArtifactTest, HeaderLayoutIsPinned) {
     EXPECT_LE(sec.body_offset + sec.body_bytes,
               static_cast<std::int64_t>(buf.size()));
   }
+  // The network section tracks the params: on top of them it carries
+  // names, shapes and the raw BN parameters (16 B per channel where
+  // param_bytes counts the folded ~4 B) — about 5 KB on quicknet.
+  EXPECT_GE(table[0].body_bytes, net->param_bytes());
+  EXPECT_LE(table[0].body_bytes, net->param_bytes() + 8192);
 }
 
 TEST_F(ArtifactTest, TargetProfileRoundTrips) {
@@ -342,11 +374,20 @@ TEST_F(ArtifactTest, FlippedMagicRejected) {
 TEST_F(ArtifactTest, StaleVersionRejected) {
   core::Engine engine(testing::test_device());
   save_quicknet(engine);
-  std::vector<std::uint8_t> buf = read_bytes(path_);
-  const std::uint32_t stale = artifact::kFormatVersion + 1;
-  std::memcpy(buf.data() + artifact::kVersionOffset, &stale, 4);
-  write_bytes(path_, buf);
-  expect_rejected(path_, "unsupported artifact format version");
+  const std::vector<std::uint8_t> saved = read_bytes(path_);
+  // The loader reads exactly one layout: older versions (3 and 4 wrote
+  // other records) and newer ones are rejected at the version field.
+  for (const std::uint32_t stale : {3u, 4u, artifact::kFormatVersion + 1}) {
+    SCOPED_TRACE("version " + std::to_string(stale));
+    std::vector<std::uint8_t> buf = saved;
+    std::memcpy(buf.data() + artifact::kVersionOffset, &stale, 4);
+    write_bytes(path_, buf);
+    expect_rejected(path_, "unsupported artifact format version " +
+                               std::to_string(stale));
+    expect_rejected(path_, "(section 'header', byte offset " +
+                               std::to_string(artifact::kVersionOffset) +
+                               ")");
+  }
 }
 
 TEST_F(ArtifactTest, ForeignEndiannessRejected) {
@@ -511,6 +552,7 @@ TEST_F(ArtifactTest, ResealedIllegalFusionRejected) {
   off += 1;                          // kind (BinaryConv2d)
   off += 4 + u32at(off);             // "conv"
   off += 6 * 8;                      // conv geometry
+  off += 1;                          // storage mode (0: raw words)
   off += 4 * 8;                      // weight shape
   const std::int64_t words = i64at(off);
   off += 8 + words * 8;              // word count + packed words
@@ -625,50 +667,86 @@ TEST_F(ArtifactTest, ResealedPathDOnPartialGroupRejected) {
   }
 }
 
-/// The two bytes weight compression retired, set in a resealed v4 file:
-/// the variant record's reuse byte (always written 0) and options value 1
-/// (the old storage-only mode, which kAuto now is). Each names its section
-/// and the offset just past the byte.
+/// Options value 1 (the retired storage-only compression mode, which kAuto
+/// now is) in a resealed file names its section and the offset just past
+/// the byte.
 TEST_F(ArtifactTest, ResealedRetiredCompressionBytesRejected) {
   EngineOptions opts;
   opts.weight_compress = core::WeightCompress::kAuto;
   core::Engine engine(testing::test_device(), opts);
   save_quicknet(engine);
-  const std::vector<std::uint8_t> saved = read_bytes(path_);
+  std::vector<std::uint8_t> buf = read_bytes(path_);
   const auto table = artifact::section_table(path_);
-  std::uint32_t version = 0;
-  std::memcpy(&version, saved.data() + artifact::kVersionOffset, 4);
-  ASSERT_EQ(version, 4u);
-
-  const auto reject_set = [&](std::int64_t at, std::uint8_t was,
-                              const std::string& what,
-                              const std::string& section) {
-    ASSERT_EQ(saved[static_cast<std::size_t>(at)], was);
-    std::vector<std::uint8_t> evil = saved;
-    evil[static_cast<std::size_t>(at)] = 1;
-    patch_checksum(evil);
-    write_bytes(path_, evil);
-    expect_rejected(path_, what + " (section '" + section +
-                               "', byte offset " + std::to_string(at + 1) +
-                               ")");
-  };
 
   // weight_compress is the options record's last byte.
   ASSERT_EQ(table[1].tag, artifact::Section::kOptions);
-  reject_set(table[1].body_offset + table[1].body_bytes - 1,
-             static_cast<std::uint8_t>(core::WeightCompress::kAuto),
-             "invalid weight compression mode 1", "options");
+  const std::int64_t at = table[1].body_offset + table[1].body_bytes - 1;
+  ASSERT_EQ(buf[static_cast<std::size_t>(at)],
+            static_cast<std::uint8_t>(core::WeightCompress::kAuto));
+  buf[static_cast<std::size_t>(at)] = 1;
+  patch_checksum(buf);
+  write_bytes(path_, buf);
+  expect_rejected(path_, "invalid weight compression mode 1 (section "
+                         "'options', byte offset " +
+                             std::to_string(at + 1) + ")");
+}
 
-  // Step 0's variant: path, pack width, split, then the reuse byte.
+/// Every step record carries the compression-stats triple; a step the plan
+/// did not compress (here a max-pool of a kOff plan) must carry zeros. A
+/// resealed non-zero field is rejected, naming the plan section and the
+/// offset just past the triple.
+TEST_F(ArtifactTest, ResealedCompressionStatsOnUncompressedStepRejected) {
+  core::Engine engine(testing::test_device());
+  auto net = save_quicknet(engine);
+  const ExecutionPlan plan = engine_compile(engine, *net);
+  std::vector<std::uint8_t> buf = read_bytes(path_);
+  const auto table = artifact::section_table(path_);
+  ASSERT_EQ(table[3].tag, artifact::Section::kPlan);
+
+  std::size_t pool = 0;
+  while (pool < plan.steps().size() &&
+         dynamic_cast<const core::MaxPool2d*>(plan.steps()[pool].layer) ==
+             nullptr) {
+    ++pool;
+  }
+  ASSERT_LT(pool, plan.steps().size()) << "quicknet plan has no pool step";
+
+  auto u32at = [&](std::int64_t at) {
+    std::uint32_t v;
+    std::memcpy(&v, buf.data() + at, 4);
+    return v;
+  };
+  // Offset of a step record's compression-stats triple, given its start.
+  auto wcomp_field = [&](std::int64_t at) {
+    at += 4 + 4;          // layer index + fused pool index
+    at += 3 * 33;         // in / out / fused_mid descriptors
+    at += 1 + 4 + 1 + 8;  // variant: path + pack width + split + tile
+    at += 4 + u32at(at);  // variant kernel string
+    at += 4 * 8;          // scratch
+    return at;
+  };
   std::int64_t t = table[3].body_offset;
-  std::uint32_t name_len;
-  std::memcpy(&name_len, saved.data() + t, 4);
-  t += 4 + name_len;  // plan name
+  t += 4 + u32at(t);  // plan name
   t += 4;             // step count
-  t += 4 + 4;         // layer index + fused pool index
-  t += 3 * 33;        // in / out / fused_mid descriptors
-  t += 1 + 4 + 1;     // variant: path + pack width + split
-  reject_set(t, 0, "retired reuse kernel variant flag is set", "plan");
+  for (std::size_t i = 0; i < pool; ++i) {
+    t = wcomp_field(t) + 3 * 8 + 4;  // wcomp triple + slot
+    t += 4 + u32at(t);               // display string
+  }
+  const std::int64_t wcomp = wcomp_field(t);
+  for (int f = 0; f < 3; ++f) {
+    std::int64_t v;
+    std::memcpy(&v, buf.data() + wcomp + 8 * f, 8);
+    ASSERT_EQ(v, 0) << "field " << f;
+  }
+
+  const std::int64_t one = 1;
+  std::memcpy(buf.data() + wcomp, &one, 8);  // unique_rows
+  patch_checksum(buf);
+  write_bytes(path_, buf);
+  expect_rejected(path_, "step " + std::to_string(pool) +
+                             " records compression stats on a step that has "
+                             "none (section 'plan', byte offset " +
+                             std::to_string(wcomp + 3 * 8) + ")");
 }
 
 /// Re-pointing a step at its predecessor's activation slot (resealed):
@@ -698,6 +776,7 @@ TEST_F(ArtifactTest, ResealedSlotAliasingRejected) {
     at += 1 + 4 + 1 + 8;    // variant: path + pack width + split + tile
     at += 4 + u32at(at);    // variant kernel string
     at += 4 * 8;            // scratch
+    at += 3 * 8;            // compression stats
     return at;
   };
 

@@ -9,7 +9,7 @@
 //   - Zoo-wide network-level D-vs-A bit-exactness, fused and unfused pools.
 //   - Batched plans: one N-image forward bit-exact against N separate
 //     single-image forwards, N = 1..4.
-//   - Artifact (.pba v3) round trip with path D and a batched descriptor.
+//   - Artifact (.pba) round trip with path D and a batched descriptor.
 //   - Auto-selection sanity: big convs flip to D, tiny convs stay on the
 //     window schedule, and the plan dump advertises the choice.
 #include <gtest/gtest.h>
@@ -266,10 +266,9 @@ TEST(BitGemm, BatchedForwardMatchesSeparateForwards) {
   }
 }
 
-/// Artifact round trip (.pba v3): a plan compiled with FORCED path D on a
-/// batched (N=3) descriptor must save, load and run bit-exactly — including
-/// the conv_path options field and the kConvGemm step variants the v3
-/// format added.
+/// Artifact round trip: a plan compiled with FORCED path D on a batched
+/// (N=3) descriptor must save, load and run bit-exactly — including the
+/// conv_path options field and the kConvGemm step variants.
 TEST(BitGemm, ArtifactRoundTripWithGemmPathAndBatch) {
   const std::string path =
       ::testing::TempDir() + "phonebit_test_bitgemm.pba";

@@ -5,7 +5,7 @@
 //     Network forwards of its stage models, zoo-wide, on BOTH gate paths
 //     (the gate advancing the request and the gate completing it early) —
 //     including when later stages reuse the request's cached input planes
-//     and when every stage serves a compressed v4 artifact;
+//     and when every stage serves a compressed artifact;
 //   - the packed-input reuse seam: a later stage on the same device prices
 //     (and runs) strictly cheaper than the first, with identical bits;
 //   - cascade-level deadlines: one budget, measured from the original
@@ -380,7 +380,7 @@ TEST_F(CascadeTest, StagesWithDifferentConv1GeometryRekeyThePlaneCache) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Compressed v4 artifacts per stage.
+// 3. Compressed artifacts per stage.
 // ---------------------------------------------------------------------------
 
 TEST_F(CascadeTest, CompressedArtifactsPerStageServeBitExact) {

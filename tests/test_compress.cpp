@@ -7,11 +7,11 @@
 //   1. algebraically: build → reconstruct is the identity on every bank;
 //   2. differentially: zoo-wide (quicknet, yolov2tiny-s3), kAuto selects
 //      the same kernels as kOff and produces bit-identical outputs —
-//      compiled, loaded from a v4 artifact, fused, batched N>1 and
+//      compiled, loaded from an artifact, fused, batched N>1 and
 //      fleet-served;
-//   3. structurally: v4 artifacts round trip byte-identically, record the
-//      compression option, shrink the network section >= 1.3x on a
-//      redundant model, and default (kOff) saves still emit v3 bytes;
+//   3. structurally: compressed artifacts round trip byte-identically,
+//      record the compression option and shrink the network section
+//      >= 1.3x on a redundant model;
 //   4. adversarially: seeded bit flips across the compressed network
 //      section (checksum resealed, so the STRUCTURAL validators are on
 //      trial) never crash — every flip is either rejected with
@@ -342,14 +342,14 @@ TEST_F(CompressArtifactTest, FleetServedCompressedArtifactBitExact) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Structural: v4 bytes, v3 compatibility, section shrink.
+// 3. Structural: byte-stable round trip, section shrink.
 // ---------------------------------------------------------------------------
 
-TEST_F(CompressArtifactTest, V4RoundTripsByteIdenticallyAndRecordsOption) {
+TEST_F(CompressArtifactTest, RoundTripsByteIdenticallyAndRecordsOption) {
   const FloatModel model =
       FloatModel::random_redundant(models::quicknet(10), 930);
   auto net = core::convert_to_phonebit(model);
-  const std::string path = temp_path("v4");
+  const std::string path = temp_path("auto");
   EngineOptions opts;
   opts.weight_compress = WeightCompress::kAuto;
   save(*net, opts, Shape{1, 32, 32, 3}, path);
@@ -360,38 +360,14 @@ TEST_F(CompressArtifactTest, V4RoundTripsByteIdenticallyAndRecordsOption) {
   std::memcpy(&version, first.data() + artifact::kVersionOffset, 4);
   EXPECT_EQ(version, artifact::kFormatVersion);
 
-  // save(load(x)) == x: the v4 codec loses nothing it writes — including
+  // save(load(x)) == x: the codec loses nothing it writes — including
   // the adopted compressed banks, re-serialized without re-clustering.
   const artifact::LoadedArtifact loaded = artifact::load(path);
   EXPECT_TRUE(loaded.plan.options().weight_compress ==
               WeightCompress::kAuto);
-  const std::string again = temp_path("v4_resave");
+  const std::string again = temp_path("auto_resave");
   artifact::save(*loaded.network, loaded.plan, again);
-  EXPECT_EQ(read_bytes(again), first) << "v4 round trip altered the bytes";
-}
-
-TEST_F(CompressArtifactTest, DefaultSavesStayV3AndStillLoad) {
-  // kOff plans keep emitting v3 bytes — a fleet of old readers survives
-  // this PR — and this build keeps reading them.
-  const FloatModel model = FloatModel::random(models::quicknet(10), 931);
-  auto net = core::convert_to_phonebit(model);
-  const std::string path = temp_path("v3");
-  const ExecutionPlan plan =
-      save(*net, EngineOptions{}, Shape{1, 32, 32, 3}, path);
-
-  const std::vector<std::uint8_t> buf = read_bytes(path);
-  std::uint32_t version = 0;
-  std::memcpy(&version, buf.data() + artifact::kVersionOffset, 4);
-  EXPECT_EQ(version, artifact::kMinFormatVersion);
-
-  core::Engine engine(testing::test_device());
-  const artifact::LoadedArtifact loaded = engine.load_artifact(path);
-  EXPECT_TRUE(loaded.plan.options().weight_compress == WeightCompress::kOff);
-  const U8Tensor image = datasets::cifar_like_image(932);
-  auto s1 = engine.create_session();
-  auto s2 = engine.create_session();
-  EXPECT_TRUE(testing::expect_bitexact(loaded.plan.run(s2, core::Blob{image}),
-                                       plan.run(s1, core::Blob{image})));
+  EXPECT_EQ(read_bytes(again), first) << "round trip altered the bytes";
 }
 
 TEST_F(CompressArtifactTest, NetworkSectionShrinksOnRedundantModel) {
@@ -415,10 +391,10 @@ TEST_F(CompressArtifactTest, NetworkSectionShrinksOnRedundantModel) {
   ASSERT_EQ(comp_table[0].tag, artifact::Section::kNetwork);
   // The network section also carries the (uncompressed) fp32 input conv,
   // dense head, BN and bias payloads, so the acceptance bar is on the
-  // WEIGHT sections inside it: raw packed-filter bytes versus what the v4
+  // WEIGHT sections inside it: raw packed-filter bytes versus what the
   // file actually stores for them — the raw total minus the measured
   // section-size saving (the two sections differ only in per-conv weight
-  // storage, plus one mode byte per conv).
+  // storage).
   std::int64_t raw = 0;
   for (const auto& step : plan.steps()) raw += step.wcomp.raw_bytes;
   ASSERT_GT(raw, 0);
@@ -454,7 +430,7 @@ TEST_F(CompressArtifactTest, PlanRecordsPerStepCompressionStats) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Adversarial: the v4 structural validators under random corruption.
+// 4. Adversarial: the bank's structural validators under random corruption.
 // ---------------------------------------------------------------------------
 
 TEST_F(CompressArtifactTest, CompressedSectionCorruptionSweepNeverCrashes) {

@@ -1,7 +1,9 @@
 // Cross-module integration: shrunken paper networks through the whole
-// pipeline (convert -> serialize -> infer -> profile -> power), PhoneBit vs
-// baselines vs reference.
+// pipeline (convert -> compile -> serialize -> infer -> profile -> power),
+// PhoneBit vs baselines vs reference.
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 #include "baselines/bnn_reference.hpp"
 #include "baselines/framework.hpp"
@@ -94,23 +96,25 @@ TEST(Integration, MidsizeBinaryConvBeatsFloatConvByOrderOfMagnitude) {
 }
 
 TEST(Integration, FullPipelineQuicknet) {
-  // Train-shape -> convert -> save -> load -> infer -> profile -> power.
+  // Train-shape -> convert -> compile -> save -> load -> infer -> profile ->
+  // power.
   const auto model = FloatModel::random(models::quicknet(10), 600);
   auto net = core::convert_to_phonebit(model);
-
-  const std::string path = ::testing::TempDir() + "pipeline.pbm";
-  core::save_model(*net, path);
-  auto loaded = core::load_model(path);
-  std::remove(path.c_str());
 
   auto device = std::make_shared<oclsim::Device>(
       oclsim::DeviceProfile::snapdragon820(), 4);
   core::Engine engine(device);
-  auto session = engine.create_session();
-  auto ctx = session.context();
   const U8Tensor image = datasets::cifar_like_image(601);
-  const FloatTensor out = loaded->forward_float(ctx, image);
-  EXPECT_EQ(out.shape().c, 10);  // 10 classes
+  const core::ExecutionPlan plan =
+      net->compile(engine, core::BlobDesc{core::BlobKind::kU8, image.shape()});
+  const std::string path = testing::temp_path("pipeline.pba");
+  artifact::save(*net, plan, path);
+  const artifact::LoadedArtifact loaded = engine.load_artifact(path);
+  std::remove(path.c_str());
+
+  auto session = engine.create_session();
+  const auto result = loaded.plan.run(session, core::Blob{image});
+  EXPECT_EQ(result.float_output().shape().c, 10);  // 10 classes
 
   const auto power = energy::estimate_power(session.queue().events(),
                                             device->profile());

@@ -9,8 +9,6 @@
 //               [--classes C] [--no-fuse-conv-pool]
 //       Builds a deterministic synthetic checkpoint of the named zoo
 //       architecture, converts + compiles it, writes the artifact.
-//   pbc compile --pbm model.pbm --input NxHxWxC [-o out.pba] [...]
-//       Compiles a converted .pbm model for the given 8-bit input shape.
 //   pbc dump <file.pba>
 //       Prints the section table, network summary and full plan dump.
 //   pbc selfcheck [--model <zoo name>] [...]
@@ -47,7 +45,7 @@
 //       random checkpoint shows the incompressible baseline.
 //
 // compile/selfcheck accept --compress off|auto (default off): auto stores
-// conv weights compressed in a v4 artifact where that is smaller; the
+// conv weights compressed in the artifact where that is smaller; the
 // kernels a plan runs are the same either way.
 #include <algorithm>
 #include <cstdio>
@@ -71,11 +69,8 @@ using namespace phonebit;
 struct Args {
   std::string mode;
   std::string model = "quicknet";
-  std::string pbm;
   std::string out = "model.pba";
   std::string file;  // dump target
-  Shape input{};
-  bool have_input = false;
   int shrink = 0;
   std::uint64_t seed = 42;
   std::optional<std::int64_t> classes;  // engaged only by --classes
@@ -93,7 +88,6 @@ int usage() {
       "              [-o out.pba] [--shrink N] [--seed S]\n"
       "              [--classes C (quicknet only)] [--no-fuse-conv-pool]\n"
       "              [--compress off|auto] [--redundant]\n"
-      "  pbc compile --pbm model.pbm --input NxHxWxC [-o out.pba]\n"
       "  pbc dump <file.pba>\n"
       "  pbc selfcheck [--model <name>] [--shrink N] [--seed S]\n"
       "                [--compress off|auto] [--redundant]\n"
@@ -123,13 +117,6 @@ std::vector<std::string> parse_profiles(const char* s) {
   return out;
 }
 
-bool parse_shape(const char* s, Shape& out) {
-  long long n, h, w, c;
-  if (std::sscanf(s, "%lldx%lldx%lldx%lld", &n, &h, &w, &c) != 4) return false;
-  out = Shape{n, h, w, c};
-  return n > 0 && h > 0 && w > 0 && c > 0;
-}
-
 bool parse(int argc, char** argv, Args& a) {
   if (argc < 2) return false;
   a.mode = argv[1];
@@ -142,18 +129,10 @@ bool parse(int argc, char** argv, Args& a) {
       const char* v = value();
       if (v == nullptr) return false;
       a.model = v;
-    } else if (flag == "--pbm") {
-      const char* v = value();
-      if (v == nullptr) return false;
-      a.pbm = v;
     } else if (flag == "-o" || flag == "--out") {
       const char* v = value();
       if (v == nullptr) return false;
       a.out = v;
-    } else if (flag == "--input") {
-      const char* v = value();
-      if (v == nullptr || !parse_shape(v, a.input)) return false;
-      a.have_input = true;
     } else if (flag == "--shrink") {
       const char* v = value();
       if (v == nullptr) return false;
@@ -195,15 +174,9 @@ bool parse(int argc, char** argv, Args& a) {
   return true;
 }
 
-/// Builds (network, input shape) from the CLI arguments: either a synthetic
-/// checkpoint of a zoo architecture or a converted .pbm from disk.
+/// Builds (network, input shape) from the CLI arguments: a synthetic
+/// checkpoint of a zoo architecture, converted.
 std::unique_ptr<core::Network> build_network(const Args& a, Shape& input) {
-  if (!a.pbm.empty()) {
-    PB_CHECK(a.have_input, "--pbm needs --input NxHxWxC (the .pbm format "
-                           "does not record the input shape)");
-    input = a.input;
-    return core::load_model(a.pbm);
-  }
   models::ZooOptions zoo;
   zoo.shrink_log2 = a.shrink;
   const auto spec = models::spec_by_name(a.model, zoo, a.classes);
