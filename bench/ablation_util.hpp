@@ -4,6 +4,8 @@
 // middle-layer binary convolution (26x26, C channels, 3x3) and reports both
 // real host execution time (google-benchmark's measurement) and the modeled
 // device time on the simulated Snapdragon 855 (the `modeled_ms` counter).
+// Every arm compiles the paper's row-fused schedule (paths A-C), never the
+// bit-GEMM lowering, so an "on" arm is path A.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -41,10 +43,12 @@ struct ConvFixture {
   }
 };
 
-/// Runs the conv once under `opts`; returns the modeled device ms.
-inline double run_conv(const ConvFixture& fx, const core::EngineOptions& opts) {
+/// Runs the conv once under `opts` with the row-fused schedule pinned;
+/// returns the modeled device ms.
+inline double run_conv(const ConvFixture& fx, core::EngineOptions opts) {
   static auto device = std::make_shared<oclsim::Device>(
       oclsim::DeviceProfile::snapdragon855());
+  opts.conv_path = core::ConvPathPreference::kRowFused;
   core::Engine engine(device, opts);
   auto session = engine.create_session();
   auto ctx = session.context();

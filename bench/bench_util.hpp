@@ -21,13 +21,6 @@ struct BenchRecord {
   std::string geometry;  ///< human/grep-able geometry tag
   double host_ms = 0.0;    ///< measured wall time of the real host kernels
   double modeled_ms = 0.0; ///< simulated device time (0 when not modeled)
-  /// Serialized weight footprint of the benched model/layer (0 = not a
-  /// weight-carrying record). Written to the JSON only when positive, so
-  /// pre-existing records keep their exact bytes.
-  std::int64_t weights_bytes = 0;
-  /// Raw/encoded weight compression ratio (0 = not recorded; 1.0 =
-  /// incompressible). Informational — never gated.
-  double weights_ratio = 0.0;
 };
 
 /// Minimal JSON string escape (quotes and backslashes; tags are ASCII).
@@ -54,20 +47,9 @@ inline bool write_bench_json(const std::string& path, const std::string& bench,
   f << "{\n  \"bench\": \"" << json_escape(bench) << "\",\n  \"records\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
-    char ms[160];
-    // The optional weight-footprint fields always trail the timing pair so
-    // readers that stop after modeled_ms (all pre-existing ones) keep
-    // parsing every record.
-    if (r.weights_bytes > 0) {
-      std::snprintf(ms, sizeof(ms),
-                    "\"host_ms\": %.6f, \"modeled_ms\": %.6f, "
-                    "\"weights_bytes\": %lld, \"ratio\": %.4f",
-                    r.host_ms, r.modeled_ms,
-                    static_cast<long long>(r.weights_bytes), r.weights_ratio);
-    } else {
-      std::snprintf(ms, sizeof(ms), "\"host_ms\": %.6f, \"modeled_ms\": %.6f",
-                    r.host_ms, r.modeled_ms);
-    }
+    char ms[96];
+    std::snprintf(ms, sizeof(ms), "\"host_ms\": %.6f, \"modeled_ms\": %.6f",
+                  r.host_ms, r.modeled_ms);
     f << "    {\"op\": \"" << json_escape(r.op) << "\", \"geometry\": \""
       << json_escape(r.geometry) << "\", " << ms << "}"
       << (i + 1 < records.size() ? "," : "") << "\n";
@@ -101,18 +83,13 @@ inline bool read_bench_json(const std::string& path,
     end = line.find('"', cur);
     if (end == std::string::npos) return false;
     r.geometry = line.substr(cur, end - cur);
-    // The two timing fields are mandatory; the weight-footprint pair is
-    // optional (sscanf stops matching at the literal mismatch when a record
-    // does not carry it, leaving the count at 2 — trailing unknown fields
-    // are likewise tolerated, so old readers survive format growth).
-    long long wb = 0;
-    const int got = std::sscanf(
-        line.c_str() + end,
-        "\", \"host_ms\": %lf, \"modeled_ms\": %lf, \"weights_bytes\": %lld, "
-        "\"ratio\": %lf",
-        &r.host_ms, &r.modeled_ms, &wb, &r.weights_ratio);
-    if (got != 2 && got != 4) return false;
-    if (got == 4) r.weights_bytes = static_cast<std::int64_t>(wb);
+    // The two timing fields are mandatory; trailing unknown fields are
+    // tolerated, so old readers survive format growth.
+    if (std::sscanf(line.c_str() + end,
+                    "\", \"host_ms\": %lf, \"modeled_ms\": %lf", &r.host_ms,
+                    &r.modeled_ms) != 2) {
+      return false;
+    }
     records.push_back(std::move(r));
   }
   return !records.empty();
@@ -159,14 +136,6 @@ inline CompareSummary compare_bench_records(
       ++sum.missing;
       continue;
     }
-    // Weight-compression ratio suffix: purely informational, printed on
-    // EVERY matched line that records one (host-only rows included) so a
-    // --check run surfaces compression drift without gating on it.
-    char ratio[48] = "";
-    if (match->weights_ratio > 0.0) {
-      std::snprintf(ratio, sizeof(ratio), ", weights %.2fx",
-                    match->weights_ratio);
-    }
     if (b.modeled_ms <= 0.0) {
       // Host-only record: never time-gated (host wall time is machine
       // noise), but the relative delta still prints so a --check run shows
@@ -174,10 +143,10 @@ inline CompareSummary compare_bench_records(
       if (log != nullptr && b.host_ms > 0.0) {
         std::fprintf(log,
                      "host-only  %-14s %-30s host %.4f -> %.4f ms "
-                     "(%+.2f%%, informational%s)\n",
+                     "(%+.2f%%, informational)\n",
                      b.op.c_str(), b.geometry.c_str(), b.host_ms,
                      match->host_ms,
-                     100.0 * (match->host_ms - b.host_ms) / b.host_ms, ratio);
+                     100.0 * (match->host_ms - b.host_ms) / b.host_ms);
       }
       continue;
     }
@@ -197,9 +166,9 @@ inline CompareSummary compare_bench_records(
     } else if (log != nullptr) {
       std::fprintf(log,
                    "ok         %-14s %-30s modeled %.4f -> %.4f ms "
-                   "(%+.2f%%%s)\n",
+                   "(%+.2f%%)\n",
                    b.op.c_str(), b.geometry.c_str(), b.modeled_ms,
-                   match->modeled_ms, delta_pct, ratio);
+                   match->modeled_ms, delta_pct);
     }
   }
   return sum;

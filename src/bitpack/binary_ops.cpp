@@ -63,31 +63,6 @@ std::int64_t xor_popcount_wide(const std::uint64_t* a, const std::uint64_t* b,
   return simd::reduce_add(acc) + tail;
 }
 
-/// Whole-window kernel: `rows` strided spans of `row_words` words, the lane
-/// accumulator carried across every row and reduced once at the very end.
-template <int Lanes>
-std::int64_t xor_popcount_2d_wide(const std::uint64_t* a,
-                                  std::int64_t a_stride,
-                                  const std::uint64_t* b,
-                                  std::int64_t b_stride,
-                                  std::int64_t row_words, std::int64_t rows) {
-  using V = simd::vec<std::uint64_t, Lanes>;
-  V acc{};
-  std::int64_t tail = 0;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::uint64_t* pa = a + r * a_stride;
-    const std::uint64_t* pb = b + r * b_stride;
-    std::int64_t i = 0;
-    for (; i + Lanes <= row_words; i += Lanes) {
-      const V va = simd::vload<std::uint64_t, Lanes>(0, pa + i);
-      const V vb = simd::vload<std::uint64_t, Lanes>(0, pb + i);
-      simd::popcount_accumulate(acc, va ^ vb);
-    }
-    for (; i < row_words; ++i) tail += popcount(pa[i] ^ pb[i]);
-  }
-  return simd::reduce_add(acc) + tail;
-}
-
 template <int Lanes>
 std::int64_t and_popcount_wide(const std::uint64_t* a, const std::uint64_t* b,
                                std::int64_t nwords) {
@@ -200,37 +175,6 @@ std::int64_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
       return and_popcount_wide<16>(a, b, nwords);
   }
   throw InvalidArgument("unknown pack width");
-}
-
-std::int64_t xor_popcount_2d(const std::uint64_t* a, std::int64_t a_stride,
-                             const std::uint64_t* b, std::int64_t b_stride,
-                             std::int64_t row_words, std::int64_t rows,
-                             PackWidth w) {
-  PB_CHECK(row_words >= 0 && rows >= 0, "negative span geometry");
-  switch (w) {
-    case PackWidth::k128:
-      return xor_popcount_2d_wide<2>(a, a_stride, b, b_stride, row_words,
-                                     rows);
-    case PackWidth::k256:
-      return xor_popcount_2d_wide<4>(a, a_stride, b, b_stride, row_words,
-                                     rows);
-    case PackWidth::k512:
-      return xor_popcount_2d_wide<8>(a, a_stride, b, b_stride, row_words,
-                                     rows);
-    case PackWidth::k1024:
-      return xor_popcount_2d_wide<16>(a, a_stride, b, b_stride, row_words,
-                                      rows);
-    default: {
-      // Narrow granularities have no cross-row accumulator to carry; reuse
-      // the per-span kernels row by row.
-      std::int64_t total = 0;
-      for (std::int64_t r = 0; r < rows; ++r) {
-        total += xor_popcount(a + r * a_stride, b + r * b_stride, row_words,
-                              w);
-      }
-      return total;
-    }
-  }
 }
 
 namespace {
@@ -517,9 +461,9 @@ const char* lanes8_body() noexcept { return kLanes8Body; }
 std::vector<std::uint64_t> interleave_filter_panel(const std::uint64_t* w,
                                                    std::int64_t filters,
                                                    std::int64_t k_words) {
-  PB_CHECK(filters % 8 == 0 && k_words >= 0,
-           "filter panel needs whole groups of 8 filters");
-  std::vector<std::uint64_t> panel(static_cast<std::size_t>(filters * k_words));
+  PB_CHECK(filters >= 0 && k_words >= 0, "negative filter panel geometry");
+  std::vector<std::uint64_t> panel(
+      static_cast<std::size_t>(ceil_div(filters, 8) * 8 * k_words), 0);
   for (std::int64_t f = 0; f < filters; ++f) {
     std::uint64_t* dst = panel.data() + (f / 8) * k_words * 8 + f % 8;
     for (std::int64_t k = 0; k < k_words; ++k) dst[k * 8] = w[f * k_words + k];

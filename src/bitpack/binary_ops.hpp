@@ -7,10 +7,11 @@
 // The memory format is always 64-bit words; PackWidth selects how wide the
 // *processing* vectors are, which is what the granularity ablation measures.
 //
-// The GEMM (paths A and D) and bit-plane (input layer) microkernels are the
-// exception: they score the 8 filters of a workload group at once from a
-// filter-interleaved panel, with a SIMD body (AVX-512 vpopcntq, AVX2 or
-// scalar) fixed at compile time by the CPU flags; PackWidth only prices them.
+// The GEMM (every binary conv path) and bit-plane (input layer)
+// microkernels are the exception: they score the 8 filters of a workload
+// group at once from a filter-interleaved panel, with a SIMD body (AVX-512
+// vpopcntq, AVX2 or scalar) fixed at compile time by the CPU flags;
+// PackWidth only prices them.
 #pragma once
 
 #include <cstdint>
@@ -66,20 +67,6 @@ std::int64_t xor_popcount(const std::uint64_t* a, const std::uint64_t* b,
 std::int64_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
                           std::int64_t nwords, PackWidth w);
 
-/// Strided multi-span accumulate: popcount(xor) summed over `rows` spans of
-/// `row_words` words each, where consecutive spans of `a` start `a_stride`
-/// words apart and spans of `b` start `b_stride` words apart. In the
-/// NHWC-packed layout one binary-conv window is exactly this shape — the kw
-/// taps of a filter row are contiguous in both operands, so `a` walks kh
-/// input rows (stride = image row pitch) against kh contiguous weight rows —
-/// and the whole window reduces to ONE call instead of kh*kw short ones.
-/// Wide granularities keep a vector lane accumulator across all rows and
-/// reduce once at the end (simd::popcount_accumulate).
-std::int64_t xor_popcount_2d(const std::uint64_t* a, std::int64_t a_stride,
-                             const std::uint64_t* b, std::int64_t b_stride,
-                             std::int64_t row_words, std::int64_t rows,
-                             PackWidth w);
-
 /// M-rows of one bit-GEMM register tile (the conv path-D microkernel).
 inline constexpr int kGemmMr = 4;
 
@@ -87,9 +74,9 @@ inline constexpr int kGemmMr = 4;
 /// `[group][k][8 filters]`: word k of filter f lands at
 /// `panel[((f / 8) * k_words + k) * 8 + f % 8]`, so one 512-bit vector
 /// holds word k of all 8 filters of a workload group. `w` holds `filters`
-/// contiguous filter rows of `k_words` words each; `filters` must be a
-/// multiple of 8. Derived state: layers build it at construction and never
-/// serialize it.
+/// contiguous filter rows of `k_words` words each; when `filters` is not a
+/// multiple of 8 the last group is padded with all-zero filters. Derived
+/// state: layers build it at construction and never serialize it.
 std::vector<std::uint64_t> interleave_filter_panel(const std::uint64_t* w,
                                                    std::int64_t filters,
                                                    std::int64_t k_words);
@@ -104,8 +91,9 @@ const char* lanes8_body() noexcept;
 /// (`panel` at the group's K * 8 words). Row r's K = segs * seg_words words
 /// are `segs` runs, run s at `a + r * a_stride + s * seg_stride`: kh runs of
 /// kw*words words at the input row pitch for a conv window read in place
-/// (path A), one run for an im2col row (path D). Each K step loads the group's 8 filter words as one vector, xors it
-/// with each row's broadcast word and popcounts the result lane by lane.
+/// (paths A-C), one run for an im2col row (path D). Each K step loads the
+/// group's 8 filter words as one vector, xors it with each row's broadcast
+/// word and popcounts the result lane by lane.
 /// The body (lanes8_body()) is fixed at compile time by the CPU flags:
 /// AVX-512 counts each 64-bit lane with vpopcntq; AVX2 counts bits per
 /// byte with table lookups and flushes the byte counters into 64-bit lanes

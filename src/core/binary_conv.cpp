@@ -39,11 +39,9 @@ BinaryConv2d::BinaryConv2d(std::string name, PackedTensor weights,
                weights_.shape().w == geom_.kernel_w,
            name_ << ": filter bank spatial dims disagree with geometry");
   folded_ = fold_batch_norm(bn_, bias_);
-  if (c_out % 8 == 0) {
-    const Shape& ws = weights_.shape();
-    gemm_panel_ = bitpack::interleave_filter_panel(
-        weights_.data(), c_out, ws.h * ws.w * weights_.words_per_pixel());
-  }
+  const Shape& ws = weights_.shape();
+  gemm_panel_ = bitpack::interleave_filter_panel(
+      weights_.data(), c_out, ws.h * ws.w * weights_.words_per_pixel());
 }
 
 std::int64_t BinaryConv2d::param_bytes() const {
@@ -125,10 +123,11 @@ Blob BinaryConv2d::run(ExecContext& ctx, const Blob& in,
                        const PlanStep& step) const {
   const PackedTensor& packed = checked_input(in);
   const KernelVariant& v = step.variant;
-  // Paths A and D need gemm_panel_; an artifact's recorded variant is not
-  // re-derived on load.
-  PB_CHECK(!gemm_panel_.empty() || (v.path != KernelVariant::Path::kConvFused &&
-                                    v.path != KernelVariant::Path::kConvGemm),
+  // Paths A and D write whole group bytes; an artifact's recorded variant
+  // is not re-derived on load.
+  PB_CHECK(out_channels() % 8 == 0 ||
+               (v.path != KernelVariant::Path::kConvFused &&
+                v.path != KernelVariant::Path::kConvGemm),
            name_ << ": paths A and D need C_out % 8 == 0");
   if (step.fused_pool != nullptr) {
     return forward_fused_pool(ctx, packed, step);
@@ -206,76 +205,6 @@ inline std::int64_t window_mismatches_taps(const PackedTensor& in,
   return mism;
 }
 
-/// Fast path for windows fully inside the input: the kw taps of one filter
-/// row are contiguous in both operands (NHWC packing), so the whole window
-/// is one strided xor+popcount — kh input rows (pitch iw*words) against the
-/// contiguous filter (pitch kw*words). No bounds test, no zeros span.
-inline std::int64_t window_mismatches_interior(const PackedTensor& in,
-                                               const PackedTensor& weights,
-                                               const ConvDims& d,
-                                               std::int64_t n, std::int64_t iy0,
-                                               std::int64_t ix0,
-                                               std::int64_t co,
-                                               bitpack::PackWidth pw) {
-  return bitpack::xor_popcount_2d(in.pixel(n, iy0, ix0), d.iw * d.words,
-                                  weights.pixel(co, 0, 0), d.kw * d.words,
-                                  d.kw * d.words, d.kh, pw);
-}
-
-/// Border windows, still row-fused: each filter row splits into at most
-/// [left-pad | in-bounds run | right-pad]. A padding tap xors the all-zero
-/// span against the weights, so its mismatch count is just the popcount of
-/// the weight span — the pad segments need no zeros buffer at all.
-inline std::int64_t window_mismatches_border(const PackedTensor& in,
-                                             const PackedTensor& weights,
-                                             const ConvDims& d, std::int64_t n,
-                                             std::int64_t oy, std::int64_t ox,
-                                             std::int64_t co,
-                                             bitpack::PackWidth pw) {
-  const std::int64_t iy0 = oy * d.sh - d.ph;
-  const std::int64_t ix0 = ox * d.sw - d.pw;
-  const std::int64_t lo = std::clamp<std::int64_t>(-ix0, 0, d.kw);
-  const std::int64_t hi = std::clamp<std::int64_t>(d.iw - ix0, 0, d.kw);
-  std::int64_t mism = 0;
-  for (std::int64_t kh = 0; kh < d.kh; ++kh) {
-    const std::int64_t iy = iy0 + kh;
-    const std::uint64_t* wrow = weights.pixel(co, kh, 0);
-    if (iy < 0 || iy >= d.ih || hi <= lo) {
-      mism += bitpack::popcount_words(wrow, d.kw * d.words);
-      continue;
-    }
-    if (lo > 0) mism += bitpack::popcount_words(wrow, lo * d.words);
-    if (hi < d.kw) {
-      mism += bitpack::popcount_words(wrow + hi * d.words,
-                                      (d.kw - hi) * d.words);
-    }
-    mism += bitpack::xor_popcount(in.pixel(n, iy, ix0 + lo),
-                                  wrow + lo * d.words, (hi - lo) * d.words,
-                                  pw);
-  }
-  return mism;
-}
-
-/// Window accumulator honoring the interior-split option. `y_interior` is
-/// the hoisted per-row bounds test so the inner x loop pays one compare.
-inline std::int64_t window_mismatches(const PackedTensor& in,
-                                      const PackedTensor& weights,
-                                      const ConvDims& d, std::int64_t n,
-                                      std::int64_t oy, std::int64_t ox,
-                                      std::int64_t co,
-                                      const std::uint64_t* zeros,
-                                      bitpack::PackWidth pw, bool split,
-                                      bool y_interior) {
-  if (!split) {
-    return window_mismatches_taps(in, weights, d, n, oy, ox, co, zeros, pw);
-  }
-  if (y_interior && ox >= d.x0 && ox < d.x1) {
-    return window_mismatches_interior(in, weights, d, n, oy * d.sh - d.ph,
-                                      ox * d.sw - d.pw, co, pw);
-  }
-  return window_mismatches_border(in, weights, d, n, oy, ox, co, pw);
-}
-
 /// Folded-BN threshold sign of workload group g's 8 mismatch counts,
 /// packed into one byte (Fig. 4's private-memory byte) by the vector
 /// epilogue core::binarize_group. `len` is the window's bit count.
@@ -319,29 +248,38 @@ void gather_window(const PackedTensor& in, const ConvDims& d, std::int64_t n,
   }
 }
 
-/// Path A's work-item body (Fig. 4, DESIGN.md §4): hands emit(ox, byte)
-/// group g's byte for columns [x_begin, x_end) of row oy. With the split
-/// on, the group microkernel scores up to kGemmMr windows per call, reading
+/// Filters of group g that exist: 8, or fewer in the last group when
+/// C_out % 8 != 0 (paths B and C only).
+inline std::int64_t group_lanes(const ConvDims& d, std::int64_t g) {
+  return std::min<std::int64_t>(8, d.c_out - g * 8);
+}
+
+/// The window-streaming work-item body of every binary conv path (Fig. 4,
+/// DESIGN.md §4): hands emit(ox, mism) group g's 8 mismatch counts
+/// (`mism[f]` for filter g * 8 + f) for columns [x_begin, x_end) of row
+/// oy; each path turns them into its own output. With the split on, the
+/// group microkernel scores up to kGemmMr windows per call, reading
 /// interior windows in place and border windows from a zero-padded stack
-/// panel (in K chunks if one does not fit); off, the per-tap loop runs.
-struct PathAGroups {
+/// panel (in K chunks if one does not fit); off, the per-tap loop runs
+/// over the group's real filters only (lanes past C_out are left unset).
+/// `emit` is taken by value, and emits capture what they read by value: a
+/// private copy whose address never escapes lets the compiler keep those
+/// captures in registers across the stores an emit makes.
+struct GroupScorer {
   const PackedTensor& in;
   const PackedTensor& weights;
   const std::uint64_t* panel;  ///< gemm_panel_
-  const FoldedBatchNorm& fb;
   const KernelVariant& v;
   ConvDims d;
-  bool branch_free;
   const std::uint64_t* zeros;  ///< per-tap arm only
 
   template <class Emit>
   void score_row(std::int64_t n, std::int64_t oy, std::int64_t g,
                  std::int64_t x_begin, std::int64_t x_end,
-                 Emit&& emit) const {
+                 Emit emit) const {
     constexpr std::int64_t kMr = bitpack::kGemmMr;
     constexpr std::int64_t kBuf = BinaryConv2d::kBorderPanelWords;
     const std::int64_t k_words = d.kh * d.kw * d.words;
-    const std::int64_t len = d.kh * d.kw * d.c_in;
     const std::uint64_t* gpanel = panel + g * 8 * k_words;
     const std::int64_t iy0 = oy * d.sh - d.ph;
     const bool y_in = oy >= d.y0 && oy < d.y1;
@@ -349,7 +287,7 @@ struct PathAGroups {
     for (std::int64_t ox = x_begin; ox < x_end;) {
       std::int64_t rows = 1;
       if (!v.interior_split) {
-        for (int f = 0; f < 8; ++f) {
+        for (std::int64_t f = 0; f < group_lanes(d, g); ++f) {
           mism[f] = static_cast<std::int32_t>(window_mismatches_taps(
               in, weights, d, n, oy, ox, g * 8 + f, zeros, v.pack_width));
         }
@@ -378,12 +316,35 @@ struct PathAGroups {
           for (std::int64_t i = 0; i < rows * 8; ++i) mism[i] += part[i];
         }
       }
-      for (std::int64_t r = 0; r < rows; ++r, ++ox) {
-        emit(ox, group_byte(&mism[r * 8], g, len, fb, branch_free));
-      }
+      for (std::int64_t r = 0; r < rows; ++r, ++ox) emit(ox, &mism[r * 8]);
     }
   }
 };
+
+/// Enqueues `launch` over the Fig. 4 work items — column tile x output row
+/// x (image, filter group) — each scoring its columns with `s` and handing
+/// emit(n, oy, g, ox, mism) every column's 8 counts.
+template <class Emit>
+void enqueue_group_rows(ExecContext& ctx, const Launch& launch,
+                        const GroupScorer& s, std::int64_t tile_ow,
+                        Emit emit) {
+  const ConvDims& d = s.d;
+  const std::int64_t tile = std::min(tile_ow, d.ow);
+  const std::int64_t groups = ceil_div(d.c_out, 8);
+  ctx.queue.enqueue(
+      *launch.name, NDRange{ceil_div(d.ow, tile), d.oh, d.n * groups},
+      launch.cost, [s, emit, groups, tile](const WorkItem& it) {
+        const std::int64_t n = it.z / groups;
+        const std::int64_t oy = it.y;
+        const std::int64_t g = it.z % groups;
+        s.score_row(n, oy, g, it.x * tile,
+                    std::min(s.d.ow, (it.x + 1) * tile),
+                    [emit, n, oy, g](std::int64_t ox,
+                                     const std::int32_t* mism) {
+                      emit(n, oy, g, ox, mism);
+                    });
+      });
+}
 
 /// Bit-lanes charged per conv window at granularity `pw`. The row-fused
 /// path streams kh spans of kw*words words with a scalar tail — no lane is
@@ -650,62 +611,48 @@ PackedTensor BinaryConv2d::forward_fused(ExecContext& ctx,
   const KernelVariant& v = step.variant;
   const ConvDims d = make_dims(in, weights_, geom_);
   PackedTensor out = ctx.make_packed(Shape{d.n, d.oh, d.ow, d.c_out});
-  const bool split = v.interior_split;
-  const std::uint64_t* zeros =
-      split ? nullptr : ctx.arena.zero_words(d.words);
-  const auto pw = v.pack_width;
+  const GroupScorer s{in, weights_, gemm_panel_.data(), v, d,
+                      v.interior_split ? nullptr
+                                       : ctx.arena.zero_words(d.words)};
   const bool branch_free = ctx.opts.branch_free_binarize;
   const std::int64_t len = d.kh * d.kw * d.c_in;
-  const std::int64_t tile = std::min(v.tile_ow, d.ow);
-  const std::int64_t tiles_x = ceil_div(d.ow, tile);
   const FoldedBatchNorm& fb = folded_;
 
   if (v.path == KernelVariant::Path::kConvFused) {
     // Path A — Fig. 4: one work item owns a tile of output columns for the
     // 8 filters of its group and stores one byte per column.
-    const std::int64_t groups = d.c_out / 8;
-    const PathAGroups a{in, weights_, gemm_panel_.data(), folded_, v, d,
-                        branch_free, zeros};
     auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
-    const Launch& l = step.launches[0];
-    ctx.queue.enqueue(
-        *l.name, NDRange{tiles_x, d.oh, d.n * groups}, l.cost,
-        [&, a, d, groups, tile](const WorkItem& it) {
-          const std::int64_t n = it.z / groups;
-          const std::int64_t g = it.z % groups;
-          a.score_row(n, it.y, g, it.x * tile,
-                      std::min(d.ow, (it.x + 1) * tile),
-                      [&](std::int64_t ox, std::uint8_t byte) {
-                        out_bytes[out.word_offset(n, it.y, ox, 0) * 8 + g] =
-                            byte;
-                      });
+    const std::int64_t out_pitch = out.words_per_pixel() * 8;  // bytes/pixel
+    enqueue_group_rows(
+        ctx, step.launches[0], s, v.tile_ow,
+        [out_bytes, out_pitch, d, len, &fb, branch_free](
+            std::int64_t n, std::int64_t oy, std::int64_t g, std::int64_t ox,
+            const std::int32_t* mism) {
+          out_bytes[((n * d.oh + oy) * d.ow + ox) * out_pitch + g] =
+              group_byte(mism, g, len, fb, branch_free);
         });
     return out;
   }
 
-  // Path B — fused math, separate packing kernel (wide layers, §VI-B).
-  // The 0/1 byte map lives in the engine arena, not a per-forward vector.
-  const std::int64_t bit_count = d.n * d.oh * d.ow * d.c_out;
-  std::uint8_t* bits = ctx.arena.u8(bit_count);
-  const Launch& l = step.launches[0];
-  ctx.queue.enqueue(
-      *l.name, NDRange{tiles_x, d.oh, d.n * d.c_out}, l.cost,
-      [&, d, pw, branch_free, len, split, tile, zeros,
-       bits](const WorkItem& it) {
-        const std::int64_t n = it.z / d.c_out;
-        const std::int64_t co = it.z % d.c_out;
-        const bool y_in = it.y >= d.y0 && it.y < d.y1;
-        const std::int64_t x_end = std::min(d.ow, (it.x + 1) * tile);
-        for (std::int64_t ox = it.x * tile; ox < x_end; ++ox) {
-          const std::int64_t mism = window_mismatches(
-              in, weights_, d, n, it.y, ox, co, zeros, pw, split, y_in);
-          const float x1 = static_cast<float>(len - 2 * mism);
-          const std::size_t ci = static_cast<std::size_t>(co);
+  // Path B — fused math, separate packing kernel (wide layers, §VI-B): the
+  // same work items write each filter's 0/1 byte with the scalar Eqn 8/9
+  // test. The byte map lives in the engine arena, not a per-forward vector.
+  std::uint8_t* bits = ctx.arena.u8(d.n * d.oh * d.ow * d.c_out);
+  enqueue_group_rows(
+      ctx, step.launches[0], s, v.tile_ow,
+      [bits, d, len, &fb, branch_free](std::int64_t n, std::int64_t oy,
+                                       std::int64_t g, std::int64_t ox,
+                                       const std::int32_t* mism) {
+        const std::int64_t co0 = g * 8;
+        std::uint8_t* dst =
+            bits + ((n * d.oh + oy) * d.ow + ox) * d.c_out + co0;
+        for (std::int64_t f = 0; f < group_lanes(d, g); ++f) {
+          const float x1 = static_cast<float>(len - 2 * mism[f]);
+          const std::size_t ci = static_cast<std::size_t>(co0 + f);
           const bool bit =
               branch_free ? binarize_eqn9(x1, fb.xi[ci], fb.gamma_pos[ci] != 0)
                           : binarize_eqn8(x1, fb.xi[ci], fb.gamma_pos[ci] != 0);
-          bits[static_cast<std::size_t>(
-              ((n * d.oh + it.y) * d.ow + ox) * d.c_out + co)] = bit ? 1 : 0;
+          dst[f] = bit ? 1 : 0;
         }
       });
 
@@ -722,31 +669,22 @@ PackedTensor BinaryConv2d::forward_unfused(ExecContext& ctx,
   const KernelVariant& v = step.variant;
   const ConvDims d = make_dims(in, weights_, geom_);
   PackedTensor out = ctx.make_packed(Shape{d.n, d.oh, d.ow, d.c_out});
-  const bool split = v.interior_split;
-  const std::uint64_t* zeros =
-      split ? nullptr : ctx.arena.zero_words(d.words);
-  const auto pw = v.pack_width;
+  const GroupScorer s{in, weights_, gemm_panel_.data(), v, d,
+                      v.interior_split ? nullptr
+                                       : ctx.arena.zero_words(d.words)};
   const std::int64_t len = d.kh * d.kw * d.c_in;
-  const std::int64_t tile = std::min(v.tile_ow, d.ow);
-  const std::int64_t tiles_x = ceil_div(d.ow, tile);
   const std::int64_t out_count = d.n * d.oh * d.ow * d.c_out;
 
   // Kernel 1: raw binary convolution, int32 sums out.
   std::int32_t* sums = ctx.arena.i32(out_count);
-  const Launch& raw = step.launches[0];
-  ctx.queue.enqueue(
-      *raw.name, NDRange{tiles_x, d.oh, d.n * d.c_out}, raw.cost,
-      [&, d, pw, len, split, tile, zeros, sums](const WorkItem& it) {
-        const std::int64_t n = it.z / d.c_out;
-        const std::int64_t co = it.z % d.c_out;
-        const bool y_in = it.y >= d.y0 && it.y < d.y1;
-        const std::int64_t x_end = std::min(d.ow, (it.x + 1) * tile);
-        for (std::int64_t ox = it.x * tile; ox < x_end; ++ox) {
-          const std::int64_t mism = window_mismatches(
-              in, weights_, d, n, it.y, ox, co, zeros, pw, split, y_in);
-          sums[static_cast<std::size_t>(
-              ((n * d.oh + it.y) * d.ow + ox) * d.c_out + co)] =
-              static_cast<std::int32_t>(len - 2 * mism);
+  enqueue_group_rows(
+      ctx, step.launches[0], s, v.tile_ow,
+      [sums, d, len](std::int64_t n, std::int64_t oy, std::int64_t g,
+                     std::int64_t ox, const std::int32_t* mism) {
+        std::int32_t* dst =
+            sums + ((n * d.oh + oy) * d.ow + ox) * d.c_out + g * 8;
+        for (std::int64_t f = 0; f < group_lanes(d, g); ++f) {
+          dst[f] = static_cast<std::int32_t>(len - 2 * mism[f]);
         }
       });
 
@@ -876,16 +814,19 @@ PackedTensor BinaryConv2d::forward_fused_pool(ExecContext& ctx,
       1, std::min(v.tile_ow, pow_));
   const std::int64_t tiles_x = ceil_div(pow_, tile);
   const std::int64_t groups = d.c_out / 8;
-  const PathAGroups a{
-      in, weights_, gemm_panel_.data(), folded_, v, d,
-      ctx.opts.branch_free_binarize,
-      v.interior_split ? nullptr : ctx.arena.zero_words(d.words)};
+  const GroupScorer s{in, weights_, gemm_panel_.data(), v, d,
+                      v.interior_split ? nullptr
+                                       : ctx.arena.zero_words(d.words)};
+  const bool branch_free = ctx.opts.branch_free_binarize;
+  const std::int64_t len = d.kh * d.kw * d.c_in;
+  const FoldedBatchNorm& fb = folded_;
 
   auto* out_bytes = reinterpret_cast<std::uint8_t*>(out.data());
   const Launch& l = step.launches[0];
   ctx.queue.enqueue(
       *l.name, NDRange{tiles_x, poh, d.n * groups}, l.cost,
-      [&, a, d, pg, lp, poh, pow_, groups, tile](const WorkItem& it) {
+      [&, s, d, pg, lp, poh, pow_, groups, tile, len,
+       branch_free](const WorkItem& it) {
         const std::int64_t n = it.z / groups;
         const std::int64_t g = it.z % groups;
         const std::int64_t px0 = it.x * tile;
@@ -907,9 +848,11 @@ PackedTensor BinaryConv2d::forward_fused_pool(ExecContext& ctx,
           if (cy < 0 || cy >= d.oh || span <= 0) continue;
           row_valid = static_cast<std::uint8_t>(row_valid | (1u << ky));
           std::uint8_t* row = rowbuf.data() + ky * span;
-          a.score_row(n, cy, g, cx0, cx1,
-                      [row, cx0](std::int64_t cx, std::uint8_t byte) {
-                        row[cx - cx0] = byte;
+          s.score_row(n, cy, g, cx0, cx1,
+                      [&fb, row, cx0, g, len, branch_free](
+                          std::int64_t cx, const std::int32_t* mism) {
+                        row[cx - cx0] = group_byte(mism, g, len, fb,
+                                                   branch_free);
                       });
         }
         for (std::int64_t px = px0; px < px1; ++px) {

@@ -24,15 +24,17 @@
 // contribute -1 per channel (all-zero packed words), the standard BNN
 // convention. The float reference used by tests pads with -1 accordingly.
 //
-// Paths A–C are priced on a row-fused window accumulator (DESIGN.md §4): the
+// Paths A–C are priced on a row-fused window schedule (DESIGN.md §4): the
 // kw taps of one filter row are contiguous in the NHWC-packed layout, so an
 // interior window — precomputed as the output rectangle that never touches
-// padding — is ONE strided xor+popcount over the whole filter, and border
-// windows resolve padding per filter row (a padded tap's mismatches are just
-// the popcount of its weight span). Paths B and C run it; path A runs path
-// D's group microkernel over the same windows. EngineOptions::interior_split
-// turns the specialization off for ablation; conv_tile_ow sets the output-x
-// tile each work item owns. Intermediates live in the engine's ScratchArena.
+// padding — is kh strided spans over the whole filter, and border windows
+// resolve padding per filter row (a padded tap's mismatches are just the
+// popcount of its weight span). On the host all three run one body: path
+// D's 8-filter group microkernel over the same windows, each path applying
+// its own output transform to the group's counts.
+// EngineOptions::interior_split turns the specialization off for ablation;
+// conv_tile_ow sets the output-x tile each work item owns. Intermediates
+// live in the engine's ScratchArena.
 #pragma once
 
 #include <memory>
@@ -137,9 +139,10 @@ class BinaryConv2d final : public Layer {
   std::vector<BatchNormParams> bn_;
   std::vector<float> bias_;
   FoldedBatchNorm folded_;
-  /// Paths A and D's filter-interleaved copy of weights_
-  /// (bitpack::interleave_filter_panel), built at construction when
-  /// C_out % 8 == 0. Derived state like folded_, never serialized.
+  /// Every path's filter-interleaved copy of weights_
+  /// (bitpack::interleave_filter_panel), built at construction; a partial
+  /// last group is padded with zero filters. Derived state like folded_,
+  /// never serialized.
   std::vector<std::uint64_t> gemm_panel_;
   ConvGeometry geom_;
   // Lazily built (or loader-adopted) compression bank. Layers live behind

@@ -66,54 +66,31 @@ TEST(BenchCompare, MissingHostOnlyRecordStillFails) {
   EXPECT_EQ(sum.missing, 1);
 }
 
-/// The optional weight-footprint fields (PR 9): records that carry them
-/// round trip through the JSON writer/reader, records that don't keep
-/// parsing exactly as before, and the comparison gate treats both alike —
-/// the ratio is informational, never gated.
-TEST(BenchCompare, OptionalWeightFieldsRoundTripAndStayUngated) {
+/// Records round trip through the JSON writer and reader; a record missing
+/// half of the mandatory timing pair is a parse error, not a silently
+/// zeroed field.
+TEST(BenchCompare, JsonRoundTripsAndRejectsTruncatedRecords) {
   const std::string path =
-      std::string(::testing::TempDir()) + "phonebit_bench_compat.json";
-  std::vector<BenchRecord> out = baseline();   // old-shape records
-  BenchRecord comp{"bconv", "3x3/s1/compressed", 1.0, 5.0};
-  comp.weights_bytes = 2812;
-  comp.weights_ratio = 1.64;
-  out.push_back(comp);
+      std::string(::testing::TempDir()) + "phonebit_bench_json.json";
+  const std::vector<BenchRecord> out = baseline();
   ASSERT_TRUE(bench::write_bench_json(path, "kernels", out));
-
   std::vector<BenchRecord> in;
   ASSERT_TRUE(bench::read_bench_json(path, in));
-  std::remove(path.c_str());
   ASSERT_EQ(in.size(), out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(in[i].op, out[i].op) << i;
     EXPECT_EQ(in[i].geometry, out[i].geometry) << i;
+    EXPECT_DOUBLE_EQ(in[i].host_ms, out[i].host_ms) << i;
     EXPECT_DOUBLE_EQ(in[i].modeled_ms, out[i].modeled_ms) << i;
-    EXPECT_EQ(in[i].weights_bytes, out[i].weights_bytes) << i;
-    EXPECT_DOUBLE_EQ(in[i].weights_ratio, out[i].weights_ratio) << i;
   }
 
-  // A fresh run whose ratio DRIFTS but whose modeled time holds passes:
-  // compression footprint is reported, not gated.
-  auto fresh = in;
-  fresh.back().weights_bytes = 4000;
-  fresh.back().weights_ratio = 1.10;
-  const auto sum = compare_bench_records(fresh, in, 2.0, nullptr);
-  EXPECT_TRUE(sum.ok());
-  EXPECT_EQ(sum.checked, 3);  // the compressed record IS time-gated
-}
-
-/// A half-written record (weights_bytes without ratio) is a parse error,
-/// not a silently dropped field.
-TEST(BenchCompare, TruncatedWeightFieldsRejected) {
-  const std::string path =
-      std::string(::testing::TempDir()) + "phonebit_bench_trunc.json";
   {
     std::ofstream f(path);
     f << "{\n  \"bench\": \"kernels\",\n  \"records\": [\n"
-      << "    {\"op\": \"bconv\", \"geometry\": \"g\", \"host_ms\": 1.0, "
-         "\"modeled_ms\": 2.0, \"weights_bytes\": 99}\n  ]\n}\n";
+      << "    {\"op\": \"bconv\", \"geometry\": \"g\", \"host_ms\": 1.0}\n"
+         "  ]\n}\n";
   }
-  std::vector<BenchRecord> in;
+  in.clear();
   EXPECT_FALSE(bench::read_bench_json(path, in));
   std::remove(path.c_str());
 }

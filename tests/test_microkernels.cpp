@@ -215,7 +215,20 @@ TEST(MicrokernelOracle, InterleavedPanelLayout) {
                 static_cast<std::uint64_t>(f * k_words + k));
     }
   }
-  EXPECT_THROW(bitpack::interleave_filter_panel(w.data(), 12, 10), Error);
+  // A partial last group is padded with all-zero filters: 12 filters fill
+  // lanes 0-3 of group 1, and lanes 4-7 hold zero words.
+  const std::int64_t partial = 12;
+  const auto padded =
+      bitpack::interleave_filter_panel(w.data(), partial, k_words);
+  ASSERT_EQ(padded.size(), static_cast<std::size_t>(16 * k_words));
+  for (std::int64_t f = 0; f < 16; ++f) {
+    for (std::int64_t k = 0; k < k_words; ++k) {
+      EXPECT_EQ(padded[static_cast<std::size_t>(((f / 8) * k_words + k) * 8 +
+                                                f % 8)],
+                f < partial ? static_cast<std::uint64_t>(f * k_words + k) : 0)
+          << "filter " << f << " word " << k;
+    }
+  }
 }
 
 TEST(SegmentedGemmTile, MatchesGatheredDenseRows) {
