@@ -400,7 +400,7 @@ void bench_fleet_e2e(std::vector<bench::BenchRecord>& out) {
     workload.push_back(std::move(r));
   }
   const double t0 = now_ms();
-  const serve::FleetSummary s = fleet.run(std::move(workload));
+  const serve::ServerSummary s = fleet.run(std::move(workload));
   const double host = now_ms() - t0;
   out.push_back({"fleet_e2e", "quicknet/3tiers/150req", host,
                  s.makespan_ms});
@@ -471,7 +471,8 @@ void bench_cascade_e2e(std::vector<bench::BenchRecord>& out) {
     workload.push_back(std::move(r));
   }
   const double t0 = now_ms();
-  const serve::CascadeSummary s = fleet.run_cascade(spec, std::move(workload));
+  const serve::ServerSummary s =
+      fleet.run_cascade(spec, std::move(workload));
   const double host = now_ms() - t0;
   double makespan = 0.0;
   for (std::size_t i = 0; i < s.results.size(); ++i) {

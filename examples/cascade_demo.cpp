@@ -108,10 +108,10 @@ int main(int argc, char** argv) {
     push(core::Blob{datasets::random_image(spec.input, 900 + i)}, 60.0);
   }
 
-  const serve::CascadeSummary s = fleet.run_cascade(cascade, workload);
+  const serve::ServerSummary s = fleet.run_cascade(cascade, workload);
 
   std::printf("cascade '%s': %d requests, %zu stages, %d exec workers\n",
-              s.cascade.c_str(), s.requests, s.stages.size(), exec_workers);
+              cascade.name.c_str(), s.requests, s.stages.size(), exec_workers);
   std::printf("  faults          %s\n", faults.str().c_str());
   std::printf("  status          %d ok / %d shed / %d deadline / %d failed\n",
               s.ok, s.shed, s.deadline_exceeded, s.failed);
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
     std::printf("  stage %zu %-4s %4d entered | ok %3d shed %3d ddl %3d "
                 "fail %3d | pass %3d stop %3d | plane reuse %3d | "
                 "p50 %6.3f p99 %6.3f ms\n",
-                k, st.model.c_str(), st.entered, st.ok, st.shed,
+                k, st.name.c_str(), st.requests, st.ok, st.shed,
                 st.deadline_exceeded, st.failed, st.gate_passed,
                 st.gate_stopped, st.reused_planes, st.p50_ms, st.p99_ms);
   }

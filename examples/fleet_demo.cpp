@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
     push(core::Blob{datasets::random_image(spec.input, 900 + i)}, 80.0);
   }
 
-  const serve::FleetSummary s = fleet.run(std::move(workload));
+  const serve::ServerSummary s = fleet.run(std::move(workload));
 
   std::printf("fleet '%s': %d requests over %d shards, %d exec workers\n",
               fleet.name().c_str(), s.requests, fleet.shard_count(),
@@ -97,18 +97,20 @@ int main(int argc, char** argv) {
   std::printf("  host wall       %.1f ms for the whole trace\n\n", s.wall_ms);
 
   std::printf("per-shard accounting (virtual-time latency of Ok requests):\n");
-  for (const auto& st : s.shards) {
+  for (int si = 0; si < fleet.shard_count(); ++si) {
+    const serve::SummaryRow& st = s.shards[static_cast<std::size_t>(si)];
     std::printf("  %-8s %-6s %4d req | ok %3d ddl %3d fail %3d | "
                 "p50 %6.3f p99 %6.3f ms | depth %d | util %4.1f%%\n",
-                st.shard.c_str(), st.profile.c_str(), st.requests, st.ok,
-                st.deadline_exceeded, st.failed, st.p50_ms, st.p99_ms,
-                st.max_queue_depth, 100.0 * st.utilization);
+                st.name.c_str(), fleet.shard_spec(si).profile.c_str(),
+                st.requests, st.ok, st.deadline_exceeded, st.failed,
+                st.p50_ms, st.p99_ms, st.max_queue_depth,
+                100.0 * st.utilization);
   }
 
   std::printf("\nassignment histogram (bit-identical at any worker count):");
   for (int si = 0; si < fleet.shard_count(); ++si) {
     std::printf(" %s=%d", fleet.shard_spec(si).name.c_str(),
-                s.assignment[static_cast<std::size_t>(si)]);
+                s.stage_assignment[0][static_cast<std::size_t>(si)]);
   }
   std::printf("\nzero-compile serving: %zu plans compiled in-process\n",
               fleet.compiled_plans());

@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   for (const auto& m : s.models) {
     std::printf("  %-4s %4d req | ok %3d shed %3d ddl %3d fail %3d | "
                 "p50 %7.3f p99 %7.3f max %7.3f ms | depth %d\n",
-                m.model.c_str(), m.requests, m.ok, m.shed,
+                m.name.c_str(), m.requests, m.ok, m.shed,
                 m.deadline_exceeded, m.failed, m.p50_ms, m.p99_ms, m.max_ms,
                 m.max_queue_depth);
   }
@@ -131,8 +131,9 @@ int main(int argc, char** argv) {
   // rest @v2 — each ran on exactly one plan version.
   int v1 = 0, v2 = 0;
   for (const auto& rr : s.results) {
-    if (rr.status.ok() && rr.plan_version == 1) ++v1;
-    if (rr.status.ok() && rr.plan_version == 2) ++v2;
+    const std::uint64_t version = rr.stages[0].plan_version;
+    if (rr.status.ok() && version == 1) ++v1;
+    if (rr.status.ok() && version == 2) ++v2;
   }
   std::printf("\nplan versions among Ok requests: %d on v1, %d on v2\n", v1,
               v2);

@@ -416,7 +416,8 @@ double packed_out_bytes(const ConvDims& d) {
 }
 
 /// Packing pass of paths B and C: one work item per output word gathers
-/// 64 entries of the 0/1 byte map into one packed word.
+/// 64 entries of the 0/1 byte map into one packed word, without a branch
+/// per byte (random activations would mispredict half of them).
 void enqueue_pack(ExecContext& ctx, const Launch& launch, const ConvDims& d,
                   const std::uint8_t* bits, PackedTensor& out) {
   const std::int64_t owords = out.words_per_pixel();
@@ -426,13 +427,11 @@ void enqueue_pack(ExecContext& ctx, const Launch& launch, const ConvDims& d,
         const std::int64_t n = it.z / owords;
         const std::int64_t j = it.z % owords;
         std::uint64_t word = 0;
-        const std::int64_t base =
-            ((n * d.oh + it.y) * d.ow + it.x) * d.c_out + j * 64;
+        const std::uint8_t* src =
+            bits + ((n * d.oh + it.y) * d.ow + it.x) * d.c_out + j * 64;
         const std::int64_t limit = std::min<std::int64_t>(64, d.c_out - j * 64);
         for (std::int64_t b = 0; b < limit; ++b) {
-          if (bits[static_cast<std::size_t>(base + b)] != 0) {
-            word |= (std::uint64_t{1} << b);
-          }
+          word |= std::uint64_t{src[b] != 0} << b;
         }
         out.data()[out.word_offset(n, it.y, it.x, j)] = word;
       });

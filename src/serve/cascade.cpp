@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "serve/virtual_time.hpp"
-
 namespace phonebit::serve {
 namespace {
 
@@ -64,49 +62,6 @@ void validate_cascade(const CascadeSpec& spec, const std::string& who) {
     PB_CHECK(!spec.stages[s].model.empty(),
              who << ": cascade '" << spec.name << "' stage " << s
                  << " names no model");
-  }
-}
-
-void finalize_cascade_summary(CascadeSummary& summary,
-                              const CascadeSpec& spec) {
-  const std::size_t nstages = spec.stages.size();
-  summary.cascade = spec.name;
-  summary.stages.assign(nstages, CascadeStageStats{});
-  std::vector<std::vector<double>> ok_latency(nstages);
-  for (std::size_t s = 0; s < nstages; ++s) {
-    summary.stages[s].model = spec.stages[s].model;
-  }
-
-  for (const CascadeRequestResult& rr : summary.results) {
-    count_status(summary, rr.status.code);
-    if (rr.status.ok()) {
-      ++(rr.gated_out ? summary.gated_out : summary.full_runs);
-    }
-    for (std::size_t s = 0; s < rr.stages.size() && s < nstages; ++s) {
-      const StageOutcome& so = rr.stages[s];
-      CascadeStageStats& st = summary.stages[s];
-      ++st.entered;
-      st.retries += so.retries;
-      summary.retries += so.retries;
-      count_status(st, so.status.code);
-      if (!so.status.ok()) continue;
-      ok_latency[s].push_back(so.latency_ms);
-      st.max_ms = std::max(st.max_ms, so.latency_ms);
-      if (so.reused_planes) ++st.reused_planes;
-      if (so.gate_passed) {
-        ++st.gate_passed;
-      } else if (s + 1 < nstages && rr.gated_out &&
-                 s + 1 == rr.stages.size()) {
-        // An Ok non-final stage whose gate did not advance the request, on
-        // a request the gate completed early: the gate stopped it here.
-        ++st.gate_stopped;
-      }
-    }
-  }
-  for (std::size_t s = 0; s < nstages; ++s) {
-    std::sort(ok_latency[s].begin(), ok_latency[s].end());
-    summary.stages[s].p50_ms = percentile(ok_latency[s], 50.0);
-    summary.stages[s].p99_ms = percentile(ok_latency[s], 99.0);
   }
 }
 

@@ -8,6 +8,10 @@
 // downstream stages; a request that passes advances with the virtual
 // clock still running.
 //
+// A cascade returns the same ServerSummary (model_server.hpp) as a plain
+// run: each request lists one StageOutcome per stage it entered, and the
+// summary's `stages` view aggregates them per spec stage.
+//
 // Three properties carry over from the single-model serving plane and one
 // is new:
 //   - DETERMINISM: every stage's admission/deadline/retry/placement
@@ -91,11 +95,16 @@ float median_peak_threshold(const core::ExecutionPlan& plan,
                             core::ExecSession& session,
                             const std::vector<core::Blob>& inputs);
 
-/// Virtual-time accounting of ONE stage of one request's cascade walk.
+/// Virtual-time accounting of ONE stage of one request's walk (a plain
+/// run's request has exactly one). ServerSummary's totals and views are
+/// aggregated from these records.
 struct StageOutcome {
   RequestStatus status;
-  int shard = -1;      ///< fleet placement; -1 on a single-server cascade
-  int spillovers = 0;  ///< fleet: better-scored shards skipped because full
+  int shard = -1;      ///< shard it was placed on; -1 = never placed
+  int spillovers = 0;  ///< shards found full (a shed record counts all)
+  /// Admission-queue depth on its shard right after it joined; a shed
+  /// record reports the full depth it found.
+  int queue_depth = 0;
   int attempts = 0;
   int retries = 0;
   std::uint64_t plan_version = 0;
@@ -103,66 +112,8 @@ struct StageOutcome {
   bool gate_passed = false;    ///< Ok AND the stage's gate advanced it
   double queue_ms = 0.0;       ///< wait between stage arrival and dispatch
   double latency_ms = 0.0;     ///< stage arrival -> stage completion
-};
 
-/// One request's cascade outcome. `status` is the terminal verdict: Ok
-/// when the cascade completed (either the last stage ran, or a gate
-/// stopped it early — `gated_out` tells them apart); otherwise the status
-/// of the stage that killed it. `stages` holds one StageOutcome per stage
-/// the request ENTERED, in stage order.
-struct CascadeRequestResult {
-  RequestStatus status;
-  core::ForwardResult result;  ///< final executed stage's result (Ok only)
-  std::vector<StageOutcome> stages;
-  bool gated_out = false;   ///< completed early at a gate (status is Ok)
-  double queue_ms = 0.0;    ///< total virtual queueing across stages
-  double latency_ms = 0.0;  ///< original arrival -> terminal event
-};
-
-/// Per-stage aggregate over one cascade run.
-struct CascadeStageStats {
-  std::string model;
-  int entered = 0;  ///< requests that reached this stage
-  int ok = 0;
-  int shed = 0;
-  int deadline_exceeded = 0;
-  int failed = 0;
-  int retries = 0;
-  int gate_passed = 0;   ///< Ok outputs the gate advanced
-  int gate_stopped = 0;  ///< Ok outputs the gate completed early
-  int reused_planes = 0; ///< stage runs that skipped the input split
-  /// Nearest-rank percentiles of Ok requests' stage latency.
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  double max_ms = 0.0;
-};
-
-/// Everything one run_cascade produced. Accounting invariant:
-/// ok + shed + deadline_exceeded + failed == requests, and
-/// ok == gated_out + full_runs.
-struct CascadeSummary {
-  std::string cascade;
-  std::vector<CascadeRequestResult> results;  ///< submission order
-
-  int requests = 0;
-  int ok = 0;
-  int shed = 0;
-  int deadline_exceeded = 0;
-  int failed = 0;
-  int retries = 0;    ///< all stages, all requests
-  int gated_out = 0;  ///< Ok requests a gate completed early
-  int full_runs = 0;  ///< Ok requests that executed every stage
-
-  int swaps = 0;           ///< ModelServer cascades: committed hot-swaps
-  int swap_rollbacks = 0;  ///< ModelServer cascades: failed-load rollbacks
-
-  double wall_ms = 0.0;  ///< real host wall time of the whole run
-
-  std::vector<CascadeStageStats> stages;  ///< one entry per spec stage
-  /// Fleet cascades only: requests placed per (stage, shard) — the pinned
-  /// histogram the cascade soak asserts bit-identical across worker
-  /// counts. Empty on single-server cascades.
-  std::vector<std::vector<int>> stage_assignment;
+  bool operator==(const StageOutcome&) const = default;
 };
 
 /// Validates a spec's static contract (nonempty, <= kMaxCascadeStages
@@ -178,11 +129,5 @@ inline std::uint64_t cascade_fault_key(std::size_t idx, int stage) {
   return (static_cast<std::uint64_t>(idx) << 6) |
          static_cast<std::uint64_t>(stage);
 }
-
-/// Fills the aggregate fields of `summary` (totals, per-stage stats,
-/// percentiles) from its per-request results. Callers populate `results`,
-/// `requests`, `stage_assignment` and the swap counters first.
-void finalize_cascade_summary(CascadeSummary& summary,
-                              const CascadeSpec& spec);
 
 }  // namespace phonebit::serve

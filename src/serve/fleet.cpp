@@ -1,10 +1,8 @@
 #include "serve/fleet.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "serve/scheduler.hpp"
-#include "serve/virtual_time.hpp"
 
 namespace phonebit::serve {
 
@@ -85,73 +83,13 @@ int FleetServer::total_arena_growth_events() const {
   return repo_->total_arena_growth_events();
 }
 
-FleetSummary FleetServer::run(std::vector<Request> workload) {
-  const double wall0 = now_ms();
-  Schedule sched = scheduler_->run(nullptr, workload);
-
-  // Projection: one stage per request, plus per-shard accounting.
-  const auto nshards = static_cast<std::size_t>(shard_count());
-  FleetSummary summary;
-  summary.requests = static_cast<int>(workload.size());
-  summary.assignment = std::move(sched.stage_assignment.front());
-  summary.shards.resize(nshards);
-  std::vector<std::vector<double>> ok_latency(nshards);
-  for (std::size_t si = 0; si < nshards; ++si) {
-    ShardStats& st = summary.shards[si];
-    st.shard = specs_[si].name;
-    st.profile = specs_[si].profile;
-    st.max_queue_depth = sched.shards[si].max_queue_depth;
-    st.busy_ms = sched.shards[si].busy_ms;
-    summary.makespan_ms =
-        std::max(summary.makespan_ms, sched.shards[si].end_ms);
-  }
-  for (CascadeRequestResult& cr : sched.results) {
-    const StageOutcome& so = cr.stages.front();
-    summary.results.push_back(FleetRequestResult{
-        cr.status, std::move(cr.result), so.shard, so.spillovers, so.attempts,
-        so.retries, so.plan_version, so.queue_ms, cr.latency_ms});
-    const FleetRequestResult& rr = summary.results.back();
-    summary.spillovers += rr.spillovers;
-    summary.retries += rr.retries;
-    count_status(summary, rr.status.code);
-    if (rr.shard < 0) continue;  // never placed
-    const auto si = static_cast<std::size_t>(rr.shard);
-    ShardStats& st = summary.shards[si];
-    ++st.requests;
-    st.retries += rr.retries;
-    count_status(st, rr.status.code);
-    if (rr.status.ok()) {
-      ok_latency[si].push_back(rr.latency_ms);
-      st.max_ms = std::max(st.max_ms, rr.latency_ms);
-    }
-  }
-  for (std::size_t si = 0; si < nshards; ++si) {
-    std::sort(ok_latency[si].begin(), ok_latency[si].end());
-    ShardStats& st = summary.shards[si];
-    st.p50_ms = percentile(ok_latency[si], 50.0);
-    st.p99_ms = percentile(ok_latency[si], 99.0);
-    if (summary.makespan_ms > 0.0) {
-      st.utilization =
-          st.busy_ms / (static_cast<double>(config_.lanes_per_shard) *
-                        summary.makespan_ms);
-    }
-  }
-  summary.wall_ms = now_ms() - wall0;
-  return summary;
+ServerSummary FleetServer::run(std::vector<Request> workload) {
+  return scheduler_->run(nullptr, workload);
 }
 
-CascadeSummary FleetServer::run_cascade(const CascadeSpec& spec,
-                                        std::vector<Request> workload) {
-  validate_cascade(spec, repo_->who());
-  const double wall0 = now_ms();
-  Schedule sched = scheduler_->run(&spec, workload);
-  CascadeSummary summary;
-  summary.requests = static_cast<int>(workload.size());
-  summary.results = std::move(sched.results);
-  summary.stage_assignment = std::move(sched.stage_assignment);
-  finalize_cascade_summary(summary, spec);
-  summary.wall_ms = now_ms() - wall0;
-  return summary;
+ServerSummary FleetServer::run_cascade(const CascadeSpec& spec,
+                                       std::vector<Request> workload) {
+  return scheduler_->run(&spec, workload);
 }
 
 }  // namespace phonebit::serve

@@ -23,7 +23,10 @@
 // verdicts are virtual-time decisions, bit-identical across runs and real
 // worker counts (tests/test_fleet.cpp's soak, `pbc fleet-check`). Outputs
 // are bit-exact across profiles because oclsim kernels do real host
-// arithmetic; only the modeled clock differs.
+// arithmetic; only the modeled clock differs. run() and run_cascade()
+// return ModelServer's ServerSummary: each request's StageOutcome names
+// its shard and spillovers, `stage_assignment[0]` is the placement
+// histogram and `shards` holds per-shard counts and utilization.
 #pragma once
 
 #include <cstdint>
@@ -66,61 +69,6 @@ struct FleetConfig {
   /// one ms of waiting costs as much as one ms of compute; 0 = route purely
   /// by device speed (the flagship takes everything until it sheds).
   double wait_weight = 1.0;
-};
-
-/// Per-request outcome, FleetServer flavor: ModelServer's accounting plus
-/// where the request landed and how it got there.
-struct FleetRequestResult {
-  RequestStatus status;
-  core::ForwardResult result;  ///< engaged only when status.ok()
-
-  int shard = -1;      ///< index into config().shards; -1 = never placed
-  int spillovers = 0;  ///< better-scored shards skipped because full
-  int attempts = 0;
-  int retries = 0;
-  std::uint64_t plan_version = 0;
-  double queue_ms = 0.0;    ///< virtual wait between arrival and dispatch
-  double latency_ms = 0.0;  ///< virtual end-to-end latency (0 when shed)
-};
-
-/// Per-shard accounting of one fleet run.
-struct ShardStats {
-  std::string shard;    ///< ShardSpec::name
-  std::string profile;  ///< profile key
-  int requests = 0;     ///< requests PLACED on this shard
-  int ok = 0;
-  int deadline_exceeded = 0;
-  int failed = 0;
-  int retries = 0;
-  int max_queue_depth = 0;
-  double busy_ms = 0.0;      ///< virtual lane-occupancy total
-  double utilization = 0.0;  ///< busy_ms / (lanes_per_shard * makespan_ms)
-  double p50_ms = 0.0;       ///< Ok-request virtual latency percentiles
-  double p99_ms = 0.0;
-  double max_ms = 0.0;
-};
-
-/// Everything one FleetServer::run produced. Accounting invariant:
-/// ok + shed + deadline_exceeded + failed == requests, and
-/// sum(assignment) == requests - shed - failed-before-placement.
-struct FleetSummary {
-  std::vector<FleetRequestResult> results;  ///< submission order
-
-  int requests = 0;
-  int ok = 0;
-  int shed = 0;  ///< every candidate shard was full
-  int deadline_exceeded = 0;
-  int failed = 0;
-  int retries = 0;
-  int spillovers = 0;  ///< total reject-to-next-shard hops
-
-  double makespan_ms = 0.0;  ///< latest virtual lane-busy instant, fleet-wide
-  double wall_ms = 0.0;      ///< real host wall time of the whole run
-
-  std::vector<ShardStats> shards;  ///< one entry per shard, fleet order
-  /// Requests placed per shard (== shards[i].requests): the pinned
-  /// histogram the soak test asserts bit-identical across worker counts.
-  std::vector<int> assignment;
 };
 
 class Repository;
@@ -175,7 +123,7 @@ class FleetServer {
   /// the shards, then parallel per-shard execution of the admitted
   /// requests. One run() at a time per fleet (concurrent calls throw);
   /// swap_model_on from another thread takes effect from the next run().
-  FleetSummary run(std::vector<Request> workload);
+  ServerSummary run(std::vector<Request> workload);
 
   /// Serves a workload trace through a model CASCADE across the fleet
   /// (cascade.hpp, DESIGN.md §13): every stage of a request is placed
@@ -184,11 +132,11 @@ class FleetServer {
   /// holding the request's filled input planes prices later stages at the
   /// split-skipped (reuse) cost, so reuse affinity emerges from scoring.
   /// The deadline budget spans all stages from the original arrival, and
-  /// the per-(stage, shard) placement histogram (CascadeSummary::
+  /// the per-(stage, shard) placement histogram (ServerSummary::
   /// stage_assignment) is bit-identical across exec_workers. Requests'
   /// `model` fields are ignored (the spec routes).
-  CascadeSummary run_cascade(const CascadeSpec& spec,
-                             std::vector<Request> workload);
+  ServerSummary run_cascade(const CascadeSpec& spec,
+                            std::vector<Request> workload);
 
   /// Zero-compile serving surface: distinct descriptors compiled by any
   /// shard runner so far — stays 0 while every request matches its

@@ -1,10 +1,8 @@
 #include "serve/model_server.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "serve/scheduler.hpp"
-#include "serve/virtual_time.hpp"
 
 namespace phonebit::serve {
 
@@ -57,79 +55,13 @@ std::vector<std::string> ModelServer::models() const {
 
 ServerSummary ModelServer::run(std::vector<Request> workload,
                                std::vector<SwapEvent> swaps) {
-  const double wall0 = now_ms();
-  Schedule sched =
-      scheduler_->run(nullptr, workload, on_shard0(std::move(swaps)));
-
-  // Projection: one stage per request, plus per-model accounting.
-  ServerSummary summary;
-  summary.requests = static_cast<int>(workload.size());
-  summary.swaps = sched.swaps;
-  summary.swap_rollbacks = sched.swap_rollbacks;
-  summary.max_queue_depth = sched.shards[0].max_queue_depth;
-  std::vector<std::vector<double>> ok_latency;
-  for (std::size_t i = 0; i < workload.size(); ++i) {
-    CascadeRequestResult& cr = sched.results[i];
-    const StageOutcome& so = cr.stages.front();
-    summary.results.push_back(RequestResult{
-        cr.status, std::move(cr.result), so.attempts, so.retries,
-        so.plan_version, so.queue_ms, cr.latency_ms});
-    const RequestResult& rr = summary.results.back();
-
-    std::size_t k = 0;
-    while (k < summary.models.size() &&
-           summary.models[k].model != workload[i].model) {
-      ++k;
-    }
-    if (k == summary.models.size()) {
-      summary.models.push_back(ModelStats{});
-      summary.models[k].model = workload[i].model;
-      ok_latency.emplace_back();
-    }
-    ModelStats& m = summary.models[k];
-    ++m.requests;
-    m.retries += rr.retries;
-    summary.retries += rr.retries;
-    m.max_queue_depth = std::max(m.max_queue_depth, sched.queue_depth[i]);
-    count_status(summary, rr.status.code);
-    count_status(m, rr.status.code);
-    if (rr.status.ok()) {
-      ok_latency[k].push_back(rr.latency_ms);
-      m.max_ms = std::max(m.max_ms, rr.latency_ms);
-    }
-  }
-  for (std::size_t k = 0; k < summary.models.size(); ++k) {
-    std::sort(ok_latency[k].begin(), ok_latency[k].end());
-    summary.models[k].p50_ms = percentile(ok_latency[k], 50.0);
-    summary.models[k].p99_ms = percentile(ok_latency[k], 99.0);
-  }
-  summary.wall_ms = now_ms() - wall0;
-  return summary;
+  return scheduler_->run(nullptr, workload, on_shard0(std::move(swaps)));
 }
 
-CascadeSummary ModelServer::run_cascade(const CascadeSpec& spec,
-                                        std::vector<Request> workload,
-                                        std::vector<SwapEvent> swaps) {
-  validate_cascade(spec, repo_->who());
-  const double wall0 = now_ms();
-  Schedule sched =
-      scheduler_->run(&spec, workload, on_shard0(std::move(swaps)));
-
-  // Projection: a single-server cascade reports no placement.
-  CascadeSummary summary;
-  summary.requests = static_cast<int>(workload.size());
-  summary.results = std::move(sched.results);
-  for (CascadeRequestResult& rr : summary.results) {
-    for (StageOutcome& so : rr.stages) {
-      so.shard = -1;
-      so.spillovers = 0;
-    }
-  }
-  summary.swaps = sched.swaps;
-  summary.swap_rollbacks = sched.swap_rollbacks;
-  finalize_cascade_summary(summary, spec);
-  summary.wall_ms = now_ms() - wall0;
-  return summary;
+ServerSummary ModelServer::run_cascade(const CascadeSpec& spec,
+                                       std::vector<Request> workload,
+                                       std::vector<SwapEvent> swaps) {
+  return scheduler_->run(&spec, workload, on_shard0(std::move(swaps)));
 }
 
 }  // namespace phonebit::serve

@@ -12,7 +12,10 @@
 // RequestStatus — Ok, Shed (rejected at admission, never executed),
 // DeadlineExceeded (past its budget before execution could complete), or
 // Failed{error} (bad input, exhausted retries). Nothing is lost and one
-// poisoned request never costs its neighbors anything.
+// poisoned request never costs its neighbors anything. Every run and
+// cascade of a ModelServer or a FleetServer returns one ServerSummary:
+// each request's status, result and per-stage records, the totals, and
+// per-model / per-shard / per-stage views of those records.
 //
 // Decisions run in VIRTUAL time (DESIGN.md §9): the trace's arrival
 // timestamps plus the plans' deterministic modeled latencies, drained by
@@ -63,42 +66,52 @@ struct SwapEvent {
   std::string path;
 };
 
-/// Per-request outcome: the status, the forward result (Ok only), and the
-/// virtual-time accounting every decision was made with.
+/// One request's outcome. `status` is its terminal verdict, the status of
+/// its last stage record: Ok when the request completed (its last stage
+/// ran, or a cascade gate stopped it early — `gated_out` tells them
+/// apart), otherwise the status of the stage that ended it. `stages` holds
+/// one StageOutcome per stage the request entered, in stage order (a plain
+/// run's request has exactly one); the totals add up those records.
 struct RequestResult {
   RequestStatus status;
-  core::ForwardResult result;  ///< engaged only when status.ok()
+  core::ForwardResult result;  ///< last executed stage's result (Ok only)
+  std::vector<StageOutcome> stages;
+  bool gated_out = false;  ///< completed early at a gate (status is Ok)
 
-  int attempts = 0;  ///< execution attempts accounted (1 + retries), 0 if shed
+  int attempts = 0;  ///< execution attempts accounted, 0 if never dispatched
   int retries = 0;   ///< retries consumed by injected transient faults
-  /// Model version that served it; a shed request reports the version it
-  /// arrived under.
-  std::uint64_t plan_version = 0;
-  double queue_ms = 0.0;    ///< virtual wait between arrival and dispatch
-  double latency_ms = 0.0;  ///< virtual end-to-end latency (0 when shed)
+  double queue_ms = 0.0;    ///< virtual wait before dispatch, all stages
+  double latency_ms = 0.0;  ///< virtual arrival -> terminal event
 };
 
-/// Per-model serving statistics, BatchSummary-style.
-struct ModelStats {
-  std::string model;
-  int requests = 0;
+/// One row of a summary view: the stage records of one model, one shard
+/// or one cascade stage. Every count is over those records.
+struct SummaryRow {
+  std::string name;  ///< model, shard or stage model name
+  int requests = 0;  ///< stage records in the row
   int ok = 0;
   int shed = 0;
   int deadline_exceeded = 0;
   int failed = 0;
   int retries = 0;
-  /// Nearest-rank percentiles of Ok requests' virtual end-to-end latency.
+  int gate_passed = 0;      ///< Ok records whose gate advanced the request
+  int gate_stopped = 0;     ///< Ok records whose gate completed it early
+  int reused_planes = 0;    ///< records that ran with the input split skipped
+  int max_queue_depth = 0;  ///< largest StageOutcome::queue_depth
+  double busy_ms = 0.0;      ///< shard rows: virtual lane occupancy
+  double utilization = 0.0;  ///< shard rows: busy_ms / (lanes * makespan_ms)
+  /// Nearest-rank percentiles of the Ok records' stage latency.
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   double max_ms = 0.0;
-  /// Largest admission-queue depth observed at this model's arrivals.
-  int max_queue_depth = 0;
 };
 
-/// Everything one run() produced: per-request results (submission order)
-/// plus the aggregate and per-model accounting. The accounting invariant —
-/// ok + shed + deadline_exceeded + failed == requests — is the "zero lost
-/// requests" contract.
+/// Everything one run or cascade of a ModelServer or FleetServer produced:
+/// per-request results (submission order), the totals, the placement
+/// histogram and three views over the stage records. Accounting
+/// invariants: ok + shed + deadline_exceeded + failed == requests,
+/// ok == gated_out + full_runs, and each view's rows add up to the stage
+/// records they group.
 struct ServerSummary {
   std::vector<RequestResult> results;
 
@@ -107,15 +120,25 @@ struct ServerSummary {
   int shed = 0;
   int deadline_exceeded = 0;
   int failed = 0;
-  int retries = 0;
+  int retries = 0;     ///< all stages, all requests
+  int gated_out = 0;   ///< Ok requests a gate completed early
+  int full_runs = 0;   ///< Ok requests that executed every stage
+  int spillovers = 0;  ///< total StageOutcome::spillovers
 
   int swaps = 0;            ///< scheduled swaps that committed
-  int swap_rollbacks = 0;   ///< scheduled swaps that failed load and rolled back
+  int swap_rollbacks = 0;   ///< scheduled swaps whose load failed
   int max_queue_depth = 0;  ///< largest admission-queue depth observed
 
-  double wall_ms = 0.0;  ///< real host wall time of the whole run
+  double makespan_ms = 0.0;  ///< latest virtual lane-busy instant, all shards
+  double wall_ms = 0.0;      ///< real host wall time of the whole run
 
-  std::vector<ModelStats> models;  ///< one entry per model seen in the trace
+  /// Stage records placed per [stage][shard]: the pinned histogram the
+  /// soaks assert bit-identical across worker counts.
+  std::vector<std::vector<int>> stage_assignment;
+
+  std::vector<SummaryRow> models;  ///< per routed model, first-seen order
+  std::vector<SummaryRow> shards;  ///< per shard, in shard order
+  std::vector<SummaryRow> stages;  ///< per stage (a plain run has one, unnamed)
 };
 
 /// Serving configuration. `lanes` is the SIMULATED service concurrency the
@@ -180,9 +203,9 @@ class ModelServer {
   /// arrival, and each stage resolves its artifact at its own dispatch
   /// time, so one stage swapping never drains the cascade. Requests'
   /// `model` fields are ignored (the spec routes).
-  CascadeSummary run_cascade(const CascadeSpec& spec,
-                             std::vector<Request> workload,
-                             std::vector<SwapEvent> swaps = {});
+  ServerSummary run_cascade(const CascadeSpec& spec,
+                            std::vector<Request> workload,
+                            std::vector<SwapEvent> swaps = {});
 
   const ServerConfig& config() const noexcept { return config_; }
   const FaultPlan& faults() const noexcept { return faults_; }

@@ -44,6 +44,10 @@ const oclsim::DeviceProfile& Repository::profile(int shard) const {
   return shard_at(shard).profile;
 }
 
+const std::string& Repository::shard_name(int shard) const {
+  return shard_at(shard).name;
+}
+
 std::string Repository::on_shard(int shard) const {
   if (shard_count() == 1) return {};
   return " on shard '" + shard_at(shard).name + "'";
@@ -166,7 +170,7 @@ class Timeline {
   /// applying them while the clock passes, but every decision can look up
   /// its own instant.
   Timeline(Repository& repo, const std::vector<std::string>& routed,
-           std::vector<ShardSwap> swaps, Schedule& out)
+           std::vector<ShardSwap> swaps, ServerSummary& out)
       : nshards_(repo.shard_count()) {
     std::stable_sort(swaps.begin(), swaps.end(),
                      [](const ShardSwap& a, const ShardSwap& b) {
@@ -234,15 +238,122 @@ class Timeline {
   std::vector<Line> lines_;
 };
 
+/// Counts one status into a row's or a summary's ok / shed /
+/// deadline_exceeded / failed counters.
+template <typename Counts>
+void count_status(Counts& c, StatusCode code) {
+  switch (code) {
+    case StatusCode::kOk:
+      ++c.ok;
+      return;
+    case StatusCode::kShed:
+      ++c.shed;
+      return;
+    case StatusCode::kDeadlineExceeded:
+      ++c.deadline_exceeded;
+      return;
+    case StatusCode::kFailed:
+      ++c.failed;
+      return;
+  }
+}
+
+/// One summary view under aggregation: its rows plus each row's Ok stage
+/// latencies, sorted into percentiles by finish().
+class View {
+ public:
+  explicit View(std::vector<SummaryRow>& rows)
+      : rows_(rows), ok_ms_(rows.size()) {}
+
+  void add(std::size_t r, const StageOutcome& so, bool gate_stopped) {
+    SummaryRow& row = rows_[r];
+    ++row.requests;
+    row.retries += so.retries;
+    row.max_queue_depth = std::max(row.max_queue_depth, so.queue_depth);
+    count_status(row, so.status.code);
+    if (!so.status.ok()) return;
+    ok_ms_[r].push_back(so.latency_ms);
+    row.max_ms = std::max(row.max_ms, so.latency_ms);
+    row.reused_planes += so.reused_planes ? 1 : 0;
+    row.gate_passed += so.gate_passed ? 1 : 0;
+    row.gate_stopped += gate_stopped ? 1 : 0;
+  }
+
+  void finish() {
+    for (std::size_t r = 0; r < rows_.size(); ++r) {
+      std::sort(ok_ms_[r].begin(), ok_ms_[r].end());
+      rows_[r].p50_ms = percentile(ok_ms_[r], 50.0);
+      rows_[r].p99_ms = percentile(ok_ms_[r], 99.0);
+    }
+  }
+
+ private:
+  std::vector<SummaryRow>& rows_;
+  std::vector<std::vector<double>> ok_ms_;
+};
+
+/// The one aggregation: fills the totals, the placement histogram and the
+/// model / shard / stage views from the stage records. `routed` names the
+/// model of each stage (cascade) or of each request (plain run); the walk
+/// has already named the shard rows and summed their busy_ms.
+void summarize(ServerSummary& out, const CascadeSpec* spec,
+               const std::vector<std::string>& routed, int lanes) {
+  // Model rows in first-seen order; routed[k] counts into model_row[k].
+  std::vector<std::size_t> model_row;
+  for (const std::string& m : routed) {
+    std::size_t r = 0;
+    while (r < out.models.size() && out.models[r].name != m) ++r;
+    if (r == out.models.size()) out.models.push_back(SummaryRow{m});
+    model_row.push_back(r);
+  }
+  out.stages.resize(out.stage_assignment.size());
+  for (std::size_t s = 0; spec != nullptr && s < out.stages.size(); ++s) {
+    out.stages[s].name = spec->stages[s].model;
+  }
+  View models(out.models);
+  View shards(out.shards);
+  View stages(out.stages);
+  for (std::size_t i = 0; i < out.results.size(); ++i) {
+    const RequestResult& rr = out.results[i];
+    ++out.requests;
+    count_status(out, rr.status.code);
+    if (rr.status.ok()) ++(rr.gated_out ? out.gated_out : out.full_runs);
+    out.retries += rr.retries;
+    for (std::size_t s = 0; s < rr.stages.size(); ++s) {
+      const StageOutcome& so = rr.stages[s];
+      // A gate-completed request stopped at its last stage's gate.
+      const bool stopped = rr.gated_out && s + 1 == rr.stages.size();
+      out.spillovers += so.spillovers;
+      out.max_queue_depth = std::max(out.max_queue_depth, so.queue_depth);
+      models.add(model_row[spec != nullptr ? s : i], so, stopped);
+      stages.add(s, so, stopped);
+      if (so.shard < 0) continue;  // never placed
+      const auto si = static_cast<std::size_t>(so.shard);
+      ++out.stage_assignment[s][si];
+      shards.add(si, so, stopped);
+    }
+  }
+  models.finish();
+  shards.finish();
+  stages.finish();
+  if (out.makespan_ms > 0.0) {
+    for (SummaryRow& row : out.shards) {
+      row.utilization =
+          row.busy_ms / (static_cast<double>(lanes) * out.makespan_ms);
+    }
+  }
+}
+
 }  // namespace
 
 Scheduler::Scheduler(Repository& repo, SchedulerConfig config,
                      FaultPlan faults)
     : repo_(repo), config_(config), faults_(faults) {}
 
-Schedule Scheduler::run(const CascadeSpec* spec,
-                        const std::vector<Request>& workload,
-                        std::vector<ShardSwap> swaps) {
+ServerSummary Scheduler::run(const CascadeSpec* spec,
+                             const std::vector<Request>& workload,
+                             std::vector<ShardSwap> swaps) {
+  if (spec != nullptr) validate_cascade(*spec, repo_.who());
   PB_CHECK(!running_.exchange(true, std::memory_order_acq_rel),
            repo_.who() << ": run called concurrently — one trace at a time");
   struct RunningGuard {
@@ -255,10 +366,13 @@ Schedule Scheduler::run(const CascadeSpec* spec,
   const auto ushards = static_cast<std::size_t>(nshards);
   const int nstages = spec != nullptr ? static_cast<int>(spec->stages.size())
                                       : 1;
-  Schedule out;
+  const double wall0 = now_ms();
+  ServerSummary out;
   out.results.resize(n);
-  out.queue_depth.assign(n, 0);
-  out.shards.assign(ushards, ShardLoad{});
+  out.shards.resize(ushards);
+  for (int si = 0; si < nshards; ++si) {
+    out.shards[static_cast<std::size_t>(si)].name = repo_.shard_name(si);
+  }
   out.stage_assignment.assign(static_cast<std::size_t>(nstages),
                               std::vector<int>(ushards, 0));
 
@@ -341,7 +455,7 @@ Schedule Scheduler::run(const CascadeSpec* spec,
     for (const std::size_t idx : entrants) {
       const Request& rq = workload[idx];
       Walk& wk = walks[idx];
-      CascadeRequestResult& rr = out.results[idx];
+      RequestResult& rr = out.results[idx];
       const double t = wk.arrive;
       const double t0 = wk.t0;
       const std::string& model =
@@ -422,11 +536,9 @@ Schedule Scheduler::run(const CascadeSpec* spec,
       for (const Scored& sc : scored) {
         const auto u = static_cast<std::size_t>(sc.shard);
         const int depth = static_cast<int>(waiting[u].size());
-        out.shards[u].max_queue_depth =
-            std::max(out.shards[u].max_queue_depth, depth);
-        out.queue_depth[idx] = std::max(out.queue_depth[idx], depth);
         if (depth >= config_.queue_limit) {
           ++so.spillovers;  // reject-to-next-shard, not reject-the-user
+          so.queue_depth = std::max(so.queue_depth, depth);
           continue;
         }
         placed = sc.shard;
@@ -443,17 +555,13 @@ Schedule Scheduler::run(const CascadeSpec* spec,
       // Dispatch: the request waits for the shard's earliest lane.
       const auto pi = static_cast<std::size_t>(placed);
       const Snapshot& snap = *snaps[pi];
-      ShardLoad& load = out.shards[pi];
       so.shard = placed;
       so.plan_version = snap.version;
-      ++out.stage_assignment[static_cast<std::size_t>(s)][pi];
       const double start = std::max(t, lanes[pi].min());
       so.queue_ms = start - t;
       rr.queue_ms += so.queue_ms;
       waiting[pi].push_back(start);
-      const int depth = static_cast<int>(waiting[pi].size());
-      load.max_queue_depth = std::max(load.max_queue_depth, depth);
-      out.queue_depth[idx] = std::max(out.queue_depth[idx], depth);
+      so.queue_depth = static_cast<int>(waiting[pi].size());
 
       // Deadline at dispatch, BEFORE execution: the budget runs from the
       // ORIGINAL arrival t0, so later stages inherit what earlier ones
@@ -480,11 +588,13 @@ Schedule Scheduler::run(const CascadeSpec* spec,
       const double end = start + at.dur_ms;
       so.attempts = at.attempts;
       so.retries = at.retries;
+      rr.attempts += at.attempts;
+      rr.retries += at.retries;
       so.reused_planes = reuse;
       so.latency_ms = end - t;
       lanes[pi].advance_min(end);
-      load.busy_ms += at.dur_ms;
-      load.end_ms = std::max(load.end_ms, end);
+      out.shards[pi].busy_ms += at.dur_ms;
+      out.makespan_ms = std::max(out.makespan_ms, end);
       if (!at.ok) {
         if (at.gave_up_deadline) {
           finish(StatusCode::kDeadlineExceeded, {}, end);
@@ -536,7 +646,7 @@ Schedule Scheduler::run(const CascadeSpec* spec,
       BatchSummary batch = g.runner->run(inputs, planes);
       for (std::size_t k = 0; k < g.reqs.size(); ++k) {
         const std::size_t idx = g.reqs[k].idx;
-        CascadeRequestResult& rr = out.results[idx];
+        RequestResult& rr = out.results[idx];
         if (!batch.statuses[k].ok()) {
           rr.stages.back().status = batch.statuses[k];
           rr.status = std::move(batch.statuses[k]);
@@ -554,7 +664,7 @@ Schedule Scheduler::run(const CascadeSpec* spec,
       for (const ExecReq& er : g.reqs) {
         Walk& wk = walks[er.idx];
         if (!wk.active) continue;  // execution failure above
-        CascadeRequestResult& rr = out.results[er.idx];
+        RequestResult& rr = out.results[er.idx];
         StageOutcome& so = rr.stages.back();
         if (s + 1 < nstages) {
           const GateVerdict v = evaluate_gate(
@@ -577,6 +687,13 @@ Schedule Scheduler::run(const CascadeSpec* spec,
       }
     }
   }
+  // Only an Ok request carries a result: a later stage's failure drops
+  // the output an earlier stage left.
+  for (RequestResult& rr : out.results) {
+    if (!rr.status.ok()) rr.result = core::ForwardResult{};
+  }
+  summarize(out, spec, routed, config_.lanes);
+  out.wall_ms = now_ms() - wall0;
   return out;
 }
 

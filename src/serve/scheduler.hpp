@@ -2,7 +2,7 @@
 // entry point (DESIGN.md §9, §10, §13).
 //
 // ModelServer::run, ModelServer::run_cascade, FleetServer::run and
-// FleetServer::run_cascade are projections of ONE walk over
+// FleetServer::run_cascade all return the ServerSummary of ONE walk over
 // (stages × shards × a pre-resolved swap timeline):
 //   - a plain run is a one-stage kAlways cascade routed by each request's
 //     own `model`, fault-keyed by submission index;
@@ -54,6 +54,7 @@ class Repository {
   int shard_count() const noexcept { return static_cast<int>(shards_.size()); }
   core::Engine& engine(int shard);
   const oclsim::DeviceProfile& profile(int shard) const;
+  const std::string& shard_name(int shard) const;
   const std::string& who() const noexcept { return who_; }
 
   /// Loads + validates `path` as `model` version 1 on `shard`. Each call
@@ -124,26 +125,6 @@ struct ShardSwap {
   SwapEvent event;
 };
 
-/// Virtual-time load of one shard over a walk.
-struct ShardLoad {
-  double busy_ms = 0.0;  ///< lane occupancy
-  double end_ms = 0.0;   ///< latest lane-busy instant
-  int max_queue_depth = 0;
-};
-
-/// Everything one walk decided. `results` holds one record per (request,
-/// stage) the request entered; the entry points project it.
-struct Schedule {
-  std::vector<CascadeRequestResult> results;  ///< submission order
-  /// Largest admission-queue depth each request observed on a shard it
-  /// tried (ModelServer's per-model depth).
-  std::vector<int> queue_depth;
-  std::vector<ShardLoad> shards;
-  std::vector<std::vector<int>> stage_assignment;  ///< [stage][shard]
-  int swaps = 0;
-  int swap_rollbacks = 0;
-};
-
 /// The virtual-time walk. One run at a time per scheduler (a concurrent
 /// call throws); repository loads and swaps from other threads stay legal
 /// and take effect from the next run.
@@ -151,12 +132,14 @@ class Scheduler {
  public:
   Scheduler(Repository& repo, SchedulerConfig config, FaultPlan faults);
 
-  /// Serves `workload` through `spec`, or — when `spec` is null — as a
-  /// plain run routed by each request's model. Scheduled `swaps` commit
-  /// to the repository up front, in timestamp order, and every decision
-  /// resolves its artifact at its own virtual time. Inputs are borrowed.
-  Schedule run(const CascadeSpec* spec, const std::vector<Request>& workload,
-               std::vector<ShardSwap> swaps = {});
+  /// Serves `workload` through `spec` (validated first), or — when `spec`
+  /// is null — as a plain run routed by each request's model. Scheduled
+  /// `swaps` commit to the repository up front, in timestamp order, and
+  /// every decision resolves its artifact at its own virtual time. Inputs
+  /// are borrowed. The summary is what every entry point returns.
+  ServerSummary run(const CascadeSpec* spec,
+                    const std::vector<Request>& workload,
+                    std::vector<ShardSwap> swaps = {});
 
  private:
   Repository& repo_;

@@ -1,13 +1,42 @@
-#include "baselines/quantized_ops.hpp"
+// PhoneBit tests — real int8 quantized inference arithmetic.
+//
+// Table III's TFLite-Quant column is priced analytically
+// (FrameworkTraits::quantized_int8); this header implements the actual
+// affine-uint8 / symmetric-int8 arithmetic so test_baselines can verify
+// the quantization-error claim behind that column (close-to-float outputs
+// at 4x the arithmetic density). Reference code: nothing in src/ uses it.
+#pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/fixed_point.hpp"
+#include "tensor/shape.hpp"
+#include "tensor/tensor.hpp"
 
 namespace phonebit::baselines {
 
-QuantizedTensor QuantizedTensor::from_float(const FloatTensor& t) {
+/// Per-tensor affine quantization of activations to uint8.
+struct QuantizedTensor {
+  U8Tensor values;
+  QuantParams params;
+
+  static QuantizedTensor from_float(const FloatTensor& t);
+  FloatTensor to_float() const;
+};
+
+/// Per-output-channel symmetric int8 weight quantization.
+struct QuantizedFilter {
+  Tensor<std::int8_t> values;          ///< (C_out, KH, KW, C_in)
+  std::vector<float> scales;           ///< per output channel
+
+  static QuantizedFilter from_float(const FloatTensor& w);
+};
+
+inline QuantizedTensor QuantizedTensor::from_float(const FloatTensor& t) {
   PB_CHECK(t.layout() == Layout::kNHWC, "quantize NHWC tensors only");
   float lo = 0.0f, hi = 0.0f;
   const Shape& s = t.shape();
@@ -24,7 +53,7 @@ QuantizedTensor QuantizedTensor::from_float(const FloatTensor& t) {
   return q;
 }
 
-FloatTensor QuantizedTensor::to_float() const {
+inline FloatTensor QuantizedTensor::to_float() const {
   FloatTensor out(values.shape(), Layout::kNHWC);
   for (std::int64_t i = 0; i < values.elems(); ++i) {
     out.data()[i] = params.dequantize(values.data()[i]);
@@ -32,7 +61,7 @@ FloatTensor QuantizedTensor::to_float() const {
   return out;
 }
 
-QuantizedFilter QuantizedFilter::from_float(const FloatTensor& w) {
+inline QuantizedFilter QuantizedFilter::from_float(const FloatTensor& w) {
   PB_CHECK(w.layout() == Layout::kNHWC, "quantize NHWC filters only");
   const Shape& s = w.shape();
   QuantizedFilter q;
@@ -56,10 +85,12 @@ QuantizedFilter QuantizedFilter::from_float(const FloatTensor& w) {
   return q;
 }
 
-FloatTensor quantized_conv2d(const QuantizedTensor& in,
-                             const QuantizedFilter& w,
-                             const std::vector<float>& bias,
-                             const ConvGeometry& geom) {
+/// int8 convolution with int32 accumulation, dequantized float output
+/// (zero-point-corrected; bias added in float).
+inline FloatTensor quantized_conv2d(const QuantizedTensor& in,
+                                    const QuantizedFilter& w,
+                                    const std::vector<float>& bias,
+                                    const ConvGeometry& geom) {
   const Shape& is = in.values.shape();
   const Shape& ws = w.values.shape();
   PB_CHECK(ws.c == is.c, "quantized_conv2d: channel mismatch");

@@ -5,9 +5,9 @@
 #include "baselines/bnn_reference.hpp"
 #include "baselines/float_ops.hpp"
 #include "baselines/framework.hpp"
-#include "baselines/quantized_ops.hpp"
 #include "datasets/synthetic.hpp"
 #include "models/zoo.hpp"
+#include "quantized_ops.hpp"
 #include "test_util.hpp"
 
 namespace phonebit {

@@ -40,16 +40,16 @@ namespace {
 using core::EngineOptions;
 using core::ExecutionPlan;
 using core::FloatModel;
-using serve::CascadeRequestResult;
 using serve::CascadeSpec;
 using serve::CascadeStageSpec;
-using serve::CascadeSummary;
 using serve::FaultPlan;
 using serve::FleetConfig;
 using serve::FleetServer;
 using serve::ModelServer;
 using serve::Request;
+using serve::RequestResult;
 using serve::ServerConfig;
+using serve::ServerSummary;
 using serve::ShardSpec;
 using serve::StageGate;
 using serve::StatusCode;
@@ -83,11 +83,11 @@ float max_logit(const core::ForwardResult& r) {
 
 /// Zero lost requests, cascade flavor: every request resolves to exactly
 /// one terminal status and the Ok split into gated/full runs closes.
-void expect_nothing_lost(const CascadeSummary& s) {
+void expect_nothing_lost(const ServerSummary& s) {
   EXPECT_EQ(s.ok + s.shed + s.deadline_exceeded + s.failed, s.requests);
   EXPECT_EQ(s.ok, s.gated_out + s.full_runs);
   ASSERT_EQ(s.results.size(), static_cast<std::size_t>(s.requests));
-  for (const CascadeRequestResult& rr : s.results) {
+  for (const RequestResult& rr : s.results) {
     EXPECT_FALSE(rr.stages.empty()) << "a request entered no stage";
     // The terminal verdict is the last entered stage's verdict, except for
     // gated-out requests (stage Ok, cascade Ok-but-early).
@@ -207,12 +207,12 @@ TEST_F(CascadeTest, MatchesManuallyChainedForwardsZooWideBothGatePaths) {
       server.load_model("cls", cls);
       std::vector<Request> w;
       w.push_back(Request{"", core::Blob{input}, 0.0, 0.0});
-      const CascadeSummary s = server.run_cascade(
+      const ServerSummary s = server.run_cascade(
           two_stage("det", "cls", gate_max_at_least(g.threshold)),
           std::move(w));
       expect_nothing_lost(s);
       ASSERT_EQ(s.ok, 1);
-      const CascadeRequestResult& rr = s.results[0];
+      const RequestResult& rr = s.results[0];
       if (g.expect_pass) {
         EXPECT_EQ(s.full_runs, 1);
         ASSERT_EQ(rr.stages.size(), 2u);
@@ -221,7 +221,7 @@ TEST_F(CascadeTest, MatchesManuallyChainedForwardsZooWideBothGatePaths) {
             testing::expect_bitexact(rr.result.output, ref_cls.output))
             << "cascade result diverged from the chained classifier";
         EXPECT_EQ(s.stages[0].gate_passed, 1);
-        EXPECT_EQ(s.stages[1].entered, 1);
+        EXPECT_EQ(s.stages[1].requests, 1);
       } else {
         EXPECT_EQ(s.gated_out, 1);
         ASSERT_EQ(rr.stages.size(), 1u);
@@ -230,7 +230,7 @@ TEST_F(CascadeTest, MatchesManuallyChainedForwardsZooWideBothGatePaths) {
             testing::expect_bitexact(rr.result.output, ref_det.output))
             << "gated-out result is not the detector's output";
         EXPECT_EQ(s.stages[0].gate_stopped, 1);
-        EXPECT_EQ(s.stages[1].entered, 0);
+        EXPECT_EQ(s.stages[1].requests, 0);
       }
     }
   }
@@ -261,15 +261,15 @@ TEST_F(CascadeTest, GateStopsMidwayThroughThreeStages) {
 
   std::vector<Request> w;
   w.push_back(Request{"", core::Blob{input}, 0.0, 0.0});
-  const CascadeSummary s = server.run_cascade(spec3, std::move(w));
+  const ServerSummary s = server.run_cascade(spec3, std::move(w));
   expect_nothing_lost(s);
   ASSERT_EQ(s.gated_out, 1);
-  const CascadeRequestResult& rr = s.results[0];
+  const RequestResult& rr = s.results[0];
   ASSERT_EQ(rr.stages.size(), 2u);
   EXPECT_TRUE(rr.stages[0].gate_passed);
   EXPECT_FALSE(rr.stages[1].gate_passed);
   EXPECT_TRUE(testing::expect_bitexact(rr.result.output, ref_b.output));
-  EXPECT_EQ(s.stages[2].entered, 0);
+  EXPECT_EQ(s.stages[2].requests, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -292,10 +292,10 @@ TEST_F(CascadeTest, LaterStageReusesInputPlanesAndPricesCheaper) {
   server.load_model("cls", cls);
   std::vector<Request> w;
   w.push_back(Request{"", core::Blob{input}, 0.0, 0.0});
-  const CascadeSummary s = server.run_cascade(
+  const ServerSummary s = server.run_cascade(
       two_stage("det", "cls", StageGate{}), std::move(w));
   ASSERT_EQ(s.full_runs, 1);
-  const CascadeRequestResult& rr = s.results[0];
+  const RequestResult& rr = s.results[0];
   ASSERT_EQ(rr.stages.size(), 2u);
   EXPECT_FALSE(rr.stages[0].reused_planes);
   ASSERT_TRUE(rr.stages[1].reused_planes)
@@ -339,11 +339,11 @@ TEST_F(CascadeTest, StagesWithDifferentConv1GeometryRekeyThePlaneCache) {
   three.stages[1].gate = gate_max_at_least(max_logit(ref_b) - 1.0f);
   three.stages.push_back(CascadeStageSpec{"c", StageGate{}});
 
-  const auto check = [&](const CascadeSummary& s, const core::Blob& want,
+  const auto check = [&](const ServerSummary& s, const core::Blob& want,
                          const std::vector<bool>& reused) {
     expect_nothing_lost(s);
     ASSERT_EQ(s.full_runs, 1);
-    const CascadeRequestResult& rr = s.results[0];
+    const RequestResult& rr = s.results[0];
     ASSERT_EQ(rr.stages.size(), reused.size());
     for (std::size_t i = 0; i < reused.size(); ++i) {
       EXPECT_EQ(rr.stages[i].reused_planes, reused[i]) << "stage " << i;
@@ -362,7 +362,7 @@ TEST_F(CascadeTest, StagesWithDifferentConv1GeometryRekeyThePlaneCache) {
   server.load_model("b", b);
   server.load_model("c", c);
   check(server.run_cascade(two, one()), ref_b.output, {false, false});
-  const CascadeSummary s3 = server.run_cascade(three, one());
+  const ServerSummary s3 = server.run_cascade(three, one());
   check(s3, ref_c.output, {false, false, true});
   EXPECT_LT(s3.results[0].stages[2].latency_ms,
             s3.results[0].stages[1].latency_ms)
@@ -399,7 +399,7 @@ TEST_F(CascadeTest, CompressedArtifactsPerStageServeBitExact) {
   server.load_model("cls", cls);
   std::vector<Request> w;
   w.push_back(Request{"", core::Blob{input}, 0.0, 0.0});
-  const CascadeSummary s = server.run_cascade(
+  const ServerSummary s = server.run_cascade(
       two_stage("det", "cls", StageGate{}), std::move(w));
   ASSERT_EQ(s.full_runs, 1);
   EXPECT_TRUE(testing::expect_bitexact(s.results[0].result.output,
@@ -425,7 +425,7 @@ TEST_F(CascadeTest, WarmCascadeAllocatesOnlyStageOutputs) {
   const CascadeSpec cascade = two_stage("det", "cls", StageGate{});
 
   // Warm-up: probes, sessions, plan caches, arena growth.
-  const CascadeSummary warm =
+  const ServerSummary warm =
       server.run_cascade(cascade, steady(6, 100, 5.0));
   ASSERT_EQ(warm.full_runs, 6);
 
@@ -433,7 +433,7 @@ TEST_F(CascadeTest, WarmCascadeAllocatesOnlyStageOutputs) {
   // allocations are each executed stage's owned output (2 per request).
   std::vector<Request> work = steady(6, 200, 5.0);
   const std::int64_t allocs_before = buffer_alloc_count();
-  const CascadeSummary s = server.run_cascade(cascade, std::move(work));
+  const ServerSummary s = server.run_cascade(cascade, std::move(work));
   ASSERT_EQ(s.full_runs, 6);
   EXPECT_EQ(buffer_alloc_count() - allocs_before, std::int64_t{2} * 6)
       << "a warm cascade forward heap-allocated beyond its stage outputs";
@@ -460,7 +460,7 @@ TEST_F(CascadeTest, DeadlineBudgetSpansStages) {
   // Probe the detector's modeled cost via an unconstrained run.
   std::vector<Request> probe;
   probe.push_back(Request{"", core::Blob{input}, 0.0, 0.0});
-  const CascadeSummary free_run =
+  const ServerSummary free_run =
       server.run_cascade(cascade, std::move(probe));
   ASSERT_EQ(free_run.full_runs, 1);
   const double det_ms = free_run.results[0].stages[0].latency_ms;
@@ -470,10 +470,10 @@ TEST_F(CascadeTest, DeadlineBudgetSpansStages) {
   // mid-run), but stage 1's dispatch at t0 + det_ms is already expired.
   std::vector<Request> w;
   w.push_back(Request{"", core::Blob{input}, 0.0, det_ms * 0.5});
-  const CascadeSummary s = server.run_cascade(cascade, std::move(w));
+  const ServerSummary s = server.run_cascade(cascade, std::move(w));
   expect_nothing_lost(s);
   EXPECT_EQ(s.deadline_exceeded, 1);
-  const CascadeRequestResult& rr = s.results[0];
+  const RequestResult& rr = s.results[0];
   ASSERT_EQ(rr.stages.size(), 2u);
   EXPECT_EQ(rr.stages[0].status.code, StatusCode::kOk);
   EXPECT_EQ(rr.stages[1].status.code, StatusCode::kDeadlineExceeded);
@@ -485,7 +485,7 @@ TEST_F(CascadeTest, DeadlineBudgetSpansStages) {
   solo.stages.push_back(CascadeStageSpec{"det", StageGate{}});
   std::vector<Request> w2;
   w2.push_back(Request{"", core::Blob{input}, 0.0, det_ms * 0.5});
-  const CascadeSummary s2 = server.run_cascade(solo, std::move(w2));
+  const ServerSummary s2 = server.run_cascade(solo, std::move(w2));
   EXPECT_EQ(s2.ok, 1);
 }
 
@@ -512,7 +512,7 @@ TEST_F(CascadeTest, PerStageHotSwapRoutesLaterRequestsToNewVersion) {
   w.push_back(Request{"", core::Blob{in_b}, 1000.0, 0.0});
   std::vector<SwapEvent> swaps;
   swaps.push_back(SwapEvent{500.0, "cls", cls_v2});
-  const CascadeSummary s = server.run_cascade(
+  const ServerSummary s = server.run_cascade(
       two_stage("det", "cls", StageGate{}), std::move(w), std::move(swaps));
   expect_nothing_lost(s);
   ASSERT_EQ(s.full_runs, 2);
@@ -553,11 +553,11 @@ TEST_F(CascadeTest, FleetStagesPlaceIndependentlyAcrossShards) {
 
   std::vector<Request> w;
   w.push_back(Request{"", core::Blob{input}, 0.0, 0.0});
-  const CascadeSummary s = fleet.run_cascade(
+  const ServerSummary s = fleet.run_cascade(
       two_stage("det", "cls", StageGate{}), std::move(w));
   expect_nothing_lost(s);
   ASSERT_EQ(s.full_runs, 1);
-  const CascadeRequestResult& rr = s.results[0];
+  const RequestResult& rr = s.results[0];
   ASSERT_EQ(rr.stages.size(), 2u);
   EXPECT_EQ(rr.stages[0].shard, 0);
   EXPECT_EQ(rr.stages[1].shard, 1);
@@ -596,11 +596,11 @@ TEST_F(CascadeTest, FleetReuseAffinityKeepsLaterStagesOnHomeShard) {
   // One request on an idle fleet: placement is pure modeled cost. The
   // flagship wins stage 0; stage 1 stays home because reuse-on-sd855
   // undercuts plain-on-sd660 AND plain-on-sd855.
-  const CascadeSummary s = fleet.run_cascade(
+  const ServerSummary s = fleet.run_cascade(
       two_stage("det", "cls", StageGate{}), steady(1, 300, 0.0));
   expect_nothing_lost(s);
   ASSERT_EQ(s.full_runs, 1);
-  const CascadeRequestResult& rr = s.results[0];
+  const RequestResult& rr = s.results[0];
   ASSERT_EQ(rr.stages.size(), 2u);
   EXPECT_EQ(rr.stages[0].shard, 1);
   EXPECT_EQ(rr.stages[1].shard, 1);
@@ -645,7 +645,7 @@ std::vector<Request> cascade_soak_trace() {
   return w;
 }
 
-CascadeSummary cascade_soak_once(const std::vector<std::string>& det_paths,
+ServerSummary cascade_soak_once(const std::vector<std::string>& det_paths,
                                  const std::vector<std::string>& cls_paths,
                                  float threshold, int exec_workers) {
   FleetConfig cfg;
@@ -689,7 +689,7 @@ TEST_F(CascadeTest, SoakStagePlacementIsBitIdenticalAcrossWorkerCounts) {
   const float threshold =
       max_logit(reference(det_paths[0], cifar(1000)));
 
-  const CascadeSummary s1 =
+  const ServerSummary s1 =
       cascade_soak_once(det_paths, cls_paths, threshold, 1);
   expect_nothing_lost(s1);
   ASSERT_EQ(s1.requests, 1050);
@@ -702,7 +702,7 @@ TEST_F(CascadeTest, SoakStagePlacementIsBitIdenticalAcrossWorkerCounts) {
                              << threshold << " gives no signal";
   EXPECT_GT(s1.full_runs, 0) << "gate never passed a request";
 
-  const CascadeSummary s16 =
+  const ServerSummary s16 =
       cascade_soak_once(det_paths, cls_paths, threshold, 16);
   EXPECT_EQ(s1.ok, s16.ok);
   EXPECT_EQ(s1.shed, s16.shed);
@@ -716,8 +716,8 @@ TEST_F(CascadeTest, SoakStagePlacementIsBitIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(s1.stage_assignment, s16.stage_assignment);
   ASSERT_EQ(s1.results.size(), s16.results.size());
   for (std::size_t i = 0; i < s1.results.size(); ++i) {
-    const CascadeRequestResult& a = s1.results[i];
-    const CascadeRequestResult& b = s16.results[i];
+    const RequestResult& a = s1.results[i];
+    const RequestResult& b = s16.results[i];
     ASSERT_EQ(a.status.code, b.status.code) << "request " << i;
     EXPECT_EQ(a.gated_out, b.gated_out) << "request " << i;
     EXPECT_EQ(a.queue_ms, b.queue_ms) << "request " << i;
@@ -745,8 +745,8 @@ TEST_F(CascadeTest, SoakStagePlacementIsBitIdenticalAcrossWorkerCounts) {
 
   // Per-stage accounting closes against the per-request walks.
   ASSERT_EQ(s1.stages.size(), 2u);
-  EXPECT_EQ(s1.stages[0].entered, s1.requests);
-  EXPECT_EQ(s1.stages[1].entered, s1.stages[0].gate_passed);
+  EXPECT_EQ(s1.stages[0].requests, s1.requests);
+  EXPECT_EQ(s1.stages[1].requests, s1.stages[0].gate_passed);
   EXPECT_EQ(s1.stages[0].gate_stopped, s1.gated_out);
 }
 
@@ -781,7 +781,7 @@ TEST_F(CascadeTest, InvalidSpecsThrowAndBadGateFailsAsValue) {
   CascadeSpec missing = two_stage("det", "ghost", StageGate{});
   std::vector<Request> w;
   w.push_back(Request{"", cifar(1), 0.0, 0.0});
-  const CascadeSummary s = server.run_cascade(missing, std::move(w));
+  const ServerSummary s = server.run_cascade(missing, std::move(w));
   EXPECT_EQ(s.failed, 1);
   ASSERT_EQ(s.results[0].stages.size(), 2u);
   EXPECT_EQ(s.results[0].stages[1].status.code, StatusCode::kFailed);

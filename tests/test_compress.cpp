@@ -329,7 +329,7 @@ TEST_F(CompressArtifactTest, FleetServedCompressedArtifactBitExact) {
     w.push_back(serve::Request{"qn-off", img, 1000.0 * i, 0.0});
     w.push_back(serve::Request{"qn-comp", img, 1000.0 * i, 0.0});
   }
-  const serve::FleetSummary s = fleet.run(std::move(w));
+  const serve::ServerSummary s = fleet.run(std::move(w));
   ASSERT_EQ(s.ok, s.requests) << "fleet shed/failed under light load";
   ASSERT_EQ(s.results.size(), 12u);
   // Requests arrive in (off, comp) pairs with identical inputs: the

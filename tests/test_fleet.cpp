@@ -41,7 +41,7 @@ using core::FloatModel;
 using serve::FaultPlan;
 using serve::FleetConfig;
 using serve::FleetServer;
-using serve::FleetSummary;
+using serve::ServerSummary;
 using serve::Request;
 using serve::ShardSpec;
 using serve::StatusCode;
@@ -67,16 +67,16 @@ std::vector<Request> steady(const std::string& model, int n,
 
 /// Zero lost requests: every submitted request resolves to exactly one
 /// status; only Ok requests carry a result.
-void expect_nothing_lost(const FleetSummary& s) {
+void expect_nothing_lost(const ServerSummary& s) {
   EXPECT_EQ(s.ok + s.shed + s.deadline_exceeded + s.failed, s.requests);
   ASSERT_EQ(s.results.size(), static_cast<std::size_t>(s.requests));
   int placed = 0;
   for (const auto& rr : s.results) {
-    if (rr.shard >= 0) ++placed;
-    if (rr.status.code == StatusCode::kShed) EXPECT_EQ(rr.shard, -1);
+    if (rr.stages[0].shard >= 0) ++placed;
+    if (rr.status.code == StatusCode::kShed) EXPECT_EQ(rr.stages[0].shard, -1);
   }
   int assigned = 0;
-  for (const int n : s.assignment) assigned += n;
+  for (const int n : s.stage_assignment[0]) assigned += n;
   EXPECT_EQ(assigned, placed);
 }
 
@@ -184,10 +184,10 @@ TEST_F(FleetTest, IdleFleetRoutesToFastestProfile) {
 
   // Far-apart arrivals: every queue is empty at every arrival, so the
   // modeled-latency term decides alone — everything lands on the flagship.
-  const FleetSummary s = fleet.run(steady("qn", 8, 500, 1000.0));
+  const ServerSummary s = fleet.run(steady("qn", 8, 500, 1000.0));
   expect_nothing_lost(s);
   EXPECT_EQ(s.ok, 8);
-  EXPECT_EQ(s.assignment, (std::vector<int>{8, 0, 0}));
+  EXPECT_EQ(s.stage_assignment[0], (std::vector<int>{8, 0, 0}));
   EXPECT_EQ(s.spillovers, 0);
 }
 
@@ -200,8 +200,8 @@ TEST_F(FleetTest, WaitTermSpreadsLoadAcrossTiers) {
   greedy.wait_weight = 0.0;
   FleetServer fleet_greedy(greedy);
   fleet_greedy.load_model("qn", {art, art, art});
-  const FleetSummary sg = fleet_greedy.run(steady("qn", 30, 600, 0.05));
-  EXPECT_EQ(sg.assignment, (std::vector<int>{30, 0, 0}));
+  const ServerSummary sg = fleet_greedy.run(steady("qn", 30, 600, 0.05));
+  EXPECT_EQ(sg.stage_assignment[0], (std::vector<int>{30, 0, 0}));
 
   // wait_weight 1: a ms of queueing costs a ms — once the flagship's
   // lanes are busy past the speed gap, slower-but-idle shards win.
@@ -210,10 +210,10 @@ TEST_F(FleetTest, WaitTermSpreadsLoadAcrossTiers) {
   fair.wait_weight = 1.0;
   FleetServer fleet_fair(fair);
   fleet_fair.load_model("qn", {art, art, art});
-  const FleetSummary sf = fleet_fair.run(steady("qn", 30, 600, 0.05));
+  const ServerSummary sf = fleet_fair.run(steady("qn", 30, 600, 0.05));
   expect_nothing_lost(sf);
   int used = 0;
-  for (const int n : sf.assignment) used += n > 0 ? 1 : 0;
+  for (const int n : sf.stage_assignment[0]) used += n > 0 ? 1 : 0;
   EXPECT_GE(used, 2) << "wait term never moved load off the flagship";
   EXPECT_EQ(sf.ok, 30);
 }
@@ -228,16 +228,16 @@ TEST_F(FleetTest, SpillsToNextShardBeforeShedding) {
   // A simultaneous burst far past fleet capacity: 3 shards x limit 2 can
   // hold 6 waiting requests; the rest must shed — but only after probing
   // every shard (spillovers), never before.
-  const FleetSummary s = fleet.run(steady("qn", 18, 700, 0.0));
+  const ServerSummary s = fleet.run(steady("qn", 18, 700, 0.0));
   expect_nothing_lost(s);
   EXPECT_GT(s.spillovers, 0);
   EXPECT_GT(s.shed, 0);
   EXPECT_EQ(s.shed + s.ok, 18);
-  for (const int n : s.assignment) EXPECT_GT(n, 0);
+  for (const int n : s.stage_assignment[0]) EXPECT_GT(n, 0);
   for (const auto& rr : s.results) {
     if (rr.status.code == StatusCode::kShed) {
       // A shed request visited EVERY candidate before giving up.
-      EXPECT_EQ(rr.spillovers, 3);
+      EXPECT_EQ(rr.stages[0].spillovers, 3);
     }
   }
 }
@@ -249,7 +249,7 @@ TEST_F(FleetTest, ModelMissingEverywhereFailsAsValue) {
 
   std::vector<Request> w = steady("qn", 1, 800, 1.0);
   w.push_back(Request{"ghost", image(9), 2.0, 0.0});
-  const FleetSummary s = fleet.run(std::move(w));
+  const ServerSummary s = fleet.run(std::move(w));
   expect_nothing_lost(s);
   EXPECT_EQ(s.ok, 1);
   EXPECT_EQ(s.failed, 1);
@@ -299,7 +299,7 @@ TEST_F(FleetTest, ModelServerBehavesAsOneShardFleet) {
   fleet.load_model("qn", {art});
 
   const serve::ServerSummary a = server.run(trace());
-  const FleetSummary b = fleet.run(trace());
+  const ServerSummary b = fleet.run(trace());
   const std::vector<double> arrivals = testing::arrivals_of(trace());
   EXPECT_TRUE(testing::serving_invariants(a, arrivals, scfg.lanes));
   EXPECT_TRUE(testing::serving_invariants(b, arrivals, scfg.lanes));
@@ -317,7 +317,8 @@ TEST_F(FleetTest, ModelServerBehavesAsOneShardFleet) {
     ASSERT_EQ(x.status.code, y.status.code) << "request " << i;
     EXPECT_EQ(x.attempts, y.attempts) << "request " << i;
     EXPECT_EQ(x.retries, y.retries) << "request " << i;
-    EXPECT_EQ(x.plan_version, y.plan_version) << "request " << i;
+    EXPECT_EQ(x.stages[0].plan_version, y.stages[0].plan_version)
+        << "request " << i;
     EXPECT_EQ(x.queue_ms, y.queue_ms) << "request " << i;
     EXPECT_EQ(x.latency_ms, y.latency_ms) << "request " << i;
     if (x.status.ok()) {
@@ -376,16 +377,16 @@ TEST_F(FleetTest, SameInputBitExactAcrossProfilesZooWide) {
       w.push_back(Request{"m" + std::to_string(i), core::Blob{input}, 0.0,
                           0.0});
     }
-    const FleetSummary s = fleet.run(std::move(w));
+    const ServerSummary s = fleet.run(std::move(w));
     expect_nothing_lost(s);
     ASSERT_EQ(s.ok, 3);
     // One request per shard — all three profiles actually served.
-    EXPECT_EQ(s.assignment, (std::vector<int>{1, 1, 1}));
+    EXPECT_EQ(s.stage_assignment[0], (std::vector<int>{1, 1, 1}));
     const core::ForwardResult ref = reference(paths[0], input);
     for (const auto& rr : s.results) {
-      EXPECT_EQ(rr.shard, &rr - s.results.data());
+      EXPECT_EQ(rr.stages[0].shard, &rr - s.results.data());
       EXPECT_TRUE(testing::expect_bitexact(rr.result.output, ref.output))
-          << "shard " << rr.shard << " output diverged";
+          << "shard " << rr.stages[0].shard << " output diverged";
     }
     // Modeled latency is NOT profile-invariant: the entry tier is slower.
     EXPECT_GT(s.results[2].latency_ms, s.results[0].latency_ms);
@@ -461,10 +462,10 @@ TEST_F(FleetTest, OverBudgetArtifactRejectedAndOldVersionKeepsServing) {
   const core::Blob input = image(77);
   std::vector<Request> w;
   w.push_back(Request{"qn-small", core::Blob{input}, 0.0, 0.0});
-  const FleetSummary s = fleet.run(std::move(w));
+  const ServerSummary s = fleet.run(std::move(w));
   ASSERT_EQ(s.ok, 1);
-  EXPECT_EQ(s.results[0].shard, 1);
-  EXPECT_EQ(s.results[0].plan_version, 1u);
+  EXPECT_EQ(s.results[0].stages[0].shard, 1);
+  EXPECT_EQ(s.results[0].stages[0].plan_version, 1u);
   const core::ForwardResult ref = reference(qn, input);
   EXPECT_TRUE(testing::expect_bitexact(s.results[0].result.output,
                                        ref.output))
@@ -491,16 +492,16 @@ TEST_F(FleetTest, PerShardHotSwapServesNewVersion) {
   for (const char* m : {"a", "b", "c"}) {
     w.push_back(Request{m, core::Blob{input}, 0.0, 0.0});
   }
-  const FleetSummary s = fleet.run(std::move(w));
+  const ServerSummary s = fleet.run(std::move(w));
   ASSERT_EQ(s.ok, 3);
-  EXPECT_EQ(s.assignment, (std::vector<int>{1, 1, 1}));
+  EXPECT_EQ(s.stage_assignment[0], (std::vector<int>{1, 1, 1}));
   const core::ForwardResult ref1 = reference(v1, input);
   const core::ForwardResult ref2 = reference(v2, input);
   for (const auto& rr : s.results) {
-    const core::ForwardResult& want = rr.shard == 1 ? ref2 : ref1;
-    EXPECT_EQ(rr.plan_version, rr.shard == 1 ? 2u : 1u);
+    const core::ForwardResult& want = rr.stages[0].shard == 1 ? ref2 : ref1;
+    EXPECT_EQ(rr.stages[0].plan_version, rr.stages[0].shard == 1 ? 2u : 1u);
     EXPECT_TRUE(testing::expect_bitexact(rr.result.output, want.output))
-        << "shard " << rr.shard << " served the wrong version";
+        << "shard " << rr.stages[0].shard << " served the wrong version";
   }
 }
 
@@ -519,7 +520,7 @@ TEST_F(FleetTest, WarmFleetServesWithZeroCompilesAndZeroAllocGrowth) {
   fleet.load_model("qn", paths);
 
   // Warm-up: probe forward, session minting, first batches, arena growth.
-  const FleetSummary warm = fleet.run(steady("qn", 24, 600, 0.2));
+  const ServerSummary warm = fleet.run(steady("qn", 24, 600, 0.2));
   expect_nothing_lost(warm);
   ASSERT_GT(warm.ok, 0);
 
@@ -529,7 +530,7 @@ TEST_F(FleetTest, WarmFleetServesWithZeroCompilesAndZeroAllocGrowth) {
   std::vector<Request> work = steady("qn", 24, 600, 0.2);
   const std::int64_t allocs_before = buffer_alloc_count();
   const int grows_before = fleet.total_arena_growth_events();
-  const FleetSummary s = fleet.run(std::move(work));
+  const ServerSummary s = fleet.run(std::move(work));
   expect_nothing_lost(s);
   ASSERT_GT(s.ok, 0);
   EXPECT_EQ(buffer_alloc_count() - allocs_before,
@@ -560,7 +561,7 @@ std::vector<Request> soak_trace() {
   return w;
 }
 
-FleetSummary soak_once(const std::vector<std::string>& paths,
+ServerSummary soak_once(const std::vector<std::string>& paths,
                        int exec_workers) {
   FleetConfig cfg;
   cfg.shards.push_back(ShardSpec{"flag", "sd855", 2});
@@ -590,7 +591,7 @@ TEST_F(FleetTest, SoakPlacementIsBitIdenticalAcrossWorkerCounts) {
     paths.push_back(save_quicknet("soak_" + key, 601, key));
   }
 
-  const FleetSummary s1 = soak_once(paths, 1);
+  const ServerSummary s1 = soak_once(paths, 1);
   expect_nothing_lost(s1);
   ASSERT_EQ(s1.requests, 1050);
   EXPECT_TRUE(testing::serving_invariants(
@@ -604,26 +605,28 @@ TEST_F(FleetTest, SoakPlacementIsBitIdenticalAcrossWorkerCounts) {
   // so this exact split must reproduce everywhere, forever. A change here
   // means the placement policy (or the cost model) changed — that is a
   // reviewable event, not noise.
-  EXPECT_EQ(s1.assignment, (std::vector<int>{698, 161, 28}));
+  EXPECT_EQ(s1.stage_assignment[0], (std::vector<int>{698, 161, 28}));
 
-  const FleetSummary s16 = soak_once(paths, 16);
+  const ServerSummary s16 = soak_once(paths, 16);
   EXPECT_EQ(s1.ok, s16.ok);
   EXPECT_EQ(s1.shed, s16.shed);
   EXPECT_EQ(s1.deadline_exceeded, s16.deadline_exceeded);
   EXPECT_EQ(s1.failed, s16.failed);
   EXPECT_EQ(s1.retries, s16.retries);
   EXPECT_EQ(s1.spillovers, s16.spillovers);
-  EXPECT_EQ(s1.assignment, s16.assignment);
+  EXPECT_EQ(s1.stage_assignment[0], s16.stage_assignment[0]);
   ASSERT_EQ(s1.results.size(), s16.results.size());
   for (std::size_t i = 0; i < s1.results.size(); ++i) {
     const auto& a = s1.results[i];
     const auto& b = s16.results[i];
     ASSERT_EQ(a.status.code, b.status.code) << "request " << i;
-    EXPECT_EQ(a.shard, b.shard) << "request " << i;
-    EXPECT_EQ(a.spillovers, b.spillovers) << "request " << i;
+    EXPECT_EQ(a.stages[0].shard, b.stages[0].shard) << "request " << i;
+    EXPECT_EQ(a.stages[0].spillovers, b.stages[0].spillovers)
+        << "request " << i;
     EXPECT_EQ(a.attempts, b.attempts) << "request " << i;
     EXPECT_EQ(a.retries, b.retries) << "request " << i;
-    EXPECT_EQ(a.plan_version, b.plan_version) << "request " << i;
+    EXPECT_EQ(a.stages[0].plan_version, b.stages[0].plan_version)
+        << "request " << i;
     EXPECT_EQ(a.queue_ms, b.queue_ms) << "request " << i;
     EXPECT_EQ(a.latency_ms, b.latency_ms) << "request " << i;
     if (a.status.ok()) {

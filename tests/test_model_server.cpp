@@ -162,12 +162,12 @@ TEST_F(ModelServerTest, ServesSteadyTrafficBitExact) {
   EXPECT_EQ(summary.ok, 12);
   expect_nothing_lost(summary);
   ASSERT_EQ(summary.models.size(), 1u);
-  EXPECT_EQ(summary.models[0].model, "q");
+  EXPECT_EQ(summary.models[0].name, "q");
   EXPECT_EQ(summary.models[0].ok, 12);
   EXPECT_LE(summary.models[0].p50_ms, summary.models[0].p99_ms);
   EXPECT_LE(summary.models[0].p99_ms, summary.models[0].max_ms);
   for (std::size_t i = 0; i < summary.results.size(); ++i) {
-    EXPECT_EQ(summary.results[i].plan_version, 1u);
+    EXPECT_EQ(summary.results[i].stages[0].plan_version, 1u);
     EXPECT_EQ(summary.results[i].attempts, 1);
     EXPECT_GT(summary.results[i].latency_ms, 0.0);
     EXPECT_TRUE(testing::expect_bitexact(summary.results[i].result,
@@ -447,7 +447,7 @@ TEST_F(ModelServerTest, FaultAccountingIsBitIdenticalAcrossWorkerCounts) {
       ASSERT_EQ(b.status.code, a.status.code) << "request " << i;
       EXPECT_EQ(b.attempts, a.attempts) << i;
       EXPECT_EQ(b.retries, a.retries) << i;
-      EXPECT_EQ(b.plan_version, a.plan_version) << i;
+      EXPECT_EQ(b.stages[0].plan_version, a.stages[0].plan_version) << i;
       EXPECT_EQ(b.queue_ms, a.queue_ms) << i;
       EXPECT_EQ(b.latency_ms, a.latency_ms) << i;
       if (a.status.ok()) {
@@ -481,14 +481,14 @@ TEST_F(ModelServerTest, ScheduledHotSwapRoutesNewRequestsToTheNewPlan) {
     // Exactly one version per request, monotone across the trace, and the
     // output is bit-exact for THAT version — a cross-version mix would
     // match neither reference.
-    ASSERT_TRUE(rr.plan_version == 1 || rr.plan_version == 2);
-    EXPECT_GE(rr.plan_version, prev) << "version went backwards at " << i;
-    prev = rr.plan_version;
-    (rr.plan_version == 1 ? v1 : v2)++;
+    const std::uint64_t version = rr.stages[0].plan_version;
+    ASSERT_TRUE(version == 1 || version == 2);
+    EXPECT_GE(version, prev) << "version went backwards at " << i;
+    prev = version;
+    (version == 1 ? v1 : v2)++;
     EXPECT_TRUE(testing::expect_bitexact(
-        rr.result,
-        reference(path_for_version(rr.plan_version), workload[i].input)))
-        << "request " << i << " (v" << rr.plan_version << ")";
+        rr.result, reference(path_for_version(version), workload[i].input)))
+        << "request " << i << " (v" << version << ")";
   }
   EXPECT_GT(v1, 0);
   EXPECT_GT(v2, 0);
@@ -519,20 +519,21 @@ TEST_F(ModelServerTest, ShedRequestReportsTheVersionItArrivedUnder) {
   EXPECT_EQ(s.results[0].status.code, StatusCode::kOk);
   EXPECT_EQ(s.results[1].status.code, StatusCode::kOk);
   ASSERT_EQ(s.results[2].status.code, StatusCode::kShed);
-  EXPECT_EQ(s.results[0].plan_version, 1u);
-  EXPECT_EQ(s.results[1].plan_version, 2u);
-  EXPECT_EQ(s.results[2].plan_version, 1u);
+  EXPECT_EQ(s.results[0].stages[0].plan_version, 1u);
+  EXPECT_EQ(s.results[1].stages[0].plan_version, 2u);
+  EXPECT_EQ(s.results[2].stages[0].plan_version, 1u);
 
   ModelServer twin(*engine_, cfg);
   twin.load_model("q", path_v1_);
   serve::CascadeSpec solo;
   solo.name = "solo";
   solo.stages.push_back(serve::CascadeStageSpec{"q", serve::StageGate{}});
-  const serve::CascadeSummary c = twin.run_cascade(solo, trace(), swaps);
+  const serve::ServerSummary c = twin.run_cascade(solo, trace(), swaps);
   for (std::size_t i = 0; i < 3; ++i) {
     ASSERT_EQ(c.results[i].stages.size(), 1u);
     EXPECT_EQ(c.results[i].status.code, s.results[i].status.code) << i;
-    EXPECT_EQ(c.results[i].stages[0].plan_version, s.results[i].plan_version)
+    EXPECT_EQ(c.results[i].stages[0].plan_version,
+              s.results[i].stages[0].plan_version)
         << i;
   }
 }
@@ -557,19 +558,21 @@ TEST_F(ModelServerTest, ConcurrentSwapMidRunNeverMixesPlanVersions) {
   EXPECT_EQ(server.version("q"), 2u);
   for (std::size_t i = 0; i < summary.results.size(); ++i) {
     const auto& rr = summary.results[i];
-    ASSERT_TRUE(rr.plan_version == 1 || rr.plan_version == 2) << i;
+    const std::uint64_t version = rr.stages[0].plan_version;
+    ASSERT_TRUE(version == 1 || version == 2) << i;
     if (rr.status.ok()) {
       EXPECT_TRUE(testing::expect_bitexact(
-          rr.result,
-          reference(path_for_version(rr.plan_version), workload[i].input)))
-          << "request " << i << " (v" << rr.plan_version << ")";
+          rr.result, reference(path_for_version(version), workload[i].input)))
+          << "request " << i << " (v" << version << ")";
     }
   }
 
   // New requests after the swap route to v2.
   const auto after = server.run(steady("q", 2, 2000, 1.0));
   EXPECT_EQ(after.ok, 2);
-  for (const auto& rr : after.results) EXPECT_EQ(rr.plan_version, 2u);
+  for (const auto& rr : after.results) {
+    EXPECT_EQ(rr.stages[0].plan_version, 2u);
+  }
 }
 
 TEST_F(ModelServerTest, CorruptIncomingArtifactRollsBackTheSwap) {
@@ -591,7 +594,7 @@ TEST_F(ModelServerTest, CorruptIncomingArtifactRollsBackTheSwap) {
   const auto summary = server.run(steady("q", 4, 2100, 2.0));
   EXPECT_EQ(summary.ok, 4);
   for (std::size_t i = 0; i < summary.results.size(); ++i) {
-    EXPECT_EQ(summary.results[i].plan_version, 1u);
+    EXPECT_EQ(summary.results[i].stages[0].plan_version, 1u);
     EXPECT_TRUE(testing::expect_bitexact(
         summary.results[i].result, reference(path_v1_, workload[i].input)));
   }
@@ -617,7 +620,8 @@ TEST_F(ModelServerTest, InjectedLoadFaultRollsBackAScheduledSwap) {
   EXPECT_EQ(summary.swap_rollbacks, 1);
   EXPECT_EQ(server.version("q"), 1u);
   for (const auto& rr : summary.results) {
-    EXPECT_EQ(rr.plan_version, 1u);  // everyone stayed on the old model
+    // Everyone stayed on the old model.
+    EXPECT_EQ(rr.stages[0].plan_version, 1u);
   }
 }
 
@@ -675,8 +679,9 @@ TEST_F(ModelServerTest, FaultInjectionSoakIsAccountedDeterministicBitExact) {
   EXPECT_EQ(base.swaps, 1);
   int v1 = 0, v2 = 0;
   for (const auto& rr : base.results) {
-    ASSERT_TRUE(rr.plan_version == 1 || rr.plan_version == 2);
-    (rr.plan_version == 1 ? v1 : v2)++;
+    const std::uint64_t version = rr.stages[0].plan_version;
+    ASSERT_TRUE(version == 1 || version == 2);
+    (version == 1 ? v1 : v2)++;
   }
   EXPECT_GT(v1, 0);
   EXPECT_GT(v2, 0);
@@ -697,7 +702,8 @@ TEST_F(ModelServerTest, FaultInjectionSoakIsAccountedDeterministicBitExact) {
           << "request " << i << " with " << workers << " workers";
       EXPECT_EQ(again.results[i].retries, base.results[i].retries) << i;
       EXPECT_EQ(again.results[i].latency_ms, base.results[i].latency_ms) << i;
-      EXPECT_EQ(again.results[i].plan_version, base.results[i].plan_version)
+      EXPECT_EQ(again.results[i].stages[0].plan_version,
+                base.results[i].stages[0].plan_version)
           << i;
       if (base.results[i].status.ok()) {
         EXPECT_TRUE(testing::expect_bitexact(again.results[i].result,
@@ -719,7 +725,8 @@ TEST_F(ModelServerTest, FaultInjectionSoakIsAccountedDeterministicBitExact) {
     if (!base.results[i].status.ok() || !clean.results[i].status.ok()) {
       continue;
     }
-    if (base.results[i].plan_version != clean.results[i].plan_version) {
+    if (base.results[i].stages[0].plan_version !=
+        clean.results[i].stages[0].plan_version) {
       continue;  // the swap lands at a different virtual point
     }
     ++compared;
@@ -728,6 +735,44 @@ TEST_F(ModelServerTest, FaultInjectionSoakIsAccountedDeterministicBitExact) {
         << "request " << i << " drifted under fault injection";
   }
   EXPECT_GT(compared, 300);
+}
+
+// The soak trace through a two-stage ModelServer cascade (faults, burst,
+// tight deadlines and the swap landing between stages) keeps the same
+// serving invariants as the plain run.
+TEST_F(ModelServerTest, CascadeSoakKeepsTheServingInvariants) {
+  std::vector<Request> w = steady("q", 600, 3000, 0.6);
+  for (Request& r : steady("q", 150, 5000, 0.0, /*start=*/150.0)) {
+    w.push_back(std::move(r));
+  }
+  const std::vector<double> arrivals = testing::arrivals_of(w);
+  FaultPlan faults;
+  faults.seed = 6;
+  faults.transient_rate = 0.12;
+  faults.spike_rate = 0.06;
+  faults.spike_ms = 2.5;
+  ServerConfig cfg;
+  cfg.lanes = 4;
+  cfg.queue_limit = 10;
+  cfg.max_retries = 1;
+  cfg.retry_backoff_ms = 0.5;
+  ModelServer server(*engine_, cfg, faults, "cascade-soak");
+  server.load_model("q", path_v1_);
+  serve::CascadeSpec twice;
+  twice.name = "twice";
+  twice.stages.assign(2, serve::CascadeStageSpec{"q", serve::StageGate{}});
+
+  const ServerSummary s = server.run_cascade(
+      twice, std::move(w), {SwapEvent{200.0, "q", path_v2_}});
+  expect_nothing_lost(s);
+  EXPECT_EQ(s.requests, 750);
+  EXPECT_TRUE(testing::serving_invariants(s, arrivals, cfg.lanes));
+  EXPECT_EQ(s.swaps, 1);
+  EXPECT_GT(s.shed, 0);
+  EXPECT_GT(s.retries, 0);
+  EXPECT_GT(s.full_runs, 0);
+  ASSERT_EQ(s.stages.size(), 2u);
+  EXPECT_GT(s.stages[1].requests, 0);
 }
 
 }  // namespace

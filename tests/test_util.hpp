@@ -12,7 +12,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -207,67 +206,103 @@ inline std::vector<double> arrivals_of(
   return t;
 }
 
-/// One served (request, stage) as the serving-invariant checker sees it:
-/// the lane set that served it (a single server has one, index 0) and its
-/// virtual timing relative to its stage arrival.
-struct ServedStage {
-  std::size_t request = 0;
-  int shard = 0;
-  double arrival_ms = 0.0;
-  double queue_ms = 0.0;
-  double latency_ms = 0.0;
-};
-
-/// The serving invariants every soak keeps, over any summary flavor:
-///   - exactly one status per request: the summary's status counts add up
-///     to `requests` and match a recount of the per-request statuses;
-///   - 0 <= queue_ms <= latency_ms for every request and every stage;
+/// The serving invariants every soak keeps, on every entry point's
+/// summary (`arrivals` from arrivals_of(the trace), `lanes` per shard):
+///   - exactly one status per request, its last stage record's: the status
+///     counts add up to `requests` and match a recount of the requests;
+///   - 0 <= queue_ms <= latency_ms for every request and stage record;
+///   - every view's rows add up to the stage records it groups, per status
+///     (to `requests` on a one-stage run; shard rows hold placed records);
+///   - stage_assignment[s][si] counts the stage-s records placed on si;
 ///   - no lane is double-booked: per shard, the busy intervals
 ///     [arrival + queue, arrival + latency) never overlap more than
-///     `lanes` deep (cascade stages share their shard's lanes).
-template <typename Summary>
-::testing::AssertionResult check_serving_invariants(
-    const Summary& s, const std::vector<ServedStage>& stages, int lanes) {
+///     `lanes` deep; stage s+1 arrives when stage s completes.
+inline ::testing::AssertionResult serving_invariants(
+    const serve::ServerSummary& s, const std::vector<double>& arrivals,
+    int lanes) {
   constexpr double kEps = 1e-9;  // far below any modeled service time
-  if (static_cast<int>(s.results.size()) != s.requests) {
+  if (static_cast<int>(s.results.size()) != s.requests ||
+      arrivals.size() != s.results.size()) {
     return ::testing::AssertionFailure()
            << s.results.size() << " results for " << s.requests
-           << " requests";
+           << " requests and " << arrivals.size() << " arrivals";
   }
-  int counts[4] = {0, 0, 0, 0};
-  for (const auto& rr : s.results) {
-    const int c = static_cast<int>(rr.status.code);
-    if (c < 0 || c > 3) {
-      return ::testing::AssertionFailure() << "status code " << c;
+  using Counts = std::vector<int>;  // records per status: ok, shed, ddl, failed
+  const auto row_counts = [](const std::vector<serve::SummaryRow>& rows) {
+    Counts c(5, 0);  // [4] = rows' record total
+    for (const serve::SummaryRow& r : rows) {
+      c[0] += r.ok, c[1] += r.shed, c[2] += r.deadline_exceeded;
+      c[3] += r.failed, c[4] += r.requests;
     }
-    ++counts[c];
+    return c;
+  };
+  Counts requests(4, 0), records(5, 0), placed(5, 0);
+  std::vector<std::vector<int>> assignment;  // s.stage_assignment's shape
+  for (const std::vector<int>& row : s.stage_assignment) {
+    assignment.emplace_back(row.size(), 0);
+  }
+  std::vector<std::pair<int, std::pair<double, int>>> edges;  // shard, t, ±1
+  for (std::size_t i = 0; i < s.results.size(); ++i) {
+    const serve::RequestResult& rr = s.results[i];
+    const int c = static_cast<int>(rr.status.code);
+    if (c < 0 || c > 3 || rr.stages.empty() ||
+        rr.stages.back().status != rr.status) {
+      return ::testing::AssertionFailure()
+             << "request " << i << ": status " << c << " is not its last "
+             << "of " << rr.stages.size() << " stage records";
+    }
+    ++requests[static_cast<std::size_t>(c)];
     if (rr.queue_ms < 0.0 || rr.queue_ms > rr.latency_ms + kEps) {
       return ::testing::AssertionFailure()
-             << "request " << (&rr - s.results.data()) << ": queue "
-             << rr.queue_ms << " ms outside [0, latency " << rr.latency_ms
-             << " ms]";
+             << "request " << i << ": queue " << rr.queue_ms
+             << " ms outside [0, latency " << rr.latency_ms << " ms]";
+    }
+    double t = std::max(arrivals[i], 0.0);
+    for (std::size_t k = 0; k < rr.stages.size(); ++k) {
+      const serve::StageOutcome& so = rr.stages[k];
+      const auto code = static_cast<std::size_t>(so.status.code);
+      ++records[code], ++records[4];
+      if (so.queue_ms < 0.0 || so.queue_ms > so.latency_ms + kEps) {
+        return ::testing::AssertionFailure()
+               << "request " << i << ": stage " << k << " queue "
+               << so.queue_ms << " ms outside [0, latency " << so.latency_ms
+               << " ms]";
+      }
+      const double begin = t + so.queue_ms + kEps;
+      const double end = t + so.latency_ms - kEps;
+      t += so.latency_ms;
+      if (so.shard < 0) continue;  // never placed
+      ++placed[code], ++placed[4];
+      const auto si = static_cast<std::size_t>(so.shard);
+      if (k >= assignment.size() || si >= assignment[k].size()) {
+        return ::testing::AssertionFailure()
+               << "request " << i << ": stage " << k << " on shard "
+               << so.shard << " is outside stage_assignment";
+      }
+      ++assignment[k][si];
+      if (end <= begin) continue;  // never held a lane
+      edges.push_back({so.shard, {begin, +1}});
+      edges.push_back({so.shard, {end, -1}});
     }
   }
-  if (counts[0] != s.ok || counts[1] != s.shed ||
-      counts[2] != s.deadline_exceeded || counts[3] != s.failed ||
-      s.ok + s.shed + s.deadline_exceeded + s.failed != s.requests) {
+  if (requests != Counts{s.ok, s.shed, s.deadline_exceeded, s.failed} ||
+      s.ok + s.shed + s.deadline_exceeded + s.failed != s.requests ||
+      s.ok != s.gated_out + s.full_runs) {
     return ::testing::AssertionFailure()
            << "status accounting does not close: ok " << s.ok << " shed "
            << s.shed << " deadline " << s.deadline_exceeded << " failed "
            << s.failed << " of " << s.requests << " requests";
   }
-  std::vector<std::pair<int, std::pair<double, int>>> edges;  // shard, t, ±1
-  for (const ServedStage& st : stages) {
-    if (st.queue_ms < 0.0 || st.queue_ms > st.latency_ms + kEps) {
-      return ::testing::AssertionFailure()
-             << "request " << st.request << ": stage queue " << st.queue_ms
-             << " ms outside [0, latency " << st.latency_ms << " ms]";
-    }
-    const double begin = st.arrival_ms + st.queue_ms + kEps;
-    const double end = st.arrival_ms + st.latency_ms - kEps;
-    if (end <= begin) continue;  // never held a lane
-    edges.push_back({st.shard, {begin, +1}});
-    edges.push_back({st.shard, {end, -1}});
+  if (row_counts(s.models) != records || row_counts(s.stages) != records ||
+      row_counts(s.shards) != placed ||
+      (s.stages.size() == 1 && records[4] != s.requests)) {
+    return ::testing::AssertionFailure()
+           << "a view's rows do not add up to the " << records[4]
+           << " stage records (" << placed[4] << " placed)";
+  }
+  if (assignment != s.stage_assignment) {
+    return ::testing::AssertionFailure()
+           << "stage_assignment does not count the placed stage records";
   }
   std::sort(edges.begin(), edges.end());  // a release sorts before a claim
   int shard = -1, depth = 0;
@@ -281,41 +316,6 @@ template <typename Summary>
     }
   }
   return ::testing::AssertionSuccess();
-}
-
-/// Serving invariants of a plain run (ModelServer or FleetServer):
-/// `arrivals` from arrivals_of(the trace), `lanes` per shard.
-template <typename Summary>
-::testing::AssertionResult serving_invariants(
-    const Summary& s, const std::vector<double>& arrivals, int lanes) {
-  std::vector<ServedStage> stages;
-  for (std::size_t i = 0; i < s.results.size() && i < arrivals.size(); ++i) {
-    const auto& rr = s.results[i];
-    int shard = 0;
-    if constexpr (std::is_same_v<Summary, serve::FleetSummary>) {
-      shard = rr.shard;
-    }
-    stages.push_back(ServedStage{i, shard, std::max(arrivals[i], 0.0),
-                                 rr.queue_ms, rr.latency_ms});
-  }
-  return check_serving_invariants(s, stages, lanes);
-}
-
-/// Serving invariants of a cascade: stage s+1 arrives at stage s's
-/// arrival + its latency, and every stage holds its shard's lanes.
-inline ::testing::AssertionResult serving_invariants(
-    const serve::CascadeSummary& s, const std::vector<double>& arrivals,
-    int lanes) {
-  std::vector<ServedStage> stages;
-  for (std::size_t i = 0; i < s.results.size() && i < arrivals.size(); ++i) {
-    double t = std::max(arrivals[i], 0.0);
-    for (const serve::StageOutcome& so : s.results[i].stages) {
-      stages.push_back(ServedStage{i, std::max(so.shard, 0), t, so.queue_ms,
-                                   so.latency_ms});
-      t += so.latency_ms;
-    }
-  }
-  return check_serving_invariants(s, stages, lanes);
 }
 
 }  // namespace phonebit::testing

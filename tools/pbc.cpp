@@ -257,6 +257,34 @@ bool outputs_bitexact(const core::ForwardResult& x,
          std::get<bitpack::PackedTensor>(y.output);
 }
 
+/// True when two runs of one trace made the same decisions: the totals,
+/// the placement histogram, every request's stage records and bit-exact
+/// Ok outputs. The drift checks compare runs at 2 and 4 real workers.
+bool same_decisions(const serve::ServerSummary& a,
+                    const serve::ServerSummary& b) {
+  if (a.requests != b.requests || a.ok != b.ok || a.shed != b.shed ||
+      a.deadline_exceeded != b.deadline_exceeded || a.failed != b.failed ||
+      a.retries != b.retries || a.gated_out != b.gated_out ||
+      a.full_runs != b.full_runs || a.spillovers != b.spillovers ||
+      a.swaps != b.swaps || a.swap_rollbacks != b.swap_rollbacks ||
+      a.max_queue_depth != b.max_queue_depth ||
+      a.makespan_ms != b.makespan_ms ||
+      a.stage_assignment != b.stage_assignment ||
+      a.results.size() != b.results.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.results.size(); ++i) {
+    const serve::RequestResult& x = a.results[i];
+    const serve::RequestResult& y = b.results[i];
+    if (x.status != y.status || x.stages != y.stages ||
+        x.gated_out != y.gated_out || x.latency_ms != y.latency_ms ||
+        (x.status.ok() && !outputs_bitexact(x.result, y.result))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 int serve_check_mode(const Args& a) {
   auto device = std::make_shared<oclsim::Device>(
       oclsim::DeviceProfile::snapdragon855());
@@ -327,30 +355,11 @@ int serve_check_mode(const Args& a) {
     cleanup();
     return 1;
   }
-  if (s2.ok != s4.ok || s2.shed != s4.shed ||
-      s2.deadline_exceeded != s4.deadline_exceeded ||
-      s2.failed != s4.failed || s2.retries != s4.retries ||
-      s2.max_queue_depth != s4.max_queue_depth) {
+  if (!same_decisions(s2, s4)) {
     std::fprintf(stderr,
-                 "serve-check: accounting drifted across worker counts\n");
+                 "serve-check: decisions drifted across worker counts\n");
     cleanup();
     return 1;
-  }
-  for (std::size_t i = 0; i < s2.results.size(); ++i) {
-    const auto& r2 = s2.results[i];
-    const auto& r4 = s4.results[i];
-    if (r2.status.code != r4.status.code ||
-        r2.plan_version != r4.plan_version ||
-        r2.latency_ms != r4.latency_ms) {
-      std::fprintf(stderr, "serve-check: request %zu verdict drifted\n", i);
-      cleanup();
-      return 1;
-    }
-    if (r2.status.ok() && !outputs_bitexact(r2.result, r4.result)) {
-      std::fprintf(stderr, "serve-check: request %zu output drifted\n", i);
-      cleanup();
-      return 1;
-    }
   }
   if (s2.swaps != 1 || s2.shed == 0 || s2.retries == 0) {
     std::fprintf(stderr,
@@ -446,49 +455,19 @@ int cascade_check_mode(const Args& a) {
     return server.run_cascade(cascade, make_workload());
   };
 
-  const serve::CascadeSummary s2 = serve_once(2);
-  const serve::CascadeSummary s4 = serve_once(4);
+  const serve::ServerSummary s2 = serve_once(2);
+  const serve::ServerSummary s4 = serve_once(4);
   if (s2.ok + s2.shed + s2.deadline_exceeded + s2.failed != s2.requests ||
       s2.ok != s2.gated_out + s2.full_runs) {
     std::fprintf(stderr, "cascade-check: lost requests in the accounting\n");
     cleanup();
     return 1;
   }
-  if (s2.ok != s4.ok || s2.shed != s4.shed ||
-      s2.deadline_exceeded != s4.deadline_exceeded ||
-      s2.failed != s4.failed || s2.retries != s4.retries ||
-      s2.gated_out != s4.gated_out || s2.full_runs != s4.full_runs) {
+  if (!same_decisions(s2, s4)) {
     std::fprintf(stderr,
-                 "cascade-check: accounting drifted across worker counts\n");
+                 "cascade-check: decisions drifted across worker counts\n");
     cleanup();
     return 1;
-  }
-  for (std::size_t i = 0; i < s2.results.size(); ++i) {
-    const auto& r2 = s2.results[i];
-    const auto& r4 = s4.results[i];
-    if (r2.status.code != r4.status.code || r2.gated_out != r4.gated_out ||
-        r2.latency_ms != r4.latency_ms ||
-        r2.stages.size() != r4.stages.size()) {
-      std::fprintf(stderr, "cascade-check: request %zu verdict drifted\n", i);
-      cleanup();
-      return 1;
-    }
-    for (std::size_t k = 0; k < r2.stages.size(); ++k) {
-      if (r2.stages[k].attempts != r4.stages[k].attempts ||
-          r2.stages[k].retries != r4.stages[k].retries ||
-          r2.stages[k].reused_planes != r4.stages[k].reused_planes ||
-          r2.stages[k].latency_ms != r4.stages[k].latency_ms) {
-        std::fprintf(stderr, "cascade-check: request %zu stage %zu drifted\n",
-                     i, k);
-        cleanup();
-        return 1;
-      }
-    }
-    if (r2.status.ok() && !outputs_bitexact(r2.result, r4.result)) {
-      std::fprintf(stderr, "cascade-check: request %zu output drifted\n", i);
-      cleanup();
-      return 1;
-    }
   }
   const int reused = s2.stages.size() == 2 ? s2.stages[1].reused_planes : 0;
   if (s2.gated_out == 0 || s2.full_runs == 0 || reused == 0) {
@@ -605,39 +584,22 @@ int fleet_check_mode(const Args& a) {
   // The fleet contract: placement is a pure function of (workload, config,
   // faults) — real execution parallelism must change NOTHING, including
   // which shard every request landed on.
-  const serve::FleetSummary f2 = serve_once(2);
-  const serve::FleetSummary f4 = serve_once(4);
+  const serve::ServerSummary f2 = serve_once(2);
+  const serve::ServerSummary f4 = serve_once(4);
   if (f2.ok + f2.shed + f2.deadline_exceeded + f2.failed != f2.requests) {
     std::fprintf(stderr, "fleet-check: lost requests in the accounting\n");
     cleanup();
     return 1;
   }
-  if (f2.ok != f4.ok || f2.shed != f4.shed ||
-      f2.deadline_exceeded != f4.deadline_exceeded ||
-      f2.failed != f4.failed || f2.retries != f4.retries ||
-      f2.spillovers != f4.spillovers || f2.assignment != f4.assignment) {
+  if (!same_decisions(f2, f4)) {
     std::fprintf(stderr,
-                 "fleet-check: accounting drifted across worker counts\n");
+                 "fleet-check: decisions drifted across worker counts\n");
     cleanup();
     return 1;
   }
-  for (std::size_t i = 0; i < f2.results.size(); ++i) {
-    const auto& r2 = f2.results[i];
-    const auto& r4 = f4.results[i];
-    if (r2.status.code != r4.status.code || r2.shard != r4.shard ||
-        r2.spillovers != r4.spillovers || r2.latency_ms != r4.latency_ms) {
-      std::fprintf(stderr, "fleet-check: request %zu verdict drifted\n", i);
-      cleanup();
-      return 1;
-    }
-    if (r2.status.ok() && !outputs_bitexact(r2.result, r4.result)) {
-      std::fprintf(stderr, "fleet-check: request %zu output drifted\n", i);
-      cleanup();
-      return 1;
-    }
-  }
+  const std::vector<int>& assignment = f2.stage_assignment[0];
   int shards_used = 0;
-  for (const int n : f2.assignment) shards_used += n > 0 ? 1 : 0;
+  for (const int n : assignment) shards_used += n > 0 ? 1 : 0;
   if (f2.spillovers == 0 || f2.shed == 0 || f2.retries == 0 ||
       shards_used < 2) {
     std::fprintf(stderr,
@@ -653,9 +615,8 @@ int fleet_check_mode(const Args& a) {
               "assignment [",
               f2.requests, profiles.size(), f2.ok, f2.shed,
               f2.deadline_exceeded, f2.failed, f2.retries, f2.spillovers);
-  for (std::size_t i = 0; i < f2.assignment.size(); ++i) {
-    std::printf("%s%s=%d", i ? " " : "", profiles[i].c_str(),
-                f2.assignment[i]);
+  for (std::size_t i = 0; i < assignment.size(); ++i) {
+    std::printf("%s%s=%d", i ? " " : "", profiles[i].c_str(), assignment[i]);
   }
   std::printf("] bit-identical at 2 and 4 workers\n");
   return 0;
