@@ -103,19 +103,6 @@ void bench_pack_signs(std::vector<bench::BenchRecord>& out) {
   }
 }
 
-void bench_bit_plane_split(std::vector<bench::BenchRecord>& out) {
-  for (const std::int64_t hw : {32, 128, 416}) {
-    const U8Tensor img = datasets::random_image(Shape{1, hw, hw, 3}, 7);
-    const double ms = best_ms(10, [&] {
-      const auto planes = bitpack::split_bit_planes(img);
-      (void)planes;
-    });
-    out.push_back({"split_bit_planes",
-                   std::to_string(hw) + "x" + std::to_string(hw) + "/c3", ms,
-                   0.0});
-  }
-}
-
 struct ConvSpec {
   std::string tag;
   std::int64_t hw, c_in, c_out, k, stride, pad;
@@ -125,8 +112,7 @@ struct ConvSpec {
 /// kernels: the dense bit-plane im2col and the bit-plane conv), with the
 /// default options on one device thread, as perfbench's yolo416 runs it:
 /// the full forward's host time (min over reps) and its modeled device
-/// time. The split_bit_planes records above time a reference function the
-/// engine never calls.
+/// time.
 void bench_input_conv(const ConvSpec& spec,
                       std::vector<bench::BenchRecord>& out) {
   Rng rng(103);
@@ -528,7 +514,6 @@ int main(int argc, char** argv) {
   bench_xor_popcount(records);
   bench_binary_dot(records);
   bench_pack_signs(records);
-  bench_bit_plane_split(records);
   // YOLOv2-Tiny's full-size conv1, quicknet's conv1 and AlexNet's conv1
   // (K = 363 bits: the multi-word split body).
   bench_input_conv({"3x3/s1/p1/416x416/c3->16", 416, 3, 16, 3, 1, 1},

@@ -4,7 +4,8 @@
 //   3. compile it for a simulated phone SoC (kernel selection, fusion,
 //      activation slots, exact memory peaks),
 //   4. "upload" it: save the .pba artifact, load it back through
-//      Engine::load_artifact (zero re-planning) and run the LOADED plan.
+//      Engine::load_artifact (which compiles the loaded network under the
+//      stored options) and run the LOADED plan.
 //
 // Build & run:  ./build/quickstart
 //
@@ -15,8 +16,8 @@
 // pass: it verifies the printed plan contains fused steps and per-slot
 // slab backing offsets (the quickstart_fused_dump ctest target).
 // `quickstart artifact` self-checks the upload step: the loaded plan must
-// reproduce the in-memory compiled forward bit-exactly with zero
-// re-planning (the quickstart_artifact ctest target).
+// reproduce the in-memory compiled forward bit-exactly, and its session
+// must compile and select nothing (the quickstart_artifact ctest target).
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -66,9 +67,10 @@ int main(int argc, char** argv) {
   const core::ExecutionPlan plan =
       net->compile(engine, core::BlobDesc{core::BlobKind::kU8, image.shape()});
 
-  // (4) "Upload": the .pba artifact carries the network AND its plan; the
-  // phone-side engine loads it (validating the device profile's RAM) and
-  // runs it without re-planning anything.
+  // (4) "Upload": the .pba artifact carries the network and the options
+  // and input it was compiled for; the phone-side engine loads it,
+  // compiles the same plan (microseconds), validates the device profile's
+  // RAM and runs it.
   artifact::save(*net, plan, pba_path);
   const artifact::LoadedArtifact deployed = engine.load_artifact(pba_path);
   std::remove(pba_path.c_str());
@@ -105,8 +107,8 @@ int main(int argc, char** argv) {
   const auto result = deployed.plan.run(session, core::Blob{image});
 
   if (artifact_mode) {
-    // The loaded plan must replay the in-memory compiled forward
-    // bit-exactly — zero re-planning, zero re-selection.
+    // The loaded plan must reproduce the in-memory compiled forward
+    // bit-exactly, and the session running it must compile nothing.
     auto fresh_session = engine.create_session();
     const auto fresh = plan.run(fresh_session, core::Blob{image});
     if (!allclose(result.float_output(), fresh.float_output(), 0.0f)) {

@@ -53,11 +53,15 @@ CompressedFilterBank CompressedFilterBank::build(const PackedTensor& weights) {
     }
     seen.emplace(std::move(key), f);
 
-    // Nearest existing dictionary row by differing-word count; lowest index
-    // wins ties so the pass is order-deterministic.
+    // Nearest existing dictionary row by differing-word count, among the
+    // rows within the near-duplicate threshold: a patch is worth it while
+    // it touches at most a third of the row — 12 bytes/entry vs 8
+    // bytes/word raw. Lowest index wins ties so the pass is
+    // order-deterministic. Starting the bound at the threshold stops each
+    // row comparison after k/3 + 1 differing words instead of k.
     const std::int64_t unique = bank.unique_rows();
     std::int64_t best_u = -1;
-    std::int64_t best_cnt = k + 1;
+    std::int64_t best_cnt = k / 3 + 1;
     for (std::int64_t u = 0; u < unique; ++u) {
       const std::uint64_t* d = bank.dict_row(u);
       std::int64_t cnt = 0;
@@ -69,9 +73,7 @@ CompressedFilterBank CompressedFilterBank::build(const PackedTensor& weights) {
         best_u = u;
       }
     }
-    // Near-duplicate threshold: a patch is worth it while it touches at
-    // most a third of the row — 12 bytes/entry vs 8 bytes/word raw.
-    if (best_u >= 0 && best_cnt * 3 <= k) {
+    if (best_u >= 0) {
       bank.row_index_.push_back(static_cast<std::uint32_t>(best_u));
       const std::uint64_t* d = bank.dict_row(best_u);
       for (std::int64_t w = 0; w < k; ++w) {

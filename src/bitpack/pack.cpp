@@ -36,17 +36,6 @@ PackedTensor pack_signs(const FloatTensor& t) {
   return out;
 }
 
-FloatTensor unpack_signs(const PackedTensor& p) {
-  const Shape& s = p.shape();
-  FloatTensor out(s, Layout::kNHWC);
-  for (std::int64_t n = 0; n < s.n; ++n)
-    for (std::int64_t h = 0; h < s.h; ++h)
-      for (std::int64_t w = 0; w < s.w; ++w)
-        for (std::int64_t c = 0; c < s.c; ++c)
-          out(n, h, w, c) = p.get(n, h, w, c) ? 1.0f : -1.0f;
-  return out;
-}
-
 namespace {
 
 /// Bit b of `bits` as the float +1 (set) or -1: the bit lands in the sign
@@ -72,28 +61,6 @@ void unpack_sign_words(const std::uint64_t* words, std::int64_t bits,
       }
     }
   }
-}
-
-std::array<PackedTensor, 8> split_bit_planes(const U8Tensor& image) {
-  PB_CHECK(image.layout() == Layout::kNHWC,
-           "split_bit_planes requires NHWC input");
-  const Shape& s = image.shape();
-  std::array<PackedTensor, 8> planes{
-      PackedTensor(s), PackedTensor(s), PackedTensor(s), PackedTensor(s),
-      PackedTensor(s), PackedTensor(s), PackedTensor(s), PackedTensor(s)};
-  for (std::int64_t n = 0; n < s.n; ++n)
-    for (std::int64_t h = 0; h < s.h; ++h)
-      for (std::int64_t w = 0; w < s.w; ++w) {
-        for (std::int64_t c = 0; c < s.c; ++c) {
-          const std::uint8_t px = image(n, h, w, c);
-          for (int k = 0; k < 8; ++k) {
-            if ((px >> k) & 1) {
-              planes[static_cast<std::size_t>(k)].set(n, h, w, c, true);
-            }
-          }
-        }
-      }
-  return planes;
 }
 
 PackedTensor pack_filter_signs(const FloatTensor& filters) {

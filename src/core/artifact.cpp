@@ -1,6 +1,5 @@
 #include "core/artifact.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -19,22 +18,18 @@ namespace phonebit::artifact {
 
 namespace {
 
-using core::ActivationSlot;
 using core::BlobDesc;
 using core::BlobKind;
 using core::EngineOptions;
-using core::KernelVariant;
-using core::Layer;
 using core::Network;
 using core::PlanStep;
-using core::ScratchNeed;
 using core::wire::ByteReader;
 using core::wire::ByteWriter;
 using core::wire::LayerKind;
 
-/// Upper bound on any serialized count (layers, steps, slots): far above
-/// every real network, low enough that a corrupted count field fails fast
-/// instead of driving a giant loop.
+/// Upper bound on the serialized layer count: far above every real
+/// network, low enough that a corrupted count field fails fast instead of
+/// driving a giant loop.
 constexpr std::uint32_t kMaxCount = 65536;
 
 [[noreturn]] void fail_at(const std::string& path, const char* section,
@@ -88,17 +83,14 @@ void write_blob_desc(ByteWriter& w, const BlobDesc& d) {
   w.shape(d.shape);
 }
 
-/// `materialized`: the descriptor must describe a real blob (positive dims).
-/// The only non-materialized descriptor in the format is the fused_mid of an
-/// unfused step, which is a placeholder.
-BlobDesc read_blob_desc(ByteReader& r, bool materialized) {
+BlobDesc read_blob_desc(ByteReader& r) {
   const auto kind = r.pod<std::uint8_t>();
   if (kind > static_cast<std::uint8_t>(BlobKind::kPacked)) {
     r.fail("invalid blob kind " + std::to_string(kind));
   }
   BlobDesc d;
   d.kind = static_cast<BlobKind>(kind);
-  d.shape = materialized ? r.positive_shape() : r.shape();
+  d.shape = r.positive_shape();
   return d;
 }
 
@@ -467,395 +459,24 @@ EngineOptions read_options(ByteReader& r) {
   return o;
 }
 
-// --- kernel variants / scratch ---------------------------------------------
-
-void write_variant(ByteWriter& w, const KernelVariant& v) {
-  w.pod<std::uint8_t>(static_cast<std::uint8_t>(v.path));
-  w.pod<std::uint32_t>(static_cast<std::uint32_t>(bits(v.pack_width)));
-  w.pod<std::uint8_t>(v.interior_split ? 1 : 0);
-  w.pod<std::int64_t>(v.tile_ow);
-  w.str(v.kernel);
-}
-
-KernelVariant read_variant(ByteReader& r) {
-  KernelVariant v;
-  const auto path = r.pod<std::uint8_t>();
-  if (path > static_cast<std::uint8_t>(KernelVariant::Path::kConvGemm)) {
-    r.fail("invalid kernel path " + std::to_string(path));
+/// save() writes the options and input of `plan` next to `net`'s layers,
+/// so the plan must have been compiled from `net`: a plan of another
+/// network would ship weights under a foreign snapshot.
+void check_plan_of(const Network& net, const core::ExecutionPlan& plan) {
+  PB_CHECK(plan.network_name() == net.name(),
+           "plan '" << plan.network_name()
+                    << "' was not compiled from network '" << net.name()
+                    << "'");
+  for (const PlanStep& step : plan.steps()) {
+    PB_CHECK(net.index_of(step.layer) >= 0 &&
+                 (step.fused_pool == nullptr ||
+                  net.index_of(step.fused_pool) >= 0),
+             "plan step '" << step.name()
+                           << "' references a layer that is not part of "
+                              "network '"
+                           << net.name() << "'");
   }
-  v.path = static_cast<KernelVariant::Path>(path);
-  v.pack_width = read_pack_width(r);
-  v.interior_split = read_bool(r);
-  v.tile_ow = r.pod<std::int64_t>();
-  if (v.tile_ow < 0) r.fail("negative kernel tile width");
-  v.kernel = r.str();
-  return v;
 }
-
-void write_scratch(ByteWriter& w, const ScratchNeed& s) {
-  w.pod<std::int64_t>(s.i32);
-  w.pod<std::int64_t>(s.f32);
-  w.pod<std::int64_t>(s.u8);
-  w.pod<std::int64_t>(s.words);
-}
-
-ScratchNeed read_scratch(ByteReader& r) {
-  ScratchNeed s;
-  s.i32 = r.pod<std::int64_t>();
-  s.f32 = r.pod<std::int64_t>();
-  s.u8 = r.pod<std::int64_t>();
-  s.words = r.pod<std::int64_t>();
-  if (s.i32 < 0 || s.f32 < 0 || s.u8 < 0 || s.words < 0) {
-    r.fail("negative scratch requirement");
-  }
-  return s;
-}
-
-}  // namespace
-
-const char* section_name(Section s) noexcept {
-  switch (s) {
-    case Section::kNetwork: return "network";
-    case Section::kOptions: return "options";
-    case Section::kInput: return "input";
-    case Section::kPlan: return "plan";
-    case Section::kTarget: return "target";
-  }
-  return "?";
-}
-
-std::uint64_t checksum(const void* data, std::size_t n) noexcept {
-  return core::wire::fnv1a64(data, n);
-}
-
-/// Friend of ExecutionPlan (plan.hpp): the one deserialization path allowed
-/// to rebuild a plan field by field. Decode VALIDATES the full structural
-/// contract — step edges, slot-table layout, scratch peaks — and only then
-/// prices the steps' launches (derived state, never serialized), so a
-/// loaded plan is indistinguishable from a freshly compiled one.
-class PlanCodec {
- public:
-  static void encode(ByteWriter& w, const Network& net,
-                     const core::ExecutionPlan& p) {
-    PB_CHECK(p.network_name() == net.name(),
-             "plan '" << p.network_name()
-                      << "' was not compiled from network '" << net.name()
-                      << "'");
-    w.str(p.name_);
-    w.pod<std::uint32_t>(static_cast<std::uint32_t>(p.steps_.size()));
-    for (const PlanStep& step : p.steps_) {
-      const std::ptrdiff_t idx = net.index_of(step.layer);
-      PB_CHECK(idx >= 0, "plan step '"
-                             << step.name()
-                             << "' references a layer that is not part of "
-                                "network '"
-                             << net.name() << "'");
-      w.pod<std::uint32_t>(static_cast<std::uint32_t>(idx));
-      std::ptrdiff_t fused = -1;
-      if (step.fused_pool != nullptr) {
-        fused = net.index_of(step.fused_pool);
-        PB_CHECK(fused >= 0, "plan step '" << step.name()
-                                           << "' fuses a foreign pool layer");
-      }
-      w.pod<std::int32_t>(static_cast<std::int32_t>(fused));
-      write_blob_desc(w, step.in);
-      write_blob_desc(w, step.out);
-      write_blob_desc(w, step.fused_mid);
-      write_variant(w, step.variant);
-      write_scratch(w, step.scratch);
-      w.pod<std::int64_t>(step.wcomp.unique_rows);
-      w.pod<std::int64_t>(step.wcomp.raw_bytes);
-      w.pod<std::int64_t>(step.wcomp.encoded_bytes);
-      w.pod<std::int32_t>(step.slot);
-      w.str(step.display);
-    }
-    w.pod<std::uint32_t>(static_cast<std::uint32_t>(p.slots_.size()));
-    for (const ActivationSlot& s : p.slots_) {
-      w.pod<std::int64_t>(s.bytes);
-      w.pod<std::int64_t>(s.offset);
-    }
-    write_scratch(w, p.scratch_peak_);
-    w.pod<std::int64_t>(p.slab_bytes_);
-    w.pod<std::int64_t>(p.output_offset_);
-  }
-
-  static core::ExecutionPlan decode(ByteReader& r, const Network& net,
-                                    const EngineOptions& opts,
-                                    const BlobDesc& input) {
-    core::ExecutionPlan p;
-    p.name_ = r.str();
-    if (p.name_ != net.name()) {
-      r.fail("plan network name '" + p.name_ +
-             "' disagrees with serialized network '" + net.name() + "'");
-    }
-    p.opts_ = opts;
-    p.input_ = input;
-
-    const auto step_count = r.pod<std::uint32_t>();
-    if (step_count == 0 || step_count > kMaxCount) {
-      r.fail("implausible step count " + std::to_string(step_count));
-    }
-    p.steps_.reserve(step_count);
-    for (std::uint32_t i = 0; i < step_count; ++i) {
-      PlanStep step;
-      const auto layer_idx = r.pod<std::uint32_t>();
-      if (layer_idx >= net.size()) {
-        r.fail("step " + std::to_string(i) + " layer index " +
-               std::to_string(layer_idx) + " out of range (network has " +
-               std::to_string(net.size()) + " layers)");
-      }
-      step.layer = net.layers()[layer_idx].get();
-      const auto fused_idx = r.pod<std::int32_t>();
-      if (fused_idx < -1 ||
-          fused_idx >= static_cast<std::int32_t>(net.size())) {
-        r.fail("step " + std::to_string(i) + " fused pool index " +
-               std::to_string(fused_idx) + " out of range");
-      }
-      step.in = read_blob_desc(r, /*materialized=*/true);
-      step.out = read_blob_desc(r, /*materialized=*/true);
-      const bool fused = fused_idx >= 0;
-      step.fused_mid = read_blob_desc(r, /*materialized=*/fused);
-      // Step edges must chain exactly: the plan's dataflow is part of the
-      // contract, not re-inferred at load.
-      const BlobDesc& expected_in =
-          i == 0 ? input : p.steps_.back().out;
-      if (!(step.in == expected_in)) {
-        r.fail("step " + std::to_string(i) + " input " + step.in.str() +
-               " breaks the pipeline edge (expected " + expected_in.str() +
-               ")");
-      }
-      step.variant = read_variant(r);
-      // Conv-path kernels partition output columns by the tile: a resealed
-      // zero would reach ceil_div(ow, 0). Non-conv layers (path kDefault)
-      // legitimately record 0 ("does not tile") and never divide by it.
-      if (step.variant.path != KernelVariant::Path::kDefault &&
-          step.variant.tile_ow < 1) {
-        r.fail("step " + std::to_string(i) +
-               " conv variant records tile width " +
-               std::to_string(step.variant.tile_ow) +
-               " (conv kernels tile by it; must be >= 1)");
-      }
-      // Paths A and D score whole filter groups from a panel built only
-      // when C_out % 8 == 0; selection never records them otherwise.
-      const bool path_a = step.variant.path == KernelVariant::Path::kConvFused;
-      if (path_a || step.variant.path == KernelVariant::Path::kConvGemm) {
-        const auto* conv =
-            dynamic_cast<const core::BinaryConv2d*>(step.layer);
-        if (conv == nullptr || conv->out_channels() % 8 != 0) {
-          r.fail("step " + std::to_string(i) + " records path " +
-                 (path_a ? "A" : "D") +
-                 " on a layer without whole 8-filter groups");
-        }
-      }
-      if (fused) {
-        step.fused_pool = net.layers()[static_cast<std::size_t>(fused_idx)]
-                              .get();
-        const auto* mp =
-            dynamic_cast<const core::MaxPool2d*>(step.fused_pool);
-        if (mp == nullptr) {
-          r.fail("step " + std::to_string(i) +
-                 " fused pool index does not name a MaxPool2d layer");
-        }
-        if (step.variant.path != KernelVariant::Path::kConvFused) {
-          r.fail("step " + std::to_string(i) +
-                 " records a fused pool on a non-path-A conv");
-        }
-        // Re-run the compile-time legality predicate and the tile cap: the
-        // fused kernel indexes a FIXED stack row buffer by this geometry
-        // and tile, so these are memory-safety bounds, not preferences —
-        // they must hold even against a checksum-resealed file.
-        if (!core::fused_pool_geometry_legal(mp->geometry())) {
-          r.fail("step " + std::to_string(i) +
-                 " fuses a pool whose geometry is not fusable (stride must "
-                 "equal size, size 2..3)");
-        }
-        if (step.variant.tile_ow < 1 ||
-            step.variant.tile_ow > core::max_fused_tile(mp->geometry())) {
-          r.fail("step " + std::to_string(i) + " fused tile width " +
-                 std::to_string(step.variant.tile_ow) +
-                 " exceeds the fused row-buffer cap " +
-                 std::to_string(core::max_fused_tile(mp->geometry())));
-        }
-      }
-      step.scratch = read_scratch(r);
-      step.wcomp.unique_rows = r.pod<std::int64_t>();
-      step.wcomp.raw_bytes = r.pod<std::int64_t>();
-      step.wcomp.encoded_bytes = r.pod<std::int64_t>();
-      // Compression stats are recorded exactly when compile records them:
-      // for binary convs under a compressing plan, and nowhere else. The
-      // cheap invariants (raw bytes match the layer's weight bank, the
-      // dictionary is 1..C_out rows) catch resealed edits without
-      // re-clustering anything at load.
-      const auto* conv = dynamic_cast<const core::BinaryConv2d*>(step.layer);
-      if (conv != nullptr &&
-          opts.weight_compress != core::WeightCompress::kOff) {
-        if (step.wcomp.raw_bytes != conv->weights().bytes() ||
-            step.wcomp.unique_rows < 1 ||
-            step.wcomp.unique_rows > conv->out_channels() ||
-            step.wcomp.encoded_bytes <= 0) {
-          r.fail("step " + std::to_string(i) +
-                 " compression stats disagree with the layer's weight "
-                 "bank");
-        }
-      } else if (step.wcomp.unique_rows != 0 ||
-                 step.wcomp.raw_bytes != 0 ||
-                 step.wcomp.encoded_bytes != 0) {
-        r.fail("step " + std::to_string(i) +
-               " records compression stats on a step that has none");
-      }
-      step.slot = r.pod<std::int32_t>();
-      step.display = r.str();
-      // Shape replay: the descriptors are not free data either — each
-      // layer's own plan() must infer EXACTLY the recorded output from the
-      // recorded input (and, for fused steps, the pool must map fused_mid
-      // to the pooled output). A consistently resealed shape edit would
-      // otherwise pass the slot/slab arithmetic while silently voiding the
-      // zero-allocation guarantee at run time (undersized slots degrade to
-      // heap fallbacks). Kernel VARIANTS are deliberately NOT replayed:
-      // pinning the ahead-of-time selection is the artifact's purpose.
-      {
-        core::PlanContext pc(step.in, opts, /*stats=*/nullptr);
-        try {
-          step.layer->plan(pc);
-        } catch (const Error& e) {
-          r.fail("step " + std::to_string(i) + " shape replay failed: " +
-                 e.what());
-        }
-        const BlobDesc& direct = pc.out_;
-        if (fused) {
-          if (!(direct == step.fused_mid)) {
-            r.fail("step " + std::to_string(i) + " fused_mid " +
-                   step.fused_mid.str() +
-                   " disagrees with the conv's shape inference " +
-                   direct.str());
-          }
-          core::PlanContext pool_pc(step.fused_mid, opts, /*stats=*/nullptr);
-          try {
-            step.fused_pool->plan(pool_pc);
-          } catch (const Error& e) {
-            r.fail("step " + std::to_string(i) +
-                   " fused pool shape replay failed: " + e.what());
-          }
-          if (!(pool_pc.out_ == step.out)) {
-            r.fail("step " + std::to_string(i) + " pooled output " +
-                   step.out.str() +
-                   " disagrees with the pool's shape inference " +
-                   pool_pc.out_.str());
-          }
-        } else if (!(direct == step.out)) {
-          r.fail("step " + std::to_string(i) + " output " + step.out.str() +
-                 " disagrees with the layer's shape inference " +
-                 direct.str());
-        }
-        // Scratch replay: compile copied step.scratch from this same
-        // plan() call (selection is deterministic in opts + geometry), so
-        // equality is guaranteed for honest files — and without it the
-        // peak check below is circular: a resealed artifact could zero
-        // every requirement AND the stored peak, under-reserve the arena
-        // and under-count the device-RAM fit test. An artifact from a
-        // build with different planning heuristics fails here by design:
-        // pre-1.0 policy is re-run the converter, not decode old plans.
-        if (pc.scratch_.i32 != step.scratch.i32 ||
-            pc.scratch_.f32 != step.scratch.f32 ||
-            pc.scratch_.u8 != step.scratch.u8 ||
-            pc.scratch_.words != step.scratch.words) {
-          r.fail("step " + std::to_string(i) +
-                 " scratch requirement disagrees with plan replay "
-                 "(re-run the converter against this build)");
-        }
-      }
-      p.steps_.push_back(std::move(step));
-    }
-    if (p.steps_.back().slot != -1) {
-      r.fail("final step must write the network output (slot -1), found "
-             "slot " +
-             std::to_string(p.steps_.back().slot));
-    }
-
-    // Slot table: the offsets are not free data — they must reproduce the
-    // exact sequential 8-byte-aligned layout the liveness pass emits, and
-    // each slot must be sized to the largest step output assigned to it.
-    // Any bit flip in the table breaks one of these equalities.
-    const auto slot_count = r.pod<std::uint32_t>();
-    if (slot_count > kMaxCount) {
-      r.fail("implausible slot count " + std::to_string(slot_count));
-    }
-    std::vector<std::int64_t> want_bytes(slot_count, 0);
-    for (std::uint32_t i = 0; i + 1 < step_count; ++i) {
-      const std::int32_t slot = p.steps_[i].slot;
-      if (slot < 0 || slot >= static_cast<std::int32_t>(slot_count)) {
-        r.fail("step " + std::to_string(i) + " activation slot " +
-               std::to_string(slot) + " out of range (" +
-               std::to_string(slot_count) + " slots)");
-      }
-      // Ping-pong discipline: step i+1 READS slot i while WRITING its own
-      // slot, so adjacent steps sharing a slot would alias input and
-      // output in place — a resealed slot edit must not be able to make
-      // run() silently compute over its own half-written output.
-      if (i > 0 && slot == p.steps_[i - 1].slot) {
-        r.fail("steps " + std::to_string(i - 1) + " and " +
-               std::to_string(i) + " share activation slot " +
-               std::to_string(slot) + " (in-place aliasing)");
-      }
-      auto& want = want_bytes[static_cast<std::size_t>(slot)];
-      want = std::max(want, p.steps_[i].out.bytes());
-    }
-    std::int64_t off = 0;
-    p.slots_.reserve(slot_count);
-    for (std::uint32_t i = 0; i < slot_count; ++i) {
-      ActivationSlot s;
-      s.bytes = r.pod<std::int64_t>();
-      s.offset = r.pod<std::int64_t>();
-      // Every declared slot must be referenced by a step: compile never
-      // emits an unused slot, and a phantom zero-byte entry would slip
-      // through the equality checks below (slab_align(0) == 0).
-      if (want_bytes[i] <= 0) {
-        r.fail("slot " + std::to_string(i) +
-               " is not referenced by any step");
-      }
-      if (s.bytes != want_bytes[i]) {
-        r.fail("slot table corrupt: slot " + std::to_string(i) + " holds " +
-               std::to_string(s.bytes) + " bytes, assigned steps need " +
-               std::to_string(want_bytes[i]));
-      }
-      if (s.offset != off) {
-        r.fail("slot table corrupt: slot " + std::to_string(i) +
-               " offset " + std::to_string(s.offset) + ", layout expects " +
-               std::to_string(off));
-      }
-      off += core::slab_align(s.bytes);
-      p.slots_.push_back(s);
-    }
-
-    // Peaks: recomputed from the steps and compared exactly — the plan's
-    // reserve must stay byte-exact on the loading device.
-    ScratchNeed peak;
-    for (const PlanStep& step : p.steps_) peak.max_with(step.scratch);
-    const ScratchNeed stored = read_scratch(r);
-    if (stored.i32 != peak.i32 || stored.f32 != peak.f32 ||
-        stored.u8 != peak.u8 || stored.words != peak.words) {
-      r.fail("scratch peak disagrees with the per-step requirements");
-    }
-    p.scratch_peak_ = stored;
-    p.slab_bytes_ = r.pod<std::int64_t>();
-    p.output_offset_ = r.pod<std::int64_t>();
-    if (p.output_offset_ != off) {
-      r.fail("output staging offset " + std::to_string(p.output_offset_) +
-             " disagrees with slot layout end " + std::to_string(off));
-    }
-    const std::int64_t want_slab =
-        off + core::slab_align(p.steps_.back().out.bytes());
-    if (p.slab_bytes_ != want_slab) {
-      r.fail("slab size " + std::to_string(p.slab_bytes_) +
-             " disagrees with recomputed layout " +
-             std::to_string(want_slab));
-    }
-    p.price();
-    return p;
-  }
-};
-
-namespace {
 
 /// Appends one framed section: tag, body length (back-patched), body.
 template <typename Body>
@@ -950,8 +571,23 @@ void check_header(ByteReader& r, const std::vector<std::uint8_t>& buf,
 
 }  // namespace
 
+const char* section_name(Section s) noexcept {
+  switch (s) {
+    case Section::kNetwork: return "network";
+    case Section::kOptions: return "options";
+    case Section::kInput: return "input";
+    case Section::kTarget: return "target";
+  }
+  return "?";
+}
+
+std::uint64_t checksum(const void* data, std::size_t n) noexcept {
+  return core::wire::fnv1a64(data, n);
+}
+
 void save(const Network& net, const core::ExecutionPlan& plan,
           const std::string& path, const std::string& target_profile) {
+  check_plan_of(net, plan);
   const bool compress =
       plan.options().weight_compress != core::WeightCompress::kOff;
   ByteWriter payload;
@@ -961,9 +597,7 @@ void save(const Network& net, const core::ExecutionPlan& plan,
                 [&](ByteWriter& w) { write_options(w, plan.options()); });
   write_section(payload, Section::kInput,
                 [&](ByteWriter& w) { write_blob_desc(w, plan.input()); });
-  write_section(payload, Section::kPlan,
-                [&](ByteWriter& w) { PlanCodec::encode(w, net, plan); });
-  // Always framed, even when empty: every artifact has exactly five
+  // Always framed, even when empty: every artifact has exactly four
   // sections, so readers need no optional-section logic.
   write_section(payload, Section::kTarget,
                 [&](ByteWriter& w) { w.str(target_profile); });
@@ -1022,19 +656,13 @@ LoadedArtifact load(const std::string& path) {
     close_section(r, Section::kOptions, start, body);
   }
   BlobDesc input;
+  std::int64_t input_at = 0;
   {
     const std::int64_t body = open_section(r, Section::kInput);
-    const std::int64_t start = r.offset();
-    input = read_blob_desc(r, /*materialized=*/true);
-    close_section(r, Section::kInput, start, body);
+    input_at = r.offset();
+    input = read_blob_desc(r);
+    close_section(r, Section::kInput, input_at, body);
   }
-  core::ExecutionPlan plan = [&] {
-    const std::int64_t body = open_section(r, Section::kPlan);
-    const std::int64_t start = r.offset();
-    core::ExecutionPlan p = PlanCodec::decode(r, *network, opts, input);
-    close_section(r, Section::kPlan, start, body);
-    return p;
-  }();
   std::string target;
   {
     const std::int64_t body = open_section(r, Section::kTarget);
@@ -1046,6 +674,20 @@ LoadedArtifact load(const std::string& path) {
   if (r.remaining() != 0) {
     r.fail("trailing bytes after the last section");
   }
+  // The loaded plan is the compiled plan: compile is the one plan builder,
+  // and it establishes every bound the kernels rely on (fused-pool
+  // legality, tile caps, whole filter groups on paths A and D, the slot,
+  // scratch and slab layout). A network that rejects the stored input
+  // descriptor is a corrupt artifact, reported at the input section.
+  core::ExecutionPlan plan = [&] {
+    try {
+      return network->compile(opts, input);
+    } catch (const Error& e) {
+      fail_at(path, section_name(Section::kInput), input_at,
+              std::string("network rejects the input descriptor ") +
+                  input.str() + ": " + e.what());
+    }
+  }();
   return LoadedArtifact{std::move(network), std::move(plan),
                         std::move(target)};
 }
@@ -1119,7 +761,7 @@ namespace phonebit::core {
 
 artifact::LoadedArtifact Engine::load_artifact(const std::string& path) const {
   artifact::LoadedArtifact art = artifact::load(path);
-  // Device-profile validation: the artifact records byte-exact peaks, so
+  // Device-profile validation: the loaded plan's peaks are byte-exact, so
   // the fit test is exact too — params + activation slab + scratch must fit
   // the simulated phone's RAM (profiles with no RAM figure skip the check).
   artifact::check_profile_fit(*art.network, art.plan, device_->profile(),

@@ -1,16 +1,16 @@
 // PhoneBit — serializable compiled artifacts (.pba), the one model file.
 //
 // PhoneBit's deployment story (Fig. 2) is ahead-of-time: the converter runs
-// on a workstation and the phone receives a ready-to-run artifact, never
-// paying conversion or planning cost at startup. The artifact ships the
-// *compiled* network — the layer graph with its BN-folded packed weights
-// PLUS the ExecutionPlan that Network::compile produced: per-step kernel
-// selections (conv path, pack width, interior split, tile, fusion
-// rewrites), the activation-slot table with its fixed slab offsets, and the
-// exact scratch/slab peaks. load() reconstructs an immutable Network +
-// ExecutionPlan with ZERO re-planning: no shape inference, no liveness
-// pass, no kernel selection — the plan's implicit in-memory invariants are
-// an explicit on-disk contract, validated field by field.
+// on a workstation — BN fold, binarization, bit packing — and the phone
+// receives a ready-to-load artifact, never paying conversion cost at
+// startup. The artifact ships the converted network (the layer graph with
+// its packed weights) plus the two inputs of Network::compile: the
+// EngineOptions snapshot and the input descriptor. load() rebuilds the
+// Network and returns network->compile(options, input), so the loaded plan
+// IS the compiled plan — kernel selection is a pure function of (options,
+// geometry), and Network::compile is the only code that builds an
+// ExecutionPlan. Compiling a loaded network costs microseconds (0.007 ms for
+// full YOLOv2-Tiny 416², DESIGN.md §8), far below reading its weights.
 //
 // Container layout (all fields host little-endian; DESIGN.md §8):
 //
@@ -20,31 +20,31 @@
 //   byte 12  u32  header bytes     32
 //   byte 16  u64  payload bytes    (file size - 32 must equal this)
 //   byte 24  u64  payload FNV-1a64 checksum
-//   byte 32  payload: five framed sections, in fixed order
+//   byte 32  payload: four framed sections, in fixed order
 //              [u32 tag | u64 body bytes | body]
-//            tags: 1 network, 2 options, 3 input, 4 plan, 5 target
+//            tags: 1 network, 2 options, 3 input, 4 target
 //
 // The target section holds the device-profile key the artifact was
 // compiled (and RAM-validated) for — empty when the producer did not
 // target a specific profile. Fleet repositories route on it; `pbc dump`
 // prints it.
 //
-// Weight compression (DESIGN.md §12) is a storage choice recorded in three
-// places: the options record carries the weight_compress knob, every plan
-// step carries its compression stats (zero unless the step is a binary conv
-// under a compressing plan), and every BinaryConv2d record carries a
-// storage-mode byte — mode 1 stores the filter bank as dictionary + row
-// indices + XOR deltas (picked per layer, under kAuto, only when strictly
-// smaller than raw; the loader reconstructs the exact weights and hands the
-// layer the decoded bank, so loading never re-clusters). Compression never
-// changes the kernels a plan runs.
+// Weight compression (DESIGN.md §12) is a storage choice: the options
+// record carries the weight_compress knob, and every BinaryConv2d record
+// carries a storage-mode byte — mode 1 stores the filter bank as
+// dictionary + row indices + XOR deltas (picked per layer, under kAuto,
+// only when strictly smaller than raw; the loader reconstructs the exact
+// weights and hands the layer the decoded bank, so loading never
+// re-clusters). Compression never changes the kernels a plan runs.
 //
 // Every load-time mismatch — bad magic/version/endianness, truncation,
-// checksum failure, invalid enum, violated structural invariant (weight
-// pad words, slot-table layout, step edges, scratch peaks) — throws
-// InvalidArgument naming the offending section and absolute byte offset.
-// The loader never trusts a length or enum it has not checked, so a
-// corrupted or truncated file fails loudly instead of crashing.
+// checksum failure, invalid enum, corrupt weight bank, an input descriptor
+// the network rejects — throws InvalidArgument naming the offending
+// section and absolute byte offset. The loader never trusts a length or
+// enum it has not checked, so a corrupted or truncated file fails loudly
+// instead of crashing; the plan's memory-safety bounds (fused-pool
+// legality, tile caps, slot and scratch layout) hold because compile
+// establishes them.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +63,7 @@ namespace phonebit::artifact {
 inline constexpr std::uint32_t kMagic = 0x21414250u;  // "PBA!" little-endian
 /// The one layout save() writes and load() accepts; any layout change bumps
 /// it.
-inline constexpr std::uint32_t kFormatVersion = 5;
+inline constexpr std::uint32_t kFormatVersion = 6;
 inline constexpr std::uint32_t kEndianMark = 0x01020304u;
 inline constexpr std::int64_t kHeaderBytes = 32;
 
@@ -80,8 +80,7 @@ enum class Section : std::uint32_t {
   kNetwork = 1,  ///< layer graph + packed weights + raw BN/bias params
   kOptions = 2,  ///< the EngineOptions snapshot the plan was compiled with
   kInput = 3,    ///< the BlobDesc the plan accepts
-  kPlan = 4,     ///< steps, kernel variants, slot table, peaks
-  kTarget = 5,   ///< device-profile key the artifact targets (may be empty)
+  kTarget = 4,   ///< device-profile key the artifact targets (may be empty)
 };
 
 const char* section_name(Section s) noexcept;
@@ -99,7 +98,7 @@ struct SectionInfo {
 /// endianness/length validated; checksum and bodies NOT decoded).
 std::vector<SectionInfo> section_table(const std::string& path);
 
-/// A deserialized artifact: the network owns the layers, the plan holds
+/// A loaded artifact: the network owns the layers, the plan holds
 /// non-owning pointers into them — keep both together (moving the struct is
 /// safe; layers live on the heap behind stable unique_ptrs).
 struct LoadedArtifact {
@@ -110,19 +109,20 @@ struct LoadedArtifact {
   std::string target_profile;
 };
 
-/// Serializes `net` + the plan compiled from it to `path`. Throws
-/// InvalidArgument when the plan does not belong to `net` or a layer is not
-/// serializable, FormatError on I/O failure. Output is deterministic: the
+/// Serializes `net` + the options and input descriptor of the plan compiled
+/// from it to `path`. Throws InvalidArgument when the plan does not belong
+/// to `net` or a layer is not serializable, FormatError on I/O failure. Output is deterministic: the
 /// same (network, plan, target) always produces byte-identical files, so
 /// artifact checksums are stable build outputs. `target_profile` is
 /// recorded verbatim in the target section (empty = untargeted).
 void save(const core::Network& net, const core::ExecutionPlan& plan,
           const std::string& path, const std::string& target_profile = {});
 
-/// Loads an artifact written by save(): reconstructs the Network and its
-/// ExecutionPlan with zero re-planning, validating the full structural
-/// contract along the way. Throws InvalidArgument naming the offending
-/// section and byte offset on any mismatch.
+/// Loads an artifact written by save(): reconstructs the Network, validating
+/// every record along the way, and compiles it under the stored options for
+/// the stored input descriptor. Throws InvalidArgument naming the offending
+/// section and byte offset on any mismatch (a compile failure names the
+/// input section).
 LoadedArtifact load(const std::string& path);
 
 /// The artifact payload checksum (FNV-1a 64) — exposed so tests and tools

@@ -396,8 +396,8 @@ void charge_windows(KernelCost& cost, const ConvDims& d,
 
 /// Modeled time of `launches` on the fixed reference profile used for
 /// ahead-of-time path selection, summed in launch order. A pure function of
-/// the cost tallies — never of the session's device — so plan replay
-/// (artifact decode) reselects identically.
+/// the cost tallies — never of the session's device — so the compile that
+/// loads an artifact selects what the producer's compile selected.
 double reference_gpu_ms(const std::vector<Launch>& launches) {
   static const oclsim::DeviceProfile ref =
       oclsim::DeviceProfile::snapdragon855();
@@ -567,7 +567,7 @@ KernelVariant BinaryConv2d::select_variant(const Shape& in_shape,
   // filter groups; where legal, kAuto takes it only when the roofline model
   // says the lowering wins this geometry on the reference profile. Both the
   // eligibility test and the comparison are pure functions of
-  // (options, geometry), which artifact plan replay depends on.
+  // (options, geometry), so an artifact needs to store only the options.
   const bool gemm_legal = opts.fuse_bn_binarize && opts.integrate_packing &&
                           out_channels() % 8 == 0;
   if (gemm_legal && opts.conv_path != ConvPathPreference::kRowFused) {

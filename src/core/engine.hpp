@@ -20,7 +20,7 @@
 #include "oclsim/runtime.hpp"
 
 namespace phonebit::artifact {
-struct LoadedArtifact;  // artifact.hpp — deserialized network + plan
+struct LoadedArtifact;  // artifact.hpp — loaded network + its plan
 }
 
 namespace phonebit::core {
@@ -112,7 +112,8 @@ class Engine {
   /// RAM budget (throws OutOfMemoryError when they cannot — the artifact
   /// was compiled for a bigger phone). Format/structure mismatches throw
   /// InvalidArgument naming the offending section and byte offset. The
-  /// returned plan runs on this engine's sessions with zero re-planning.
+  /// returned plan is the artifact's network compiled under its stored
+  /// options, and runs on this engine's sessions.
   /// Defined in artifact.cpp.
   ::phonebit::artifact::LoadedArtifact load_artifact(
       const std::string& path) const;

@@ -172,8 +172,8 @@ class Layer {
   /// The one cost function of a planned step: the launches run() will
   /// enqueue for `step` (fused conv→pool steps included), in dispatch
   /// order, each with its KernelCost. Pure in (step, opts) — never reads
-  /// tensors or a device — so the plan prices itself at compile and load
-  /// and selection prices candidate variants with it.
+  /// tensors or a device — so the plan prices itself at compile and
+  /// selection prices candidate variants with it.
   virtual std::vector<Launch> price(const PlanStep& step,
                                     const EngineOptions& opts) const = 0;
 

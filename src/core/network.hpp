@@ -96,9 +96,8 @@ class Network {
   std::size_t size() const noexcept { return layers_.size(); }
 
   /// Position of `layer` in the pipeline, or -1 when it is not one of this
-  /// network's layers. The artifact codec uses this to serialize a plan's
-  /// layer pointers as stable indices (and to reject a plan that was
-  /// compiled from a different network).
+  /// network's layers. artifact::save uses it to reject a plan that was
+  /// compiled from a different network.
   std::ptrdiff_t index_of(const Layer* layer) const noexcept {
     for (std::size_t i = 0; i < layers_.size(); ++i) {
       if (layers_[i].get() == layer) return static_cast<std::ptrdiff_t>(i);

@@ -16,8 +16,9 @@ namespace phonebit::core {
 /// kAuto lets ahead-of-time selection choose between the row-fused window
 /// schedule (path A) and the register-tiled bit-GEMM lowering (path D) per
 /// geometry via the roofline model on a fixed reference profile, so the
-/// choice is a pure function of (options, geometry) — the determinism the
-/// artifact codec's plan replay depends on. The pinned values exist for
+/// choice is a pure function of (options, geometry): an artifact stores only
+/// the options, and the plan compiled at load selects what the producer's
+/// compile selected, on any device. The pinned values exist for
 /// ablation benches and for tests that assert a specific kernel shape.
 enum class ConvPathPreference : std::uint8_t {
   kAuto = 0,      ///< roofline-selected per geometry (default)

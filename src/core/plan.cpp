@@ -18,6 +18,26 @@ constexpr std::int64_t kMaxFusedSpanBytes = 64;
 /// Largest pool window edge the fused epilogue's row buffer covers.
 constexpr std::int64_t kMaxFusedPoolSize = 3;
 
+/// Rounds a slab region up to the arena's 8-byte word alignment.
+std::int64_t slab_align(std::int64_t bytes) noexcept {
+  return ceil_div(bytes, 8) * 8;
+}
+
+/// Pool-side legality of the conv→pool fused step (DESIGN.md §7): windows
+/// non-overlapping and gap-free (stride == size), small enough for the
+/// fused kernel's fixed per-row buffer, which it indexes by this geometry.
+bool fused_pool_geometry_legal(const PoolGeometry& g) noexcept {
+  return g.stride == g.size && g.size >= 2 && g.size <= kMaxFusedPoolSize;
+}
+
+/// Largest output-x tile a fused step may take for pool geometry `g`: one
+/// work item buffers (tile-1)*stride + size conv bytes per window row,
+/// which must fit the fused kernel's fixed row buffer.
+std::int64_t max_fused_tile(const PoolGeometry& g) noexcept {
+  return std::max<std::int64_t>(
+      1, (kMaxFusedSpanBytes - g.size) / g.stride + 1);
+}
+
 /// Legality of the conv→pool rewrite (DESIGN.md §7). The chain fuses only
 /// when (a) the producer compiled to the fully fused path A — its epilogue
 /// already binarizes+packs in registers, so the pool OR composes for free;
@@ -37,15 +57,6 @@ bool can_fuse_conv_pool(const PlanStep& conv, const PlanStep& pool) {
 }
 
 }  // namespace
-
-bool fused_pool_geometry_legal(const PoolGeometry& g) noexcept {
-  return g.stride == g.size && g.size >= 2 && g.size <= kMaxFusedPoolSize;
-}
-
-std::int64_t max_fused_tile(const PoolGeometry& g) noexcept {
-  return std::max<std::int64_t>(
-      1, (kMaxFusedSpanBytes - g.size) / g.stride + 1);
-}
 
 BlobDesc describe_blob(const Blob& b) {
   if (const auto* f = std::get_if<FloatTensor>(&b)) {
@@ -79,8 +90,8 @@ ExecutionPlan Network::compile(const EngineOptions& opts, const BlobDesc& input,
     PlanStep step = plan_step(*layer, cur, opts, stats);
     // Per-step compression accounting (DESIGN.md §12): recorded in the plan
     // so dumps and `pbc dump` print per-layer redundancy without touching
-    // the layers. The bank is deterministic in the weights, so the values
-    // replay identically on artifact load.
+    // the layers. The bank is deterministic in the weights, so a loaded
+    // network compiles to the same values.
     if (opts.weight_compress != WeightCompress::kOff) {
       if (const auto* conv = dynamic_cast<const BinaryConv2d*>(layer.get())) {
         const bitpack::CompressStats& cs = conv->compressed_bank().stats();

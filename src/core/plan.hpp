@@ -36,35 +36,7 @@
 #include "core/engine.hpp"
 #include "core/network.hpp"
 
-namespace phonebit::artifact {
-class PlanCodec;  // artifact.cpp — (de)serializes plans field by field
-}
-
 namespace phonebit::core {
-
-/// Rounds a slab region up to the arena's 8-byte word alignment. Shared by
-/// the liveness pass (plan.cpp) and the artifact loader's slab-layout
-/// revalidation (artifact.cpp) so the two cannot disagree.
-inline std::int64_t slab_align(std::int64_t bytes) noexcept {
-  return ceil_div(bytes, 8) * 8;
-}
-
-struct PoolGeometry;  // pooling.hpp
-
-/// Pool-side legality of the conv→pool fused step (DESIGN.md §7): windows
-/// non-overlapping and gap-free (stride == size), small enough for the
-/// fused kernel's fixed per-row buffer. Shared by the compile-time rewrite
-/// (plan.cpp) and the artifact loader's revalidation (artifact.cpp) — the
-/// fused kernel indexes a fixed stack buffer by this geometry, so a
-/// deserialized step must re-pass the SAME predicate or a checksum-resealed
-/// artifact could drive an out-of-bounds write.
-bool fused_pool_geometry_legal(const PoolGeometry& g) noexcept;
-
-/// Largest output-x tile a fused step may record for pool geometry `g`:
-/// one work item buffers (tile-1)*stride + size conv bytes per window row,
-/// which must fit the fused kernel's fixed row buffer. Shared like
-/// fused_pool_geometry_legal (the loader rejects tiles beyond this cap).
-std::int64_t max_fused_tile(const PoolGeometry& g) noexcept;
 
 /// Which alternative of the Blob variant a planned edge carries.
 enum class BlobKind { kFloat, kU8, kPacked };
@@ -159,7 +131,7 @@ struct ScratchNeed {
 /// compile for BinaryConv2d steps when `weight_compress` is not kOff, so
 /// plan dumps and `pbc dump` can print per-layer redundancy without
 /// touching the layers. All-zero for other layers / when compression is
-/// off; serialized with every plan step and revalidated on load.
+/// off.
 struct StepCompression {
   std::int64_t unique_rows = 0;    ///< dictionary rows of the filter bank
   std::int64_t raw_bytes = 0;      ///< packed weight bytes, uncompressed
@@ -192,8 +164,7 @@ struct PlanStep {
   /// compile so the hot run loop never concatenates strings.
   std::string display;
   /// The launches run() enqueues, in order: `layer->price(*this, opts)`,
-  /// evaluated once at compile (after the conv→pool rewrite) or artifact
-  /// load. Derived state — never serialized.
+  /// evaluated once at compile (after the conv→pool rewrite).
   std::vector<Launch> launches;
 
   const std::string& name() const noexcept { return display; }
@@ -269,10 +240,6 @@ class PlanContext {
  private:
   friend PlanStep plan_step(const Layer&, const BlobDesc&,
                             const EngineOptions&, SessionStats*);
-  // The artifact loader replays each layer's plan() against the
-  // deserialized descriptors to prove a loaded step's shapes are exactly
-  // what the layer would infer (artifact.cpp).
-  friend class ::phonebit::artifact::PlanCodec;
 
   BlobDesc in_;
   const EngineOptions& opts_;
@@ -359,18 +326,14 @@ class ExecutionPlan {
 
  private:
   friend class Network;
-  // The artifact codec rebuilds a plan field by field from a validated
-  // .pba payload — the ONE path besides Network::compile that may
-  // construct a plan (artifact.hpp).
-  friend class ::phonebit::artifact::PlanCodec;
 
-  // Only Network::compile and the artifact loader build plans: a
-  // default-constructed plan would have no steps, making output()/run()
+  // Only Network::compile builds plans (the artifact loader calls it too):
+  // a default-constructed plan would have no steps, making output()/run()
   // meaningless.
   ExecutionPlan() = default;
 
   /// Fills every step's launches from its layer's price(). Runs last in
-  /// compile and in artifact decode.
+  /// compile.
   void price();
 
   std::string name_;

@@ -182,7 +182,7 @@ class ByteReader {
   ByteReader(const std::uint8_t* data, std::size_t size, std::string path)
       : data_(data), size_(size), path_(std::move(path)) {}
 
-  /// Labels subsequent failures ("header", "network", "plan", ...).
+  /// Labels subsequent failures ("header", "network", "options", ...).
   void set_section(std::string name) { section_ = std::move(name); }
   const std::string& section() const noexcept { return section_; }
 

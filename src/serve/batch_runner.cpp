@@ -4,11 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <utility>
-#include <variant>
 
 #include "core/artifact.hpp"
 #include "serve/virtual_time.hpp"
@@ -37,21 +35,6 @@ std::string describe_exception(const std::exception_ptr& e) {
   }
 }
 
-/// One dispatch unit of a run: `count` consecutive requests starting at
-/// `begin`, fused into one batched forward when count > 1.
-struct DispatchGroup {
-  std::size_t begin = 0;
-  std::size_t count = 1;
-};
-
-/// A request is micro-batchable when it is a single-image U8 tensor — the
-/// classifier-head serving shape whose per-image rows are contiguous in
-/// both the stacked input and the float output batch.
-const U8Tensor* batchable_image(const core::Blob& b) {
-  const auto* u8 = std::get_if<U8Tensor>(&b);
-  return u8 != nullptr && u8->shape().n == 1 ? u8 : nullptr;
-}
-
 /// Borrowed-input view of an owning batch (the by-value run() overloads
 /// keep the vector alive on their own frame while run_impl borrows it).
 std::vector<const core::Blob*> borrow_all(
@@ -60,42 +43,6 @@ std::vector<const core::Blob*> borrow_all(
   ptrs.reserve(inputs.size());
   for (const core::Blob& b : inputs) ptrs.push_back(&b);
   return ptrs;
-}
-
-/// Partitions the batch into dispatch groups: runs of up to `micro_batch`
-/// consecutive same-shape single-image U8 requests fuse; everything else
-/// stays a group of one. Requests carrying an InputPlaneCache never fuse —
-/// a cache holds the planes of exactly ONE single-image input, and a
-/// batched forward would neither fill nor consume it meaningfully.
-std::vector<DispatchGroup> plan_groups(
-    const std::vector<const core::Blob*>& inputs,
-    const std::vector<core::InputPlaneCache*>& planes, int micro_batch) {
-  const auto has_cache = [&planes](std::size_t i) {
-    return i < planes.size() && planes[i] != nullptr;
-  };
-  std::vector<DispatchGroup> groups;
-  groups.reserve(inputs.size());
-  std::size_t i = 0;
-  while (i < inputs.size()) {
-    DispatchGroup g{i, 1};
-    if (micro_batch > 1 && !has_cache(i)) {
-      if (const U8Tensor* first = batchable_image(*inputs[i])) {
-        while (i + g.count < inputs.size() &&
-               g.count < static_cast<std::size_t>(micro_batch)) {
-          const U8Tensor* next = batchable_image(*inputs[i + g.count]);
-          if (next == nullptr || has_cache(i + g.count) ||
-              !(next->shape() == first->shape()) ||
-              next->layout() != first->layout()) {
-            break;
-          }
-          ++g.count;
-        }
-      }
-    }
-    groups.push_back(g);
-    i += g.count;
-  }
-  return groups;
 }
 
 }  // namespace
@@ -128,7 +75,7 @@ BatchRunner::BatchRunner(
 std::shared_ptr<const core::ExecutionPlan> BatchRunner::plan_for(
     const core::BlobDesc& desc) {
   // Artifact fast path: requests matching the shipped descriptor run the
-  // deserialized plan as-is — no compile, no cache, no options staleness
+  // loaded plan as-is — no compile, no cache, no options staleness
   // (the artifact IS the pinned snapshot). The aliasing shared_ptr keeps
   // the whole artifact (plan + the network its steps point into) alive.
   if (artifact_ != nullptr && desc == artifact_->plan.input()) {
@@ -241,21 +188,13 @@ BatchSummary BatchRunner::run_impl(
   std::size_t pending = workers;
   std::exception_ptr batch_error;
 
-  // Dispatch units: with micro-batching on, runs of same-shape single-image
-  // requests fuse into one batched forward each; workers own a strided
-  // share of GROUPS so a fused group never spans two sessions. The
-  // micro-batch knob is read exactly once per batch (it is atomic, so a
-  // concurrent set_micro_batch can never tear this batch's grouping).
-  const std::vector<DispatchGroup> groups =
-      plan_groups(inputs, planes, micro_batch_.load(std::memory_order_relaxed));
-
   const double t0 = now_ms();
   for (std::size_t w = 0; w < workers; ++w) {
-    pool_.submit([this, &inputs, &planes, &summary, &groups, &mu, &cv,
-                  &pending, &batch_error, w, workers] {
+    pool_.submit([this, &inputs, &planes, &summary, &mu, &cv, &pending,
+                  &batch_error, w, workers] {
       std::exception_ptr error;
       core::ExecSession& session = *sessions_[w];
-      const auto run_single = [&](std::size_t i) {
+      for (std::size_t i = w; i < inputs.size(); i += workers) {
         try {
           const auto plan = plan_for(core::describe_blob(*inputs[i]));
           session.reset_profile();
@@ -267,62 +206,6 @@ BatchSummary BatchRunner::run_impl(
           summary.statuses[i].error =
               describe_exception(std::current_exception());
           if (error == nullptr) error = std::current_exception();
-        }
-      };
-      for (std::size_t gi = w; gi < groups.size(); gi += workers) {
-        const DispatchGroup& g = groups[gi];
-        bool fused = false;
-        if (g.count > 1) {
-          try {
-            // One batched forward for the whole group: stack the images
-            // (per-image rows are contiguous under both layouts), run the
-            // batched plan, split the output rows back per request.
-            core::BlobDesc desc = core::describe_blob(*inputs[g.begin]);
-            desc.shape.n = static_cast<std::int64_t>(g.count);
-            const auto plan = plan_for(desc);
-            if (plan->output().kind == core::BlobKind::kFloat) {
-              const auto& first = std::get<U8Tensor>(*inputs[g.begin]);
-              U8Tensor batch(desc.shape, first.layout());
-              const std::int64_t per = first.elems();
-              for (std::size_t r = 0; r < g.count; ++r) {
-                std::memcpy(
-                    batch.data() + static_cast<std::int64_t>(r) * per,
-                    std::get<U8Tensor>(*inputs[g.begin + r]).data(),
-                    static_cast<std::size_t>(per));
-              }
-              session.reset_profile();
-              core::ForwardResult res =
-                  plan->run(session, core::Blob{std::move(batch)});
-              batched_dispatches_.fetch_add(1, std::memory_order_relaxed);
-              const FloatTensor& out = res.float_output();
-              Shape row_shape = out.shape();
-              row_shape.n = 1;
-              const std::int64_t row =
-                  out.elems() / static_cast<std::int64_t>(g.count);
-              for (std::size_t r = 0; r < g.count; ++r) {
-                core::ForwardResult& slot = summary.results[g.begin + r];
-                FloatTensor one(row_shape, out.layout());
-                std::memcpy(one.data(),
-                            out.data() + static_cast<std::int64_t>(r) * row,
-                            static_cast<std::size_t>(row) * sizeof(float));
-                slot.output = std::move(one);
-                slot.modeled_ms =
-                    res.modeled_ms / static_cast<double>(g.count);
-                slot.host_ms = res.host_ms / static_cast<double>(g.count);
-              }
-              // Per-layer attribution goes to the group's first request;
-              // followers keep empty reports (the summary merge skips them).
-              summary.results[g.begin].report = std::move(res.report);
-              fused = true;
-            }
-          } catch (...) {
-            // A failed fused dispatch falls back to singles so an innocent
-            // group member is never failed by a neighbor.
-            fused = false;
-          }
-        }
-        if (!fused) {
-          for (std::size_t r = 0; r < g.count; ++r) run_single(g.begin + r);
         }
       }
       std::lock_guard<std::mutex> lock(mu);
@@ -338,8 +221,8 @@ BatchSummary BatchRunner::run_impl(
   if (first_error != nullptr) *first_error = batch_error;
 
   // Latency/throughput aggregation plus the per-layer merge over the Ok
-  // requests: layer order is identical across requests (one shared
-  // network), so slot j of every report describes the same layer. Failed
+  // requests: requests of one plan report the same steps in the same
+  // order, so slot j of every report describes the same step. Failed
   // requests are counted but contribute nothing — their result slots are
   // default-constructed.
   std::vector<double> latencies;
@@ -362,7 +245,9 @@ BatchSummary BatchRunner::run_impl(
         summary.merged_layers[j].cost = oclsim::KernelCost::accumulator();
       }
     }
-    // Micro-batched group followers carry empty reports — nothing to merge.
+    // A request of another input shape may run a plan that fused a
+    // different set of steps; its report does not line up, so it is left
+    // out of the per-layer merge (it still counts in the totals above).
     if (r.report.size() != summary.merged_layers.size()) continue;
     for (std::size_t j = 0; j < r.report.size(); ++j) {
       core::LayerReport& m = summary.merged_layers[j];

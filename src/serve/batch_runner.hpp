@@ -115,8 +115,8 @@ class BatchRunner {
               std::string name = {});
 
   /// Serves a LOADED artifact (Engine::load_artifact): every worker runs
-  /// the artifact's deserialized ExecutionPlan directly — the deployment
-  /// configuration where the serving process never compiles at all.
+  /// the plan the load compiled — the deployment configuration where
+  /// serving compiles nothing after the load.
   /// Requests whose input matches the artifact's descriptor share its plan
   /// (pinned to the artifact's compiled options snapshot — engine
   /// reconfiguration does not touch it); other shapes fall back to the
@@ -139,8 +139,7 @@ class BatchRunner {
   /// handed to request i's plan run via RunOptions::planes, so a filled
   /// cache skips the input bitplane split and an empty one is filled for
   /// the request's later stages. `planes` may be empty (no caches) or must
-  /// match `inputs` in length. Cache-carrying requests are never fused
-  /// into micro-batches — a cache is keyed to ONE single-image input.
+  /// match `inputs` in length.
   BatchSummary run(const std::vector<const core::Blob*>& inputs,
                    const std::vector<core::InputPlaneCache*>& planes);
 
@@ -150,32 +149,6 @@ class BatchRunner {
   BatchSummary run_or_throw(std::vector<core::Blob> inputs);
 
   int workers() const noexcept { return pool_.size(); }
-
-  /// Micro-batching (DESIGN.md §11): when `n` > 1, run() fuses up to `n`
-  /// consecutive single-image (N == 1) U8 requests of the same shape into
-  /// ONE batched forward through a batched (N > 1) compiled plan, then
-  /// splits the output rows back to the per-request result slots. The
-  /// per-image dispatch overhead (kernel launches, plan walk) amortizes
-  /// across the group — the batched plan runs the same launch count as one
-  /// image. Grouped requests report the group's modeled/host latency split
-  /// evenly; the per-layer report is attributed to the group's first
-  /// request. Only plans whose output is a float tensor batch (the
-  /// classifier-head serving shape); other requests run singly. Takes
-  /// effect on the next run(): the setting is atomic (relaxed — there is
-  /// no data it publishes) and run() reads it exactly ONCE at batch start,
-  /// so a concurrent set_micro_batch never tears a batch's grouping.
-  void set_micro_batch(int n) noexcept {
-    micro_batch_.store(n < 1 ? 1 : n, std::memory_order_relaxed);
-  }
-  int micro_batch() const noexcept {
-    return micro_batch_.load(std::memory_order_relaxed);
-  }
-
-  /// Fused multi-request forwards performed over this runner's lifetime
-  /// (groups of >= 2; singles don't count). Stable hook for tests.
-  std::int64_t batched_dispatches() const noexcept {
-    return batched_dispatches_.load(std::memory_order_relaxed);
-  }
 
   /// The tag used in this runner's error messages.
   const std::string& name() const noexcept { return name_; }
@@ -230,8 +203,6 @@ class BatchRunner {
   /// synchronizes-with the winning run (clean under TSan).
   std::vector<std::unique_ptr<core::ExecSession>> sessions_;
   std::atomic<bool> running_{false};
-  std::atomic<int> micro_batch_{1};
-  std::atomic<std::int64_t> batched_dispatches_{0};
   mutable std::mutex plan_mu_;
   std::vector<std::pair<core::BlobDesc,
                         std::shared_ptr<const core::ExecutionPlan>>>

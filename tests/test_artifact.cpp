@@ -1,20 +1,22 @@
 // Serializable compiled artifacts (.pba): the save → load → run contract.
 //
-// The artifact is the deployment boundary (Fig. 2): everything
-// Network::compile decided — kernel selections, fusion rewrites, the
-// activation-slot table with its fixed slab offsets, the exact memory
-// peaks — crosses the file boundary and must come back bit-identical.
+// The artifact is the deployment boundary (Fig. 2): the converted network
+// plus the options and input descriptor it was compiled with cross the
+// file boundary, and load() compiles the loaded network under them — so
+// the loaded plan must be the producer's plan, step for step.
 // This suite proves the contract three ways:
-//   1. differentially: zoo-wide, fused and unfused, a loaded plan replays
-//      the in-memory compiled forward bit-exactly (outputs AND modeled
-//      time) with zero re-planning, zero re-selection, zero warm
+//   1. differentially: zoo-wide, fused and unfused, and under resealed
+//      options, a loaded plan dumps like the in-memory compile and runs
+//      its forward bit-exactly (outputs AND modeled time), with nothing
+//      compiled or selected through the running session and zero warm
 //      allocations;
 //   2. structurally: artifact bytes are deterministic, the header layout
 //      is pinned, and save(load(x)) is byte-identical to x;
-//   3. adversarially: flipped magic, stale version, truncations, corrupted
-//      weight pad words, bit-flipped slot tables and a seeded random
-//      corruption sweep all throw InvalidArgument naming the offending
-//      section and byte offset — never crashing, never loading garbage.
+//   3. adversarially: flipped magic, stale versions, truncations,
+//      corrupted weight pad words, an input descriptor the network
+//      rejects and a seeded random corruption sweep all throw
+//      InvalidArgument naming the offending section and byte offset —
+//      never crashing, never loading garbage.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -169,8 +171,8 @@ TEST_F(ArtifactTest, RoundTripBitExactAcrossZoo) {
       EXPECT_TRUE(testing::expect_bitexact(replay, fresh))
           << c.name << (fuse ? " (fused)" : " (unfused)")
           << ": loaded plan diverged from in-memory compile";
-      // Zero re-planning on the loaded side: nothing was compiled or
-      // selected through the session that ran the artifact.
+      // load() compiled once, outside any session: nothing was compiled
+      // or selected through the session that ran the artifact.
       EXPECT_EQ(s2.stats().variant_selections, 0) << c.name;
       EXPECT_EQ(s2.stats().compiles, 0) << c.name;
       EXPECT_EQ(s2.stats().planned_runs, 1) << c.name;
@@ -327,12 +329,11 @@ TEST_F(ArtifactTest, HeaderLayoutIsPinned) {
 
   // Sections arrive in their fixed order with in-bounds bodies.
   const auto table = artifact::section_table(path_);
-  ASSERT_EQ(table.size(), 5u);
+  ASSERT_EQ(table.size(), 4u);
   EXPECT_EQ(table[0].tag, artifact::Section::kNetwork);
   EXPECT_EQ(table[1].tag, artifact::Section::kOptions);
   EXPECT_EQ(table[2].tag, artifact::Section::kInput);
-  EXPECT_EQ(table[3].tag, artifact::Section::kPlan);
-  EXPECT_EQ(table[4].tag, artifact::Section::kTarget);
+  EXPECT_EQ(table[3].tag, artifact::Section::kTarget);
   for (const auto& sec : table) {
     EXPECT_GE(sec.body_offset, artifact::kHeaderBytes);
     EXPECT_LE(sec.body_offset + sec.body_bytes,
@@ -355,7 +356,7 @@ TEST_F(ArtifactTest, TargetProfileRoundTrips) {
   artifact::save(*net, plan, path_, "sd660");
   const artifact::LoadedArtifact loaded = artifact::load(path_);
   EXPECT_EQ(loaded.target_profile, "sd660");
-  EXPECT_EQ(artifact::section_table(path_).size(), 5u);
+  EXPECT_EQ(artifact::section_table(path_).size(), 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -376,8 +377,9 @@ TEST_F(ArtifactTest, StaleVersionRejected) {
   save_quicknet(engine);
   const std::vector<std::uint8_t> saved = read_bytes(path_);
   // The loader reads exactly one layout: older versions (3 and 4 wrote
-  // other records) and newer ones are rejected at the version field.
-  for (const std::uint32_t stale : {3u, 4u, artifact::kFormatVersion + 1}) {
+  // other records, 5 carried a serialized plan section) and newer ones are
+  // rejected at the version field.
+  for (const std::uint32_t stale : {3u, 4u, 5u, 7u}) {
     SCOPED_TRACE("version " + std::to_string(stale));
     std::vector<std::uint8_t> buf = saved;
     std::memcpy(buf.data() + artifact::kVersionOffset, &stale, 4);
@@ -457,38 +459,6 @@ TEST_F(ArtifactTest, CorruptedWeightPadWordRejected) {
   expect_rejected(path_, "corrupted weight words");
 }
 
-TEST_F(ArtifactTest, BitFlippedSlotTableRejected) {
-  core::Engine engine(testing::test_device());
-  auto net = save_quicknet(engine);
-  const ExecutionPlan plan = engine_compile(engine, *net);
-  std::vector<std::uint8_t> buf = read_bytes(path_);
-  const auto table = artifact::section_table(path_);
-  ASSERT_EQ(table[3].tag, artifact::Section::kPlan);
-
-  // The plan section ends with a fixed-layout trailer:
-  //   slot table [u32 count | count × (i64 bytes, i64 offset)]
-  //   scratch peak (4 × i64), slab bytes (i64), output offset (i64)
-  const auto slot_count = static_cast<std::int64_t>(plan.slots().size());
-  ASSERT_GE(slot_count, 1);
-  const std::int64_t trailer = 4 * 8 + 8 + 8;
-  const std::int64_t slot0 =
-      table[3].body_offset + table[3].body_bytes - trailer - slot_count * 16;
-  std::uint32_t count;
-  std::memcpy(&count, buf.data() + slot0 - 4, 4);
-  ASSERT_EQ(count, static_cast<std::uint32_t>(slot_count))
-      << "trailer layout drifted — update DESIGN.md §8 and this test";
-
-  for (const std::int64_t target : {slot0,        // slot 0 size, low byte
-                                    slot0 + 8}) {  // slot 0 offset, low byte
-    std::vector<std::uint8_t> evil = buf;
-    evil[static_cast<std::size_t>(target)] ^= 0x04;
-    patch_checksum(evil);
-    write_bytes(path_, evil);
-    SCOPED_TRACE("flipped byte " + std::to_string(target));
-    expect_rejected(path_, "slot table corrupt");
-  }
-}
-
 TEST_F(ArtifactTest, WrappedPayloadLengthRejected) {
   // A 24-byte file with a valid header prefix and payload_bytes crafted to
   // equal the UNSIGNED-WRAPPED size-minus-header value: the loader must
@@ -508,163 +478,6 @@ TEST_F(ArtifactTest, WrappedPayloadLengthRejected) {
   std::memcpy(evil.data() + artifact::kPayloadBytesOffset, &wrapped, 8);
   write_bytes(path_, evil);
   expect_rejected(path_, "truncated header");
-}
-
-/// A checksum-resealed artifact whose fused-step parameters were edited to
-/// drive the fused kernel's fixed stack row buffer out of bounds: the
-/// loader must re-run the compile-time legality predicate and the tile
-/// cap, not trust the checksum alone.
-TEST_F(ArtifactTest, ResealedIllegalFusionRejected) {
-  ConvGeometry g;
-  g.pad_h = g.pad_w = 1;
-  const FloatTensor w = testing::random_sign_tensor(Shape{16, 3, 3, 64}, 660);
-  core::Network net("conv-pool");
-  net.emplace<core::BinaryConv2d>("conv", bitpack::pack_filter_signs(w),
-                                  testing::random_bn(16, 661),
-                                  std::vector<float>{}, g);
-  net.emplace<core::MaxPool2d>("pool", core::PoolGeometry{2, 2, 0, false});
-  core::Engine engine(testing::test_device());
-  const FloatTensor acts =
-      testing::random_sign_tensor(Shape{1, 8, 8, 64}, 662);
-  const core::Blob input{bitpack::pack_signs(acts)};
-  const ExecutionPlan plan =
-      net.compile(engine.options(), core::describe_blob(input));
-  ASSERT_EQ(plan.steps().size(), 1u);  // conv+pool fused into one step
-  artifact::save(net, plan, path_);
-  const std::vector<std::uint8_t> buf = read_bytes(path_);
-  const auto table = artifact::section_table(path_);
-
-  auto u32at = [&](std::int64_t at) {
-    std::uint32_t v;
-    std::memcpy(&v, buf.data() + at, 4);
-    return v;
-  };
-  auto i64at = [&](std::int64_t at) {
-    std::int64_t v;
-    std::memcpy(&v, buf.data() + at, 8);
-    return v;
-  };
-
-  // Walk the network section to the MaxPool2d's `size` field.
-  std::int64_t off = table[0].body_offset;
-  off += 4 + u32at(off);             // network name
-  off += 4;                          // layer count
-  off += 1;                          // kind (BinaryConv2d)
-  off += 4 + u32at(off);             // "conv"
-  off += 6 * 8;                      // conv geometry
-  off += 1;                          // storage mode (0: raw words)
-  off += 4 * 8;                      // weight shape
-  const std::int64_t words = i64at(off);
-  off += 8 + words * 8;              // word count + packed words
-  off += 8 + i64at(off) * 16;        // bn_params count + 4 floats each
-  off += 8 + i64at(off) * 4;         // bias count + floats
-  off += 1;                          // kind (MaxPool2d)
-  off += 4 + u32at(off);             // "pool"
-  ASSERT_EQ(i64at(off), 2);          // pool size
-
-  // size 2 → 3 with stride still 2: a perfectly valid pool LAYER, but an
-  // overlapping window set the fused kernel must not be driven over.
-  {
-    std::vector<std::uint8_t> evil = buf;
-    evil[static_cast<std::size_t>(off)] = 3;
-    patch_checksum(evil);
-    write_bytes(path_, evil);
-    expect_rejected(path_, "not fusable");
-  }
-
-  // Walk the plan section to the fused step's tile_ow and inflate it past
-  // the row-buffer cap.
-  std::int64_t t = table[3].body_offset;
-  t += 4 + u32at(t);                 // plan name
-  t += 4;                            // step count
-  t += 4 + 4;                        // layer index + fused pool index
-  t += 3 * 33;                       // in / out / fused_mid descriptors
-  t += 1 + 4 + 1;                    // variant: path + pack width + split
-  ASSERT_GT(i64at(t), 0);            // tile_ow
-  {
-    std::vector<std::uint8_t> evil = buf;
-    const std::int64_t huge = 1000;
-    std::memcpy(evil.data() + t, &huge, 8);
-    patch_checksum(evil);
-    write_bytes(path_, evil);
-    expect_rejected(path_, "row-buffer cap");
-  }
-
-  // tile_ow = 0 on a conv-path step: the conv kernels divide the output
-  // row by the tile, so a resealed zero must be rejected, not executed.
-  {
-    std::vector<std::uint8_t> evil = buf;
-    const std::int64_t zero = 0;
-    std::memcpy(evil.data() + t, &zero, 8);
-    patch_checksum(evil);
-    write_bytes(path_, evil);
-    expect_rejected(path_, "must be >= 1");
-  }
-
-  // Shrink the step's pooled output width (4 → 2): the slot/slab
-  // arithmetic could be patched to match, but the loader REPLAYS the
-  // layers' shape inference, which still derives 4 — a resealed shape
-  // edit must not be able to void the zero-allocation guarantee by
-  // undersizing activation storage.
-  {
-    std::vector<std::uint8_t> evil = buf;
-    const std::int64_t out_desc = table[3].body_offset +
-                                  4 + u32at(table[3].body_offset) +  // name
-                                  4 +                 // step count
-                                  4 + 4 +             // layer + fused index
-                                  33;                 // in descriptor
-    const std::int64_t w_field = out_desc + 1 + 2 * 8;  // kind, n, h → w
-    ASSERT_EQ(i64at(w_field), 4);  // 8x8 conv out pooled 2/2 → 4
-    const std::int64_t shrunk = 2;
-    std::memcpy(evil.data() + w_field, &shrunk, 8);
-    patch_checksum(evil);
-    write_bytes(path_, evil);
-    expect_rejected(path_, "shape inference");
-  }
-}
-
-/// A checksum-resealed plan that records path D or path A for a conv whose
-/// 12 filters do not fill whole 8-filter groups: both run the group
-/// microkernel, which scores whole groups only, so the loader must reject
-/// the variant.
-TEST_F(ArtifactTest, ResealedPathDOnPartialGroupRejected) {
-  ConvGeometry g;
-  g.pad_h = g.pad_w = 1;
-  const FloatTensor w = testing::random_sign_tensor(Shape{12, 3, 3, 64}, 670);
-  core::Network net("conv12");
-  net.emplace<core::BinaryConv2d>("conv", bitpack::pack_filter_signs(w),
-                                  testing::random_bn(12, 671),
-                                  std::vector<float>{}, g);
-  core::Engine engine(testing::test_device());
-  const core::Blob input{
-      bitpack::pack_signs(testing::random_sign_tensor(Shape{1, 8, 8, 64}, 672))};
-  const ExecutionPlan plan =
-      net.compile(engine.options(), core::describe_blob(input));
-  ASSERT_EQ(plan.steps().size(), 1u);
-  artifact::save(net, plan, path_);
-  const std::vector<std::uint8_t> saved = read_bytes(path_);
-  const auto table = artifact::section_table(path_);
-
-  // Walk the plan section to the step's variant path byte.
-  std::int64_t t = table[3].body_offset;
-  std::uint32_t name_len;
-  std::memcpy(&name_len, saved.data() + t, 4);
-  t += 4 + name_len;                 // plan name
-  t += 4;                            // step count
-  t += 4 + 4;                        // layer index + fused pool index
-  t += 3 * 33;                       // in / out / fused_mid descriptors
-  ASSERT_EQ(saved[static_cast<std::size_t>(t)],
-            static_cast<std::uint8_t>(
-                core::KernelVariant::Path::kConvSeparatePack));
-  for (const auto& [path, name] :
-       {std::pair{core::KernelVariant::Path::kConvGemm, "path D"},
-        std::pair{core::KernelVariant::Path::kConvFused, "path A"}}) {
-    std::vector<std::uint8_t> evil = saved;
-    evil[static_cast<std::size_t>(t)] = static_cast<std::uint8_t>(path);
-    patch_checksum(evil);
-    write_bytes(path_, evil);
-    expect_rejected(path_, name);
-  }
 }
 
 /// Options value 1 (the retired storage-only compression mode, which kAuto
@@ -691,160 +504,81 @@ TEST_F(ArtifactTest, ResealedRetiredCompressionBytesRejected) {
                              std::to_string(at + 1) + ")");
 }
 
-/// Every step record carries the compression-stats triple; a step the plan
-/// did not compress (here a max-pool of a kOff plan) must carry zeros. A
-/// resealed non-zero field is rejected, naming the plan section and the
-/// offset just past the triple.
-TEST_F(ArtifactTest, ResealedCompressionStatsOnUncompressedStepRejected) {
+/// The options section is all load() needs to rebuild the plan, so a
+/// resealed options edit that names another valid configuration loads —
+/// as exactly the plan compile builds under those options, running
+/// bit-exactly like it.
+TEST_F(ArtifactTest, ResealedOptionsLoadAsTheirCompiledPlan) {
   core::Engine engine(testing::test_device());
   auto net = save_quicknet(engine);
-  const ExecutionPlan plan = engine_compile(engine, *net);
-  std::vector<std::uint8_t> buf = read_bytes(path_);
+  const std::vector<std::uint8_t> saved = read_bytes(path_);
   const auto table = artifact::section_table(path_);
-  ASSERT_EQ(table[3].tag, artifact::Section::kPlan);
+  ASSERT_EQ(table[1].tag, artifact::Section::kOptions);
+  // Options record: four flag bytes (fuse_conv_pool fourth), ..., then
+  // conv_path and weight_compress as its last two bytes.
+  const std::int64_t fuse_at = table[1].body_offset + 3;
+  const std::int64_t path_at = table[1].body_offset + table[1].body_bytes - 2;
+  ASSERT_EQ(saved[static_cast<std::size_t>(fuse_at)], 1);
+  ASSERT_EQ(saved[static_cast<std::size_t>(path_at)],
+            static_cast<std::uint8_t>(core::ConvPathPreference::kAuto));
 
-  std::size_t pool = 0;
-  while (pool < plan.steps().size() &&
-         dynamic_cast<const core::MaxPool2d*>(plan.steps()[pool].layer) ==
-             nullptr) {
-    ++pool;
-  }
-  ASSERT_LT(pool, plan.steps().size()) << "quicknet plan has no pool step";
-
-  auto u32at = [&](std::int64_t at) {
-    std::uint32_t v;
-    std::memcpy(&v, buf.data() + at, 4);
-    return v;
+  struct Edit {
+    const char* label;
+    std::int64_t at;
+    std::uint8_t value;
+    EngineOptions opts;
   };
-  // Offset of a step record's compression-stats triple, given its start.
-  auto wcomp_field = [&](std::int64_t at) {
-    at += 4 + 4;          // layer index + fused pool index
-    at += 3 * 33;         // in / out / fused_mid descriptors
-    at += 1 + 4 + 1 + 8;  // variant: path + pack width + split + tile
-    at += 4 + u32at(at);  // variant kernel string
-    at += 4 * 8;          // scratch
-    return at;
-  };
-  std::int64_t t = table[3].body_offset;
-  t += 4 + u32at(t);  // plan name
-  t += 4;             // step count
-  for (std::size_t i = 0; i < pool; ++i) {
-    t = wcomp_field(t) + 3 * 8 + 4;  // wcomp triple + slot
-    t += 4 + u32at(t);               // display string
+  EngineOptions unfused;
+  unfused.fuse_conv_pool = false;
+  EngineOptions gemm;
+  gemm.conv_path = core::ConvPathPreference::kGemm;
+  const U8Tensor image = datasets::cifar_like_image(634);
+  for (const Edit& e :
+       {Edit{"fuse_conv_pool off", fuse_at, 0, unfused},
+        Edit{"conv_path kGemm", path_at,
+             static_cast<std::uint8_t>(core::ConvPathPreference::kGemm),
+             gemm}}) {
+    SCOPED_TRACE(e.label);
+    std::vector<std::uint8_t> edited = saved;
+    edited[static_cast<std::size_t>(e.at)] = e.value;
+    patch_checksum(edited);
+    write_bytes(path_, edited);
+    const artifact::LoadedArtifact loaded = engine.load_artifact(path_);
+    const ExecutionPlan want = net->compile(
+        e.opts, BlobDesc{BlobKind::kU8, Shape{1, 32, 32, 3}});
+    EXPECT_TRUE(loaded.plan.options() == e.opts);
+    EXPECT_EQ(loaded.plan.dump(), want.dump());
+    EXPECT_NE(want.dump(), engine_compile(engine, *net).dump())
+        << "the edit did not change the plan";
+    auto s1 = engine.create_session();
+    auto s2 = engine.create_session();
+    EXPECT_TRUE(testing::expect_bitexact(loaded.plan.run(s2, core::Blob{image}),
+                                         want.run(s1, core::Blob{image})));
   }
-  const std::int64_t wcomp = wcomp_field(t);
-  for (int f = 0; f < 3; ++f) {
-    std::int64_t v;
-    std::memcpy(&v, buf.data() + wcomp + 8 * f, 8);
-    ASSERT_EQ(v, 0) << "field " << f;
-  }
-
-  const std::int64_t one = 1;
-  std::memcpy(buf.data() + wcomp, &one, 8);  // unique_rows
-  patch_checksum(buf);
-  write_bytes(path_, buf);
-  expect_rejected(path_, "step " + std::to_string(pool) +
-                             " records compression stats on a step that has "
-                             "none (section 'plan', byte offset " +
-                             std::to_string(wcomp + 3 * 8) + ")");
 }
 
-/// Re-pointing a step at its predecessor's activation slot (resealed):
-/// step i+1 reads slot i while writing its own, so shared adjacent slots
-/// would alias input and output in place — the loader must re-establish
-/// the ping-pong discipline, not trust the serialized slot ids.
-TEST_F(ArtifactTest, ResealedSlotAliasingRejected) {
+/// An input descriptor the network rejects (quicknet's conv1 takes 3
+/// channels; the resealed descriptor says 4) fails the load-time compile,
+/// reported at the input section's body offset.
+TEST_F(ArtifactTest, ResealedInputTheNetworkRejectsNamesTheInputSection) {
   core::Engine engine(testing::test_device());
   save_quicknet(engine);
   std::vector<std::uint8_t> buf = read_bytes(path_);
   const auto table = artifact::section_table(path_);
+  ASSERT_EQ(table[2].tag, artifact::Section::kInput);
 
-  auto u32at = [&](std::int64_t at) {
-    std::uint32_t v;
-    std::memcpy(&v, buf.data() + at, 4);
-    return v;
-  };
-  auto i32at = [&](std::int64_t at) {
-    std::int32_t v;
-    std::memcpy(&v, buf.data() + at, 4);
-    return v;
-  };
-  // Offset of a step record's slot field, given the record's start.
-  auto slot_field = [&](std::int64_t at) {
-    at += 4 + 4;            // layer index + fused pool index
-    at += 3 * 33;           // in / out / fused_mid descriptors
-    at += 1 + 4 + 1 + 8;    // variant: path + pack width + split + tile
-    at += 4 + u32at(at);    // variant kernel string
-    at += 4 * 8;            // scratch
-    at += 3 * 8;            // compression stats
-    return at;
-  };
-
-  std::int64_t t = table[3].body_offset;
-  t += 4 + u32at(t);  // plan name
-  t += 4;             // step count
-  const std::int64_t slot0 = slot_field(t);
-  ASSERT_EQ(i32at(slot0), 0);
-  std::int64_t next = slot0 + 4;
-  next += 4 + u32at(next);  // step 0 display string
-  const std::int64_t slot1 = slot_field(next);
-  ASSERT_EQ(i32at(slot1), 1);
-
-  const std::int32_t aliased = 0;
-  std::memcpy(buf.data() + slot1, &aliased, 4);
+  // Input record: blob kind byte, then the shape as n, h, w, c (i64 each).
+  const std::int64_t c_at = table[2].body_offset + 1 + 3 * 8;
+  std::int64_t c;
+  std::memcpy(&c, buf.data() + c_at, 8);
+  ASSERT_EQ(c, 3);
+  const std::int64_t four = 4;
+  std::memcpy(buf.data() + c_at, &four, 8);
   patch_checksum(buf);
   write_bytes(path_, buf);
-  expect_rejected(path_, "share activation slot");
-}
-
-/// Zeroing a step's scratch requirement AND the stored peak (so the
-/// peak-equals-max check stays self-consistent), then resealing the
-/// checksum: without scratch replay this would load, under-reserve the
-/// session arena and under-count the device-RAM fit test.
-TEST_F(ArtifactTest, ResealedScratchEditRejected) {
-  core::Engine engine(testing::test_device());
-  save_quicknet(engine);
-  std::vector<std::uint8_t> buf = read_bytes(path_);
-  const auto table = artifact::section_table(path_);
-  ASSERT_EQ(table[3].tag, artifact::Section::kPlan);
-
-  auto u32at = [&](std::int64_t at) {
-    std::uint32_t v;
-    std::memcpy(&v, buf.data() + at, 4);
-    return v;
-  };
-  auto i64at = [&](std::int64_t at) {
-    std::int64_t v;
-    std::memcpy(&v, buf.data() + at, 8);
-    return v;
-  };
-
-  // Walk to step 0's scratch record (conv1, the bit-plane input conv: its
-  // 8 planes live in `words` scratch, the plan's words peak).
-  std::int64_t t = table[3].body_offset;
-  t += 4 + u32at(t);   // plan name
-  t += 4;              // step count
-  t += 4 + 4;          // layer index + fused pool index
-  t += 3 * 33;         // in / out / fused_mid descriptors
-  t += 1 + 4 + 1 + 8;  // variant: path + pack width + split + tile
-  t += 4 + u32at(t);   // variant kernel string
-  const std::int64_t words_off = t + 3 * 8;  // scratch: i32, f32, u8, WORDS
-  const std::int64_t words = i64at(words_off);
-  ASSERT_GT(words, 0);
-
-  // The stored peak's words field sits in the section trailer; step 0 is
-  // the only words user in quicknet, so zeroing both keeps the
-  // peak-equals-max arithmetic self-consistent.
-  const std::int64_t peak_words_off =
-      table[3].body_offset + table[3].body_bytes - 48 + 3 * 8;
-  ASSERT_EQ(i64at(peak_words_off), words);
-
-  const std::int64_t zero = 0;
-  std::memcpy(buf.data() + words_off, &zero, 8);
-  std::memcpy(buf.data() + peak_words_off, &zero, 8);
-  patch_checksum(buf);
-  write_bytes(path_, buf);
-  expect_rejected(path_, "plan replay");
+  expect_rejected(path_, "network rejects the input descriptor u8[1,32,32,4]");
+  expect_rejected(path_, "(section 'input', byte offset " +
+                             std::to_string(table[2].body_offset) + ")");
 }
 
 TEST_F(ArtifactTest, RandomCorruptionSweepNeverCrashes) {
@@ -880,7 +614,7 @@ TEST_F(ArtifactTest, MissingFileRejected) {
 TEST_F(ArtifactTest, SaveRejectsPlanFromAnotherNetwork) {
   // Same architecture, different weights: the plan's layer pointers do not
   // belong to the network being saved — a silent mixup would ship weights
-  // that never match the recorded kernel selections.
+  // under options and an input descriptor compiled for another network.
   const FloatModel m1 = FloatModel::random(models::quicknet(10), 640);
   const FloatModel m2 = FloatModel::random(models::quicknet(10), 641);
   auto net1 = core::convert_to_phonebit(m1);

@@ -111,7 +111,7 @@ TEST(BinaryConv, AllExecutionPathsAgree) {
     auto ctx = session.context();
     BinaryConv2d conv("conv", bitpack::pack_filter_signs(w), bn, bias, g);
     auto out = conv.forward(ctx, core::Blob{bitpack::pack_signs(in)});
-    return bitpack::unpack_signs(std::get<bitpack::PackedTensor>(out));
+    return testing::unpack_signs(std::get<bitpack::PackedTensor>(out));
   };
 
   EngineOptions fused;                       // path A
@@ -150,7 +150,7 @@ TEST(BinaryConv, PackWidthDoesNotChangeResults) {
     auto ctx = session.context();
     BinaryConv2d conv("conv", bitpack::pack_filter_signs(w), bn, {}, g);
     auto out = conv.forward(ctx, core::Blob{bitpack::pack_signs(in)});
-    FloatTensor got = bitpack::unpack_signs(std::get<bitpack::PackedTensor>(out));
+    FloatTensor got = testing::unpack_signs(std::get<bitpack::PackedTensor>(out));
     if (!have_first) {
       first = std::move(got);
       have_first = true;

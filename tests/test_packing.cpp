@@ -1,10 +1,7 @@
-// Channel packing, bit-plane splitting (Eqn 2) and flattening.
+// Channel packing: the packed-tensor word layout and sign round trips.
 #include <gtest/gtest.h>
 
-#include "bitpack/flatten.hpp"
 #include "bitpack/pack.hpp"
-#include "common/rng.hpp"
-#include "datasets/synthetic.hpp"
 #include "test_util.hpp"
 
 namespace phonebit {
@@ -39,7 +36,7 @@ TEST_P(PackRoundtrip, SignsSurvive) {
       testing::random_sign_tensor(Shape{2, 3, 4, channels},
                                   static_cast<std::uint64_t>(channels));
   const PackedTensor p = bitpack::pack_signs(t);
-  EXPECT_TRUE(allclose(bitpack::unpack_signs(p), t, 0.0f));
+  EXPECT_TRUE(allclose(testing::unpack_signs(p), t, 0.0f));
   // Padding bits beyond the channel count stay zero (Eqn 1 relies on it).
   if (channels % 64 != 0) {
     const std::uint64_t last = p.data()[p.word_offset(1, 2, 3,
@@ -63,48 +60,6 @@ TEST(Packing, ZeroBinarizesToPlusOne) {
 TEST(Packing, RequiresNhwc) {
   FloatTensor t(Shape{1, 2, 2, 8}, Layout::kNCHW);
   EXPECT_THROW(bitpack::pack_signs(t), InvalidArgument);
-}
-
-TEST(BitPlanes, ReconstructPixelValues) {
-  // Eqn 2: I = sum_k 2^k I_k.
-  const U8Tensor img = datasets::random_image(Shape{1, 5, 4, 7}, 77);
-  const auto planes = bitpack::split_bit_planes(img);
-  const Shape& s = img.shape();
-  for (std::int64_t h = 0; h < s.h; ++h)
-    for (std::int64_t w = 0; w < s.w; ++w)
-      for (std::int64_t c = 0; c < s.c; ++c) {
-        int v = 0;
-        for (int k = 0; k < 8; ++k) {
-          if (planes[static_cast<std::size_t>(k)].get(0, h, w, c)) {
-            v += 1 << k;
-          }
-        }
-        EXPECT_EQ(v, static_cast<int>(img(0, h, w, c)));
-      }
-}
-
-TEST(Flatten, FastPathMultipleOf64) {
-  const FloatTensor t = testing::random_sign_tensor(Shape{2, 3, 3, 64}, 9);
-  const PackedTensor p = bitpack::pack_signs(t);
-  const PackedTensor flat = bitpack::flatten_packed(p);
-  EXPECT_EQ(flat.shape(), (Shape{2, 1, 1, 3 * 3 * 64}));
-  std::int64_t bit = 0;
-  for (std::int64_t h = 0; h < 3; ++h)
-    for (std::int64_t w = 0; w < 3; ++w)
-      for (std::int64_t c = 0; c < 64; ++c, ++bit)
-        EXPECT_EQ(flat.get(0, 0, 0, bit), p.get(0, h, w, c));
-}
-
-TEST(Flatten, SlowPathClosesPaddingGaps) {
-  const FloatTensor t = testing::random_sign_tensor(Shape{1, 2, 2, 33}, 10);
-  const PackedTensor p = bitpack::pack_signs(t);
-  const PackedTensor flat = bitpack::flatten_packed(p);
-  EXPECT_EQ(flat.shape().c, 2 * 2 * 33);
-  std::int64_t bit = 0;
-  for (std::int64_t h = 0; h < 2; ++h)
-    for (std::int64_t w = 0; w < 2; ++w)
-      for (std::int64_t c = 0; c < 33; ++c, ++bit)
-        EXPECT_EQ(flat.get(0, 0, 0, bit), p.get(0, h, w, c));
 }
 
 }  // namespace

@@ -708,8 +708,8 @@ enum Reached : unsigned {
 /// total_modeled_ms() on SD855 and on SD625; and a run whose plane cache
 /// already holds the input must total modeled_ms(p, /*planes_hit=*/true).
 /// Launches are derived state, never serialized: the same plan saved and
-/// loaded back is priced again by the artifact decoder and must pass the
-/// same checks. Returns the Reached bits of the plan.
+/// loaded back is compiled and priced again by the loader and must pass
+/// the same checks. Returns the Reached bits of the plan.
 unsigned check_pricing_case(const PricingCase& c) {
   SCOPED_TRACE(c.repro("check_pricing_case"));
   static core::Engine e855(testing::test_device());

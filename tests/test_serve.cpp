@@ -3,7 +3,6 @@
 // pool reuse across batches, and error propagation.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <string>
 #include <thread>
@@ -250,80 +249,6 @@ TEST(BatchRunner, ConcurrentSecondRunIsRejectedNamingTheRunner) {
   // The runner is serviceable again after the rejected call.
   const auto summary = runner.run(make_inputs(2, 1800));
   EXPECT_EQ(summary.ok, 2);
-}
-
-TEST(BatchRunner, MicroBatchingFusesRequestsAndStaysBitExact) {
-  // Micro-batching (DESIGN.md §11): with micro_batch=4, consecutive
-  // same-shape single-image requests fuse into batched (N>1) forwards
-  // through one batched compiled plan — and every per-request result must
-  // stay bit-identical to the unfused micro_batch=1 run.
-  auto net = quick_net(81);
-  core::Engine engine(testing::test_device());
-
-  constexpr int kRequests = 10;  // 4 + 4 + 2 under micro_batch=4
-  serve::BatchRunner serial_runner(engine, *net, /*workers=*/2);
-  EXPECT_EQ(serial_runner.micro_batch(), 1);
-  const auto serial = serial_runner.run(make_inputs(kRequests, 2000));
-  ASSERT_EQ(serial.ok, kRequests);
-  EXPECT_EQ(serial_runner.batched_dispatches(), 0);
-
-  serve::BatchRunner fused_runner(engine, *net, /*workers=*/2);
-  fused_runner.set_micro_batch(4);
-  EXPECT_EQ(fused_runner.micro_batch(), 4);
-  const auto fused = fused_runner.run(make_inputs(kRequests, 2000));
-  ASSERT_EQ(fused.ok, kRequests);
-  EXPECT_GT(fused_runner.batched_dispatches(), 0)
-      << "micro_batch=4 over same-shape requests never fused a group";
-
-  for (int i = 0; i < kRequests; ++i) {
-    const std::size_t s = static_cast<std::size_t>(i);
-    // Output bits only: grouped requests report the group's latency split
-    // evenly, so modeled_ms legitimately differs from the serial run.
-    EXPECT_TRUE(testing::expect_bitexact(fused.results[s].float_output(),
-                                         serial.results[s].float_output()))
-        << "request " << i << " diverged under micro-batching";
-  }
-
-  // Degenerate settings clamp instead of misbehaving.
-  fused_runner.set_micro_batch(0);
-  EXPECT_EQ(fused_runner.micro_batch(), 1);
-}
-
-// Regression (PR 10): micro_batch_ was a plain int, so set_micro_batch
-// from another thread during run() was a data race — undefined behavior
-// that TSan flags on the old code. Now it is atomic and read ONCE per
-// run(), so a concurrent flip can pick either grouping but can never tear
-// one batch's grouping mid-run or corrupt a result.
-TEST(BatchRunner, ConcurrentSetMicroBatchDuringRunIsSafeAndBitExact) {
-  auto net = quick_net(82);
-  core::Engine engine(testing::test_device());
-
-  constexpr int kRequests = 8;
-  serve::BatchRunner serial_runner(engine, *net, /*workers=*/2);
-  const auto serial = serial_runner.run(make_inputs(kRequests, 2500));
-  ASSERT_EQ(serial.ok, kRequests);
-
-  serve::BatchRunner runner(engine, *net, /*workers=*/2);
-  for (int round = 0; round < 4; ++round) {
-    std::atomic<bool> stop{false};
-    std::thread flipper([&runner, &stop] {
-      int n = 1;
-      while (!stop.load(std::memory_order_relaxed)) {
-        runner.set_micro_batch(1 + (n++ % 4));
-      }
-    });
-    const auto fused = runner.run(make_inputs(kRequests, 2500));
-    stop.store(true, std::memory_order_relaxed);
-    flipper.join();
-
-    ASSERT_EQ(fused.ok, kRequests) << "round " << round;
-    for (int i = 0; i < kRequests; ++i) {
-      const std::size_t s = static_cast<std::size_t>(i);
-      EXPECT_TRUE(testing::expect_bitexact(fused.results[s].float_output(),
-                                           serial.results[s].float_output()))
-          << "round " << round << " request " << i;
-    }
-  }
 }
 
 // Regression (PR 10): percentile() indexed rank ceil(q/100*n)-1 without

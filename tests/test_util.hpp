@@ -190,10 +190,22 @@ inline std::vector<float> random_bias(std::int64_t channels,
   return b;
 }
 
+/// Expands a packed tensor back to floats in {-1, +1}.
+inline FloatTensor unpack_signs(const bitpack::PackedTensor& p) {
+  const Shape& s = p.shape();
+  FloatTensor out(s, Layout::kNHWC);
+  for (std::int64_t n = 0; n < s.n; ++n)
+    for (std::int64_t h = 0; h < s.h; ++h)
+      for (std::int64_t w = 0; w < s.w; ++w)
+        for (std::int64_t c = 0; c < s.c; ++c)
+          out(n, h, w, c) = p.get(n, h, w, c) ? 1.0f : -1.0f;
+  return out;
+}
+
 /// Expands a packed tensor and compares with a ±1 float reference.
 inline bool packed_equals_signs(const bitpack::PackedTensor& packed,
                                 const FloatTensor& ref) {
-  const FloatTensor got = bitpack::unpack_signs(packed);
+  const FloatTensor got = unpack_signs(packed);
   return allclose(got, ref, 0.0f);
 }
 

@@ -1,9 +1,9 @@
 // pbc — the PhoneBit artifact compiler (the workstation half of Fig. 2).
 //
-// Compiles a model into a ready-to-run .pba artifact: the layer graph with
-// BN-folded packed weights PLUS the compiled ExecutionPlan (kernel
-// selections, fusion rewrites, activation-slot table, exact memory peaks),
-// so the phone-side engine loads and runs with zero re-planning.
+// Compiles a model into a ready-to-load .pba artifact: the layer graph with
+// BN-folded packed weights plus the options and input descriptor it was
+// compiled with; the phone-side engine loads the network and compiles it
+// under those options, which rebuilds the producer's plan step for step.
 //
 //   pbc compile --model <zoo name> [-o out.pba] [--shrink N] [--seed S]
 //               [--classes C] [--no-fuse-conv-pool]
@@ -211,33 +211,34 @@ int compile_mode(const Args& a, bool selfcheck) {
               static_cast<long long>(plan.peak_scratch_bytes()));
   if (!selfcheck) return 0;
 
-  // selfcheck: the loaded artifact must replay the compiled plan
-  // bit-exactly (outputs AND modeled time) with zero re-selection.
+  // selfcheck: the loaded plan must run the compiled plan's forward
+  // bit-exactly (outputs AND modeled time), selecting nothing through the
+  // session that runs it.
   const artifact::LoadedArtifact loaded = engine.load_artifact(a.out);
   const U8Tensor image = datasets::random_image(input, a.seed + 1);
   auto s1 = engine.create_session();
   auto s2 = engine.create_session();
   const auto fresh = plan.run(s1, core::Blob{image});
-  const auto replay = loaded.plan.run(s2, core::Blob{image});
+  const auto reloaded = loaded.plan.run(s2, core::Blob{image});
   if (s2.stats().variant_selections != 0) {
     std::fprintf(stderr, "selfcheck: loaded plan re-selected variants\n");
     return 1;
   }
   const auto* fo = std::get_if<FloatTensor>(&fresh.output);
-  const auto* ro = std::get_if<FloatTensor>(&replay.output);
+  const auto* ro = std::get_if<FloatTensor>(&reloaded.output);
   if (fo != nullptr && ro != nullptr) {
     if (!allclose(*fo, *ro, 0.0f)) {
       std::fprintf(stderr, "selfcheck: loaded forward diverged\n");
       return 1;
     }
   } else if (!(std::get<bitpack::PackedTensor>(fresh.output) ==
-               std::get<bitpack::PackedTensor>(replay.output))) {
+               std::get<bitpack::PackedTensor>(reloaded.output))) {
     std::fprintf(stderr, "selfcheck: loaded packed output diverged\n");
     return 1;
   }
-  if (fresh.modeled_ms != replay.modeled_ms) {
+  if (fresh.modeled_ms != reloaded.modeled_ms) {
     std::fprintf(stderr, "selfcheck: modeled time drifted (%f vs %f)\n",
-                 fresh.modeled_ms, replay.modeled_ms);
+                 fresh.modeled_ms, reloaded.modeled_ms);
     return 1;
   }
   std::remove(a.out.c_str());
