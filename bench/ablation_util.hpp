@@ -12,6 +12,7 @@
 
 #include <memory>
 
+#include "bench/bench_util.hpp"
 #include "bitpack/pack.hpp"
 #include "common/rng.hpp"
 #include "core/phonebit.hpp"
@@ -43,26 +44,23 @@ struct ConvFixture {
   }
 };
 
-/// Runs the conv once under `opts` with the row-fused schedule pinned;
-/// returns the modeled device ms.
-inline double run_conv(const ConvFixture& fx, core::EngineOptions opts) {
+/// Benchmark loop shared by every ablation binary: compiles the conv once
+/// under `opts` with the row-fused schedule pinned, then times its plan's
+/// run and reports the modeled device ms.
+inline void run_ablation(benchmark::State& state, const ConvFixture& fx,
+                         core::EngineOptions opts) {
   static auto device = std::make_shared<oclsim::Device>(
       oclsim::DeviceProfile::snapdragon855());
   opts.conv_path = core::ConvPathPreference::kRowFused;
-  core::Engine engine(device, opts);
+  const core::Blob input{fx.input};
+  const LayerPlan conv = compile_layer<core::BinaryConv2d>(
+      opts, input, "conv", fx.weights, fx.bn, std::vector<float>{}, fx.geom);
+  core::Engine engine(device);
   auto session = engine.create_session();
-  auto ctx = session.context();
-  core::BinaryConv2d conv("conv", fx.weights, fx.bn, {}, fx.geom);
-  conv.forward(ctx, core::Blob{fx.input});
-  return session.queue().total_modeled_ms();
-}
-
-/// Benchmark loop shared by every ablation binary.
-inline void run_ablation(benchmark::State& state, const ConvFixture& fx,
-                         const core::EngineOptions& opts) {
   double modeled = 0.0;
   for (auto _ : state) {
-    modeled = run_conv(fx, opts);
+    session.reset_profile();
+    modeled = conv.plan.run(session, input).modeled_ms;
     benchmark::DoNotOptimize(modeled);
   }
   state.counters["modeled_ms"] = modeled;

@@ -39,10 +39,12 @@ int main() {
   auto net = core::convert_to_phonebit(bnn_model);
   core::EngineOptions opts;
   opts.fuse_conv_pool = false;
-  core::Engine engine(device, opts);
+  const core::Blob input{image};
+  const core::ExecutionPlan plan =
+      net->compile(opts, core::describe_blob(input));
+  core::Engine engine(device);
   auto session = engine.create_session();
-  auto ctx = session.context();
-  const auto result = net->forward(ctx, core::Blob{image});
+  const auto result = plan.run(session, input);
   std::map<std::string, double> phonebit_ms;
   for (const auto& r : result.report) phonebit_ms[r.name] = r.modeled_ms;
 

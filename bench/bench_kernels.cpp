@@ -132,16 +132,16 @@ void bench_input_conv(const ConvSpec& spec,
       oclsim::DeviceProfile::snapdragon855(), /*host_threads=*/1);
   core::Engine engine(device);
   auto session = engine.create_session();
-  auto ctx = session.context();
-  core::InputConv2d conv("bench", bitpack::pack_filter_signs(w), bn, {}, g);
   const core::Blob input{datasets::random_image(
       Shape{1, spec.hw, spec.hw, spec.c_in}, 7)};
+  const bench::LayerPlan conv = bench::compile_layer<core::InputConv2d>(
+      core::EngineOptions{}, input, "bench", bitpack::pack_filter_signs(w),
+      bn, std::vector<float>{}, g);
 
   double modeled = 0.0;
   const double host = best_ms(10, [&] {
     session.reset_profile();
-    conv.forward(ctx, input);
-    modeled = session.queue().total_modeled_ms();
+    modeled = conv.plan.run(session, input).modeled_ms;
   });
   out.push_back({"input_conv", spec.tag, host, modeled});
 }
@@ -165,22 +165,22 @@ void bench_float_conv(const ConvSpec& spec,
       oclsim::DeviceProfile::snapdragon855(), /*host_threads=*/1);
   core::Engine engine(device);
   auto session = engine.create_session();
-  auto ctx = session.context();
-  core::FloatConv2d conv("bench", w, std::vector<float>(spec.c_out, 0.5f),
-                         g);
   const core::Blob input{bitpack::pack_signs(x)};
+  const bench::LayerPlan conv = bench::compile_layer<core::FloatConv2d>(
+      core::EngineOptions{}, input, "bench", w,
+      std::vector<float>(spec.c_out, 0.5f), g);
 
   double modeled = 0.0;
   const double host = best_ms(10, [&] {
     session.reset_profile();
-    conv.forward(ctx, input);
-    modeled = session.queue().total_modeled_ms();
+    modeled = conv.plan.run(session, input).modeled_ms;
   });
   out.push_back({"float_conv", spec.tag, host, modeled});
 }
 
-/// Times one BinaryConv2d layer: builds the engine once, then measures the
-/// per-forward host kernel time (min over reps) and the modeled device time.
+/// Times one BinaryConv2d layer: compiles it once, then measures the
+/// per-forward host time of its plan's run (min over reps) and the modeled
+/// device time.
 void bench_conv(const ConvSpec& spec, const core::EngineOptions& opts,
                 const std::string& variant,
                 std::vector<bench::BenchRecord>& out) {
@@ -201,17 +201,17 @@ void bench_conv(const ConvSpec& spec, const core::EngineOptions& opts,
 
   auto device = std::make_shared<oclsim::Device>(
       oclsim::DeviceProfile::snapdragon855());
-  core::Engine engine(device, opts);
+  core::Engine engine(device);
   auto session = engine.create_session();
-  auto ctx = session.context();
-  core::BinaryConv2d conv("bench", bitpack::pack_filter_signs(w), bn, {}, g);
   const core::Blob input{bitpack::pack_signs(in)};
+  const bench::LayerPlan conv = bench::compile_layer<core::BinaryConv2d>(
+      opts, input, "bench", bitpack::pack_filter_signs(w), bn,
+      std::vector<float>{}, g);
 
   double modeled = 0.0;
   const double host = best_ms(15, [&] {
     session.reset_profile();
-    conv.forward(ctx, input);
-    modeled = session.queue().total_modeled_ms();
+    modeled = conv.plan.run(session, input).modeled_ms;
   });
   // total_host_ms would exclude the enqueue-side setup; report the full
   // forward wall time so host_ms reflects the real hot path.
@@ -254,8 +254,8 @@ void bench_conv_pool(const ConvSpec& spec, std::vector<bench::BenchRecord>& out)
     // rewrite, which only applies to path-A convs — letting kAuto pick the
     // bit-GEMM path here would silently de-fuse the chain.
     opts.conv_path = core::ConvPathPreference::kRowFused;
-    core::Engine engine(device, opts);
-    const core::ExecutionPlan plan = net.compile(engine, desc);
+    core::Engine engine(device);
+    const core::ExecutionPlan plan = net.compile(opts, desc);
     auto session = engine.create_session();
     double modeled = 0.0;
     const double host = best_ms(10, [&] {
@@ -290,8 +290,8 @@ void bench_model_e2e(std::vector<bench::BenchRecord>& out) {
     for (const bool fuse : {true, false}) {
       core::EngineOptions opts;
       opts.fuse_conv_pool = fuse;
-      core::Engine engine(device, opts);
-      const core::ExecutionPlan plan = net->compile(engine, desc);
+      core::Engine engine(device);
+      const core::ExecutionPlan plan = net->compile(opts, desc);
       auto session = engine.create_session();
       core::RunOptions ro;
       ro.borrow_output = true;  // steady-state zero-allocation serving mode
@@ -316,9 +316,9 @@ void bench_model_e2e(std::vector<bench::BenchRecord>& out) {
                   static_cast<std::size_t>(image.elems()));
     }
     const core::Blob binput{batch};
-    core::Engine engine(device, core::EngineOptions{});
+    core::Engine engine(device);
     const core::ExecutionPlan plan =
-        net->compile(engine, core::describe_blob(binput));
+        net->compile(core::EngineOptions{}, core::describe_blob(binput));
     auto session = engine.create_session();
     core::RunOptions ro;
     ro.borrow_output = true;
@@ -368,7 +368,7 @@ void bench_fleet_e2e(std::vector<bench::BenchRecord>& out) {
   for (int si = 0; si < fleet.shard_count(); ++si) {
     const std::string path =
         "bench_fleet." + fleet.shard_spec(si).profile + ".pba";
-    artifact::compile_for_profile(*net, fleet.engine(si).options(), desc,
+    artifact::compile_for_profile(*net, core::EngineOptions{}, desc,
                                   fleet.shard_spec(si).profile, path);
     paths.push_back(path);
   }
@@ -420,7 +420,7 @@ void bench_cascade_e2e(std::vector<bench::BenchRecord>& out) {
       const std::string path = std::string("bench_cascade.") +
                                (v == 0 ? "det." : "cls.") +
                                fleet.shard_spec(si).profile + ".pba";
-      artifact::compile_for_profile(*net, fleet.engine(si).options(), desc,
+      artifact::compile_for_profile(*net, core::EngineOptions{}, desc,
                                     fleet.shard_spec(si).profile, path);
       (v == 0 ? det_paths : cls_paths).push_back(path);
     }

@@ -80,10 +80,12 @@ int main() {
   // PhoneBit row from the engine's own profiling events.
   {
     auto net = core::convert_to_phonebit(bnn_model);
+    const core::Blob input{image};
+    const core::ExecutionPlan plan =
+        net->compile(core::EngineOptions{}, core::describe_blob(input));
     core::Engine engine(device);
     auto session = engine.create_session();
-    auto ctx = session.context();
-    const auto result = net->forward(ctx, core::Blob{image});
+    const auto result = plan.run(session, input);
     const auto power = energy::estimate_power(session.queue().events(),
                                               profile, result.modeled_ms);
     rows.push_back(

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/framework.hpp"
@@ -208,15 +209,37 @@ inline Cell run_baseline(const baselines::FloatFramework& fw,
   }
 }
 
-/// Runs the PhoneBit engine on a converted model via a fresh session;
-/// returns the modeled ms of the forward.
+/// Runs the PhoneBit engine on a converted model: compiles it under the
+/// default options and runs the plan on a fresh session; returns the
+/// modeled ms of the forward.
 inline Cell run_phonebit(core::Engine& engine, const core::Network& net,
                          const U8Tensor& image) {
+  const core::Blob input{image};
+  const core::ExecutionPlan plan =
+      net.compile(core::EngineOptions{}, core::describe_blob(input));
   auto session = engine.create_session();
-  auto ctx = session.context();
-  const auto result = net.forward(ctx, core::Blob{image});
-  result.float_output();  // same end-in-float contract as forward_float
+  const auto result = plan.run(session, input);
+  result.float_output();  // the network must end in a float layer
   return Cell{result.modeled_ms, ""};
+}
+
+/// One layer as a one-layer network, compiled once: what a bench times is
+/// `plan.run`, never the compile. The plan points into the network's
+/// heap-held layer, so the pair moves as one.
+struct LayerPlan {
+  core::Network net;
+  core::ExecutionPlan plan;
+};
+
+/// Builds layer `L` from `args` and compiles it under `opts` for inputs
+/// matching `input`.
+template <typename L, typename... Args>
+LayerPlan compile_layer(const core::EngineOptions& opts,
+                        const core::Blob& input, Args&&... args) {
+  core::Network net("bench");
+  net.emplace<L>(std::forward<Args>(args)...);
+  core::ExecutionPlan plan = net.compile(opts, core::describe_blob(input));
+  return LayerPlan{std::move(net), std::move(plan)};
 }
 
 }  // namespace phonebit::bench

@@ -1,6 +1,6 @@
 // batch_serve — the session API's multi-request scenario: one Engine, one
-// shared (const) network, N independent requests fanned across worker
-// threads by serve::BatchRunner, one ExecSession per request. Prints the
+// shared (const) compiled plan, N independent requests fanned across worker
+// threads by serve::BatchRunner, one ExecSession per worker. Prints the
 // aggregate throughput/latency summary and the per-layer merge, and shows
 // that the warm arena pool stops allocating after the first batch.
 //
@@ -21,14 +21,19 @@ int main(int argc, char** argv) {
   const int requests = argc > 1 ? std::atoi(argv[1]) : 16;
   const int workers = argc > 2 ? std::atoi(argv[2]) : 4;
 
-  const auto trained =
-      core::FloatModel::random(models::quicknet(/*classes=*/10), 7);
-  auto net = core::convert_to_phonebit(trained);
+  const auto spec = models::quicknet(/*classes=*/10);
+  auto net = core::convert_to_phonebit(core::FloatModel::random(spec, 7));
+  core::ExecutionPlan plan = net->compile(
+      core::EngineOptions{}, core::BlobDesc{core::BlobKind::kU8, spec.input});
 
   auto device = std::make_shared<oclsim::Device>(
       oclsim::DeviceProfile::snapdragon855());
   core::Engine engine(device);
-  serve::BatchRunner runner(engine, *net, workers);
+  serve::BatchRunner runner(
+      engine,
+      std::make_shared<const artifact::LoadedArtifact>(
+          artifact::LoadedArtifact{std::move(net), std::move(plan), {}}),
+      workers);
 
   auto make_batch = [&](std::uint64_t seed) {
     std::vector<core::Blob> inputs;

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
       const std::string path =
           std::string("cascade_demo_") + (v == 0 ? "det." : "cls.") + key +
           ".pba";
-      artifact::compile_for_profile(*net, fleet.engine(si).options(), desc,
+      artifact::compile_for_profile(*net, core::EngineOptions{}, desc,
                                     key, path);
       (v == 0 ? det_paths : cls_paths).push_back(path);
     }

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   for (int si = 0; si < fleet.shard_count(); ++si) {
     const std::string key = fleet.shard_spec(si).profile;
     const std::string path = "fleet_demo_cls." + key + ".pba";
-    artifact::compile_for_profile(*net, fleet.engine(si).options(), desc,
+    artifact::compile_for_profile(*net, core::EngineOptions{}, desc,
                                   key, path);
     paths.push_back(path);
   }
@@ -112,8 +112,7 @@ int main(int argc, char** argv) {
     std::printf(" %s=%d", fleet.shard_spec(si).name.c_str(),
                 s.stage_assignment[0][static_cast<std::size_t>(si)]);
   }
-  std::printf("\nzero-compile serving: %zu plans compiled in-process\n",
-              fleet.compiled_plans());
+  std::printf("\n");
 
   for (const std::string& p : paths) std::remove(p.c_str());
   return 0;

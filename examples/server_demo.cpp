@@ -27,11 +27,11 @@ using namespace phonebit;
 namespace {
 
 /// Compiles a synthetic checkpoint of `spec` into a .pba at `path`.
-Shape compile_artifact(core::Engine& engine, const core::NetworkSpec& spec,
-                       std::uint64_t seed, const std::string& path) {
+Shape compile_artifact(const core::NetworkSpec& spec, std::uint64_t seed,
+                       const std::string& path) {
   auto net = core::convert_to_phonebit(core::FloatModel::random(spec, seed));
-  const core::ExecutionPlan plan =
-      net->compile(engine, core::BlobDesc{core::BlobKind::kU8, spec.input});
+  const core::ExecutionPlan plan = net->compile(
+      core::EngineOptions{}, core::BlobDesc{core::BlobKind::kU8, spec.input});
   artifact::save(*net, plan, path);
   return spec.input;
 }
@@ -50,14 +50,12 @@ int main(int argc, char** argv) {
   const std::string cls_v1 = "server_demo_cls_v1.pba";
   const std::string cls_v2 = "server_demo_cls_v2.pba";
   const std::string det_v1 = "server_demo_det.pba";
-  const Shape cls_in =
-      compile_artifact(engine, models::quicknet(10), 11, cls_v1);
-  compile_artifact(engine, models::quicknet(10), 12, cls_v2);
+  const Shape cls_in = compile_artifact(models::quicknet(10), 11, cls_v1);
+  compile_artifact(models::quicknet(10), 12, cls_v2);
   models::ZooOptions zoo;
   zoo.shrink_log2 = 3;
   const Shape det_in = compile_artifact(
-      engine, models::spec_by_name("yolov2-tiny", zoo, std::nullopt), 13,
-      det_v1);
+      models::spec_by_name("yolov2-tiny", zoo, std::nullopt), 13, det_v1);
 
   serve::ServerConfig cfg;
   cfg.exec_workers = exec_workers;

@@ -129,8 +129,9 @@ int main(int argc, char** argv) {
   auto device = std::make_shared<oclsim::Device>(
       oclsim::DeviceProfile::snapdragon855());
   core::Engine engine(device);
-  const core::ExecutionPlan plan = net->compile(
-      engine, core::BlobDesc{core::BlobKind::kU8, image.shape()});
+  const core::ExecutionPlan plan =
+      net->compile(core::EngineOptions{},
+                   core::BlobDesc{core::BlobKind::kU8, image.shape()});
   auto session = engine.create_session();
   const auto result = plan.run(session, core::Blob{image});
   const FloatTensor& region = result.float_output();

@@ -33,7 +33,7 @@ struct FilterDelta {
 };
 
 /// Aggregate compression accounting for one filter bank (pbc compress-stats
-/// and the per-step plan records are printed from this).
+/// and pbc dump's per-layer table are printed from this).
 struct CompressStats {
   std::int64_t filters = 0;       ///< C_out
   std::int64_t k_words = 0;       ///< words per flattened filter row

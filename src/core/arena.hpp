@@ -6,7 +6,7 @@
 // forward — exactly the hot-path overhead the fast mobile engines avoid by
 // reserving intermediates once per engine. The arena keeps one typed pool
 // per element kind, grown geometrically to the high-water mark of the
-// network and then reused verbatim across Network::forward calls. Growth is
+// network and then reused verbatim across ExecutionPlan::run calls. Growth is
 // accounted against the simulated device via Device::allocate so the OOM
 // behaviour of real GPU buffers is preserved, and growth events are counted
 // (and fed to the buffer-allocation hook, common/alloc_count.hpp) so tests

@@ -83,8 +83,8 @@ class BinaryConv2d final : public Layer {
 
   /// Dictionary/index/delta factorization of the filter bank (DESIGN.md
   /// §12). Built lazily and deterministically from the packed weights on
-  /// first use (compile-time stats, kAuto artifact save, compress-stats) —
-  /// one std::call_once guards the build, so concurrent compiles are safe —
+  /// first use (kAuto artifact save, pbc dump and compress-stats) — one
+  /// std::call_once guards the build, so concurrent callers are safe —
   /// or adopted verbatim by the artifact loader so loading never
   /// re-clusters.
   const bitpack::CompressedFilterBank& compressed_bank() const;

@@ -1,12 +1,13 @@
 // PhoneBit — the inference engine and its execution sessions.
 //
 // The Engine is the immutable-at-inference-time host state: the simulated
-// device, the engine options, and a pool of warm scratch arenas. All mutable
-// per-invocation state (command queue + profiling events, scratch arena,
-// options snapshot) lives in an ExecSession, so one Engine can serve many
-// concurrent forwards — each thread creates its own session and runs
-// Network::forward (const) through it. This is the same compiled-model /
-// per-invocation-interpreter cut Larq Compute Engine and daBNN make.
+// device and a pool of warm scratch arenas. All mutable per-invocation state
+// (command queue + profiling events, scratch arena) lives in an ExecSession,
+// so one Engine can serve many concurrent forwards — each thread creates its
+// own session and runs a compiled ExecutionPlan (const) through it. Options
+// live in the plan alone: Network::compile takes them, and every run uses
+// the plan's. This is the same compiled-model / per-invocation-interpreter
+// cut Larq Compute Engine and daBNN make.
 #pragma once
 
 #include <memory>
@@ -16,7 +17,6 @@
 
 #include "core/arena.hpp"
 #include "core/layer.hpp"
-#include "core/options.hpp"
 #include "oclsim/runtime.hpp"
 
 namespace phonebit::artifact {
@@ -26,8 +26,7 @@ struct LoadedArtifact;  // artifact.hpp — loaded network + its plan
 namespace phonebit::core {
 
 /// One execution stream on an Engine: owns its own command queue (profiling
-/// events), a scratch arena checked out of the engine's pool, and a snapshot
-/// of the engine options taken at creation time.
+/// events) and a scratch arena checked out of the engine's pool.
 ///
 /// Sessions are cheap (the arena arrives warm after the pool's first
 /// generation) and single-threaded: one session serves one forward at a
@@ -38,8 +37,7 @@ class ExecSession {
  public:
   ExecSession(ExecSession&& other) noexcept
       : pool_(std::exchange(other.pool_, nullptr)),
-        queue_(std::move(other.queue_)), arena_(std::move(other.arena_)),
-        opts_(other.opts_), stats_(other.stats_) {}
+        queue_(std::move(other.queue_)), arena_(std::move(other.arena_)) {}
   ExecSession& operator=(ExecSession&&) = delete;
   ExecSession(const ExecSession&) = delete;
   ExecSession& operator=(const ExecSession&) = delete;
@@ -48,62 +46,44 @@ class ExecSession {
     if (pool_ != nullptr) pool_->release(std::move(arena_));
   }
 
-  /// Execution context for Network::forward / Layer::forward. References
-  /// session-owned state: must not outlive this session.
-  ExecContext context() {
-    return ExecContext{*queue_, opts_, *arena_, &stats_};
-  }
-
   /// The session's private command queue (profiling event log).
   oclsim::CommandQueue& queue() noexcept { return *queue_; }
 
   /// The scratch arena checked out for this session's lifetime.
   ScratchArena& arena() noexcept { return *arena_; }
 
-  /// The EngineOptions snapshot taken when the session was created.
-  const EngineOptions& options() const noexcept { return opts_; }
-
   /// Clears the session's profiling event log.
   void reset_profile() { queue_->reset_events(); }
-
-  /// Compile/selection counters of every forward driven through this
-  /// session (the zero-re-selection contract is asserted on these).
-  const SessionStats& stats() const noexcept { return stats_; }
 
  private:
   friend class Engine;
 
-  ExecSession(ArenaPool& pool, oclsim::Device& device, oclsim::ExecUnit unit,
-              const EngineOptions& opts)
+  ExecSession(ArenaPool& pool, oclsim::Device& device, oclsim::ExecUnit unit)
       : pool_(&pool),
         queue_(std::make_unique<oclsim::CommandQueue>(device, unit)),
-        arena_(pool.acquire()), opts_(opts) {}
+        arena_(pool.acquire()) {}
 
   ArenaPool* pool_;  // null only in the moved-from shell
   std::unique_ptr<oclsim::CommandQueue> queue_;
   std::unique_ptr<ScratchArena> arena_;
-  const EngineOptions opts_;  // snapshot — engine mutation can't reach it
-  SessionStats stats_{};
 };
 
-/// The engine: device + options + arena pool. Immutable during inference —
-/// all execution goes through sessions. One Engine can run many Networks on
-/// many sessions concurrently.
+/// The engine: device + arena pool. Immutable during inference — all
+/// execution goes through sessions. One Engine can run many plans on many
+/// sessions concurrently.
 class Engine {
  public:
   /// Creates an engine on `device` (the GPU of the simulated SoC).
-  explicit Engine(std::shared_ptr<oclsim::Device> device,
-                  EngineOptions opts = {})
-      : device_(std::move(device)), opts_(opts), arena_pool_(device_.get()) {
+  explicit Engine(std::shared_ptr<oclsim::Device> device)
+      : device_(std::move(device)), arena_pool_(device_.get()) {
     PB_CHECK(device_ != nullptr, "engine needs a device");
   }
 
-  /// Creates an execution session: a private command queue, a warm arena
-  /// from the pool, and a snapshot of the current options. Thread-safe
-  /// against other create_session() calls and running sessions; do not
-  /// mutate options() concurrently with session creation.
+  /// Creates an execution session: a private command queue and a warm arena
+  /// from the pool. Thread-safe against other create_session() calls and
+  /// running sessions.
   ExecSession create_session() {
-    return ExecSession(arena_pool_, *device_, oclsim::ExecUnit::kGpu, opts_);
+    return ExecSession(arena_pool_, *device_, oclsim::ExecUnit::kGpu);
   }
 
   /// Loads a compiled artifact (.pba, artifact.hpp) and validates it
@@ -126,11 +106,6 @@ class Engine {
   std::shared_ptr<const ::phonebit::artifact::LoadedArtifact>
   load_artifact_shared(const std::string& path) const;
 
-  const EngineOptions& options() const noexcept { return opts_; }
-  /// Mutable options — configuration phase only. Existing sessions hold
-  /// their creation-time snapshot and are unaffected.
-  EngineOptions& options() noexcept { return opts_; }
-
   oclsim::Device& device() noexcept { return *device_; }
 
   /// The warm-arena pool (exposed for pool-lifecycle tests/metrics).
@@ -138,7 +113,6 @@ class Engine {
 
  private:
   std::shared_ptr<oclsim::Device> device_;
-  EngineOptions opts_;
   ArenaPool arena_pool_;
 };
 

@@ -4,6 +4,8 @@
 // float tensor (full-precision boundary layers), an 8-bit image (network
 // input, Eqn 2) or a channel-packed binary tensor (everything in between —
 // the engine never materializes float activations for binary layers).
+// A layer has no entry point of its own: Network::compile calls its plan()
+// and price(), and ExecutionPlan::run calls its run() (plan.hpp).
 #pragma once
 
 #include <cstdint>
@@ -30,20 +32,6 @@ inline const Shape& blob_shape(const Blob& b) {
   if (const auto* u = std::get_if<U8Tensor>(&b)) return u->shape();
   return std::get<bitpack::PackedTensor>(b).shape();
 }
-
-/// Counters a session keeps about how its forwards were driven. The compile
-/// contract is asserted through these: after Network::compile, forwards via
-/// ExecutionPlan::run perform ZERO kernel-variant re-selection — only the
-/// uncompiled compile-and-run wrapper keeps selecting per call.
-struct SessionStats {
-  /// Kernel-variant derivations (each layer planned counts one). Grows once
-  /// per compile; flat across ExecutionPlan::run calls.
-  std::int64_t variant_selections = 0;
-  /// Plans compiled through this session's context.
-  std::int64_t compiles = 0;
-  /// Forwards executed through a compiled plan.
-  std::int64_t planned_runs = 0;
-};
 
 /// Caller-owned cache for InputConv2d's kernel-1 output for ONE input blob:
 /// the dense bit-plane im2col panel. Serving cascades attach it through
@@ -81,19 +69,15 @@ struct OutputBinding {
   std::int64_t bytes = 0;         ///< region size (>= the step's blob)
 };
 
-/// Execution state threaded through a forward pass. Produced by an
-/// ExecSession (engine.hpp); every member references session-owned state, so
-/// a context must not outlive its session. `opts` is the session's
-/// EngineOptions snapshot — layers see a stable configuration for the whole
-/// session even if the engine's options are reconfigured mid-flight.
-/// `stats` (optional) receives the compile/selection counters.
+/// Execution state threaded through one run of a compiled plan. Built by
+/// ExecutionPlan::run from the session's queue and arena (engine.hpp) and
+/// the plan's own options, so it must not outlive either.
 struct ExecContext {
   oclsim::CommandQueue& queue;
   const EngineOptions& opts;
   ScratchArena& arena;
-  SessionStats* stats = nullptr;
-  /// The compiled runner's slot binding for the CURRENT step's output
-  /// (empty on the uncompiled path and for the owned network output).
+  /// The plan's slot binding for the CURRENT step's output (empty for the
+  /// owned network output).
   OutputBinding out = {};
   /// Optional bitplane cache for the network input (cascade reuse seam);
   /// null outside cascade serving. Only InputConv2d consults it.
@@ -158,10 +142,6 @@ class Layer {
 
   /// Layer instance name ("conv2", "pool1", ...).
   virtual const std::string& name() const = 0;
-
-  /// Uncompiled path: plans a one-step PlanStep for `in` from ctx.opts,
-  /// prices it and runs it — the variant is re-derived on every call.
-  Blob forward(ExecContext& ctx, const Blob& in) const;
 
   /// Compile hook (plan.hpp): validate the input descriptor in `pc` (throw
   /// InvalidArgument to fail the compile), declare the output descriptor,

@@ -1,27 +1,6 @@
 #include "core/network.hpp"
 
-#include "core/plan.hpp"
-
 namespace phonebit::core {
-
-ForwardResult Network::forward(ExecContext& ctx, Blob input) const {
-  // Compatibility path: compile-and-run on every call. Both paths execute
-  // the same compiled steps, so forward() is bit-exact with a cached plan —
-  // it just re-plans (and re-selects variants) each time, which is what
-  // SessionStats::variant_selections counts.
-  const ExecutionPlan plan =
-      compile(ctx.opts, describe_blob(input), ctx.stats);
-  return plan.run(ctx, input);
-}
-
-FloatTensor Network::forward_float(ExecContext& ctx,
-                                   const U8Tensor& image) const {
-  ForwardResult result = forward(ctx, Blob{image});
-  auto* f = std::get_if<FloatTensor>(&result.output);
-  PB_CHECK(f != nullptr,
-           name_ << ": network does not end in a full-precision layer");
-  return std::move(*f);
-}
 
 std::int64_t Network::param_bytes() const {
   std::int64_t total = 0;

@@ -1,10 +1,12 @@
-// PhoneBit — network container and forward pass.
+// PhoneBit — network container and its compile entry point.
 //
 // A Network is an ordered pipeline of layers (Fig. 3's hand-written layer
-// calls, behind a builder API). After construction a Network is immutable at
-// inference time: forward() is const and returns a ForwardResult carrying
-// the output blob plus the per-layer timing report (the data behind Table
-// III and Fig. 5), so many sessions can forward one Network concurrently.
+// calls, behind a builder API). It does not run itself: compile() turns it
+// into an ExecutionPlan for one input descriptor under one EngineOptions,
+// and ExecutionPlan::run (plan.hpp) returns a ForwardResult carrying the
+// output blob plus the per-layer timing report (the data behind Table III
+// and Fig. 5). A Network is immutable once built, so many plans and
+// sessions can share it.
 #pragma once
 
 #include <memory>
@@ -16,13 +18,12 @@
 
 namespace phonebit::core {
 
-class Engine;         // engine.hpp
 class ExecutionPlan;  // plan.hpp
 struct BlobDesc;      // plan.hpp
 
 /// Everything one forward pass produced: the output blob and the profiling
 /// report sliced from the session queue's events. Owned by the caller —
-/// nothing is stashed on the Network, so concurrent forwards don't race.
+/// nothing is stashed on the plan, so concurrent forwards don't race.
 struct ForwardResult {
   Blob output;
   std::vector<LayerReport> report;
@@ -66,29 +67,13 @@ class Network {
     return ref;
   }
 
-  /// Compiles the pipeline for inputs matching `input` against the engine's
-  /// current options: shape inference + validation, buffer liveness/slot
-  /// assignment, ahead-of-time kernel-variant selection (plan.hpp). The
-  /// returned plan is immutable and shareable across sessions; it must not
-  /// outlive this network.
-  ExecutionPlan compile(const Engine& engine, const BlobDesc& input) const;
-  /// Same, against an explicit options snapshot. `stats` (optional)
-  /// receives the compile/selection counters.
-  ExecutionPlan compile(const EngineOptions& opts, const BlobDesc& input,
-                        SessionStats* stats = nullptr) const;
-
-  /// Runs every layer in order on the session behind `ctx`. Const: the
-  /// network is shared read-only state, all mutation happens in the
-  /// session's queue/arena, and the report comes back in the result.
-  ///
-  /// Uncompiled compatibility path: a thin compile-and-run wrapper — every
-  /// call re-plans from ctx.opts, so steady-state callers should compile()
-  /// once and reuse the plan.
-  ForwardResult forward(ExecContext& ctx, Blob input) const;
-
-  /// Convenience: forward an 8-bit image and return just the float output
-  /// (throws if the network does not end in a full-precision layer).
-  FloatTensor forward_float(ExecContext& ctx, const U8Tensor& image) const;
+  /// Compiles the pipeline for inputs matching `input` under `opts`: shape
+  /// inference + validation (a layer whose contract `input` breaks throws
+  /// InvalidArgument here), buffer liveness/slot assignment, ahead-of-time
+  /// kernel-variant selection (plan.hpp). The only way to run a network:
+  /// the returned plan is immutable and shareable across sessions; it must
+  /// not outlive this network.
+  ExecutionPlan compile(const EngineOptions& opts, const BlobDesc& input) const;
 
   const std::vector<std::unique_ptr<Layer>>& layers() const noexcept {
     return layers_;

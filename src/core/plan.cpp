@@ -68,13 +68,8 @@ BlobDesc describe_blob(const Blob& b) {
   return BlobDesc{BlobKind::kPacked, std::get<bitpack::PackedTensor>(b).shape()};
 }
 
-ExecutionPlan Network::compile(const Engine& engine,
+ExecutionPlan Network::compile(const EngineOptions& opts,
                                const BlobDesc& input) const {
-  return compile(engine.options(), input, nullptr);
-}
-
-ExecutionPlan Network::compile(const EngineOptions& opts, const BlobDesc& input,
-                               SessionStats* stats) const {
   PB_CHECK(!layers_.empty(), name_ << ": cannot compile an empty network");
   ExecutionPlan plan;
   plan.name_ = name_;
@@ -87,19 +82,17 @@ ExecutionPlan Network::compile(const EngineOptions& opts, const BlobDesc& input,
   // the network+layer context, before any kernel could run.
   BlobDesc cur = input;
   for (const auto& layer : layers_) {
-    PlanStep step = plan_step(*layer, cur, opts, stats);
-    // Per-step compression accounting (DESIGN.md §12): recorded in the plan
-    // so dumps and `pbc dump` print per-layer redundancy without touching
-    // the layers. The bank is deterministic in the weights, so a loaded
-    // network compiles to the same values.
-    if (opts.weight_compress != WeightCompress::kOff) {
-      if (const auto* conv = dynamic_cast<const BinaryConv2d*>(layer.get())) {
-        const bitpack::CompressStats& cs = conv->compressed_bank().stats();
-        step.wcomp.unique_rows = cs.unique_rows;
-        step.wcomp.raw_bytes = cs.raw_bytes;
-        step.wcomp.encoded_bytes = cs.encoded_bytes;
-      }
-    }
+    PlanContext pc(cur, opts);
+    layer->plan(pc);
+    PB_CHECK(pc.produced_,
+             layer->name() << ": plan() declared no output descriptor");
+    PlanStep step;
+    step.layer = layer.get();
+    step.in = cur;
+    step.out = pc.out_;
+    step.variant = std::move(pc.variant_);
+    step.scratch = pc.scratch_;
+    step.display = layer->name();
     plan.steps_.push_back(std::move(step));
     cur = plan.steps_.back().out;
   }
@@ -169,30 +162,7 @@ ExecutionPlan Network::compile(const EngineOptions& opts, const BlobDesc& input,
   plan.slab_bytes_ = off + slab_align(plan.steps_.back().out.bytes());
 
   plan.price();
-  if (stats != nullptr) ++stats->compiles;
   return plan;
-}
-
-PlanStep plan_step(const Layer& layer, const BlobDesc& in,
-                   const EngineOptions& opts, SessionStats* stats) {
-  PlanContext pc(in, opts, stats);
-  layer.plan(pc);
-  PB_CHECK(pc.produced_,
-           layer.name() << ": plan() declared no output descriptor");
-  PlanStep step;
-  step.layer = &layer;
-  step.in = in;
-  step.out = pc.out_;
-  step.variant = std::move(pc.variant_);
-  step.scratch = pc.scratch_;
-  step.display = layer.name();
-  return step;
-}
-
-Blob Layer::forward(ExecContext& ctx, const Blob& in) const {
-  PlanStep step = plan_step(*this, describe_blob(in), ctx.opts, ctx.stats);
-  step.launches = price(step, ctx.opts);
-  return run(ctx, in, step);
 }
 
 void ExecutionPlan::price() {
@@ -222,23 +192,18 @@ double ExecutionPlan::modeled_ms(const oclsim::DeviceProfile& profile,
 
 ForwardResult ExecutionPlan::run(ExecSession& session, const Blob& input,
                                  const RunOptions& ro) const {
-  ExecContext ctx = session.context();
-  return run(ctx, input, ro);
-}
-
-ForwardResult ExecutionPlan::run(ExecContext& ctx, const Blob& input,
-                                 const RunOptions& ro) const {
   const BlobDesc got = describe_blob(input);
   PB_CHECK(got == input_, name_ << ": plan was compiled for input "
                                 << input_.str() << ", got " << got.str());
   // The liveness pass's exact peaks: after this, no step grows the arena —
   // a strict no-op on a warm session (no growth event, no accounting move).
-  ctx.arena.reserve(scratch_peak_.i32, scratch_peak_.f32, scratch_peak_.u8,
-                    scratch_peak_.words, slab_bytes_);
-  std::uint64_t* slab = ctx.arena.slab(slab_bytes_);
-  // Execution uses the compiled options snapshot, so the plan behaves
-  // identically on every session regardless of the session's own snapshot.
-  ExecContext exec{ctx.queue, opts_, ctx.arena, ctx.stats};
+  ScratchArena& arena = session.arena();
+  arena.reserve(scratch_peak_.i32, scratch_peak_.f32, scratch_peak_.u8,
+                scratch_peak_.words, slab_bytes_);
+  std::uint64_t* slab = arena.slab(slab_bytes_);
+  // The one context of the run: the session's queue and arena under the
+  // plan's options, so the plan behaves identically on every session.
+  ExecContext exec{session.queue(), opts_, arena};
   exec.planes = ro.planes;
 
   ForwardResult result;
@@ -278,7 +243,6 @@ ForwardResult ExecutionPlan::run(ExecContext& ctx, const Blob& input,
   PB_CHECK(describe_blob(produced) == steps_.back().out,
            name_ << ": executed output disagrees with the compiled plan");
   result.output = std::move(produced);
-  if (ctx.stats != nullptr) ++ctx.stats->planned_runs;
   return result;
 }
 
@@ -350,11 +314,6 @@ std::string ExecutionPlan::dump() const {
     }
     if (st.scratch.bytes() > 0) {
       os << " scratch=" << human_bytes(st.scratch.bytes());
-    }
-    if (st.wcomp.unique_rows > 0) {
-      os << " wcomp=" << st.wcomp.unique_rows << "u/"
-         << human_bytes(st.wcomp.raw_bytes) << "->"
-         << human_bytes(std::min(st.wcomp.encoded_bytes, st.wcomp.raw_bytes));
     }
     os << "\n";
   }

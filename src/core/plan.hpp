@@ -79,8 +79,8 @@ struct BlobDesc {
 /// Descriptor of the blob a forward pass is about to consume/produce.
 BlobDesc describe_blob(const Blob& b);
 
-/// Ahead-of-time kernel selection for one layer: everything the layer used
-/// to re-derive from EngineOptions + input geometry on every forward.
+/// Ahead-of-time kernel selection for one layer, derived once at compile
+/// from EngineOptions + input geometry.
 struct KernelVariant {
   /// Conv execution path (DESIGN.md §4). kDefault for layers with a single
   /// kernel schedule (pooling, dense, float layers).
@@ -127,19 +127,6 @@ struct ScratchNeed {
   }
 };
 
-/// Per-step weight-compression accounting (DESIGN.md §12): filled at
-/// compile for BinaryConv2d steps when `weight_compress` is not kOff, so
-/// plan dumps and `pbc dump` can print per-layer redundancy without
-/// touching the layers. All-zero for other layers / when compression is
-/// off.
-struct StepCompression {
-  std::int64_t unique_rows = 0;    ///< dictionary rows of the filter bank
-  std::int64_t raw_bytes = 0;      ///< packed weight bytes, uncompressed
-  std::int64_t encoded_bytes = 0;  ///< dict+index+delta serialized bytes
-  friend bool operator==(const StepCompression&, const StepCompression&) =
-      default;
-};
-
 /// One compiled layer invocation — possibly covering a fused chain of
 /// layers (the conv→pool rewrite, DESIGN.md §7).
 struct PlanStep {
@@ -148,9 +135,6 @@ struct PlanStep {
   BlobDesc out{};
   KernelVariant variant{};
   ScratchNeed scratch{};
-  /// Weight-compression stats of this step's filter bank (all-zero unless
-  /// the step is a BinaryConv2d compiled with weight_compress != kOff).
-  StepCompression wcomp{};
   /// Activation slot holding this step's output (-1: the network output,
   /// which is handed to the caller rather than recycled).
   int slot = -1;
@@ -194,21 +178,13 @@ struct RunOptions {
   InputPlaneCache* planes = nullptr;
 };
 
-/// Plans one step of `layer` for input `in` (layer->plan plus the step
-/// record compile keeps; unpriced, no fusion). Shared by Network::compile
-/// and the uncompiled Layer::forward.
-PlanStep plan_step(const Layer& layer, const BlobDesc& in,
-                   const EngineOptions& opts, SessionStats* stats);
-
 /// What Layer::plan sees: the inferred input descriptor and the options the
 /// plan is being compiled against. The layer validates its contract (throw
 /// InvalidArgument to fail the compile), declares its output descriptor,
-/// selects its kernel variant and registers scratch needs.
+/// selects its kernel variant and registers scratch needs. Only
+/// Network::compile builds one, so a layer is planned only at compile.
 class PlanContext {
  public:
-  PlanContext(BlobDesc input, const EngineOptions& opts, SessionStats* stats)
-      : in_(std::move(input)), opts_(opts), stats_(stats) {}
-
   const BlobDesc& in() const noexcept { return in_; }
   const EngineOptions& opts() const noexcept { return opts_; }
 
@@ -218,13 +194,9 @@ class PlanContext {
     produced_ = true;
   }
 
-  /// Records the step's ahead-of-time kernel selection. Counted against the
-  /// session's variant_selections stat — after compile, forwards through the
-  /// plan never select again (the zero-re-selection contract).
-  void select(KernelVariant v) {
-    variant_ = std::move(v);
-    if (stats_ != nullptr) ++stats_->variant_selections;
-  }
+  /// Records the step's ahead-of-time kernel selection; runs of the plan
+  /// never select again.
+  void select(KernelVariant v) { variant_ = std::move(v); }
 
   /// Scratch-arena requirements of this step (elements, per typed pool).
   /// The arena keeps ONE live span per kind (every i32()/f32()/u8()/words()
@@ -238,12 +210,13 @@ class PlanContext {
   void need_words(std::int64_t n) { scratch_.words += n; }
 
  private:
-  friend PlanStep plan_step(const Layer&, const BlobDesc&,
-                            const EngineOptions&, SessionStats*);
+  friend class Network;
+
+  PlanContext(BlobDesc input, const EngineOptions& opts)
+      : in_(std::move(input)), opts_(opts) {}
 
   BlobDesc in_;
   const EngineOptions& opts_;
-  SessionStats* stats_;
   BlobDesc out_{};
   bool produced_ = false;
   KernelVariant variant_{};
@@ -256,8 +229,8 @@ class PlanContext {
 class ExecutionPlan {
  public:
   const std::string& network_name() const noexcept { return name_; }
-  /// The EngineOptions snapshot the plan was compiled against — execution
-  /// uses THIS snapshot, so a plan behaves identically on every session.
+  /// The EngineOptions the plan was compiled under — every run executes
+  /// with them, so a plan behaves identically on every session.
   const EngineOptions& options() const noexcept { return opts_; }
 
   const std::vector<PlanStep>& steps() const noexcept { return steps_; }
@@ -304,20 +277,18 @@ class ExecutionPlan {
   /// touch one.
   std::optional<ConvGeometry> planes_geometry() const noexcept;
 
-  /// Runs the plan on a session: reserves the exact scratch/slab peaks,
-  /// executes every step with its compiled variant (no per-forward
+  /// Runs the plan on a session — the one way to execute a network:
+  /// reserves the exact scratch/slab peaks, executes every step with its
+  /// compiled variant under the plan's options (no per-forward
   /// re-selection), backing each intermediate activation with its assigned
   /// slab slot — a warm session performs ZERO buffer allocations per
   /// forward (one owning output tensor unless `opts.borrow_output`) — and
   /// slices the per-step report from the session queue. The input blob
-  /// must match the descriptor the plan was compiled for.
+  /// must match the descriptor the plan was compiled for (InvalidArgument
+  /// naming both otherwise). The input is only read — never copied or
+  /// consumed — so a steady-state caller can reuse one input blob across
+  /// forwards without any per-call buffer traffic.
   ForwardResult run(ExecSession& session, const Blob& input,
-                    const RunOptions& opts = {}) const;
-  /// Same, against an already-built context (the context's options are
-  /// superseded by the plan's compiled snapshot). The input is only read —
-  /// never copied or consumed — so a steady-state caller can reuse one
-  /// input blob across forwards without any per-call buffer traffic.
-  ForwardResult run(ExecContext& ctx, const Blob& input,
                     const RunOptions& opts = {}) const;
 
   /// Human-readable plan: steps, variants, slots, peak bytes (the

@@ -86,7 +86,7 @@ class Device {
 };
 
 /// Aggregate of a contiguous run of profiling events — the per-layer report
-/// slice Network::forward cuts out of a session queue's event log.
+/// slice ExecutionPlan::run cuts out of a session queue's event log.
 struct EventSlice {
   double modeled_ms = 0.0;
   double host_ms = 0.0;

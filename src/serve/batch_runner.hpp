@@ -2,18 +2,18 @@
 //
 // The first real serving scenario on top of the session API: a BatchRunner
 // fans N independent inputs across a private pool of request workers. Each
-// request checks a session out of the shared Engine (private command queue +
-// warm arena from the engine's pool) and executes the network's compiled
-// ExecutionPlan — the plan (like the network) is const and shared, so all
-// requests share one copy of the weights AND one set of ahead-of-time
-// kernel selections. Per-request ForwardResults come back in input order
-// together with an aggregate throughput/latency summary including p50/p95/
-// p99 tail latency.
+// worker runs its requests on its own session of the shared Engine (private
+// command queue + warm arena from the engine's pool) through ONE compiled
+// ExecutionPlan, a loaded artifact's — the plan (like the network) is const
+// and shared, so all requests share one copy of the weights AND one set of
+// ahead-of-time kernel selections. Per-request ForwardResults come back in
+// input order together with an aggregate throughput/latency summary
+// including p50/p95/p99 tail latency.
 //
 // Failure is a value here, not an exception escape: each request's outcome
 // comes back as a RequestStatus next to its result, so one poisoned input
-// cannot destroy its neighbors' finished work (run_or_throw keeps the old
-// throwing contract for callers that want it).
+// (say, a shape the plan was not compiled for) cannot destroy its
+// neighbors' finished work.
 //
 // Request-level parallelism is intentionally a *separate* thread pool from
 // the simulated device's work-item pool: request workers block in
@@ -23,11 +23,8 @@
 #pragma once
 
 #include <atomic>
-#include <exception>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/threadpool.hpp"
@@ -91,37 +88,28 @@ struct BatchSummary {
   double p95_modeled_ms = 0.0;
   double p99_modeled_ms = 0.0;
 
-  /// Per-layer report summed across every Ok request (same layer order as
-  /// the network; costs merged with KernelCost::accumulate).
+  /// Per-layer report summed across every Ok request (the plan's step
+  /// order; costs merged with KernelCost::accumulate).
   std::vector<core::LayerReport> merged_layers;
 };
 
-/// Runs batches of independent inputs through one (engine, network) pair.
-/// The runner owns its worker threads AND one long-lived ExecSession per
-/// worker: requests of the same plan reuse the worker's slot-backed
+/// Runs batches of independent inputs through one compiled plan on one
+/// engine. The runner owns its worker threads AND one long-lived
+/// ExecSession per worker: every request reuses its worker's slot-backed
 /// activation slab and scratch arena verbatim (the plan's reserve is a
 /// warm no-op), so the steady-state per-request hot path performs zero
 /// arena growth and zero buffer allocations beyond each request's owned
-/// output tensor. Requests execute through the COMPILED path: the runner
-/// compiles one ExecutionPlan per distinct input descriptor (lazily, on
-/// first sight) and every matching request shares it, so the per-request
-/// hot path does no shape inference and no kernel-variant selection.
+/// output tensor, and no shape inference or kernel-variant selection.
 class BatchRunner {
  public:
-  /// `workers` <= 0 selects a small default (4). A runner serves one run()
-  /// at a time; create one runner per concurrent batch stream. `name` tags
-  /// the runner in error messages (defaults to the network's name).
-  BatchRunner(core::Engine& engine, const core::Network& net, int workers = 0,
-              std::string name = {});
-
-  /// Serves a LOADED artifact (Engine::load_artifact): every worker runs
-  /// the plan the load compiled — the deployment configuration where
-  /// serving compiles nothing after the load.
-  /// Requests whose input matches the artifact's descriptor share its plan
-  /// (pinned to the artifact's compiled options snapshot — engine
-  /// reconfiguration does not touch it); other shapes fall back to the
-  /// lazy compile cache against the artifact's network. The runner keeps
-  /// the artifact alive for its own lifetime.
+  /// Serves `artifact`'s plan (Engine::load_artifact, or an in-memory
+  /// `LoadedArtifact{std::move(net), plan, {}}`) — serving compiles
+  /// nothing. A request whose input does not match the plan's descriptor
+  /// fails as a value (kFailed naming the plan's input descriptor). The
+  /// runner keeps the artifact alive for its own lifetime. `workers` <= 0
+  /// selects a small default (4). A runner serves one run() at a time;
+  /// create one runner per concurrent batch stream. `name` tags the runner
+  /// in error messages (defaults to the network's name).
   BatchRunner(core::Engine& engine,
               std::shared_ptr<const artifact::LoadedArtifact> artifact,
               int workers = 0, std::string name = {});
@@ -143,11 +131,6 @@ class BatchRunner {
   BatchSummary run(const std::vector<const core::Blob*>& inputs,
                    const std::vector<core::InputPlaneCache*>& planes);
 
-  /// Legacy contract: like run(), but rethrows the first failed request's
-  /// original exception after the whole batch has drained (all neighbors
-  /// still ran to completion first).
-  BatchSummary run_or_throw(std::vector<core::Blob> inputs);
-
   int workers() const noexcept { return pool_.size(); }
 
   /// The tag used in this runner's error messages.
@@ -160,9 +143,6 @@ class BatchRunner {
     return running_.load(std::memory_order_acquire);
   }
 
-  /// Distinct input descriptors compiled so far (plan-cache size).
-  std::size_t compiled_plans() const;
-
   /// Worker sessions minted so far (lazily, at most workers()): stable
   /// across batches — sessions are reused, not re-created per request.
   std::size_t sessions() const noexcept { return sessions_.size(); }
@@ -172,25 +152,16 @@ class BatchRunner {
   int total_arena_growth_events() const;
 
  private:
-  /// Returns the cached plan for `desc`, compiling it on first sight.
-  std::shared_ptr<const core::ExecutionPlan> plan_for(
-      const core::BlobDesc& desc);
-
-  /// Shared body of every run flavor: `inputs` are borrowed (the by-value
-  /// overloads keep the owning vector alive on their frame), `planes`
-  /// (empty or input-parallel) carries per-request plane caches, and
-  /// `first_error` (optional) receives the first failed request's original
-  /// exception for rethrowing.
+  /// Shared body of both run flavors: `inputs` are borrowed (the by-value
+  /// overload keeps the owning vector alive on its frame) and `planes`
+  /// (empty or input-parallel) carries per-request plane caches.
   BatchSummary run_impl(const std::vector<const core::Blob*>& inputs,
-                        const std::vector<core::InputPlaneCache*>& planes,
-                        std::exception_ptr* first_error);
+                        const std::vector<core::InputPlaneCache*>& planes);
 
   core::Engine& engine_;
-  const core::Network& net_;
-  /// Set on the artifact constructor only: keeps the loaded network (which
-  /// `net_` references) and its plan alive, and pins the plan served for
-  /// the artifact's input descriptor.
+  /// Keeps the network alive that `plan_` points into.
   std::shared_ptr<const artifact::LoadedArtifact> artifact_;
+  const core::ExecutionPlan& plan_;  ///< artifact_->plan
   std::string name_;
   ThreadPool pool_;
   /// One persistent session per worker, created lazily on the run() caller
@@ -203,10 +174,6 @@ class BatchRunner {
   /// synchronizes-with the winning run (clean under TSan).
   std::vector<std::unique_ptr<core::ExecSession>> sessions_;
   std::atomic<bool> running_{false};
-  mutable std::mutex plan_mu_;
-  std::vector<std::pair<core::BlobDesc,
-                        std::shared_ptr<const core::ExecutionPlan>>>
-      plans_;
 };
 
 }  // namespace phonebit::serve

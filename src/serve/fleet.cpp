@@ -75,10 +75,6 @@ std::uint64_t FleetServer::version_on(int shard,
   return repo_->version(shard, model);
 }
 
-std::size_t FleetServer::compiled_plans() const {
-  return repo_->compiled_plans();
-}
-
 int FleetServer::total_arena_growth_events() const {
   return repo_->total_arena_growth_events();
 }

@@ -138,11 +138,6 @@ class FleetServer {
   ServerSummary run_cascade(const CascadeSpec& spec,
                             std::vector<Request> workload);
 
-  /// Zero-compile serving surface: distinct descriptors compiled by any
-  /// shard runner so far — stays 0 while every request matches its
-  /// artifact's descriptor (the acceptance contract).
-  std::size_t compiled_plans() const;
-
   /// Sum of arena growth events over every shard runner's sessions — flat
   /// in steady state (the zero-allocation serving contract).
   int total_arena_growth_events() const;

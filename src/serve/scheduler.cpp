@@ -133,15 +133,6 @@ std::vector<std::string> Repository::models(int shard) const {
   return names;
 }
 
-std::size_t Repository::compiled_plans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const Shard& s : shards_) {
-    for (const Entry& e : s.entries) n += e.snap.runner->compiled_plans();
-  }
-  return n;
-}
-
 int Repository::total_arena_growth_events() const {
   std::lock_guard<std::mutex> lock(mu_);
   int n = 0;

@@ -70,7 +70,6 @@ class Repository {
   Snapshot snapshot(int shard, const std::string& model) const;
   std::vector<std::string> models(int shard) const;  ///< load order
 
-  std::size_t compiled_plans() const;
   int total_arena_growth_events() const;
 
   /// " on shard '<name>'" on a multi-shard repository, "" on one shard.

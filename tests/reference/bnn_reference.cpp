@@ -1,4 +1,4 @@
-#include "baselines/bnn_reference.hpp"
+#include "reference/bnn_reference.hpp"
 
 #include "baselines/float_ops.hpp"
 #include "core/binarize.hpp"

@@ -30,7 +30,8 @@ TEST(AllocCount, WarmCompiledForwardAllocatesNothing) {
   auto net = core::convert_to_phonebit(model);
   core::Engine engine(testing::test_device());
   const ExecutionPlan plan = net->compile(
-      engine, core::BlobDesc{core::BlobKind::kU8, image.shape()});
+      core::EngineOptions{}, core::BlobDesc{core::BlobKind::kU8, image.shape(
+          )});
 
   auto session = engine.create_session();
   // One input blob, reused across forwards (run() only reads it).
@@ -93,9 +94,9 @@ TEST(AllocCount, WarmForwardAllocatesNothingAcrossConvPaths) {
   auto net = core::convert_to_phonebit(model);
 
   for (const OptCase& c : cases) {
-    core::Engine engine(testing::test_device(), c.opts);
+    core::Engine engine(testing::test_device());
     const ExecutionPlan plan = net->compile(
-        engine, core::BlobDesc{core::BlobKind::kU8, image.shape()});
+        c.opts, core::BlobDesc{core::BlobKind::kU8, image.shape()});
     auto session = engine.create_session();
     const core::Blob input{image};
     plan.run(session, input);  // warm-up
@@ -138,9 +139,9 @@ TEST(AllocCount, BatchedPlanPeaksExactAndWarmForwardAllocatesNothing) {
         std::memcpy(batch.data() + b * image.elems(), image.data(),
                     static_cast<std::size_t>(image.elems()));
       }
-      core::Engine engine(testing::test_device(), c.opts);
+      core::Engine engine(testing::test_device());
       const ExecutionPlan plan = net->compile(
-          engine, core::BlobDesc{core::BlobKind::kU8, bshape});
+          c.opts, core::BlobDesc{core::BlobKind::kU8, bshape});
       auto session = engine.create_session();
       ASSERT_EQ(session.arena().capacity_bytes(), 0) << c.label;
       const core::Blob input{batch};
@@ -190,9 +191,9 @@ TEST(AllocCount, WarmCompressedForwardAllocatesNothingAndPeaksExact) {
     core::EngineOptions opts;
     opts.weight_compress = c.compress;
     opts.conv_path = c.path;
-    core::Engine engine(testing::test_device(), opts);
+    core::Engine engine(testing::test_device());
     const ExecutionPlan plan = net->compile(
-        engine, core::BlobDesc{core::BlobKind::kU8, image.shape()});
+        opts, core::BlobDesc{core::BlobKind::kU8, image.shape()});
     auto session = engine.create_session();
     ASSERT_EQ(session.arena().capacity_bytes(), 0) << c.label;
     const core::Blob input{image};

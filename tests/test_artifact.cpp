@@ -97,21 +97,20 @@ class ArtifactTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
 
-  /// Builds a converted quicknet, compiles it on a fresh engine and writes
-  /// the artifact. Returns the network so the caller can keep comparing.
-  std::unique_ptr<core::Network> save_quicknet(core::Engine& engine,
+  /// Builds a converted quicknet, compiles it under `opts` and writes the
+  /// artifact. Returns the network so the caller can keep comparing.
+  std::unique_ptr<core::Network> save_quicknet(const EngineOptions& opts = {},
                                                std::uint64_t seed = 601) {
     const FloatModel model = FloatModel::random(models::quicknet(10), seed);
     auto net = core::convert_to_phonebit(model);
-    const ExecutionPlan plan = engine_compile(engine, *net);
+    const ExecutionPlan plan = compile_quicknet(*net, opts);
     artifact::save(*net, plan, path_);
     return net;
   }
 
-  static ExecutionPlan engine_compile(core::Engine& engine,
-                                      const core::Network& net) {
-    return net.compile(engine,
-                       BlobDesc{BlobKind::kU8, Shape{1, 32, 32, 3}});
+  static ExecutionPlan compile_quicknet(const core::Network& net,
+                                        const EngineOptions& opts = {}) {
+    return net.compile(opts, BlobDesc{BlobKind::kU8, Shape{1, 32, 32, 3}});
   }
 
   std::string path_ = ::testing::TempDir() + "phonebit_test_artifact.pba";
@@ -147,9 +146,9 @@ TEST_F(ArtifactTest, RoundTripBitExactAcrossZoo) {
     for (const bool fuse : {true, false}) {
       EngineOptions opts;
       opts.fuse_conv_pool = fuse;
-      core::Engine engine(testing::test_device(), opts);
+      core::Engine engine(testing::test_device());
       const ExecutionPlan plan =
-          net->compile(engine, BlobDesc{BlobKind::kU8, image.shape()});
+          net->compile(opts, BlobDesc{BlobKind::kU8, image.shape()});
       artifact::save(*net, plan, path_);
       const artifact::LoadedArtifact loaded = engine.load_artifact(path_);
 
@@ -171,11 +170,6 @@ TEST_F(ArtifactTest, RoundTripBitExactAcrossZoo) {
       EXPECT_TRUE(testing::expect_bitexact(replay, fresh))
           << c.name << (fuse ? " (fused)" : " (unfused)")
           << ": loaded plan diverged from in-memory compile";
-      // load() compiled once, outside any session: nothing was compiled
-      // or selected through the session that ran the artifact.
-      EXPECT_EQ(s2.stats().variant_selections, 0) << c.name;
-      EXPECT_EQ(s2.stats().compiles, 0) << c.name;
-      EXPECT_EQ(s2.stats().planned_runs, 1) << c.name;
     }
   }
 }
@@ -204,9 +198,9 @@ TEST_F(ArtifactTest, RoundTripExactUnderAblationOptions) {
   cases.push_back({"per-tap", taps});
 
   for (const OptCase& c : cases) {
-    core::Engine engine(testing::test_device(), c.opts);
+    core::Engine engine(testing::test_device());
     const ExecutionPlan plan =
-        net->compile(engine, BlobDesc{BlobKind::kU8, image.shape()});
+        net->compile(c.opts, BlobDesc{BlobKind::kU8, image.shape()});
     artifact::save(*net, plan, path_);
     const artifact::LoadedArtifact loaded = engine.load_artifact(path_);
     auto s1 = engine.create_session();
@@ -220,7 +214,7 @@ TEST_F(ArtifactTest, RoundTripExactUnderAblationOptions) {
 
 TEST_F(ArtifactTest, LoadedPlanZeroReselectionZeroGrowthZeroAlloc) {
   core::Engine engine(testing::test_device());
-  auto net = save_quicknet(engine);
+  auto net = save_quicknet();
   const artifact::LoadedArtifact loaded = engine.load_artifact(path_);
   const U8Tensor image = datasets::cifar_like_image(630);
   const core::Blob input{image};
@@ -231,8 +225,8 @@ TEST_F(ArtifactTest, LoadedPlanZeroReselectionZeroGrowthZeroAlloc) {
   EXPECT_EQ(session.arena().capacity_bytes(),
             loaded.plan.peak_scratch_bytes() + loaded.plan.slab_bytes());
 
-  // Steady state: zero re-selection, zero arena growth, zero buffer
-  // allocations under the alloc_count hook (borrowed-output mode).
+  // Steady state: zero arena growth, zero buffer allocations under the
+  // alloc_count hook (borrowed-output mode).
   core::RunOptions borrow;
   borrow.borrow_output = true;
   const std::int64_t allocs_before = buffer_alloc_count();
@@ -246,9 +240,6 @@ TEST_F(ArtifactTest, LoadedPlanZeroReselectionZeroGrowthZeroAlloc) {
   EXPECT_EQ(buffer_alloc_count(), allocs_before)
       << "a warm loaded-plan forward heap-allocated a buffer";
   EXPECT_EQ(session.arena().growth_events(), grows_before);
-  EXPECT_EQ(session.stats().variant_selections, 0);
-  EXPECT_EQ(session.stats().compiles, 0);
-  EXPECT_EQ(session.stats().planned_runs, 6);
 }
 
 // ---------------------------------------------------------------------------
@@ -256,12 +247,11 @@ TEST_F(ArtifactTest, LoadedPlanZeroReselectionZeroGrowthZeroAlloc) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ArtifactTest, SaveIsDeterministicAndRoundTripStable) {
-  core::Engine engine(testing::test_device());
-  auto net = save_quicknet(engine);
+  auto net = save_quicknet();
   const std::vector<std::uint8_t> first = read_bytes(path_);
 
   // Same (network, plan) → byte-identical artifact.
-  const ExecutionPlan plan = engine_compile(engine, *net);
+  const ExecutionPlan plan = compile_quicknet(*net);
   artifact::save(*net, plan, path_);
   EXPECT_EQ(read_bytes(path_), first) << "save is not deterministic";
 
@@ -290,10 +280,10 @@ TEST_F(ArtifactTest, SaveIsDeterministicAndRoundTripStable) {
                                     : " kAuto"));
       EngineOptions opts;
       opts.weight_compress = wc;
-      core::Engine e(testing::test_device(), opts);
-      artifact::save(*redundant,
-                     redundant->compile(e, BlobDesc{BlobKind::kU8, spec.input}),
-                     path_);
+      artifact::save(
+          *redundant,
+          redundant->compile(opts, BlobDesc{BlobKind::kU8, spec.input}),
+          path_);
       const std::vector<std::uint8_t> saved = read_bytes(path_);
       const artifact::LoadedArtifact loaded = artifact::load(path_);
       artifact::save(*loaded.network, loaded.plan, again);
@@ -304,8 +294,7 @@ TEST_F(ArtifactTest, SaveIsDeterministicAndRoundTripStable) {
 }
 
 TEST_F(ArtifactTest, HeaderLayoutIsPinned) {
-  core::Engine engine(testing::test_device());
-  const auto net = save_quicknet(engine);
+  const auto net = save_quicknet();
   const std::vector<std::uint8_t> buf = read_bytes(path_);
   ASSERT_GE(buf.size(), static_cast<std::size_t>(artifact::kHeaderBytes));
 
@@ -347,12 +336,11 @@ TEST_F(ArtifactTest, HeaderLayoutIsPinned) {
 }
 
 TEST_F(ArtifactTest, TargetProfileRoundTrips) {
-  core::Engine engine(testing::test_device());
-  auto net = save_quicknet(engine);
+  auto net = save_quicknet();
   // Untargeted save records an empty target (the v2 default).
   EXPECT_EQ(artifact::load(path_).target_profile, "");
 
-  const ExecutionPlan plan = engine_compile(engine, *net);
+  const ExecutionPlan plan = compile_quicknet(*net);
   artifact::save(*net, plan, path_, "sd660");
   const artifact::LoadedArtifact loaded = artifact::load(path_);
   EXPECT_EQ(loaded.target_profile, "sd660");
@@ -364,8 +352,7 @@ TEST_F(ArtifactTest, TargetProfileRoundTrips) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ArtifactTest, FlippedMagicRejected) {
-  core::Engine engine(testing::test_device());
-  save_quicknet(engine);
+  save_quicknet();
   std::vector<std::uint8_t> buf = read_bytes(path_);
   buf[0] ^= 0xFF;  // header is not checksummed: the magic check itself fires
   write_bytes(path_, buf);
@@ -373,8 +360,7 @@ TEST_F(ArtifactTest, FlippedMagicRejected) {
 }
 
 TEST_F(ArtifactTest, StaleVersionRejected) {
-  core::Engine engine(testing::test_device());
-  save_quicknet(engine);
+  save_quicknet();
   const std::vector<std::uint8_t> saved = read_bytes(path_);
   // The loader reads exactly one layout: older versions (3 and 4 wrote
   // other records, 5 carried a serialized plan section) and newer ones are
@@ -393,8 +379,7 @@ TEST_F(ArtifactTest, StaleVersionRejected) {
 }
 
 TEST_F(ArtifactTest, ForeignEndiannessRejected) {
-  core::Engine engine(testing::test_device());
-  save_quicknet(engine);
+  save_quicknet();
   std::vector<std::uint8_t> buf = read_bytes(path_);
   const std::uint32_t swapped = 0x04030201u;
   std::memcpy(buf.data() + artifact::kEndianOffset, &swapped, 4);
@@ -403,8 +388,7 @@ TEST_F(ArtifactTest, ForeignEndiannessRejected) {
 }
 
 TEST_F(ArtifactTest, TruncationSweepAlwaysRejects) {
-  core::Engine engine(testing::test_device());
-  save_quicknet(engine);
+  save_quicknet();
   const std::vector<std::uint8_t> full = read_bytes(path_);
   ASSERT_GT(full.size(), 64u);
 
@@ -427,8 +411,7 @@ TEST_F(ArtifactTest, TruncationSweepAlwaysRejects) {
 }
 
 TEST_F(ArtifactTest, CorruptedWeightPadWordRejected) {
-  core::Engine engine(testing::test_device());
-  save_quicknet(engine);
+  save_quicknet();
   std::vector<std::uint8_t> buf = read_bytes(path_);
   const auto table = artifact::section_table(path_);
   ASSERT_EQ(table[0].tag, artifact::Section::kNetwork);
@@ -486,8 +469,7 @@ TEST_F(ArtifactTest, WrappedPayloadLengthRejected) {
 TEST_F(ArtifactTest, ResealedRetiredCompressionBytesRejected) {
   EngineOptions opts;
   opts.weight_compress = core::WeightCompress::kAuto;
-  core::Engine engine(testing::test_device(), opts);
-  save_quicknet(engine);
+  save_quicknet(opts);
   std::vector<std::uint8_t> buf = read_bytes(path_);
   const auto table = artifact::section_table(path_);
 
@@ -510,7 +492,7 @@ TEST_F(ArtifactTest, ResealedRetiredCompressionBytesRejected) {
 /// bit-exactly like it.
 TEST_F(ArtifactTest, ResealedOptionsLoadAsTheirCompiledPlan) {
   core::Engine engine(testing::test_device());
-  auto net = save_quicknet(engine);
+  auto net = save_quicknet();
   const std::vector<std::uint8_t> saved = read_bytes(path_);
   const auto table = artifact::section_table(path_);
   ASSERT_EQ(table[1].tag, artifact::Section::kOptions);
@@ -548,7 +530,7 @@ TEST_F(ArtifactTest, ResealedOptionsLoadAsTheirCompiledPlan) {
         e.opts, BlobDesc{BlobKind::kU8, Shape{1, 32, 32, 3}});
     EXPECT_TRUE(loaded.plan.options() == e.opts);
     EXPECT_EQ(loaded.plan.dump(), want.dump());
-    EXPECT_NE(want.dump(), engine_compile(engine, *net).dump())
+    EXPECT_NE(want.dump(), compile_quicknet(*net).dump())
         << "the edit did not change the plan";
     auto s1 = engine.create_session();
     auto s2 = engine.create_session();
@@ -561,8 +543,7 @@ TEST_F(ArtifactTest, ResealedOptionsLoadAsTheirCompiledPlan) {
 /// channels; the resealed descriptor says 4) fails the load-time compile,
 /// reported at the input section's body offset.
 TEST_F(ArtifactTest, ResealedInputTheNetworkRejectsNamesTheInputSection) {
-  core::Engine engine(testing::test_device());
-  save_quicknet(engine);
+  save_quicknet();
   std::vector<std::uint8_t> buf = read_bytes(path_);
   const auto table = artifact::section_table(path_);
   ASSERT_EQ(table[2].tag, artifact::Section::kInput);
@@ -582,8 +563,7 @@ TEST_F(ArtifactTest, ResealedInputTheNetworkRejectsNamesTheInputSection) {
 }
 
 TEST_F(ArtifactTest, RandomCorruptionSweepNeverCrashes) {
-  core::Engine engine(testing::test_device());
-  save_quicknet(engine);
+  save_quicknet();
   const std::vector<std::uint8_t> clean = read_bytes(path_);
 
   // Seeded single-bit flips across the whole file (header + payload): the
@@ -619,8 +599,7 @@ TEST_F(ArtifactTest, SaveRejectsPlanFromAnotherNetwork) {
   const FloatModel m2 = FloatModel::random(models::quicknet(10), 641);
   auto net1 = core::convert_to_phonebit(m1);
   auto net2 = core::convert_to_phonebit(m2);
-  core::Engine engine(testing::test_device());
-  const ExecutionPlan plan = engine_compile(engine, *net1);
+  const ExecutionPlan plan = compile_quicknet(*net1);
   EXPECT_THROW(artifact::save(*net2, plan, path_), InvalidArgument);
 }
 
@@ -634,7 +613,7 @@ TEST_F(ArtifactTest, LoadValidatesDeviceProfileBudget) {
   auto net = core::convert_to_phonebit(model);
   core::Engine big(testing::test_device());
   const ExecutionPlan plan = net->compile(
-      big, BlobDesc{BlobKind::kU8, model.spec.input});
+      core::EngineOptions{}, BlobDesc{BlobKind::kU8, model.spec.input});
   artifact::save(*net, plan, path_);
 
   EXPECT_GT(net->param_bytes(), std::int64_t{1} << 20);
@@ -651,10 +630,10 @@ TEST_F(ArtifactTest, LoadValidatesDeviceProfileBudget) {
 
 TEST_F(ArtifactTest, BatchRunnerServesLoadedArtifact) {
   core::Engine engine(testing::test_device());
-  auto net = save_quicknet(engine);
+  auto net = save_quicknet();
   auto loaded = std::make_shared<const artifact::LoadedArtifact>(
       engine.load_artifact(path_));
-  const ExecutionPlan plan = engine_compile(engine, *net);
+  const ExecutionPlan plan = compile_quicknet(*net);
 
   serve::BatchRunner runner(engine, loaded, /*workers=*/4);
   std::vector<core::Blob> inputs;
@@ -664,9 +643,8 @@ TEST_F(ArtifactTest, BatchRunnerServesLoadedArtifact) {
   }
   const auto summary = runner.run(std::move(inputs));
 
-  // The workers ran the deserialized shared plan: nothing was compiled,
-  // and every request is bit-exact against the in-memory compiled plan.
-  EXPECT_EQ(runner.compiled_plans(), 0u);
+  // The workers ran the loaded shared plan: every request is bit-exact
+  // against the in-memory compiled plan.
   ASSERT_EQ(summary.results.size(), 8u);
   for (int i = 0; i < 8; ++i) {
     auto session = engine.create_session();
@@ -677,12 +655,6 @@ TEST_F(ArtifactTest, BatchRunnerServesLoadedArtifact) {
         summary.results[static_cast<std::size_t>(i)], serial))
         << "request " << i;
   }
-
-  // The artifact plan is pinned to its compiled snapshot: reconfiguring
-  // the engine between batches does not recompile or drop it.
-  engine.options().fuse_bn_binarize = false;
-  runner.run({core::Blob{datasets::cifar_like_image(660)}});
-  EXPECT_EQ(runner.compiled_plans(), 0u);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // mechanical OOM/CRASH gates, quantization error, layout invariance.
 #include <gtest/gtest.h>
 
-#include "baselines/bnn_reference.hpp"
+#include "reference/bnn_reference.hpp"
 #include "baselines/float_ops.hpp"
 #include "baselines/framework.hpp"
 #include "datasets/synthetic.hpp"

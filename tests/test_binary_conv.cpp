@@ -69,10 +69,11 @@ TEST_P(BinaryConvParam, MatchesFloatReference) {
 
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  BinaryConv2d conv("conv", bitpack::pack_filter_signs(w), bn, bias, g);
-  const auto out = conv.forward(ctx, core::Blob{bitpack::pack_signs(in)});
-  const auto& packed = std::get<bitpack::PackedTensor>(out);
+  core::Network net("conv");
+  net.emplace<BinaryConv2d>("conv", bitpack::pack_filter_signs(w), bn, bias, g);
+  const auto out = testing::compile_and_run(
+      session, net, core::Blob{bitpack::pack_signs(in)});
+  const auto& packed = std::get<bitpack::PackedTensor>(out.output);
 
   const FloatTensor ref = reference_bconv(in, w, bn, bias, g);
   EXPECT_TRUE(testing::packed_equals_signs(packed, ref))
@@ -106,12 +107,15 @@ TEST(BinaryConv, AllExecutionPathsAgree) {
   g.pad_h = g.pad_w = 1;
 
   auto run = [&](EngineOptions opts) {
-    core::Engine engine(testing::test_device(), opts);
+    core::Engine engine(testing::test_device());
     auto session = engine.create_session();
-    auto ctx = session.context();
-    BinaryConv2d conv("conv", bitpack::pack_filter_signs(w), bn, bias, g);
-    auto out = conv.forward(ctx, core::Blob{bitpack::pack_signs(in)});
-    return testing::unpack_signs(std::get<bitpack::PackedTensor>(out));
+    core::Network net("conv");
+    net.emplace<BinaryConv2d>("conv", bitpack::pack_filter_signs(w), bn, bias,
+                              g);
+    const auto out = testing::compile_and_run(
+        session, net, core::Blob{bitpack::pack_signs(in)}, opts);
+    return testing::unpack_signs(
+        std::get<bitpack::PackedTensor>(out.output));
   };
 
   EngineOptions fused;                       // path A
@@ -145,12 +149,15 @@ TEST(BinaryConv, PackWidthDoesNotChangeResults) {
     EngineOptions opts;
     opts.auto_pack_width = false;
     opts.fixed_pack_width = pw;
-    core::Engine engine(testing::test_device(), opts);
+    core::Engine engine(testing::test_device());
     auto session = engine.create_session();
-    auto ctx = session.context();
-    BinaryConv2d conv("conv", bitpack::pack_filter_signs(w), bn, {}, g);
-    auto out = conv.forward(ctx, core::Blob{bitpack::pack_signs(in)});
-    FloatTensor got = testing::unpack_signs(std::get<bitpack::PackedTensor>(out));
+    core::Network net("conv");
+    net.emplace<BinaryConv2d>("conv", bitpack::pack_filter_signs(w), bn,
+                              std::vector<float>{}, g);
+    const auto out = testing::compile_and_run(
+        session, net, core::Blob{bitpack::pack_signs(in)}, opts);
+    FloatTensor got =
+        testing::unpack_signs(std::get<bitpack::PackedTensor>(out.output));
     if (!have_first) {
       first = std::move(got);
       have_first = true;
@@ -164,27 +171,22 @@ TEST(BinaryConv, PackWidthDoesNotChangeResults) {
 TEST(BinaryConv, RejectsWrongChannelCount) {
   const FloatTensor w = testing::random_sign_tensor(Shape{8, 3, 3, 16}, 60);
   const auto bn = testing::random_bn(8, 61);
-  core::Engine engine(testing::test_device());
-  auto session = engine.create_session();
-  auto ctx = session.context();
-  core::BinaryConv2d conv("conv", bitpack::pack_filter_signs(w), bn, {},
-                          ConvGeometry{});
-  const FloatTensor in = testing::random_sign_tensor(Shape{1, 6, 6, 24}, 62);
-  EXPECT_THROW(conv.forward(ctx, core::Blob{bitpack::pack_signs(in)}),
-               InvalidArgument);
+  core::Network net("conv");
+  net.emplace<BinaryConv2d>("conv", bitpack::pack_filter_signs(w), bn,
+                            std::vector<float>{}, ConvGeometry{});
+  EXPECT_THROW(
+      net.compile({}, core::BlobDesc{core::BlobKind::kPacked, {1, 6, 6, 24}}),
+      InvalidArgument);
 }
 
 TEST(BinaryConv, RejectsFloatInput) {
   const FloatTensor w = testing::random_sign_tensor(Shape{8, 3, 3, 16}, 63);
   const auto bn = testing::random_bn(8, 64);
-  core::Engine engine(testing::test_device());
-  auto session = engine.create_session();
-  auto ctx = session.context();
-  core::BinaryConv2d conv("conv", bitpack::pack_filter_signs(w), bn, {},
-                          ConvGeometry{});
+  core::Network net("conv");
+  net.emplace<BinaryConv2d>("conv", bitpack::pack_filter_signs(w), bn,
+                            std::vector<float>{}, ConvGeometry{});
   EXPECT_THROW(
-      conv.forward(ctx, core::Blob{testing::random_float_tensor(
-                            Shape{1, 6, 6, 16}, 65)}),
+      net.compile({}, core::BlobDesc{core::BlobKind::kFloat, {1, 6, 6, 16}}),
       InvalidArgument);
 }
 
@@ -296,12 +298,12 @@ void check_bconv_case(const BconvCase& c) {
     SCOPED_TRACE(arm);
     opts.branch_free_binarize = c.branch_free;
     if (c.compressed) opts.weight_compress = core::WeightCompress::kAuto;
-    core::Engine engine(testing::test_device(), opts);
+    core::Engine engine(testing::test_device());
     core::Network net("oracle");
     net.emplace<BinaryConv2d>("conv", bitpack::pack_filter_signs(w), bn,
                               bias, g);
     if (pool != nullptr) net.emplace<core::MaxPool2d>("pool", *pool);
-    const core::ExecutionPlan compiled = net.compile(engine, desc);
+    const core::ExecutionPlan compiled = net.compile(opts, desc);
     std::optional<artifact::LoadedArtifact> loaded;
     if (c.compressed) {
       const std::string file = testing::temp_path("oracle.pba");

@@ -74,13 +74,14 @@ TEST_P(FastPathSweep, FastPathEqualsReferenceOnAllPaths) {
   const core::Blob input{bitpack::pack_signs(in)};
 
   auto check = [&](EngineOptions opts, const char* tag) {
-    core::Engine engine(testing::test_device(), opts);
+    core::Engine engine(testing::test_device());
     auto session = engine.create_session();
-    auto ctx = session.context();
-    BinaryConv2d conv("conv", bitpack::pack_filter_signs(w), bn, {}, g);
-    const auto out = conv.forward(ctx, input);
+    core::Network net("conv");
+    net.emplace<BinaryConv2d>("conv", bitpack::pack_filter_signs(w), bn,
+                              std::vector<float>{}, g);
+    const auto out = testing::compile_and_run(session, net, input, opts);
     EXPECT_TRUE(testing::packed_equals_signs(
-        std::get<bitpack::PackedTensor>(out), ref))
+        std::get<bitpack::PackedTensor>(out.output), ref))
         << tag << ": c_in=" << p.c_in << " k=" << p.k << " stride="
         << p.stride_h << "/" << p.stride_w << " pad=" << p.pad_h << "/"
         << p.pad_w;
@@ -128,11 +129,14 @@ TEST(FastPath, PadWiderThanKernelWindowsFullyInPadding) {
   g.pad_w = 2;
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  BinaryConv2d conv("conv", bitpack::pack_filter_signs(w), bn, {}, g);
-  const auto out = conv.forward(ctx, core::Blob{bitpack::pack_signs(in)});
+  core::Network net("conv");
+  net.emplace<BinaryConv2d>("conv", bitpack::pack_filter_signs(w), bn,
+                            std::vector<float>{}, g);
+  const auto out = testing::compile_and_run(
+      session, net, core::Blob{bitpack::pack_signs(in)});
   EXPECT_TRUE(testing::packed_equals_signs(
-      std::get<bitpack::PackedTensor>(out), reference_bconv(in, w, bn, g)));
+      std::get<bitpack::PackedTensor>(out.output),
+      reference_bconv(in, w, bn, g)));
 }
 
 /// The no-per-forward-allocation contract: after one warm-up forward the
@@ -150,18 +154,21 @@ TEST(FastPath, ArenaStopsGrowingAfterWarmup) {
       EngineOptions opts;
       opts.fuse_bn_binarize = fuse;
       opts.interior_split = split;
-      core::Engine engine(testing::test_device(), opts);
+      core::Engine engine(testing::test_device());
       auto session = engine.create_session();
-      auto ctx = session.context();
       // c_in=320 > packing threshold forces path B when fused, so the byte
       // map intermediate (the arena's hot customer) is exercised either way.
-      BinaryConv2d conv("conv", bitpack::pack_filter_signs(w), bn, {}, g);
+      core::Network net("conv");
+      net.emplace<BinaryConv2d>("conv", bitpack::pack_filter_signs(w), bn,
+                                std::vector<float>{}, g);
       const core::Blob input{bitpack::pack_signs(in)};
+      const core::ExecutionPlan plan =
+          net.compile(opts, core::describe_blob(input));
 
-      conv.forward(ctx, input);  // warm-up: arena reaches high-water mark
+      plan.run(session, input);  // warm-up: arena reaches high-water mark
       const int grows = session.arena().growth_events();
       const std::int64_t cap = session.arena().capacity_bytes();
-      for (int i = 0; i < 5; ++i) conv.forward(ctx, input);
+      for (int i = 0; i < 5; ++i) plan.run(session, input);
       EXPECT_EQ(session.arena().growth_events(), grows)
           << "fuse=" << fuse << " split=" << split;
       EXPECT_EQ(session.arena().capacity_bytes(), cap)

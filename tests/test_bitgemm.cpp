@@ -56,11 +56,14 @@ const std::vector<TrackedGeom>& tracked_geometries() {
 FloatTensor run_conv(const FloatTensor& in, const FloatTensor& w,
                      const std::vector<core::BatchNormParams>& bn,
                      const ConvGeometry& g, const EngineOptions& opts) {
-  core::Engine engine(testing::test_device(), opts);
+  core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  core::BinaryConv2d conv("conv", bitpack::pack_filter_signs(w), bn, {}, g);
-  auto out = conv.forward(ctx, core::Blob{bitpack::pack_signs(in)});
+  core::Network net("conv");
+  net.emplace<core::BinaryConv2d>("conv", bitpack::pack_filter_signs(w), bn,
+                                  std::vector<float>{}, g);
+  auto out = testing::compile_and_run(session, net,
+                                      core::Blob{bitpack::pack_signs(in)},
+                                      opts).output;
   return testing::unpack_signs(std::get<bitpack::PackedTensor>(out));
 }
 
@@ -198,9 +201,9 @@ TEST(BitGemm, ZooWideGemmMatchesRowFused) {
         EngineOptions opts;
         opts.fuse_conv_pool = fuse_pool;
         opts.conv_path = path;
-        core::Engine engine(testing::test_device(), opts);
+        core::Engine engine(testing::test_device());
         const ExecutionPlan plan =
-            net->compile(engine, BlobDesc{BlobKind::kU8, image.shape()});
+            net->compile(opts, BlobDesc{BlobKind::kU8, image.shape()});
         auto session = engine.create_session();
         return plan.run(session, core::Blob{image}).float_output();
       };
@@ -222,7 +225,7 @@ TEST(BitGemm, BatchedForwardMatchesSeparateForwards) {
        {ConvPathPreference::kAuto, ConvPathPreference::kGemm}) {
     EngineOptions opts;
     opts.conv_path = path;
-    core::Engine engine(testing::test_device(), opts);
+    core::Engine engine(testing::test_device());
     for (std::int64_t n = 1; n <= 4; ++n) {
       // Distinct image per batch row — a stacked-duplicates test would pass
       // even if the batch loop read row 0 everywhere.
@@ -241,14 +244,14 @@ TEST(BitGemm, BatchedForwardMatchesSeparateForwards) {
       }
 
       const ExecutionPlan bplan =
-          net->compile(engine, BlobDesc{BlobKind::kU8, bshape});
+          net->compile(opts, BlobDesc{BlobKind::kU8, bshape});
       auto bsession = engine.create_session();
       const FloatTensor bout =
           bplan.run(bsession, core::Blob{batch}).float_output();
       ASSERT_EQ(bout.shape().n, n);
 
       const ExecutionPlan splan =
-          net->compile(engine, BlobDesc{BlobKind::kU8, images[0].shape()});
+          net->compile(opts, BlobDesc{BlobKind::kU8, images[0].shape()});
       auto ssession = engine.create_session();
       const std::int64_t row = bout.elems() / n;
       for (std::int64_t b = 0; b < n; ++b) {
@@ -286,9 +289,9 @@ TEST(BitGemm, ArtifactRoundTripWithGemmPathAndBatch) {
 
   EngineOptions opts;
   opts.conv_path = ConvPathPreference::kGemm;
-  core::Engine engine(testing::test_device(), opts);
+  core::Engine engine(testing::test_device());
   const ExecutionPlan plan =
-      net->compile(engine, BlobDesc{BlobKind::kU8, bshape});
+      net->compile(opts, BlobDesc{BlobKind::kU8, bshape});
   ASSERT_NE(plan.dump().find("path=D"), std::string::npos)
       << "forced-GEMM batched plan selected no D step:\n" << plan.dump();
   artifact::save(*net, plan, path);
@@ -320,9 +323,9 @@ TEST(BitGemm, AutoSelectionPrefersGemmOnlyWhereModeledFaster) {
                                     testing::random_bn(c, 751),
                                     std::vector<float>{},
                                     ConvGeometry{3, 3, 1, 1, 1, 1});
-    core::Engine engine(testing::test_device());
     return net
-        .compile(engine, BlobDesc{BlobKind::kPacked, Shape{n, hw, hw, c}})
+        .compile(core::EngineOptions{},
+                 BlobDesc{BlobKind::kPacked, Shape{n, hw, hw, c}})
         .dump();
   };
   const std::string big = plan_dump(26, 256, 1);

@@ -424,7 +424,7 @@ TEST_F(CascadeTest, WarmCascadeAllocatesOnlyStageOutputs) {
   server.load_model("cls", cls);
   const CascadeSpec cascade = two_stage("det", "cls", StageGate{});
 
-  // Warm-up: probes, sessions, plan caches, arena growth.
+  // Warm-up: probes, sessions, arena growth.
   const ServerSummary warm =
       server.run_cascade(cascade, steady(6, 100, 5.0));
   ASSERT_EQ(warm.full_runs, 6);

@@ -31,9 +31,10 @@ TEST_P(BinaryDenseParam, MatchesFloatReference) {
 
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  BinaryDense dense("fc", bitpack::pack_signs(w), bn, bias);
-  auto out = dense.forward(ctx, core::Blob{bitpack::pack_signs(in)});
+  core::Network net("dense");
+  net.emplace<BinaryDense>("fc", bitpack::pack_signs(w), bn, bias);
+  auto out = testing::compile_and_run(
+      session, net, core::Blob{bitpack::pack_signs(in)}).output;
 
   // Reference: dense over ±1, folded BN, Eqn 8.
   const FloatTensor x1 = baselines::dense_ref(in, w, {});
@@ -67,13 +68,11 @@ TEST(BinaryDense, RequiresUnitsMultipleOf8) {
 
 TEST(BinaryDense, FeatureMismatchRejected) {
   const FloatTensor w = testing::random_sign_tensor(Shape{8, 1, 1, 64}, 3);
-  core::Engine engine(testing::test_device());
-  auto session = engine.create_session();
-  auto ctx = session.context();
-  BinaryDense dense("fc", bitpack::pack_signs(w), testing::random_bn(8, 4),
-                    {});
-  const FloatTensor in = testing::random_sign_tensor(Shape{1, 1, 1, 96}, 5);
-  EXPECT_THROW(dense.forward(ctx, core::Blob{bitpack::pack_signs(in)}),
+  core::Network net("dense");
+  net.emplace<BinaryDense>("fc", bitpack::pack_signs(w),
+                           testing::random_bn(8, 4), std::vector<float>{});
+  EXPECT_THROW(net.compile({}, core::BlobDesc{core::BlobKind::kPacked,
+                                              Shape{1, 1, 1, 96}}),
                InvalidArgument);
 }
 
@@ -84,9 +83,10 @@ TEST(FloatDense, MatchesReferenceOnPackedInput) {
 
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  FloatDense dense("fc8", w, bias);
-  auto out = dense.forward(ctx, core::Blob{bitpack::pack_signs(in)});
+  core::Network net("dense");
+  net.emplace<FloatDense>("fc8", w, bias);
+  auto out = testing::compile_and_run(
+      session, net, core::Blob{bitpack::pack_signs(in)}).output;
   const FloatTensor ref = baselines::dense_ref(in, w, bias);
   EXPECT_TRUE(allclose(std::get<FloatTensor>(out), ref, 1e-4f));
 }
@@ -96,9 +96,9 @@ TEST(FloatDense, MatchesReferenceOnFloatInput) {
   const FloatTensor w = testing::random_float_tensor(Shape{5, 1, 1, 37}, 10);
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  FloatDense dense("fc", w, {});
-  auto out = dense.forward(ctx, core::Blob{in});
+  core::Network net("dense");
+  net.emplace<FloatDense>("fc", w, std::vector<float>{});
+  auto out = testing::compile_and_run(session, net, core::Blob{in}).output;
   EXPECT_TRUE(allclose(std::get<FloatTensor>(out),
                        baselines::dense_ref(in, w, {}), 1e-4f));
 }
@@ -108,9 +108,9 @@ TEST(FloatDense, FlattensSpatialFloatInput) {
   const FloatTensor w = testing::random_float_tensor(Shape{6, 1, 1, 36}, 12);
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  FloatDense dense("fc", w, {});
-  auto out = dense.forward(ctx, core::Blob{in});
+  core::Network net("dense");
+  net.emplace<FloatDense>("fc", w, std::vector<float>{});
+  auto out = testing::compile_and_run(session, net, core::Blob{in}).output;
   EXPECT_TRUE(allclose(std::get<FloatTensor>(out),
                        baselines::dense_ref(in, w, {}), 1e-4f));
 }

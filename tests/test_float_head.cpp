@@ -8,7 +8,7 @@
 #include <memory>
 #include <sstream>
 
-#include "baselines/bnn_reference.hpp"
+#include "reference/bnn_reference.hpp"
 #include "bitpack/pack.hpp"
 #include "common/rng.hpp"
 #include "core/phonebit.hpp"
@@ -81,25 +81,16 @@ core::Blob as_blob(const FloatTensor& x, bool packed) {
   return core::Blob{x};
 }
 
-/// Runs `layer` through forward and through a compiled one-layer plan; both
-/// outputs must equal `ref` byte for byte.
+/// Runs `layer` through a compiled one-layer plan; the output must equal
+/// `ref` byte for byte.
 void check_layer(std::unique_ptr<core::Layer> layer, const FloatTensor& x,
                  bool packed, const FloatTensor& ref) {
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  const core::Blob input = as_blob(x, packed);
-  const core::Blob fwd = layer->forward(ctx, input);
-  ASSERT_TRUE(testing::expect_bitexact(std::get<FloatTensor>(fwd), ref))
-      << "forward diverged";
-
   core::Network net("head");
   net.add(std::move(layer));
-  const core::ExecutionPlan plan = net.compile(
-      engine, core::BlobDesc{packed ? core::BlobKind::kPacked
-                                    : core::BlobKind::kFloat,
-                             x.shape()});
-  const core::ForwardResult run = plan.run(session, input);
+  const core::ForwardResult run =
+      testing::compile_and_run(session, net, as_blob(x, packed));
   ASSERT_TRUE(
       testing::expect_bitexact(std::get<FloatTensor>(run.output), ref))
       << "compiled run diverged";
@@ -283,7 +274,7 @@ TEST(FloatHead, YoloOutputMatchesReferenceConvOverBnnActivation) {
   auto net = core::convert_to_phonebit(model);
   core::Engine engine(testing::test_device());
   const core::ExecutionPlan plan = net->compile(
-      engine, core::BlobDesc{core::BlobKind::kU8, spec.input});
+      core::EngineOptions{}, core::BlobDesc{core::BlobKind::kU8, spec.input});
   auto session = engine.create_session();
   const core::ForwardResult got = plan.run(session, core::Blob{image});
   ASSERT_TRUE(testing::expect_bitexact(got.float_output(), want));

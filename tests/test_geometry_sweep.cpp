@@ -36,9 +36,11 @@ TEST_P(ConvGeometrySweep, PackedConvMatchesReference) {
 
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  core::BinaryConv2d conv("conv", bitpack::pack_filter_signs(w), bn, {}, g);
-  const auto out = conv.forward(ctx, core::Blob{bitpack::pack_signs(in)});
+  core::Network net("conv");
+  net.emplace<core::BinaryConv2d>("conv", bitpack::pack_filter_signs(w), bn,
+                                  std::vector<float>{}, g);
+  const auto out = testing::compile_and_run(
+      session, net, core::Blob{bitpack::pack_signs(in)}).output;
 
   // Reference: ±1 conv with -1 padding, folded BN, Eqn 8.
   const FloatTensor x1 = baselines::conv2d_ref(in, w, {}, g, -1.0f);
@@ -90,9 +92,10 @@ TEST_P(PoolGeometrySweep, PackedPoolMatchesReference) {
 
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  core::MaxPool2d pool("pool", g);
-  const auto out = pool.forward(ctx, core::Blob{bitpack::pack_signs(in)});
+  core::Network net("pool");
+  net.emplace<core::MaxPool2d>("pool", g);
+  const auto out = testing::compile_and_run(
+      session, net, core::Blob{bitpack::pack_signs(in)}).output;
   EXPECT_TRUE(testing::packed_equals_signs(
       std::get<bitpack::PackedTensor>(out),
       baselines::maxpool_ref(in, g, -1.0f)))

@@ -69,9 +69,9 @@ TEST_P(InputConvParam, MatchesIntegerReference) {
 
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  InputConv2d conv("conv1", bitpack::pack_filter_signs(w), bn, bias, g);
-  auto out = conv.forward(ctx, core::Blob{img});
+  core::Network net("conv");
+  net.emplace<InputConv2d>("conv1", bitpack::pack_filter_signs(w), bn, bias, g);
+  auto out = testing::compile_and_run(session, net, core::Blob{img}).output;
   const auto& packed = std::get<bitpack::PackedTensor>(out);
   EXPECT_TRUE(testing::packed_equals_signs(
       packed, reference_input_conv(img, w, bn, bias, g)));
@@ -95,9 +95,10 @@ TEST(InputConv, BatchedInput) {
   g.pad_h = g.pad_w = 1;
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  InputConv2d conv("conv1", bitpack::pack_filter_signs(w), bn, {}, g);
-  auto out = conv.forward(ctx, core::Blob{img});
+  core::Network net("conv");
+  net.emplace<InputConv2d>("conv1", bitpack::pack_filter_signs(w), bn,
+                           std::vector<float>{}, g);
+  auto out = testing::compile_and_run(session, net, core::Blob{img}).output;
   EXPECT_TRUE(testing::packed_equals_signs(
       std::get<bitpack::PackedTensor>(out),
       reference_input_conv(img, w, bn, {}, g)));
@@ -106,13 +107,11 @@ TEST(InputConv, BatchedInput) {
 TEST(InputConv, RejectsPackedInput) {
   const FloatTensor w = testing::random_float_tensor(Shape{8, 3, 3, 3}, 33);
   const auto bn = testing::random_bn(8, 34);
-  core::Engine engine(testing::test_device());
-  auto session = engine.create_session();
-  auto ctx = session.context();
-  InputConv2d conv("conv1", bitpack::pack_filter_signs(w), bn, {},
-                   ConvGeometry{});
-  const FloatTensor x = testing::random_sign_tensor(Shape{1, 5, 5, 3}, 35);
-  EXPECT_THROW(conv.forward(ctx, core::Blob{bitpack::pack_signs(x)}),
+  core::Network net("conv");
+  net.emplace<InputConv2d>("conv1", bitpack::pack_filter_signs(w), bn,
+                           std::vector<float>{}, ConvGeometry{});
+  EXPECT_THROW(net.compile({}, core::BlobDesc{core::BlobKind::kPacked,
+                                              Shape{1, 5, 5, 3}}),
                InvalidArgument);
 }
 
@@ -127,9 +126,10 @@ TEST(InputConv, EightBitEdgeValues) {
     g.pad_h = g.pad_w = 1;
     core::Engine engine(testing::test_device());
     auto session = engine.create_session();
-    auto ctx = session.context();
-    core::InputConv2d conv("conv1", bitpack::pack_filter_signs(w), bn, {}, g);
-    auto out = conv.forward(ctx, core::Blob{img});
+    core::Network net("conv");
+    net.emplace<InputConv2d>("conv1", bitpack::pack_filter_signs(w), bn,
+                             std::vector<float>{}, g);
+    auto out = testing::compile_and_run(session, net, core::Blob{img}).output;
     EXPECT_TRUE(testing::packed_equals_signs(
         std::get<bitpack::PackedTensor>(out),
         reference_input_conv(img, w, bn, {}, g)));
@@ -163,11 +163,13 @@ TEST(InputConv, ThresholdTiesMatchReference) {
         core::EngineOptions opts;
         opts.interior_split = split;
         opts.branch_free_binarize = branch_free;
-        core::Engine engine(testing::test_device(), opts);
+        core::Engine engine(testing::test_device());
         auto session = engine.create_session();
-        auto ctx = session.context();
-        InputConv2d conv("conv1", bitpack::pack_filter_signs(w), bn, {}, g);
-        const auto out = conv.forward(ctx, core::Blob{img});
+        core::Network net("conv");
+        net.emplace<InputConv2d>("conv1", bitpack::pack_filter_signs(w), bn,
+                                 std::vector<float>{}, g);
+        const auto out = testing::compile_and_run(session, net, core::Blob{img},
+                                                  opts).output;
         EXPECT_TRUE(testing::packed_equals_signs(
             std::get<bitpack::PackedTensor>(out), ref))
             << "k" << t.k << " c" << t.c_in << "->" << t.c_out << " split "
@@ -178,8 +180,8 @@ TEST(InputConv, ThresholdTiesMatchReference) {
 }
 
 /// A window whose kh rows of planes exceed the split's stack buffer is
-/// rejected on the dense arm (at plan time and at forward); the per-tap
-/// arm, which keeps no row buffer, still runs it.
+/// rejected on the dense arm at compile; the per-tap arm, which keeps no
+/// row buffer, still runs it.
 TEST(InputConv, RejectsWindowRowsWiderThanSplitBuffer) {
   const U8Tensor img = datasets::random_image(Shape{1, 11, 11, 300}, 38);
   const FloatTensor w = testing::random_float_tensor(Shape{8, 11, 11, 300}, 39);
@@ -189,21 +191,19 @@ TEST(InputConv, RejectsWindowRowsWiderThanSplitBuffer) {
   for (const bool split : {true, false}) {
     core::EngineOptions opts;
     opts.interior_split = split;
-    core::Engine engine(testing::test_device(), opts);
+    core::Engine engine(testing::test_device());
     auto session = engine.create_session();
-    auto ctx = session.context();
     core::Network net("wide");
     net.add(std::make_unique<InputConv2d>(
         "conv1", bitpack::pack_filter_signs(w), bn, std::vector<float>{}, g));
     const core::BlobDesc desc{core::BlobKind::kU8, img.shape()};
     if (split) {
-      EXPECT_THROW(net.layers()[0]->forward(ctx, core::Blob{img}),
-                   InvalidArgument);
-      EXPECT_THROW(net.compile(engine, desc), InvalidArgument);
+      EXPECT_THROW(net.compile(opts, desc), InvalidArgument);
     } else {
-      const auto out = net.layers()[0]->forward(ctx, core::Blob{img});
+      const auto out =
+          testing::compile_and_run(session, net, core::Blob{img}, opts);
       EXPECT_TRUE(testing::packed_equals_signs(
-          std::get<bitpack::PackedTensor>(out),
+          std::get<bitpack::PackedTensor>(out.output),
           reference_input_conv(img, w, bn, {}, g)));
     }
   }
@@ -314,9 +314,9 @@ std::vector<core::BatchNormParams> oracle_bn(std::int64_t c_out,
   return bn;
 }
 
-/// Runs one case through forward, a compiled run, and a compiled run that
-/// fills and then reuses a plane cache; every output must equal the
-/// reference bit for bit.
+/// Runs one case through a compiled run and a compiled run that fills and
+/// then reuses a plane cache; every output must equal the reference bit
+/// for bit.
 void check_oracle_case(const OracleCase& c) {
   SCOPED_TRACE(c.repro());
   const Shape in_shape{c.n, c.h, c.w, c.c_in};
@@ -337,21 +337,15 @@ void check_oracle_case(const OracleCase& c) {
   core::EngineOptions opts;
   opts.interior_split = c.split;
   opts.branch_free_binarize = c.branch_free;
-  core::Engine engine(testing::test_device(), opts);
+  core::Engine engine(testing::test_device());
   core::Network net("oracle");
   net.add(std::make_unique<InputConv2d>(
       "conv1", bitpack::pack_filter_signs(w), bn, bias, g));
   const core::Blob input{img};
 
   auto session = engine.create_session();
-  auto ctx = session.context();
-  const core::Blob fwd = net.layers()[0]->forward(ctx, input);
-  ASSERT_TRUE(testing::packed_equals_signs(
-      std::get<bitpack::PackedTensor>(fwd), ref))
-      << "forward diverged";
-
   const core::ExecutionPlan plan =
-      net.compile(engine, core::BlobDesc{core::BlobKind::kU8, in_shape});
+      net.compile(opts, core::BlobDesc{core::BlobKind::kU8, in_shape});
   const core::ForwardResult run = plan.run(session, input);
   ASSERT_TRUE(testing::packed_equals_signs(
       std::get<bitpack::PackedTensor>(run.output), ref))
@@ -535,7 +529,8 @@ void check_panel_case(const OracleCase& c) {
       "conv1", bitpack::pack_filter_signs(w), testing::random_bn(c.c_out, 1),
       std::vector<float>{}, g));
   const core::ExecutionPlan plan =
-      net.compile(engine, core::BlobDesc{core::BlobKind::kU8, in_shape});
+      net.compile(core::EngineOptions{},
+                  core::BlobDesc{core::BlobKind::kU8, in_shape});
   auto session = engine.create_session();
   core::InputPlaneCache cache;
   core::RunOptions ro;

@@ -5,7 +5,7 @@
 
 #include <cstdio>
 
-#include "baselines/bnn_reference.hpp"
+#include "reference/bnn_reference.hpp"
 #include "baselines/framework.hpp"
 #include "core/phonebit.hpp"
 #include "datasets/synthetic.hpp"
@@ -43,9 +43,9 @@ TEST_P(ShrunkNets, PhonebitMatchesBnnReference) {
 
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
   auto net = core::convert_to_phonebit(model);
-  const FloatTensor out = net->forward_float(ctx, image);
+  const FloatTensor out = testing::compile_and_run(
+      session, *net, core::Blob{image}).float_output();
   EXPECT_TRUE(allclose(out, ref.output, 2e-2f))
       << GetParam().which << ": max diff " << max_abs_diff(out, ref.output);
 }
@@ -68,9 +68,10 @@ TEST(Integration, MidsizeBinaryConvBeatsFloatConvByOrderOfMagnitude) {
 
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  core::BinaryConv2d bconv("bconv", bitpack::pack_filter_signs(w), bn, {}, g);
-  bconv.forward(ctx, core::Blob{bitpack::pack_signs(in)});
+  core::Network net("bconv");
+  net.emplace<core::BinaryConv2d>("bconv", bitpack::pack_filter_signs(w), bn,
+                                  std::vector<float>{}, g);
+  testing::compile_and_run(session, net, core::Blob{bitpack::pack_signs(in)});
   const double phonebit_ms = session.queue().total_modeled_ms();
 
   // CNNdroid-equivalent single conv layer on the same geometry.
@@ -106,7 +107,8 @@ TEST(Integration, FullPipelineQuicknet) {
   core::Engine engine(device);
   const U8Tensor image = datasets::cifar_like_image(601);
   const core::ExecutionPlan plan =
-      net->compile(engine, core::BlobDesc{core::BlobKind::kU8, image.shape()});
+      net->compile(core::EngineOptions{},
+                   core::BlobDesc{core::BlobKind::kU8, image.shape()});
   const std::string path = testing::temp_path("pipeline.pba");
   artifact::save(*net, plan, path);
   const artifact::LoadedArtifact loaded = engine.load_artifact(path);
@@ -129,7 +131,6 @@ TEST(Integration, BatchConsistency) {
   auto net = core::convert_to_phonebit(model);
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
 
   U8Tensor batch(Shape{3, 32, 32, 3});
   std::vector<U8Tensor> singles;
@@ -142,9 +143,11 @@ TEST(Integration, BatchConsistency) {
         for (std::int64_t c = 0; c < 3; ++c)
           batch(i, h, w, c) = img(0, h, w, c);
   }
-  const FloatTensor batched = net->forward_float(ctx, batch);
+  const FloatTensor batched = testing::compile_and_run(
+      session, *net, core::Blob{batch}).float_output();
   for (int i = 0; i < 3; ++i) {
-    const FloatTensor single = net->forward_float(ctx, singles[i]);
+    const FloatTensor single = testing::compile_and_run(
+        session, *net, core::Blob{singles[i]}).float_output();
     for (std::int64_t c = 0; c < batched.shape().c; ++c) {
       ASSERT_FLOAT_EQ(batched(i, 0, 0, c), single(0, 0, 0, c))
           << "sample " << i << " class " << c;
@@ -160,9 +163,9 @@ TEST(Integration, EngineOnBothDevicesSameOutputs) {
     auto device = std::make_shared<oclsim::Device>(std::move(profile), 2);
     core::Engine engine(device);
     auto session = engine.create_session();
-    auto ctx = session.context();
     auto net = core::convert_to_phonebit(model);
-    return net->forward_float(ctx, image);
+    return testing::compile_and_run(session, *net,
+                                    core::Blob{image}).float_output();
   };
   const FloatTensor a = run(oclsim::DeviceProfile::snapdragon820());
   const FloatTensor b = run(oclsim::DeviceProfile::snapdragon855());

@@ -65,8 +65,9 @@ class ModelServerTest : public ::testing::Test {
   void save_artifact(const std::string& path, std::uint64_t seed) {
     const FloatModel model = FloatModel::random(models::quicknet(10), seed);
     auto net = core::convert_to_phonebit(model);
-    const ExecutionPlan plan = net->compile(
-        *engine_, core::BlobDesc{core::BlobKind::kU8, Shape{1, 32, 32, 3}});
+    const ExecutionPlan plan =
+        net->compile(core::EngineOptions{},
+                     core::BlobDesc{core::BlobKind::kU8, Shape{1, 32, 32, 3}});
     artifact::save(*net, plan, path);
   }
 

@@ -2,7 +2,7 @@
 // for every engine-option combination, plus report bookkeeping.
 #include <gtest/gtest.h>
 
-#include "baselines/bnn_reference.hpp"
+#include "reference/bnn_reference.hpp"
 #include "core/phonebit.hpp"
 #include "datasets/synthetic.hpp"
 #include "models/zoo.hpp"
@@ -26,9 +26,10 @@ TEST(Network, QuicknetMatchesBnnReference) {
 
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
   auto net = core::convert_to_phonebit(model);
-  const FloatTensor out = net->forward_float(ctx, image);
+  const FloatTensor out =
+      testing::compile_and_run(session, *net, core::Blob{image})
+          .float_output();
 
   EXPECT_TRUE(allclose(out, ref.output, 1e-3f))
       << "max diff " << max_abs_diff(out, ref.output);
@@ -55,11 +56,12 @@ TEST_P(NetworkOptions, OutputInvariantUnderOptimizations) {
   opts.branch_free_binarize = p.branch_free;
   opts.integrate_packing = p.integrate;
   opts.vectorized_loads = p.vec_loads;
-  core::Engine engine(testing::test_device(), opts);
+  core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
   auto net = core::convert_to_phonebit(model);
-  const FloatTensor out = net->forward_float(ctx, image);
+  const FloatTensor out =
+      testing::compile_and_run(session, *net, core::Blob{image}, opts)
+          .float_output();
   EXPECT_TRUE(allclose(out, ref.output, 1e-3f)) << p.label;
 }
 
@@ -76,10 +78,9 @@ TEST(Network, PerLayerReportsPopulated) {
   const FloatModel model = quick_model();
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
   auto net = core::convert_to_phonebit(model);
-  const auto result =
-      net->forward(ctx, core::Blob{datasets::cifar_like_image(3)});
+  const auto result = testing::compile_and_run(
+      session, *net, core::Blob{datasets::cifar_like_image(3)});
 
   // One report entry per compiled STEP: the conv→pool rewrite fuses
   // quicknet's two BinaryConv2d→MaxPool chains, so two entries fewer than
@@ -106,11 +107,11 @@ TEST(Network, FusionReducesModeledTimeAndLaunches) {
   auto run = [&](bool fuse) {
     EngineOptions opts;
     opts.fuse_bn_binarize = fuse;
-    core::Engine engine(testing::test_device(), opts);
+    core::Engine engine(testing::test_device());
     auto session = engine.create_session();
-    auto ctx = session.context();
     auto net = core::convert_to_phonebit(model);
-    const auto result = net->forward(ctx, core::Blob{image});
+    const auto result =
+        testing::compile_and_run(session, *net, core::Blob{image}, opts);
     int launches = 0;
     for (const auto& r : result.report) launches += r.launches;
     return std::pair<double, int>(result.modeled_ms, launches);
@@ -133,10 +134,10 @@ TEST(Network, ModelSizeIsRoughly32xSmaller) {
   EXPECT_LT(full / bnn, 32.0);
 }
 
-TEST(Network, ForwardFloatRejectsBinaryEndingNetwork) {
+TEST(Network, FloatOutputRejectsBinaryEndingNetwork) {
   // A network whose last layer emits a packed binary blob has no float
-  // output; forward_float's end-in-float contract must fire, and the
-  // underlying forward() result must still be reachable via forward().
+  // output: the run itself is fine, and float_output()'s end-in-float
+  // contract fires.
   const FloatTensor w =
       testing::random_sign_tensor(Shape{16, 3, 3, 3}, 1234);
   const auto bn = testing::random_bn(16, 1235);
@@ -149,13 +150,9 @@ TEST(Network, ForwardFloatRejectsBinaryEndingNetwork) {
 
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
   const U8Tensor image = datasets::cifar_like_image(1236);
-  EXPECT_THROW(net.forward_float(ctx, image), InvalidArgument);
-
-  // forward() itself is fine — the output is simply a packed blob, and
-  // float_output() reports the same contract violation.
-  const auto result = net.forward(ctx, core::Blob{image});
+  const auto result =
+      testing::compile_and_run(session, net, core::Blob{image});
   EXPECT_TRUE(
       std::holds_alternative<bitpack::PackedTensor>(result.output));
   EXPECT_THROW(result.float_output(), InvalidArgument);
@@ -163,10 +160,8 @@ TEST(Network, ForwardFloatRejectsBinaryEndingNetwork) {
 
 TEST(Network, EmptyNetworkRejected) {
   core::Network net("empty");
-  core::Engine engine(testing::test_device());
-  auto session = engine.create_session();
-  auto ctx = session.context();
-  EXPECT_THROW(net.forward(ctx, core::Blob{datasets::cifar_like_image(5)}),
+  EXPECT_THROW(net.compile(core::EngineOptions{},
+                           core::BlobDesc{core::BlobKind::kU8, {1, 32, 32, 3}}),
                InvalidArgument);
 }
 
@@ -180,9 +175,10 @@ TEST(Network, ShrunkYoloMatchesReference) {
   const auto ref = baselines::bnn_reference_forward(model, image);
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
   auto net = core::convert_to_phonebit(model);
-  const FloatTensor out = net->forward_float(ctx, image);
+  const FloatTensor out =
+      testing::compile_and_run(session, *net, core::Blob{image})
+          .float_output();
   EXPECT_TRUE(allclose(out, ref.output, 1e-2f))
       << "max diff " << max_abs_diff(out, ref.output);
 }

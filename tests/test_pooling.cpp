@@ -32,9 +32,11 @@ TEST_P(PoolParam, MatchesFloatReference) {
 
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  MaxPool2d pool("pool", g);
-  auto out = pool.forward(ctx, core::Blob{bitpack::pack_signs(in)});
+  core::Network net("pool");
+  net.emplace<MaxPool2d>("pool", g);
+  auto out = testing::compile_and_run(session, net,
+                                      core::Blob{bitpack::pack_signs(in)})
+                 .output;
   const FloatTensor ref = baselines::maxpool_ref(in, g, -1.0f);
   EXPECT_TRUE(testing::packed_equals_signs(
       std::get<bitpack::PackedTensor>(out), ref));
@@ -67,9 +69,11 @@ TEST(MaxPool, AllMinusOneWindowStaysMinusOne) {
   in.fill(-1.0f);
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  MaxPool2d pool("pool", PoolGeometry{2, 2, 0, false});
-  auto out = pool.forward(ctx, core::Blob{bitpack::pack_signs(in)});
+  core::Network net("pool");
+  net.emplace<MaxPool2d>("pool", PoolGeometry{2, 2, 0, false});
+  auto out = testing::compile_and_run(session, net,
+                                      core::Blob{bitpack::pack_signs(in)})
+                 .output;
   const auto& packed = std::get<bitpack::PackedTensor>(out);
   for (std::int64_t h = 0; h < 2; ++h)
     for (std::int64_t w = 0; w < 2; ++w)
@@ -83,9 +87,11 @@ TEST(MaxPool, SinglePlusOnePropagates) {
   in(0, 1, 1, 3) = 1.0f;
   core::Engine engine(testing::test_device());
   auto session = engine.create_session();
-  auto ctx = session.context();
-  MaxPool2d pool("pool", PoolGeometry{2, 2, 0, false});
-  auto out = pool.forward(ctx, core::Blob{bitpack::pack_signs(in)});
+  core::Network net("pool");
+  net.emplace<MaxPool2d>("pool", PoolGeometry{2, 2, 0, false});
+  auto out = testing::compile_and_run(session, net,
+                                      core::Blob{bitpack::pack_signs(in)})
+                 .output;
   const auto& packed = std::get<bitpack::PackedTensor>(out);
   EXPECT_TRUE(packed.get(0, 0, 0, 3));
   EXPECT_FALSE(packed.get(0, 0, 1, 3));
@@ -93,13 +99,11 @@ TEST(MaxPool, SinglePlusOnePropagates) {
 }
 
 TEST(MaxPool, RejectsFloatBlob) {
-  core::Engine engine(testing::test_device());
-  auto session = engine.create_session();
-  auto ctx = session.context();
-  MaxPool2d pool("pool", PoolGeometry{});
-  EXPECT_THROW(pool.forward(ctx, core::Blob{testing::random_float_tensor(
-                                     Shape{1, 4, 4, 8}, 1)}),
-               InvalidArgument);
+  core::Network net("pool");
+  net.emplace<MaxPool2d>("pool", PoolGeometry{});
+  EXPECT_THROW(
+      net.compile({}, core::BlobDesc{core::BlobKind::kFloat, {1, 4, 4, 8}}),
+      InvalidArgument);
 }
 
 TEST(MaxPool, WindowLargerThanInputRejected) {

@@ -1,6 +1,7 @@
 // serve::BatchRunner — fan-out of independent requests across sessions of
-// one engine: bit-exactness vs serial, aggregate summary bookkeeping, warm
-// pool reuse across batches, and error propagation.
+// one engine through one compiled plan: bit-exactness vs serial, aggregate
+// summary bookkeeping, warm pool reuse across batches, and failed requests
+// as values.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,9 +21,16 @@ namespace {
 
 using core::FloatModel;
 
-std::unique_ptr<core::Network> quick_net(std::uint64_t seed = 71) {
-  return core::convert_to_phonebit(
-      FloatModel::random(models::quicknet(10), seed));
+/// A quicknet compiled in memory for CIFAR-sized images, in the form a
+/// BatchRunner serves.
+std::shared_ptr<const artifact::LoadedArtifact> quick_art(
+    std::uint64_t seed = 71) {
+  const core::NetworkSpec spec = models::quicknet(10);
+  auto net = core::convert_to_phonebit(FloatModel::random(spec, seed));
+  core::ExecutionPlan plan = net->compile(
+      core::EngineOptions{}, core::BlobDesc{core::BlobKind::kU8, spec.input});
+  return std::make_shared<const artifact::LoadedArtifact>(
+      artifact::LoadedArtifact{std::move(net), std::move(plan), {}});
 }
 
 std::vector<core::Blob> make_inputs(int n, std::uint64_t seed) {
@@ -35,21 +43,20 @@ std::vector<core::Blob> make_inputs(int n, std::uint64_t seed) {
 }
 
 TEST(BatchRunner, MatchesSerialBitExactly) {
-  auto net = quick_net();
+  const auto art = quick_art();
   core::Engine engine(testing::test_device());
 
   constexpr int kRequests = 8;
-  serve::BatchRunner runner(engine, *net, /*workers=*/4);
+  serve::BatchRunner runner(engine, art, /*workers=*/4);
   auto summary = runner.run(make_inputs(kRequests, 900));
 
   ASSERT_EQ(summary.requests, kRequests);
   ASSERT_EQ(summary.results.size(), static_cast<std::size_t>(kRequests));
   for (int i = 0; i < kRequests; ++i) {
     auto session = engine.create_session();
-    auto ctx = session.context();
-    const auto serial = net->forward(
-        ctx, core::Blob{datasets::cifar_like_image(
-                 900 + static_cast<std::uint64_t>(i))});
+    const auto serial = art->plan.run(
+        session, core::Blob{datasets::cifar_like_image(
+                     900 + static_cast<std::uint64_t>(i))});
     EXPECT_TRUE(testing::expect_bitexact(
         summary.results[static_cast<std::size_t>(i)], serial))
         << "request " << i << " diverged from serial";
@@ -57,9 +64,9 @@ TEST(BatchRunner, MatchesSerialBitExactly) {
 }
 
 TEST(BatchRunner, SummaryAggregatesPerRequestReports) {
-  auto net = quick_net(72);
+  const auto art = quick_art(72);
   core::Engine engine(testing::test_device());
-  serve::BatchRunner runner(engine, *net, 4);
+  serve::BatchRunner runner(engine, art, 4);
   const auto summary = runner.run(make_inputs(6, 950));
 
   EXPECT_EQ(summary.workers, 4);
@@ -83,15 +90,10 @@ TEST(BatchRunner, SummaryAggregatesPerRequestReports) {
   EXPECT_LE(summary.p95_modeled_ms, summary.p99_modeled_ms);
   EXPECT_LE(summary.p99_modeled_ms, summary.max_modeled_ms);
 
-  // All six requests shared one input shape -> exactly one compiled plan.
-  EXPECT_EQ(runner.compiled_plans(), 1u);
-
   // Per-step merge: one slot per compiled plan step (fused conv+pool
   // chains report as one entry), costs/launches summed over every request,
   // modeled total consistent with the request totals.
-  const core::ExecutionPlan plan = net->compile(
-      engine.options(),
-      core::BlobDesc{core::BlobKind::kU8, Shape{1, 32, 32, 3}});
+  const core::ExecutionPlan& plan = art->plan;
   ASSERT_EQ(summary.merged_layers.size(), plan.steps().size());
   double merged_total = 0.0;
   for (std::size_t j = 0; j < summary.merged_layers.size(); ++j) {
@@ -105,10 +107,9 @@ TEST(BatchRunner, SummaryAggregatesPerRequestReports) {
 }
 
 TEST(BatchRunner, WarmBatchesStopAllocating) {
-  auto net = quick_net(73);
   auto device = testing::test_device();
   core::Engine engine(device);
-  serve::BatchRunner runner(engine, *net, 4);
+  serve::BatchRunner runner(engine, quick_art(73), 4);
 
   runner.run(make_inputs(8, 1000));  // warm-up batch mints the arenas
   const int created = engine.arena_pool().created();
@@ -127,10 +128,9 @@ TEST(BatchRunner, WarmBatchesStopAllocating) {
 /// runner mints no sessions and no arena grows — the plan's per-run reserve
 /// is a warm no-op, not a per-request re-reserve.
 TEST(BatchRunner, ReusesWorkerSessionArenasInSteadyState) {
-  auto net = quick_net(77);
   auto device = testing::test_device();
   core::Engine engine(device);
-  serve::BatchRunner runner(engine, *net, 4);
+  serve::BatchRunner runner(engine, quick_art(77), 4);
   EXPECT_EQ(runner.sessions(), 0u);  // sessions are minted lazily
 
   runner.run(make_inputs(8, 1400));  // warm-up: sessions + exact reserves
@@ -151,87 +151,61 @@ TEST(BatchRunner, ReusesWorkerSessionArenasInSteadyState) {
   }
 }
 
-TEST(BatchRunner, RecompilesWhenEngineOptionsChange) {
-  // The plan cache embeds the options snapshot: reconfiguring the engine
-  // between batches must drop it, not serve stale compiled variants.
-  auto net = quick_net(76);
-  core::Engine engine(testing::test_device());
-  serve::BatchRunner runner(engine, *net, 2);
-  const auto fused = runner.run(make_inputs(2, 1300));
-  engine.options().fuse_bn_binarize = false;
-  const auto unfused = runner.run(make_inputs(2, 1300));
-
-  int fused_launches = 0, unfused_launches = 0;
-  for (const auto& m : fused.merged_layers) fused_launches += m.launches;
-  for (const auto& m : unfused.merged_layers) unfused_launches += m.launches;
-  EXPECT_LT(fused_launches, unfused_launches);
-  EXPECT_EQ(runner.compiled_plans(), 1u);  // stale entry replaced, not kept
-}
-
 TEST(BatchRunner, EmptyBatchIsANoop) {
-  auto net = quick_net(74);
   core::Engine engine(testing::test_device());
-  serve::BatchRunner runner(engine, *net, 2);
+  serve::BatchRunner runner(engine, quick_art(74), 2);
   const auto summary = runner.run({});
   EXPECT_EQ(summary.requests, 0);
   EXPECT_TRUE(summary.results.empty());
   EXPECT_TRUE(summary.merged_layers.empty());
 }
 
-TEST(BatchRunner, RunOrThrowPropagatesRequestErrors) {
-  auto net = quick_net(75);
-  core::Engine engine(testing::test_device());
-  serve::BatchRunner runner(engine, *net, 2);
-
-  // Request 2 feeds a float tensor where the input conv expects a U8 image;
-  // its InvalidArgument must surface on the caller thread after the batch
-  // (the legacy first-error contract, kept behind run_or_throw).
-  auto inputs = make_inputs(4, 1200);
-  inputs[2] = core::Blob{FloatTensor(Shape{1, 32, 32, 3}, Layout::kNHWC)};
-  EXPECT_THROW(runner.run_or_throw(std::move(inputs)), InvalidArgument);
-}
-
 TEST(BatchRunner, FailedRequestKeepsNeighborsResults) {
-  // Failure is a value: run() classifies the poisoned request kFailed and
-  // every neighbor's finished result survives (before PR 6 the first error
-  // threw the whole batch away).
-  auto net = quick_net(78);
+  // Failure is a value: run() classifies each poisoned request kFailed and
+  // every neighbor's finished result survives. A runner serves exactly one
+  // plan, so a well-formed image of another size fails like a float tensor
+  // does — it is not compiled on the fly — and both errors name the
+  // descriptor the plan was compiled for.
+  const auto art = quick_art(78);
   core::Engine engine(testing::test_device());
-  serve::BatchRunner runner(engine, *net, 2);
+  serve::BatchRunner runner(engine, art, 2);
 
   auto inputs = make_inputs(5, 1250);
-  inputs[2] = core::Blob{FloatTensor(Shape{1, 32, 32, 3}, Layout::kNHWC)};
+  inputs[1] = core::Blob{datasets::random_image(Shape{1, 48, 48, 3}, 1260)};
+  inputs[3] = core::Blob{FloatTensor(Shape{1, 32, 32, 3}, Layout::kNHWC)};
   const auto summary = runner.run(std::move(inputs));
 
   ASSERT_EQ(summary.statuses.size(), 5u);
-  EXPECT_EQ(summary.ok, 4);
-  EXPECT_EQ(summary.failed, 1);
-  EXPECT_EQ(summary.statuses[2].code, serve::StatusCode::kFailed);
-  EXPECT_FALSE(summary.statuses[2].error.empty());
-  for (int i = 0; i < 5; ++i) {
-    if (i == 2) continue;
+  EXPECT_EQ(summary.ok, 3);
+  EXPECT_EQ(summary.failed, 2);
+  for (const std::size_t i : {1u, 3u}) {
+    EXPECT_EQ(summary.statuses[i].code, serve::StatusCode::kFailed);
+    const std::string& error = summary.statuses[i].error;
+    EXPECT_NE(error.find(art->plan.input().str()), std::string::npos)
+        << error;
+    // The failed slot contributes nothing to the latency aggregation.
+    EXPECT_EQ(summary.results[i].report.size(), 0u);
+  }
+  for (const int i : {0, 2, 4}) {
     ASSERT_TRUE(summary.statuses[static_cast<std::size_t>(i)].ok());
     auto session = engine.create_session();
-    auto ctx = session.context();
-    const auto serial = net->forward(
-        ctx, core::Blob{datasets::cifar_like_image(
-                 1250 + static_cast<std::uint64_t>(i))});
+    const auto serial = art->plan.run(
+        session, core::Blob{datasets::cifar_like_image(
+                     1250 + static_cast<std::uint64_t>(i))});
     EXPECT_TRUE(testing::expect_bitexact(
         summary.results[static_cast<std::size_t>(i)], serial))
         << "neighbor " << i << " lost its result";
   }
-  // The failed slot contributes nothing to the latency aggregation.
-  EXPECT_EQ(summary.results[2].report.size(), 0u);
   EXPECT_GT(summary.p50_modeled_ms, 0.0);
+  EXPECT_EQ(summary.merged_layers.size(), art->plan.steps().size());
 }
 
 TEST(BatchRunner, ConcurrentSecondRunIsRejectedNamingTheRunner) {
   // The one-run-at-a-time contract: a second run() while a batch is in
   // flight must throw InvalidArgument naming the runner — atomically
   // (acq_rel exchange on running_), never corrupting the first batch.
-  auto net = quick_net(79);
   core::Engine engine(testing::test_device());
-  serve::BatchRunner runner(engine, *net, 2, "streamA");
+  serve::BatchRunner runner(engine, quick_art(79), 2, "streamA");
   EXPECT_EQ(runner.name(), "streamA");
 
   // A batch big enough to stay in flight while this thread races it.

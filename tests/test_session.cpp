@@ -1,6 +1,6 @@
-// Session-based execution API: options snapshotting, arena-pool lifecycle,
-// and concurrent forwards through one Engine (bit-exact vs serial, zero
-// steady-state device-memory growth).
+// Session-based execution API: private event logs, arena-pool lifecycle,
+// and concurrent forwards of shared plans through one Engine (bit-exact vs
+// serial, zero steady-state device-memory growth).
 #include <gtest/gtest.h>
 
 #include <latch>
@@ -15,68 +15,32 @@
 namespace phonebit {
 namespace {
 
-using core::EngineOptions;
 using core::FloatModel;
+
+core::ExecutionPlan compile_u8(const core::Network& net, const Shape& input) {
+  return net.compile(core::EngineOptions{},
+                     core::BlobDesc{core::BlobKind::kU8, input});
+}
 
 FloatModel quick_model(std::uint64_t seed = 31) {
   return FloatModel::random(models::quicknet(10), seed);
-}
-
-TEST(Session, SnapshotsOptionsAtCreation) {
-  core::Engine engine(testing::test_device());
-  ASSERT_TRUE(engine.options().fuse_bn_binarize);
-
-  auto session = engine.create_session();
-  // Reconfiguring the engine mid-flight must not reach the live session.
-  engine.options().fuse_bn_binarize = false;
-  engine.options().conv_tile_ow = 1;
-  EXPECT_TRUE(session.options().fuse_bn_binarize);
-  EXPECT_EQ(session.options().conv_tile_ow, EngineOptions{}.conv_tile_ow);
-
-  // A session created after the mutation sees the new configuration.
-  auto session2 = engine.create_session();
-  EXPECT_FALSE(session2.options().fuse_bn_binarize);
-  EXPECT_EQ(session2.options().conv_tile_ow, 1);
-}
-
-TEST(Session, SnapshotGovernsExecutionNotEngineState) {
-  // The behavioural half of snapshotting: a pre-mutation session keeps
-  // running the fused pipeline (fewer launches) even after the engine is
-  // flipped to the unfused configuration.
-  const FloatModel model = quick_model();
-  const U8Tensor image = datasets::cifar_like_image(41);
-  auto net = core::convert_to_phonebit(model);
-
-  core::Engine engine(testing::test_device());
-  auto fused_session = engine.create_session();
-  engine.options().fuse_bn_binarize = false;
-  auto unfused_session = engine.create_session();
-
-  auto launches_of = [&](core::ExecSession& s) {
-    auto ctx = s.context();
-    const auto result = net->forward(ctx, core::Blob{image});
-    int launches = 0;
-    for (const auto& r : result.report) launches += r.launches;
-    return launches;
-  };
-  EXPECT_LT(launches_of(fused_session), launches_of(unfused_session));
 }
 
 TEST(Session, PrivateEventLogs) {
   const FloatModel model = quick_model();
   const U8Tensor image = datasets::cifar_like_image(42);
   auto net = core::convert_to_phonebit(model);
+  const core::ExecutionPlan plan = compile_u8(*net, image.shape());
+  const core::Blob input{image};
 
   core::Engine engine(testing::test_device());
   auto s1 = engine.create_session();
   auto s2 = engine.create_session();
-  auto c1 = s1.context();
-  net->forward(c1, core::Blob{image});
+  plan.run(s1, input);
   EXPECT_GT(s1.queue().events().size(), 0u);
   EXPECT_EQ(s2.queue().events().size(), 0u);
 
-  auto c2 = s2.context();
-  net->forward(c2, core::Blob{image});
+  plan.run(s2, input);
   s1.reset_profile();
   EXPECT_EQ(s1.queue().events().size(), 0u);
   EXPECT_GT(s2.queue().events().size(), 0u);
@@ -125,13 +89,14 @@ TEST(Session, ArenaPoolReusesWarmArenas) {
   const FloatModel model = quick_model();
   const U8Tensor image = datasets::cifar_like_image(43);
   auto net = core::convert_to_phonebit(model);
+  const core::ExecutionPlan plan = compile_u8(*net, image.shape());
+  const core::Blob input{image};
   auto device = testing::test_device();
 
   core::Engine engine(device);
   {
     auto session = engine.create_session();
-    auto ctx = session.context();
-    net->forward_float(ctx, image);
+    plan.run(session, input);
   }
   EXPECT_EQ(engine.arena_pool().created(), 1);
   EXPECT_EQ(engine.arena_pool().idle_count(), 1u);
@@ -141,18 +106,17 @@ TEST(Session, ArenaPoolReusesWarmArenas) {
   const std::int64_t warm_bytes = device->allocated_bytes();
   for (int i = 0; i < 4; ++i) {
     auto session = engine.create_session();
-    auto ctx = session.context();
     const int grows_before = session.arena().growth_events();
-    net->forward_float(ctx, image);
+    plan.run(session, input);
     EXPECT_EQ(session.arena().growth_events(), grows_before) << "round " << i;
   }
   EXPECT_EQ(engine.arena_pool().created(), 1);
   EXPECT_EQ(device->allocated_bytes(), warm_bytes);
 }
 
-/// The acceptance scenario: >= 4 concurrent sessions forwarding shared
-/// Networks through one Engine are bit-exact vs serial runs, and after a
-/// warm-up round the arena pool and device accounting stop growing.
+/// The acceptance scenario: >= 4 concurrent sessions running shared plans
+/// through one Engine are bit-exact vs serial runs, and after a warm-up
+/// round the arena pool and device accounting stop growing.
 TEST(Session, ConcurrentForwardsBitExactAndZeroGrowth) {
   constexpr int kThreads = 4;
   constexpr int kForwardsPerThread = 3;
@@ -161,6 +125,8 @@ TEST(Session, ConcurrentForwardsBitExactAndZeroGrowth) {
   const FloatModel model_b = quick_model(62);
   auto net_a = core::convert_to_phonebit(model_a);
   auto net_b = core::convert_to_phonebit(model_b);
+  const core::ExecutionPlan plan_a = compile_u8(*net_a, model_a.spec.input);
+  const core::ExecutionPlan plan_b = compile_u8(*net_b, model_b.spec.input);
   auto device = testing::test_device();
   core::Engine engine(device);
 
@@ -169,13 +135,12 @@ TEST(Session, ConcurrentForwardsBitExactAndZeroGrowth) {
     images.push_back(
         datasets::cifar_like_image(700 + static_cast<std::uint64_t>(i)));
   }
-  // Serial reference, one session per run (alternating the two networks).
+  // Serial reference, one session per run (alternating the two plans).
   std::vector<FloatTensor> serial;
   for (std::size_t i = 0; i < images.size(); ++i) {
     auto session = engine.create_session();
-    auto ctx = session.context();
-    const core::Network& net = (i % 2 == 0) ? *net_a : *net_b;
-    serial.push_back(net.forward_float(ctx, images[i]));
+    const core::ExecutionPlan& plan = (i % 2 == 0) ? plan_a : plan_b;
+    serial.push_back(plan.run(session, core::Blob{images[i]}).float_output());
   }
 
   // `all_alive` (optional) holds every thread's first session alive at
@@ -192,9 +157,8 @@ TEST(Session, ConcurrentForwardsBitExactAndZeroGrowth) {
               static_cast<std::size_t>(t * kForwardsPerThread + f);
           auto session = engine.create_session();
           if (f == 0 && all_alive != nullptr) all_alive->arrive_and_wait();
-          auto ctx = session.context();
-          const core::Network& net = (i % 2 == 0) ? *net_a : *net_b;
-          out[i] = net.forward_float(ctx, images[i]);
+          const core::ExecutionPlan& plan = (i % 2 == 0) ? plan_a : plan_b;
+          out[i] = plan.run(session, core::Blob{images[i]}).float_output();
         }
       });
     }

@@ -1,5 +1,5 @@
 // PhoneBit tests — shared fixtures, generators and the bit-exactness
-// comparators used by every differential test (compiled vs uncompiled,
+// comparators used by every differential test (compiled vs reference,
 // fused vs unfused, loaded artifact vs fresh compile, batch vs serial).
 #pragma once
 
@@ -96,6 +96,15 @@ inline ::testing::AssertionResult expect_bitexact(
            << b.modeled_ms << " ms";
   }
   return ::testing::AssertionSuccess();
+}
+
+/// Compiles `net` under `opts` for `input`'s descriptor and runs the plan
+/// once on `session` — the one-shot compile + run of a test that runs a
+/// network (often a one-layer one, built with Network::emplace) once.
+inline core::ForwardResult compile_and_run(
+    core::ExecSession& session, const core::Network& net,
+    const core::Blob& input, const core::EngineOptions& opts = {}) {
+  return net.compile(opts, core::describe_blob(input)).run(session, input);
 }
 
 /// A file path under the gtest temp dir that is unique to this process.

